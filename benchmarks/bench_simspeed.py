@@ -2,25 +2,23 @@
 """Simulator-speed benchmark runner.
 
 Measures host wall-clock simulation throughput (kilo-cycles/sec) per
-(workload, config, engine) with the idle-cycle fast-forward on and off,
-and writes the JSON (schema 2) payload consumed by the CI perf-smoke
-job::
+(workload, config) with the idle-cycle fast-forward on and off, and
+writes the JSON (schema 3) payload consumed by the CI perf-smoke job::
 
     PYTHONPATH=src python benchmarks/bench_simspeed.py
     PYTHONPATH=src python benchmarks/bench_simspeed.py \\
-        --quick --gate --output BENCH_simspeed.ci.json \\
+        --quick --obs --output BENCH_simspeed.ci.json \\
         --baseline BENCH_simspeed.json
 
 With ``--baseline``, regressions beyond 25% print WARNING lines but the
 exit code stays 0 (runner wall clocks are too noisy for a hard
-cross-run gate).  The one hard gate is ``--gate``: the fast engine must
-be at least 2x the reference on mcf/ooo along the stepping path (no
-fast-forward) — a within-run ratio, immune to runner speed.  On a gate
-failure (or with ``--profile``) the slowest row's cProfile dump lands
-under ``results/profiles/`` for triage.  ``--windows N`` adds lockstep
-aggregate-throughput rows.  Unlike the ``bench_fig*`` modules this is a
-standalone script, not a pytest-benchmark suite: it times the simulator
-itself, not the machine being simulated.
+cross-run gate).  The hard gate is ``--obs``: metrics sampling and span
+tracing must each cost under 10% wall clock, and every telemetry
+variant must simulate bit-identically.  ``--profile`` dumps the slowest
+row's cProfile under ``results/profiles/`` for triage; ``--windows N``
+adds lockstep aggregate-throughput rows.  Unlike the ``bench_fig*``
+modules this is a standalone script, not a pytest-benchmark suite: it
+times the simulator itself, not the machine being simulated.
 """
 
 from __future__ import annotations
@@ -32,14 +30,12 @@ from pathlib import Path
 
 from repro.harness.simspeed import (
     DEFAULT_CONFIGS,
-    DEFAULT_ENGINES,
     DEFAULT_INSTRUCTIONS,
     DEFAULT_REPEATS,
     DEFAULT_SEED,
     DEFAULT_WORKLOADS,
     _slowest_row,
     compare_simspeed,
-    gate_simspeed,
     profile_case,
     render_simspeed,
     run_simspeed,
@@ -53,12 +49,9 @@ def _profile_slowest(payload) -> str:
         return ""
     return profile_case(
         row["workload"], row["config"],
-        "results/profiles/%s_%s_%s.pstats" % (
-            row["workload"], row["config"], row["engine"],
-        ),
+        "results/profiles/%s_%s.pstats" % (row["workload"], row["config"]),
         instructions=payload["instructions"],
         seed=payload["seed"],
-        engine=row["engine"],
     )
 
 
@@ -102,25 +95,13 @@ def main(argv=None) -> int:
              "checked but not wall-clock-gated — see --obs)",
     )
     parser.add_argument(
-        "--engines", nargs="*", default=list(DEFAULT_ENGINES),
-        choices=["reference", "fast"], metavar="ENGINE",
-        help="engines to measure (default: both, which also enables "
-             "the cross-engine bit-identity check and speedup columns)",
-    )
-    parser.add_argument(
         "--windows", type=int, default=1, metavar="N",
         help="also measure lockstep aggregate throughput over N "
-             "full runs per (workload, config), fast engine",
+             "full runs per (workload, config)",
     )
     parser.add_argument(
         "--profile", action="store_true",
         help="cProfile the slowest row into results/profiles/",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="hard-fail (exit 1) if the fast engine is under 2x the "
-             "reference on mcf/ooo along the stepping path; also dumps "
-             "the slowest row's profile on failure",
     )
     parser.add_argument(
         "--history", action="store_true",
@@ -142,7 +123,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         verbose=True,
         obs=args.obs,
-        engines=args.engines,
         windows=args.windows,
     )
     print()
@@ -198,17 +178,6 @@ def main(argv=None) -> int:
             (entry["git_revision"] or "no-git")[:12],
             entry["recorded"], HISTORY_PATH,
         ))
-
-    if args.gate:
-        failures = gate_simspeed(payload)
-        for line in failures:
-            print(line)
-        if failures:
-            if not args.profile:
-                path = _profile_slowest(payload)
-                if path:
-                    print("profiled slowest row to %s" % path)
-            return 1
     return 0
 
 

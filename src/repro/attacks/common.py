@@ -363,7 +363,6 @@ def run_cross_attack(
 
     two = replace(
         config, num_contexts=len(programs), sharing=sharing,
-        engine="reference",
     ).validate()
     machine = SmtMachine(list(programs), two, fast_forward=fast_forward)
     outcomes = machine.run(max_cycles=max_cycles)

@@ -1,9 +1,8 @@
-"""Processor cores: the out-of-order pipelines and the in-order baseline."""
+"""Processor cores: the out-of-order pipeline and the in-order baseline."""
 
 from typing import Optional
 
 from repro.config import SimConfig
-from repro.core.fastcore import FastFUPool, FastOoOCore
 from repro.core.fu import FUPool
 from repro.core.inorder import InOrderCore
 from repro.core.issue_queue import IssueQueue
@@ -21,13 +20,10 @@ def make_core(
     direction_predictor: str = "tournament",
     fast_forward: bool = True,
 ) -> OutOfOrderCore:
-    """Construct the OoO core selected by ``config.engine``.
+    """Construct a single-context :class:`OutOfOrderCore`.
 
-    ``"fast"`` (the default) builds the table-driven
-    :class:`FastOoOCore`; ``"reference"`` builds the readable reference
-    :class:`OutOfOrderCore`.  Both are pinned bit-identical by the golden
-    equivalence tests, so callers may treat the choice as a pure
-    host-speed knob.
+    Two-context configs are rejected: co-resident contexts run through
+    :class:`repro.smt.SmtMachine`, which builds one core per context.
     """
     from repro.errors import ConfigError
 
@@ -37,16 +33,13 @@ def make_core(
             "make_core() builds single-context cores; two-context configs "
             "run through repro.smt.SmtMachine"
         )
-    cls = OutOfOrderCore if config.engine == "reference" else FastOoOCore
-    return cls(
+    return OutOfOrderCore(
         program, config, direction_predictor=direction_predictor,
         fast_forward=fast_forward,
     )
 
 
 __all__ = [
-    "FastFUPool",
-    "FastOoOCore",
     "FUPool",
     "InOrderCore",
     "IssueQueue",

@@ -72,15 +72,6 @@ class InOrderCore:
             state=self.arch_state(), stats=self.stats, label="In-Order"
         )
 
-    def advance(self, limit: int) -> None:
-        """Step once (driver-loop parity with OutOfOrderCore.advance).
-
-        The serial core already charges whole multi-cycle latencies per
-        step, so there are no idle cycles to fast-forward over; *limit*
-        is accepted for interface compatibility and ignored.
-        """
-        self.step()
-
     def run_to_commit(self, target: int, max_cycles: int) -> None:
         """Step until *target* committed instructions, HALT, or budget
         (driver-loop parity with ``OutOfOrderCore.run_to_commit``)."""

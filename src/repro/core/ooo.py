@@ -15,6 +15,15 @@ fence-style mitigations, and anything registered through
 (broadcast gating, issue gating, load visibility, and the
 dispatch/resolve/squash/commit events).
 
+The phases are table-driven: they read the dense micro-op tables of
+:mod:`repro.isa.microops` (integer flag masks, int-indexed FU accounting,
+pre-bound execute closures) instead of ``entry.instr.info.<attr>``
+chains and opcode dispatch, and each phase makes one batched pass with
+its loop invariants hoisted into locals.  Scheme hooks are bound once at
+construction: a hook the scheme does not override is skipped at its call
+site (the base implementation is a no-op or a constant), an override is
+called at exactly its cycle.  The golden files pin the resulting timing.
+
 Stage order within a cycle (reverse pipeline order, standard for
 cycle-level models): writeback -> deferred broadcast -> load visibility
 -> load memory phase -> issue -> dispatch -> fetch -> commit.
@@ -40,18 +49,55 @@ from repro.errors import DeadlockError, SimulationError
 from repro.frontend.btb import BTB
 from repro.frontend.direction import make_direction_predictor
 from repro.frontend.fetch import FetchedOp, FetchUnit
-from repro.isa.opcodes import Opcode
+from repro.frontend.ras import RAS
+from repro.isa.microops import (
+    F_BRANCH,
+    F_CALL,
+    F_CONDITIONAL,
+    F_LOAD,
+    F_MEM_BYTE,
+    F_SERIALIZING,
+    F_STORE,
+    FU_ID,
+    K_ALU,
+    K_BRANCH,
+    K_CLFLUSH,
+    K_RDMSR,
+    K_RDTSC,
+    K_STORE,
+    OP_ID,
+    lower_program,
+)
+from repro.isa.opcodes import FUType, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS, R0
-from repro.isa.semantics import MachineState, branch_taken, eval_alu
+from repro.isa.semantics import MachineState
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.memory import MainMemory, U64_MASK
-from repro.frontend.ras import RAS
 from repro.schemes.base import ProtectionModel
 from repro.schemes.registry import make_protection
 from repro.stats.counters import CycleClass, PipelineStats
 
 _BY_SEQ = attrgetter("seq")
+
+_FU_FP = FU_ID[FUType.FP]
+_FU_DIV = FU_ID[FUType.DIV]
+
+_OPID_JMP = OP_ID[Opcode.JMP]
+_OPID_CALL = OP_ID[Opcode.CALL]
+_OPID_CALLR = OP_ID[Opcode.CALLR]
+_OPID_JR = OP_ID[Opcode.JR]
+_OPID_RET = OP_ID[Opcode.RET]
+_OPID_HALT = OP_ID[Opcode.HALT]
+
+_F_MEMOP = F_LOAD | F_STORE
+
+
+def _hook(prot: ProtectionModel, name: str):
+    """*prot*'s bound hook *name*, or None when it keeps the base one."""
+    if getattr(type(prot), name) is getattr(ProtectionModel, name):
+        return None
+    return getattr(prot, name)
 
 
 class OutOfOrderCore:
@@ -128,14 +174,6 @@ class OutOfOrderCore:
         # The one protection-scheme object; every scheme-sensitive
         # decision in the pipeline below delegates to it.
         self.protection = make_protection(self)
-        # Does the scheme refine the ready-pool fast-forward veto?  When
-        # it does (FenceOnBranch), the run/advance gates must probe even
-        # with a non-empty ready pool — the scheme may prove every ready
-        # entry fenced, unlocking the skip.
-        self._ready_horizon_overridden = (
-            type(self.protection).issue_ready_horizon
-            is not ProtectionModel.issue_ready_horizon
-        )
 
         self._next_seq = 0
         self._fetch_buffer: Deque[FetchedOp] = deque()
@@ -156,6 +194,72 @@ class OutOfOrderCore:
         # is-None test, so the hot path and the idle-cycle fast-forward
         # are unaffected when no oracle is attached.
         self.taint = None
+
+        # The static micro-op tables (shared by every core running the
+        # same program object).
+        self.u = u = lower_program(program)
+        # Hot-loop invariants hoisted out of the per-cycle phases.
+        self._issue_width = core.issue_width
+        self._fetch_width = core.fetch_width
+        self._commit_width = core.commit_width
+        self._frontend_depth = core.frontend_depth
+        self._fetch_cap = 2 * core.fetch_width
+        self._squash_penalty = core.squash_penalty
+        self._dcache_ports = self.config.mem.l1d.ports
+        self._priv_mode = self.config.privileged_mode
+        self._fwd_faulting = self.config.forward_faulting_loads
+        prot = self.protection
+        self._arbiter = prot.arbiter
+        # Hook elision (see _hook): None means the base implementation,
+        # whose effect the call site applies inline.
+        self._has_visibility_phase = (
+            _hook(prot, "load_visibility_phase") is not None
+        )
+        self._has_next_event = _hook(prot, "next_event") is not None
+        self._hook_may_issue = _hook(prot, "may_issue")
+        self._hook_may_broadcast = _hook(prot, "may_broadcast")
+        self._hook_on_dispatch = _hook(prot, "on_dispatch")
+        self._hook_on_commit = _hook(prot, "on_commit")
+        self._hook_on_branch_resolved = _hook(prot, "on_branch_resolved")
+        self._hook_load_invisible = _hook(prot, "load_executes_invisibly")
+        # A scheme that refines the ready-pool fast-forward veto
+        # (FenceOnBranch) must be probed even with a non-empty ready
+        # pool: it may prove every ready entry fenced, unlocking a skip.
+        self._hook_ready_horizon = _hook(prot, "issue_ready_horizon")
+        # Per-phase working sets, bundled so each phase pays ONE attribute
+        # load plus a tuple unpack instead of re-hoisting ~20 locals per
+        # call.  Only references that are never rebound belong here: the
+        # micro-op tables, the RAT/PRF arrays, the ROB deque, the IQ
+        # waiter dict, the fetch buffer and the completion heap.  Anything
+        # a squash rebinds (lsq.loads/stores, _pending_mem, iq._ready,
+        # iq._pending) is read fresh inside the phase.
+        self._flags = u.flags
+        self._disp_tables = (
+            u.flags, u.rd, u.srcs, self.rat.map, self.prf.ready,
+            self.iq._waiters, self.rob.entries, self.rob.capacity,
+            self.iq.capacity, self.rat.rename_dest, self.prf._free,
+            self._hook_on_dispatch, self.stats,
+        )
+        self._issue_tables = (
+            u.fu_ids, u.latency, u.flags, u.imm, self.prf.value,
+            self.fus, self._hook_may_issue, self.rob.entries,
+            self._completions, self.stats,
+        )
+        self._wb_tables = (
+            u.kinds, u.exec_fns, u.imm, self.prf.value, self.prf.ready,
+            self.iq._waiters, self.rob.entries, self.protection,
+            self._hook_may_broadcast,
+        )
+        self._commit_tables = (
+            u.flags, u.op_ids, self.rob.entries, self.lsq,
+            self.rat.retire, self.stats, self._hook_on_commit,
+        )
+        self._fetch_tables = (
+            u.flags, u.op_ids, self.program.instrs,
+            len(self.program.instrs), self.fetch_unit,
+            self.fetch_unit._line_available, self._fetch_buffer,
+            self._fetch_buffer.append,
+        )
 
     # ================================================================== #
     # Public driving interface.
@@ -190,20 +294,19 @@ class OutOfOrderCore:
         """
         fast = self.fast_forward
         iq = self.iq
-        # Schemes that refine the ready-pool veto (FenceOnBranch) must be
-        # probed even while entries sit ready; see issue_ready_horizon.
-        probe_ready = self._ready_horizon_overridden
+        step = self.step
+        probe = self._next_interesting_cycle
+        skip = self._skip_to
+        probe_ready = self._hook_ready_horizon is not None
+        check_commit = commit_target is not None
         while not self.halted and self.cycle < max_cycles:
-            if (
-                commit_target is not None
-                and self.committed >= commit_target
-            ):
+            if check_commit and self.committed >= commit_target:
                 return False
             # Inline gate: a non-empty ready pool means the machine is
             # busy this cycle, so skip the full quiescence probe — it
             # would veto anyway, and on issue-bound phases its cost per
             # cycle is the whole fast-forward overhead.  (_ready is read
-            # fresh each iteration: select()/remove_squashed rebind it.)
+            # fresh each iteration: select/remove_squashed rebind it.)
             if fast and (probe_ready or not iq._ready):
                 # Never skip past the cycle at which the deadlock check
                 # would fire, so a dead machine raises at the exact same
@@ -212,15 +315,17 @@ class OutOfOrderCore:
                 if max_cycles < limit:
                     limit = max_cycles
                 if self.cycle < limit:
-                    target = self._next_interesting_cycle(limit)
+                    target = probe(limit)
                     if target > self.cycle:
-                        self._skip_to(target)
+                        skip(target)
                         if self.cycle >= max_cycles:
                             break
-                        if self.cycle - self._last_commit_cycle \
-                                > deadlock_cycles:
+                        if (
+                            self.cycle - self._last_commit_cycle
+                            > deadlock_cycles
+                        ):
                             raise self._deadlock_error(deadlock_cycles)
-            self.step()
+            step()
             if self.cycle - self._last_commit_cycle > deadlock_cycles:
                 raise self._deadlock_error(deadlock_cycles)
         return True
@@ -246,239 +351,36 @@ class OutOfOrderCore:
             % (deadlock_cycles, self.cycle, self.rob.head)
         )
 
-    def advance(self, limit: int) -> None:
-        """Step once, first jumping over a quiescent span (never past
-        *limit*) when fast-forward is enabled.
-
-        The driver for callers that own the simulation loop (e.g. SMARTS
-        sampling windows): a jump commits nothing, so loops gated on
-        ``self.committed`` see identical warmup/measure boundaries.
-        """
-        if (
-            self.fast_forward
-            and (self._ready_horizon_overridden or not self.iq._ready)
-            and self.cycle < limit
-        ):
-            target = self._next_interesting_cycle(limit)
-            if target > self.cycle:
-                self._skip_to(target)
-                if self.cycle >= limit:
-                    return
-        self.step()
-
     def run_to_commit(self, target: int, max_cycles: int) -> None:
         """Advance until *target* committed instructions, HALT, or budget.
 
-        Exactly equivalent to ``while ...: self.advance(max_cycles)``
-        with the boundary test after every call — the driver behind
-        sampling windows (:func:`repro.stats.sampling.run_window`) and
-        the lockstep multi-window runner.  Stopping at an intermediate
-        commit count and resuming is transparent: the advance sequence
-        is a pure function of machine state, so
-        ``run_to_commit(a); run_to_commit(b)`` equals
+        The driver behind sampling windows
+        (:func:`repro.stats.sampling.run_window`): each iteration jumps
+        over a quiescent span (never past *max_cycles*) when fast-forward
+        is enabled, then steps once.  A jump commits nothing, so the
+        boundary test sees identical warmup/measure boundaries, and
+        stopping at an intermediate commit count and resuming is
+        transparent: ``run_to_commit(a); run_to_commit(b)`` equals
         ``run_to_commit(b)`` for any ``a <= b``.
         """
+        fast = self.fast_forward
+        iq = self.iq
+        step = self.step
+        probe = self._next_interesting_cycle
+        skip = self._skip_to
+        probe_ready = self._hook_ready_horizon is not None
         while (
             not self.halted
             and self.cycle < max_cycles
             and self.committed < target
         ):
-            self.advance(max_cycles)
-
-    # ================================================================== #
-    # Idle-cycle fast-forward (the event-driven clock).
-    # ================================================================== #
-
-    def _next_interesting_cycle(self, limit: int) -> int:
-        """Earliest cycle in ``(now, limit]`` at which anything can happen.
-
-        Returns ``now`` itself when the machine is busy this cycle (no
-        skip).  A return of ``t > now`` asserts that every cycle in
-        ``[now, t)`` is quiescent: every ``step()`` across the span would
-        only run the per-cycle accounting that ``_skip_to`` batch-applies.
-        The checks mirror ``step()``'s phases; each phase either acts this
-        cycle (return ``now``), acts at a known future cycle (bound the
-        horizon), or is blocked on one of the other phases' events.
-        """
-        now = self.cycle
-        horizon = limit
-
-        # Issue: anything in the ready pool retries every cycle.  (Even a
-        # vetoed-ready entry — FU busy, serializing op not at head — may
-        # unblock mid-span without its unblocker being a *heap* event, so
-        # be conservative and never skip while the pool is non-empty —
-        # unless the scheme's issue_ready_horizon proves every ready
-        # entry fenced until an already-tracked event.)
-        if self.iq.has_ready:
-            if not self._ready_horizon_overridden:
-                return now
-            event = self.protection.issue_ready_horizon(now)
-            if event is not None:
-                if event <= now:
-                    return now
-                if event < horizon:
-                    horizon = event
-
-        # Writeback: the completion heap is the primary event source.
-        completions = self._completions
-        if completions:
-            due = completions[0][0]
-            if due <= now:
-                return now
-            if due < horizon:
-                horizon = due
-
-        # Memory phase: pending loads retry at their scheduled cycle
-        # (WAIT / port-blocked loads reschedule at now+1, so an actively
-        # blocked load naturally vetoes skipping).
-        pending = self._pending_mem
-        if pending:
-            due = pending[0][0]
-            if due <= now:
-                return now
-            if due < horizon:
-                horizon = due
-
-        rob = self.rob
-        head = rob.head
-        if head is not None and head.completed:
-            # Commit: a completed head either retires this cycle (busy),
-            # waits for a known retire_ready (InvisiSpec validation), or
-            # waits for its deferred broadcast (the protection's event).
-            ready = head.retire_ready
-            if ready > now:
-                if ready < horizon:
-                    horizon = ready
-            elif (
-                head.fault is not None
-                or head.bcast
-                or head.phys_dest is None
-            ):
-                return now
-
-        # Dispatch: the buffer head either dispatches this cycle (busy),
-        # is still in the front-end pipe (event at fetch_cycle + depth),
-        # or is structurally blocked — and every unblocker (commit, issue,
-        # broadcast) is covered by the other event sources above.
-        buffer = self._fetch_buffer
-        core = self.config.core
-        if buffer:
-            fetched = buffer[0]
-            due = fetched.fetch_cycle + core.frontend_depth
-            if due > now:
-                if due < horizon:
-                    horizon = due
-            elif not self._dispatch_blocked(fetched):
-                return now
-
-        # Fetch: mirrors _fetch()'s guards exactly.
-        if len(buffer) < 2 * core.fetch_width:
-            fu = self.fetch_unit
-            if not (fu.halt_seen or fu.waiting_for_resolve):
-                ready = fu.icache_ready_cycle
-                if now < ready:
-                    if ready < horizon:
-                        horizon = ready
-                elif self.program.fetch(fu.fetch_pc) is not None:
-                    return now
-                # else: the program ran out past fetch_pc — only a
-                # redirect (an event) restarts fetch.
-
-        # The protection scheme's own clock (deferred broadcasts, ...).
-        event = self.protection.next_event(now)
-        if event is not None:
-            if event <= now:
-                return now
-            if event < horizon:
-                horizon = event
-
-        return horizon
-
-    def _dispatch_blocked(self, fetched: FetchedOp) -> bool:
-        """Would ``_dispatch`` break before dispatching *fetched*?
-
-        Mirrors the structural break conditions of ``_dispatch`` for the
-        buffer head (its age gate is checked by the caller).  The rename
-        branch needs no separate check: ``rename_dest`` fails exactly
-        when the free list is empty, i.e. when ``free_count == 0``.
-        """
-        if self._fence_seq is not None:
-            return True
-        if self.rob.full or self.iq.full:
-            return True
-        instr = fetched.instr
-        rd = instr.rd
-        if rd is not None and rd != R0 and self.prf.free_count == 0:
-            return True
-        info = instr.info
-        lsq = self.lsq
-        if info.is_load and len(lsq.loads) >= lsq.lq_capacity:
-            return True
-        if info.is_store and len(lsq.stores) >= lsq.sq_capacity:
-            return True
-        return False
-
-    def _skip_to(self, target: int) -> None:
-        """Jump the clock to *target*, batch-applying the accounting the
-        skipped (strictly quiescent) cycles would have produced."""
-        now = self.cycle
-        span = target - now
-        stats = self.stats
-
-        # Fetch-stall counters: _fetch() consults stalled() — which
-        # increments them — only while the buffer has room.
-        if len(self._fetch_buffer) < 2 * self.config.core.fetch_width:
-            self.fetch_unit.account_stalls(now, span)
-
-        # MLP: no new miss can start inside a quiescent span, so the
-        # per-cycle outstanding counts collapse to one profile pass.
-        mlp_sum, mlp_cycles = self.hierarchy.offchip_profile(now, target)
-        if mlp_sum:
-            stats.mlp_sum += mlp_sum
-            stats.mlp_cycles += mlp_cycles
-
-        # Cycle classification: no commits or squashes while skipping, so
-        # every skipped cycle classifies identically (the ROB head and
-        # its kind are frozen).  No ILP term either: nothing issues.
-        if head := self.rob.head:
-            if head.is_load or head.is_store:
-                stats.cycle_class[CycleClass.MEMORY_STALL] += span
-            else:
-                stats.cycle_class[CycleClass.BACKEND_STALL] += span
-        else:
-            stats.cycle_class[CycleClass.FRONTEND_STALL] += span
-
-        self.ff_skipped_cycles += span
-        self.cycle = target
-
-        # Metrics sampling: every sample that would have landed inside
-        # the (strictly quiescent, hence frozen) span collapses to one
-        # at the landing cycle.  Observers never veto the skip itself.
-        obs = self.obs
-        if obs is not None and obs.sample_due <= target:
-            obs.sample(self, target)
-
-    def step(self) -> None:
-        """Advance the machine by one cycle."""
-        now = self.cycle
-        obs = self.obs
-        if obs is not None and obs.sample_due <= now:
-            obs.sample(self, now)
-        self._ports_used = 0
-        self._issued_this_cycle = 0
-        self._squashed_this_cycle = False
-
-        self._writeback(now)
-        self._drain_broadcasts(now)
-        self.protection.load_visibility_phase(now)
-        self._mem_phase(now)
-        self._issue(now)
-        self._dispatch(now)
-        self._fetch(now)
-        committed_now = self._commit(now)
-        self._account(now, committed_now)
-
-        self.cycle = now + 1
+            if fast and (probe_ready or not iq._ready):
+                jump = probe(max_cycles)
+                if jump > self.cycle:
+                    skip(jump)
+                    if self.cycle >= max_cycles:
+                        return
+            step()
 
     def arch_state(self) -> MachineState:
         """Committed architectural state (valid once the ROB is empty)."""
@@ -497,90 +399,365 @@ class OutOfOrderCore:
         )
 
     # ================================================================== #
+    # Idle-cycle fast-forward (the event-driven clock).
+    # ================================================================== #
+
+    def _next_interesting_cycle(self, limit: int) -> int:
+        """Earliest cycle in ``(now, limit]`` at which anything can happen.
+
+        Returns ``now`` itself when the machine is busy this cycle (no
+        skip).  A return of ``t > now`` asserts that every cycle in
+        ``[now, t)`` is quiescent: every ``step()`` across the span would
+        only run the per-cycle accounting that ``_skip_to`` batch-applies.
+        The checks mirror ``step()``'s phases; each phase either acts this
+        cycle (return ``now``), acts at a known future cycle (bound the
+        horizon), or is blocked on one of the other phases' events.
+        """
+        now = self.cycle
+        horizon = limit
+        # Issue: anything in the ready pool retries every cycle.  (Even a
+        # vetoed-ready entry — FU busy, serializing op not at head — may
+        # unblock mid-span without its unblocker being a *heap* event, so
+        # be conservative and never skip while the pool is non-empty —
+        # unless the scheme's issue_ready_horizon proves every ready
+        # entry fenced until an already-tracked event.)
+        if self.iq._ready:
+            ready_horizon = self._hook_ready_horizon
+            if ready_horizon is None:
+                return now
+            event = ready_horizon(now)
+            if event is not None:
+                if event <= now:
+                    return now
+                if event < horizon:
+                    horizon = event
+        # Writeback: the completion heap is the primary event source.
+        completions = self._completions
+        if completions:
+            due = completions[0][0]
+            if due <= now:
+                return now
+            if due < horizon:
+                horizon = due
+        # Memory phase: pending loads retry at their scheduled cycle
+        # (WAIT / port-blocked loads reschedule at now+1, so an actively
+        # blocked load naturally vetoes skipping).
+        pending = self._pending_mem
+        if pending:
+            due = pending[0][0]
+            if due <= now:
+                return now
+            if due < horizon:
+                horizon = due
+        # Commit: a completed head either retires this cycle (busy),
+        # waits for a known retire_ready (InvisiSpec validation), or
+        # waits for its deferred broadcast (the protection's event).
+        rob_entries = self.rob.entries
+        if rob_entries:
+            head = rob_entries[0]
+            if head.completed:
+                ready = head.retire_ready
+                if ready > now:
+                    if ready < horizon:
+                        horizon = ready
+                elif (
+                    head.fault is not None
+                    or head.bcast
+                    or head.phys_dest is None
+                ):
+                    return now
+        # Dispatch: the buffer head either dispatches this cycle (busy),
+        # is still in the front-end pipe (event at fetch_cycle + depth),
+        # or is structurally blocked — and every unblocker (commit, issue,
+        # broadcast) is covered by the other event sources above.
+        buffer = self._fetch_buffer
+        if buffer:
+            fetched = buffer[0]
+            due = fetched.fetch_cycle + self._frontend_depth
+            if due > now:
+                if due < horizon:
+                    horizon = due
+            elif not self._dispatch_blocked(fetched):
+                return now
+        # Fetch: mirrors _fetch()'s guards exactly.
+        if len(buffer) < self._fetch_cap:
+            fu = self.fetch_unit
+            if not (fu._halt_seen or fu._wait_for_resolve):
+                ready = fu._icache_ready
+                if now < ready:
+                    if ready < horizon:
+                        horizon = ready
+                elif self.program.fetch(fu.fetch_pc) is not None:
+                    return now
+                # else: the program ran out past fetch_pc — only a
+                # redirect (an event) restarts fetch.
+        # The protection scheme's own clock (deferred broadcasts, ...).
+        if self._has_next_event:
+            event = self.protection.next_event(now)
+            if event is not None:
+                if event <= now:
+                    return now
+                if event < horizon:
+                    horizon = event
+        elif self._arbiter.deferred:
+            # Inline of the base next_event: deferred broadcasts drain
+            # every cycle, so the machine is busy right now.
+            return now
+        return horizon
+
+    def _dispatch_blocked(self, fetched: FetchedOp) -> bool:
+        """Would ``_dispatch`` break before dispatching *fetched*?
+
+        Mirrors the structural break conditions of ``_dispatch`` for the
+        buffer head (its age gate is checked by the caller).  The rename
+        branch needs no separate check: ``rename_dest`` fails exactly
+        when the free list is empty, i.e. when ``free_count == 0``.
+        """
+        if self._fence_seq is not None:
+            return True
+        rob = self.rob
+        if len(rob.entries) >= rob.capacity:
+            return True
+        iq = self.iq
+        if iq._size >= iq.capacity:
+            return True
+        u = self.u
+        pc = fetched.pc
+        if u.rd[pc] > 0 and self.prf.free_count == 0:
+            return True
+        fl = u.flags[pc]
+        lsq = self.lsq
+        if fl & F_LOAD and len(lsq.loads) >= lsq.lq_capacity:
+            return True
+        if fl & F_STORE and len(lsq.stores) >= lsq.sq_capacity:
+            return True
+        return False
+
+    def _skip_to(self, target: int) -> None:
+        """Jump the clock to *target*, batch-applying the accounting the
+        skipped (strictly quiescent) cycles would have produced."""
+        now = self.cycle
+        span = target - now
+        stats = self.stats
+        # Fetch-stall counters: _fetch() counts a stall cycle only while
+        # the buffer has room.
+        if len(self._fetch_buffer) < self._fetch_cap:
+            self.fetch_unit.account_stalls(now, span)
+        # MLP: no new miss can start inside a quiescent span, so the
+        # per-cycle outstanding counts collapse to one profile pass.
+        mlp_sum, mlp_cycles = self.hierarchy.offchip_profile(now, target)
+        if mlp_sum:
+            stats.mlp_sum += mlp_sum
+            stats.mlp_cycles += mlp_cycles
+        # Cycle classification: no commits or squashes while skipping, so
+        # every skipped cycle classifies identically (the ROB head and
+        # its kind are frozen).  No ILP term either: nothing issues.
+        rob_entries = self.rob.entries
+        cycle_class = stats.cycle_class
+        if rob_entries:
+            if self._flags[rob_entries[0].pc] & _F_MEMOP:
+                cycle_class[CycleClass.MEMORY_STALL] += span
+            else:
+                cycle_class[CycleClass.BACKEND_STALL] += span
+        else:
+            cycle_class[CycleClass.FRONTEND_STALL] += span
+        self.ff_skipped_cycles += span
+        self.cycle = target
+        # Metrics sampling: every sample that would have landed inside
+        # the (strictly quiescent, hence frozen) span collapses to one
+        # at the landing cycle.  Observers never veto the skip itself.
+        obs = self.obs
+        if obs is not None and obs.sample_due <= target:
+            obs.sample(self, target)
+
+    # ================================================================== #
+    # The cycle loop.  Each phase call is guarded by that phase's own
+    # side-effect-free early-exit condition, so skipping the call is
+    # observationally identical to making it.
+    # ================================================================== #
+
+    def step(self) -> None:
+        """Advance the machine by one cycle."""
+        now = self.cycle
+        obs = self.obs
+        if obs is not None and obs.sample_due <= now:
+            obs.sample(self, now)
+        self._ports_used = 0
+        self._issued_this_cycle = 0
+        self._squashed_this_cycle = False
+
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            self._writeback(now)
+        if self._arbiter.deferred:
+            self._drain_broadcasts(now)
+        if self._has_visibility_phase:
+            self.protection.load_visibility_phase(now)
+        pending = self._pending_mem
+        if pending and pending[0][0] <= now:
+            self._mem_phase(now)
+        if self.iq._ready:
+            self._issue(now)
+        rob_entries = self.rob.entries
+        buffer = self._fetch_buffer
+        if (
+            buffer
+            and self._fence_seq is None
+            and buffer[0].fetch_cycle + self._frontend_depth <= now
+            and len(rob_entries) < self.rob.capacity
+            and self.iq._size < self.iq.capacity
+        ):
+            self._dispatch(now)
+        if len(buffer) < self._fetch_cap:
+            self._fetch(now)
+        if rob_entries and rob_entries[0].completed:
+            committed_now = self._commit(now)
+        else:
+            committed_now = 0
+
+        # Accounting: ILP, MLP, and the Fig. 9a cycle class.
+        stats = self.stats
+        issued = self._issued_this_cycle
+        if issued:
+            stats.ilp_sum += issued
+            stats.ilp_cycles += 1
+        offchip = self.hierarchy._offchip  # rebound on prune: read fresh
+        if offchip:
+            outstanding = 0
+            for c in offchip:
+                if c > now:
+                    outstanding += 1
+            if outstanding:
+                stats.mlp_sum += outstanding
+                stats.mlp_cycles += 1
+        cycle_class = stats.cycle_class
+        if committed_now:
+            cycle_class[CycleClass.COMMIT] += 1
+        elif self._squashed_this_cycle or not rob_entries:
+            cycle_class[CycleClass.FRONTEND_STALL] += 1
+        elif self._flags[rob_entries[0].pc] & _F_MEMOP:
+            cycle_class[CycleClass.MEMORY_STALL] += 1
+        else:
+            cycle_class[CycleClass.BACKEND_STALL] += 1
+
+        # Program naturally drained?
+        if (
+            not self.halted
+            and not rob_entries
+            and not self._fetch_buffer
+            and self.program.fetch(self.fetch_unit.fetch_pc) is None
+        ):
+            self.halted = True
+
+        self.cycle = now + 1
+
+    # ================================================================== #
     # Writeback: completions, branch resolution, violations, broadcast.
     # ================================================================== #
 
     def _writeback(self, now: int) -> None:
+        # One batched pass: pop every due completion, then complete each
+        # entry in age order — execute, write the PRF, and broadcast its
+        # tag at completion when safe and a port is free (else defer).
         completions = self._completions
-        if not completions or completions[0][0] > now:
-            return
         due: List[DynInstr] = []
+        pop = heapq.heappop
         while completions and completions[0][0] <= now:
-            _, _, entry = heapq.heappop(completions)
+            entry = pop(completions)[2]
             if not entry.squashed:
                 due.append(entry)
         if len(due) > 1:
             due.sort(key=_BY_SEQ)
+        (kinds, exec_fns, imms, prf_value, ready_bits, iq_waiters,
+         rob_entries, protection, may_broadcast) = self._wb_tables
+        issue_width = self._issue_width
+        taint = self.taint
+        obs = self.obs
+        obs_complete = obs.instr_complete if obs is not None else None
+        obs_defer = obs.instr_defer if obs is not None else None
+        obs_broadcast = obs.instr_broadcast if obs is not None else None
+        iq = self.iq
         for entry in due:
             if entry.squashed:
                 continue  # an older entry in this batch squashed it
-            self._complete(entry, now)
-
-    def _complete(self, entry: DynInstr, now: int) -> None:
-        instr = entry.instr
-        op = instr.op
-        info = instr.info
-        taint = self.taint
-        if taint is not None:
-            taint.exec_ctx = entry  # attributes BTB installs to *entry*
-
-        if info.is_branch:
-            self._resolve_branch(entry, now)
-        elif entry.is_store:
-            self._resolve_store(entry, now)
-        elif op is Opcode.CLFLUSH:
-            addr = (entry.src_vals[0] + instr.imm) & U64_MASK
-            self.hierarchy.flush_data_line(addr)
-        elif op is Opcode.RDTSC:
-            entry.result = now
-        elif op is Opcode.RDMSR:
-            entry.result = self.msrs.get(instr.imm, 0)
-            if not self.config.privileged_mode:
-                entry.fault = "user rdmsr %d" % instr.imm
-                if not self.config.forward_faulting_loads:
-                    entry.result = 0
-        elif entry.is_load:
-            pass  # result was set by the memory phase
-        elif op in (Opcode.NOP, Opcode.FENCE, Opcode.HALT):
-            pass
-        else:
-            a = entry.src_vals[0] if entry.src_vals else 0
-            b = entry.src_vals[1] if len(entry.src_vals) > 1 else 0
-            entry.result = eval_alu(op, a, b, instr.imm)
-
-        entry.completed = True
-        entry.complete_cycle = now
-        if entry.phys_dest is not None and entry.result is not None:
-            self.prf.write(entry.phys_dest, entry.result)
-        if taint is not None:
-            taint.exec_ctx = None
-            taint.on_complete(entry)
-        obs = self.obs
-        if obs is not None and obs.instr_complete is not None:
-            obs.instr_complete(entry, now)
-        self._try_broadcast(entry, now)
-
-    def _try_broadcast(self, entry: DynInstr, now: int) -> None:
-        """Broadcast at completion when safe and a port is free; else defer."""
-        if entry.phys_dest is None:
-            entry.bcast = True  # nothing to broadcast
-            return
-        head = self.rob.head
-        head_seq = head.seq if head is not None else None
-        if (
-            self._ports_used < self.config.core.issue_width
-            and self.protection.may_broadcast(entry, head_seq)
-        ):
-            # Safe at completion: the normal wake-up path, no NDA logic
-            # latency involved (only *deferred* wake-ups pay the Fig 9e
-            # delay).
-            self._broadcast(entry, now)
-            self._ports_used += 1
-        else:
-            self.protection.defer_broadcast(entry)
-            obs = self.obs
-            if obs is not None and obs.instr_defer is not None:
-                obs.instr_defer(entry, now)
+            pc = entry.pc
+            kind = kinds[pc]
+            if taint is not None:
+                taint.exec_ctx = entry  # attributes BTB installs to *entry*
+            if kind == K_ALU:
+                vals = entry.src_vals
+                a = vals[0] if vals else 0
+                b = vals[1] if len(vals) > 1 else 0
+                entry.result = exec_fns[pc](a, b)
+            elif kind == K_BRANCH:
+                self._resolve_branch(entry, now)
+            elif kind == K_STORE:
+                self._resolve_store(entry, now)
+            elif kind == K_CLFLUSH:
+                addr = (entry.src_vals[0] + imms[pc]) & U64_MASK
+                self.hierarchy.flush_data_line(addr)
+            elif kind == K_RDTSC:
+                entry.result = now
+            elif kind == K_RDMSR:
+                imm = imms[pc]
+                entry.result = self.msrs.get(imm, 0)
+                if not self._priv_mode:
+                    entry.fault = "user rdmsr %d" % imm
+                    if not self._fwd_faulting:
+                        entry.result = 0
+            # K_LOAD: result set by the memory phase; K_PASS: nothing.
+            entry.completed = True
+            entry.complete_cycle = now
+            pd = entry.phys_dest
+            if pd is not None and entry.result is not None:
+                prf_value[pd] = entry.result
+            if taint is not None:
+                taint.exec_ctx = None
+                taint.on_complete(entry)
+            if obs_complete is not None:
+                obs_complete(entry, now)
+            if pd is None:
+                entry.bcast = True  # nothing to broadcast
+                continue
+            if self._ports_used < issue_width and (
+                may_broadcast is None
+                or may_broadcast(
+                    entry, rob_entries[0].seq if rob_entries else None
+                )
+            ):
+                # Safe at completion: the normal wake-up path, no NDA
+                # logic latency involved (only *deferred* wake-ups pay
+                # the Fig 9e delay).  Inline _broadcast: mark ready,
+                # wake IQ waiters.
+                ready_bits[pd] = True
+                waiters = iq_waiters.pop(pd, None)
+                if waiters:
+                    # _pending/_ready rebound by squashes earlier in
+                    # this very loop — read fresh per broadcast.
+                    iq_pending = iq._pending
+                    iq_ready = iq._ready
+                    for waiter in waiters:
+                        if waiter.squashed:
+                            iq_pending.pop(waiter, None)
+                            continue
+                        if waiter not in iq_pending:
+                            continue  # woken via another source already
+                        remaining = iq_pending[waiter] - 1
+                        if remaining <= 0:
+                            del iq_pending[waiter]
+                            iq_ready.append(waiter)
+                            iq._ready_sorted = False
+                        else:
+                            iq_pending[waiter] = remaining
+                entry.bcast = True
+                entry.bcast_cycle = now
+                self._ports_used += 1
+                if obs_broadcast is not None:
+                    obs_broadcast(entry, now)
+            else:
+                protection.defer_broadcast(entry)
+                if obs_defer is not None:
+                    obs_defer(entry, now)
 
     def _broadcast(self, entry: DynInstr, now: int) -> None:
         self.prf.mark_ready(entry.phys_dest)
@@ -605,51 +782,58 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------ #
 
     def _resolve_branch(self, entry: DynInstr, now: int) -> None:
-        instr = entry.instr
-        op = instr.op
+        u = self.u
         pc = entry.pc
+        flags = u.flags[pc]
         vals = entry.src_vals
 
-        if instr.info.is_conditional:
-            taken = branch_taken(op, vals[0], vals[1])
-            actual = instr.target if taken else pc + 1
+        if flags & F_CONDITIONAL:
+            taken = u.cond_fns[pc](vals[0], vals[1])
+            actual = u.target[pc] if taken else pc + 1
             self.direction.update(pc, taken)
-        elif op is Opcode.JMP:
-            taken, actual = True, instr.target
-        elif op is Opcode.CALL:
-            taken, actual = True, instr.target
-            entry.result = pc + 1
-        elif op is Opcode.CALLR:
-            taken, actual = True, vals[0] & U64_MASK
-            entry.result = pc + 1
-            self.btb.update(pc, actual)
-        elif op is Opcode.JR:
-            taken, actual = True, vals[0] & U64_MASK
-            self.btb.update(pc, actual)
-        elif op is Opcode.RET:
-            taken, actual = True, vals[0] & U64_MASK
         else:
-            raise SimulationError("unknown branch op %s" % op)
+            op_id = u.op_ids[pc]
+            if op_id == _OPID_JMP:
+                taken, actual = True, u.target[pc]
+            elif op_id == _OPID_CALL:
+                taken, actual = True, u.target[pc]
+                entry.result = pc + 1
+            elif op_id == _OPID_CALLR:
+                taken, actual = True, vals[0] & U64_MASK
+                entry.result = pc + 1
+                self.btb.update(pc, actual)
+            elif op_id == _OPID_JR:
+                taken, actual = True, vals[0] & U64_MASK
+                self.btb.update(pc, actual)
+            elif op_id == _OPID_RET:
+                taken, actual = True, vals[0] & U64_MASK
+            else:
+                raise SimulationError(
+                    "unknown branch op %s" % entry.instr.op
+                )
 
         entry.resolved = True
         entry.actual_taken = taken
         entry.actual_next_pc = actual
-        self.protection.on_branch_resolved(entry)
+        on_branch_resolved = self._hook_on_branch_resolved
+        if on_branch_resolved is not None:
+            on_branch_resolved(entry)
         self.stats.branches_resolved += 1
 
-        if entry.fetched.unpredicted:
+        fetched = entry.fetched
+        if fetched.unpredicted:
             # Fetch stalled behind this branch: no wrong path exists.
-            if instr.info.is_call:
+            if flags & F_CALL:
                 self.ras.push(pc + 1)
             self.fetch_unit.redirect(actual, now + 1)
             return
-        if actual != entry.fetched.pred_next_pc:
+        if actual != fetched.pred_next_pc:
             entry.mispredicted = True
             self.stats.branch_mispredicts += 1
             self._squash_after(
-                entry.seq, actual, now + self.config.core.squash_penalty
+                entry.seq, actual, now + self._squash_penalty
             )
-            self.fetch_unit.repair_ras(entry.fetched.ras_snapshot)
+            self.fetch_unit.repair_ras(fetched.ras_snapshot)
 
     # ------------------------------------------------------------------ #
     # Store resolution.
@@ -723,165 +907,278 @@ class OutOfOrderCore:
         # entries are purged eagerly by _squash_after, and dropped here
         # if one squashed within the current cycle).
         pending = self._pending_mem
-        if not pending or pending[0][0] > now:
-            return
         taint = self.taint
         ready: List[DynInstr] = []
+        pop = heapq.heappop
         while pending and pending[0][0] <= now:
-            _, _, entry = heapq.heappop(pending)
+            _, _, entry = pop(pending)
             if not entry.squashed:
                 ready.append(entry)
         if len(ready) > 1:
             ready.sort(key=_BY_SEQ)
-        dcache_ports = self.config.mem.l1d.ports
+        dcache_ports = self._dcache_ports
         dcache_used = 0
         push = heapq.heappush
+        lsq = self.lsq
+        memdep = self.memdep
+        protection = self.protection
+        load_invisible = self._hook_load_invisible
+        hierarchy = self.hierarchy
+        completions = self._completions
+        next_cycle = now + 1
         for entry in ready:
-            decision = self.lsq.decide_load(entry)
-            if (
-                decision.action is LoadAction.MEMORY
-                and decision.bypassed_stores
-                and self.memdep.should_wait(entry.pc)
-            ):
-                # The dependence predictor vetoes the speculative bypass.
-                push(pending, (now + 1, entry.seq, entry))
-                continue
-            if decision.action is LoadAction.WAIT:
-                push(pending, (now + 1, entry.seq, entry))
-                continue
-            if decision.action is LoadAction.FORWARD:
+            decision = lsq.decide_load(entry)
+            action = decision.action
+            if action is LoadAction.MEMORY:
+                if decision.bypassed_stores and memdep.should_wait(entry.pc):
+                    # The dependence predictor vetoes the bypass.
+                    push(pending, (next_cycle, entry.seq, entry))
+                    continue
+                if dcache_used >= dcache_ports:
+                    push(pending, (next_cycle, entry.seq, entry))
+                    continue
+                dcache_used += 1
+                entry.data_obtained = True
+                entry.bypassed_stores = decision.bypassed_stores or None
+                invisible = (
+                    load_invisible is not None and load_invisible(entry)
+                )
+                if taint is not None:
+                    taint.exec_ctx = entry  # attributes d-cache fills
+                result = hierarchy.data_access(
+                    entry.addr, now, fill=not invisible, pc=entry.pc
+                )
+                if invisible:
+                    protection.on_invisible_load(entry, result, now)
+                value = self._load_value(entry)
+                if taint is not None:
+                    taint.exec_ctx = None
+                    taint.on_load_executed(entry, from_memory=True)
+                entry.result = value
+                push(completions, (now + result.latency, entry.seq, entry))
+            elif action is LoadAction.WAIT:
+                push(pending, (next_cycle, entry.seq, entry))
+            else:  # FORWARD
                 entry.data_obtained = True
                 entry.forwarded_from = decision.forwarded_from
                 entry.bypassed_stores = decision.bypassed_stores or None
-                value = decision.value
                 if taint is not None:
                     taint.on_load_executed(entry, from_memory=False)
-                self._finish_load(entry, value, now, latency=1)
-                continue
-            # MEMORY access: gated by the L1D port count.
-            if dcache_used >= dcache_ports:
-                push(pending, (now + 1, entry.seq, entry))
-                continue
-            dcache_used += 1
-            entry.data_obtained = True
-            entry.bypassed_stores = decision.bypassed_stores or None
-            invisible = self.protection.load_executes_invisibly(entry)
-            if taint is not None:
-                taint.exec_ctx = entry  # attributes d-cache fills
-            result = self.hierarchy.data_access(
-                entry.addr, now, fill=not invisible, pc=entry.pc
-            )
-            if invisible:
-                self.protection.on_invisible_load(entry, result, now)
-            value = self._load_value(entry)
-            if taint is not None:
-                taint.exec_ctx = None
-                taint.on_load_executed(entry, from_memory=True)
-            self._finish_load(entry, value, now, latency=result.latency)
+                entry.result = decision.value
+                push(completions, (next_cycle, entry.seq, entry))
 
     def _load_value(self, entry: DynInstr) -> int:
         """Architectural data for a load reading memory (possibly faulting)."""
         addr = entry.addr
-        if not self.config.privileged_mode and \
-                self.program.is_privileged_addr(addr):
+        if not self._priv_mode and self.program.is_privileged_addr(addr):
             entry.fault = "user load from %#x" % addr
-            if not self.config.forward_faulting_loads:
+            if not self._fwd_faulting:
                 return 0
         if entry.mem_size == 1:
             return self.mem.read_byte(addr)
         return self.mem.read_word(addr)
 
-    def _finish_load(
-        self, entry: DynInstr, value: int, now: int, latency: int
-    ) -> None:
-        entry.result = value
-        heapq.heappush(
-            self._completions, (now + latency, entry.seq, entry)
-        )
-
     # ================================================================== #
-    # Issue.
+    # Issue: fused select + issue over the micro-op tables.
     # ================================================================== #
-
-    def _may_issue(self, entry: DynInstr, now: int) -> bool:
-        if entry.instr.info.is_serializing and self.rob.head is not entry:
-            return False
-        return self.protection.may_issue(entry, now)
 
     def _issue(self, now: int) -> None:
-        width = self.config.core.issue_width
-        selected = self.iq.select(now, width, self.fus, self._may_issue)
+        iq = self.iq
+        ready = iq._ready
+        if not iq._ready_sorted:
+            if len(ready) > 1:
+                ready.sort(key=_BY_SEQ)
+            iq._ready_sorted = True
+        (fu_ids, latencies, flags, imms, prf_value, fus, may_issue,
+         rob_entries, completions, stats) = self._issue_tables
+        width = self._issue_width
+        fus_used = fus._used
+        if now != fus._used_cycle:
+            # Inline fus._roll(now).
+            for i in range(len(fus_used)):
+                fus_used[i] = 0
+            fus._used_cycle = now
+        fus_counts = fus._counts_by_id
+        can_issue = fus.can_issue_id
+        rob_head = rob_entries[0] if rob_entries else None
+        # Selection pass: oldest first, the same decision order as
+        # IssueQueue.select, with the serializing-at-head veto before the
+        # scheme's may_issue.  The FU check is inlined for pipelined
+        # units; the divider (the only unit with per-slot busy state)
+        # keeps the method call.
+        selected: List[DynInstr] = []
+        remaining: List[DynInstr] = []
+        size_drop = 0
+        for entry in ready:
+            if entry.squashed:
+                size_drop += 1
+                continue
+            if len(selected) >= width:
+                remaining.append(entry)
+                continue
+            pc = entry.pc
+            fu_id = fu_ids[pc]
+            if (
+                (
+                    fus_used[fu_id] < fus_counts[fu_id]
+                    and fu_id != _FU_DIV
+                    or fu_id == _FU_DIV and can_issue(fu_id, now)
+                )
+                and (
+                    not (flags[pc] & F_SERIALIZING)
+                    or rob_head is entry
+                )
+                and (may_issue is None or may_issue(entry, now))
+            ):
+                if fu_id == _FU_FP or fu_id == _FU_DIV:
+                    entry.issue_penalty = fus.issue_id(
+                        fu_id, now, latencies[pc]
+                    )
+                else:
+                    # issue_penalty stays at its class default of 0.
+                    fus_used[fu_id] += 1
+                selected.append(entry)
+                size_drop += 1
+            else:
+                remaining.append(entry)
+        iq._ready = remaining  # filtered in order: still seq-sorted
+        iq._size -= size_drop
+        if not selected:
+            return
+        # Issue pass: read operands, then queue the memory phase (loads)
+        # or the completion (everything else).
         taint = self.taint
         obs = self.obs
+        obs_issue = obs.instr_issue if obs is not None else None
+        pending_mem = self._pending_mem
+        push = heapq.heappush
         for entry in selected:
             entry.issued = True
             entry.issue_cycle = now
-            entry.src_vals = tuple(
-                self.prf.value[src] for src in entry.phys_srcs
-            )
-            self.stats.issued += 1
-            self._issued_this_cycle += 1
-            instr = entry.instr
+            srcs = entry.phys_srcs
+            n = len(srcs)
+            if n == 2:
+                vals = (prf_value[srcs[0]], prf_value[srcs[1]])
+            elif n == 1:
+                vals = (prf_value[srcs[0]],)
+            elif n == 0:
+                vals = ()
+            else:
+                vals = tuple(prf_value[s] for s in srcs)
+            entry.src_vals = vals
             if taint is not None:
                 taint.on_issue(entry, now)
-            if obs is not None and obs.instr_issue is not None:
-                obs.instr_issue(entry, now)
-            if entry.is_load:
-                entry.addr = (entry.src_vals[0] + instr.imm) & U64_MASK
-                heapq.heappush(
-                    self._pending_mem, (now + 1, entry.seq, entry)
-                )
+            if obs_issue is not None:
+                obs_issue(entry, now)
+            pc = entry.pc
+            if flags[pc] & F_LOAD:
+                entry.addr = (vals[0] + imms[pc]) & U64_MASK
+                push(pending_mem, (now + 1, entry.seq, entry))
             else:
-                latency = instr.info.latency + entry.issue_penalty
-                heapq.heappush(
-                    self._completions, (now + latency, entry.seq, entry)
-                )
+                push(completions, (
+                    now + latencies[pc] + entry.issue_penalty,
+                    entry.seq, entry,
+                ))
+        n_issued = len(selected)
+        stats.issued += n_issued
+        self._issued_this_cycle += n_issued
 
     # ================================================================== #
-    # Dispatch.
+    # Dispatch: rename, then insert into the ROB, IQ and LSQ.
     # ================================================================== #
 
     def _dispatch(self, now: int) -> None:
-        core = self.config.core
+        (flags, rds, all_srcs, rat_map, ready_bits, iq_waiters,
+         rob_entries, rob_capacity, iq_capacity, rename_dest, prf_free,
+         on_dispatch, stats) = self._disp_tables
+        buffer = self._fetch_buffer
+        iq = self.iq
+        width = self._fetch_width
+        depth = self._frontend_depth
+        # IQ/LSQ internals rebound by squashes: read fresh each phase.
+        # (_ready/_pending are stable WITHIN the phase — only issue and
+        # remove_squashed rebind them, and neither runs here.)
+        iq_pending = iq._pending
+        iq_ready = iq._ready
+        lsq = self.lsq
+        loads = lsq.loads
+        stores = lsq.stores
+        lq_capacity = lsq.lq_capacity
+        sq_capacity = lsq.sq_capacity
+        obs = self.obs
+        obs_dispatch = obs.instr_dispatch if obs is not None else None
         count = 0
-        depth = core.frontend_depth
-        while self._fetch_buffer and count < core.fetch_width:
-            fetched = self._fetch_buffer[0]
+        while buffer and count < width:
+            fetched = buffer[0]
             if fetched.fetch_cycle + depth > now:
                 break
             if self._fence_seq is not None:
                 break
-            if self.rob.full or self.iq.full:
+            if (
+                len(rob_entries) >= rob_capacity
+                or iq._size >= iq_capacity
+            ):
                 break
-            instr = fetched.instr
-            rd = instr.rd
-            if rd is not None and rd != R0 and self.prf.free_count == 0:
+            pc = fetched.pc
+            rd = rds[pc]  # -1 for no dest; R0 (0) is never renamed
+            if rd > 0 and not prf_free:
                 break
+            fl = flags[pc]
+            # LSQ occupancy.
+            if fl & F_LOAD:
+                if len(loads) >= lq_capacity:
+                    break
+            elif fl & F_STORE:
+                if len(stores) >= sq_capacity:
+                    break
             entry = DynInstr(self._next_seq, fetched, now)
-            if not self.lsq.can_dispatch(entry):
-                break
-            entry.phys_srcs = tuple(self.rat.lookup(s) for s in instr.srcs)
-            if rd is not None and rd != R0:
-                renamed = self.rat.rename_dest(rd)
+            srcs = all_srcs[pc]
+            n = len(srcs)
+            if n == 2:
+                entry.phys_srcs = (rat_map[srcs[0]], rat_map[srcs[1]])
+            elif n == 1:
+                entry.phys_srcs = (rat_map[srcs[0]],)
+            elif n:
+                entry.phys_srcs = tuple(rat_map[s] for s in srcs)
+            if rd > 0:
+                renamed = rename_dest(rd)
                 if renamed is None:
                     break
                 entry.phys_dest, entry.prev_phys = renamed
-            if instr.op in (Opcode.LOADB, Opcode.STOREB):
+            if fl & F_MEM_BYTE:
                 entry.mem_size = 1
             self._next_seq += 1
-            self._fetch_buffer.popleft()
-            self.rob.push(entry)
-            self.iq.insert(entry)
-            self.lsq.dispatch(entry)
-            self.protection.on_dispatch(entry)
-            obs = self.obs
-            if obs is not None and obs.instr_dispatch is not None:
-                obs.instr_dispatch(entry, now)
-            if instr.info.is_serializing:
+            buffer.popleft()
+            rob_entries.append(entry)
+            # Inline iq.insert: count unready sources, park or ready.
+            outstanding = 0
+            for src in entry.phys_srcs:
+                if not ready_bits[src]:
+                    outstanding += 1
+                    w = iq_waiters.get(src)
+                    if w is None:
+                        iq_waiters[src] = [entry]
+                    else:
+                        w.append(entry)
+            iq._size += 1
+            if outstanding:
+                iq_pending[entry] = outstanding
+            else:
+                iq_ready.append(entry)
+                iq._ready_sorted = False
+            if fl & F_LOAD:
+                loads.append(entry)
+            elif fl & F_STORE:
+                stores.append(entry)
+            if on_dispatch is not None:
+                on_dispatch(entry)
+            if obs_dispatch is not None:
+                obs_dispatch(entry, now)
+            if fl & F_SERIALIZING:
                 # FENCE (speculation barrier) and RDTSC (rdtscp-like
                 # measurement fence) block dispatch until they commit.
                 self._fence_seq = entry.seq
-            self.stats.dispatched += 1
+            stats.dispatched += 1
             count += 1
 
     # ================================================================== #
@@ -889,11 +1186,53 @@ class OutOfOrderCore:
     # ================================================================== #
 
     def _fetch(self, now: int) -> None:
-        if len(self._fetch_buffer) >= 2 * self.config.core.fetch_width:
+        # FetchUnit.fetch with the branch test read from the flags table:
+        # non-branch micro-ops (the common case) skip the _predict
+        # dispatch entirely; branches still go through _predict, so the
+        # predictor side effects and the stall/HALT/taken-prediction
+        # break conditions are FetchUnit's own.
+        (flags, op_ids, instrs, n_instr, fu, line_available, buffer,
+         append) = self._fetch_tables
+        # Inline fu.stalled(now), stall-cause counters included.
+        if fu._halt_seen:
             return
-        fetched = self.fetch_unit.fetch(now)
-        self._fetch_buffer.extend(fetched)
-        self.stats.fetched += len(fetched)
+        if fu._wait_for_resolve:
+            fu.indirect_stall_cycles += 1
+            return
+        if now < fu._icache_ready:
+            fu.icache_stall_cycles += 1
+            return
+        width = self._fetch_width
+        count = 0
+        while count < width:
+            pc = fu.fetch_pc
+            # Inline program.fetch(pc) (the 0 <= guard matters: an
+            # out-of-range pc fetches nothing, it never wraps).
+            instr = instrs[pc] if 0 <= pc < n_instr else None
+            if instr is None:
+                break
+            if not line_available(pc, now):
+                break  # L1I miss: retry once the fill returns
+            if flags[pc] & F_BRANCH:
+                fetched = fu._predict(instr, now)
+                append(fetched)
+                count += 1
+                fu.fetched_ops += 1
+                fu.fetch_pc = fetched.pred_next_pc
+                if fu._wait_for_resolve:
+                    break  # unpredicted indirect target
+                if fetched.pred_next_pc != pc + 1:
+                    break  # taken prediction ends the fetch group
+            else:
+                append(FetchedOp(instr, pc, now, pc + 1))
+                count += 1
+                fu.fetched_ops += 1
+                fu.fetch_pc = pc + 1
+                if op_ids[pc] == _OPID_HALT:
+                    fu._halt_seen = True
+                    break  # nothing meaningful follows a halt
+        if count:
+            self.stats.fetched += count
 
     # ================================================================== #
     # Commit.
@@ -901,9 +1240,14 @@ class OutOfOrderCore:
 
     def _commit(self, now: int) -> int:
         committed_now = 0
-        width = self.config.core.commit_width
-        while committed_now < width and len(self.rob):
-            head = self.rob.head
+        width = self._commit_width
+        (flags, op_ids, rob_entries, lsq, rat_retire, stats,
+         on_commit) = self._commit_tables
+        taint = self.taint
+        obs = self.obs
+        obs_retire = obs.instr_retire if obs is not None else None
+        while committed_now < width and rob_entries:
+            head = rob_entries[0]
             if not head.completed:
                 break
             if head.retire_ready > now:
@@ -914,41 +1258,49 @@ class OutOfOrderCore:
                 break
             if head.phys_dest is not None and not head.bcast:
                 break  # waiting for a broadcast port
-            self._retire(head, now)
+            # Retire the head.
+            pc = head.pc
+            fl = flags[pc]
+            rob_entries.popleft()
+            if fl & _F_MEMOP:
+                if fl & F_STORE:
+                    self._commit_store(head)
+                lsq.retire(head)
+            prev = head.prev_phys
+            if prev is not None:
+                rat_retire(prev)
+            if self._fence_seq == head.seq:
+                self._fence_seq = None
+            if op_ids[pc] == _OPID_HALT:
+                self.halted = True
+                # Drop anything fetched past the halt.
+                if rob_entries:
+                    self._squash_after(head.seq, 0, now + 1)
+            self.committed += 1
+            self._last_commit_cycle = now
+            issue_cycle = head.issue_cycle
+            if issue_cycle >= 0:
+                # Inline stats.record_dispatch_to_issue: the bucket key
+                # is the highest power of two <= latency (0 when <= 0).
+                latency = issue_cycle - head.dispatch_cycle
+                stats.dispatch_to_issue_sum += latency
+                stats.dispatch_to_issue_count += 1
+                key = (
+                    0 if latency <= 0
+                    else 1 << (latency.bit_length() - 1)
+                )
+                hist = stats.dispatch_to_issue_hist
+                hist[key] = hist.get(key, 0) + 1
+            if on_commit is not None:
+                on_commit(head, now)
+            if taint is not None:
+                taint.on_commit(head)
+            if obs_retire is not None:
+                obs_retire(head, now)
             committed_now += 1
             if self.halted:
                 break
         return committed_now
-
-    def _retire(self, head: DynInstr, now: int) -> None:
-        instr = head.instr
-        op = instr.op
-        self.rob.pop_head()
-        if head.is_store:
-            self._commit_store(head)
-        if head.is_load or head.is_store:
-            self.lsq.retire(head)
-        if head.prev_phys is not None:
-            self.rat.retire(head.prev_phys)
-        if self._fence_seq == head.seq:
-            self._fence_seq = None
-        if op is Opcode.HALT:
-            self.halted = True
-            # Drop anything fetched past the halt.
-            if len(self.rob):
-                self._squash_after(head.seq, 0, now + 1)
-        self.committed += 1
-        self._last_commit_cycle = now
-        if head.issue_cycle >= 0:
-            self.stats.record_dispatch_to_issue(
-                head.issue_cycle - head.dispatch_cycle
-            )
-        self.protection.on_commit(head, now)
-        if self.taint is not None:
-            self.taint.on_commit(head)
-        obs = self.obs
-        if obs is not None and obs.instr_retire is not None:
-            obs.instr_retire(head, now)
 
     def _commit_store(self, head: DynInstr) -> None:
         if head.mem_size == 1:
@@ -973,40 +1325,6 @@ class OutOfOrderCore:
         self.committed += 1
         self._last_commit_cycle = now
         if handler is None:
-            self.halted = True
-
-    # ================================================================== #
-    # Accounting.
-    # ================================================================== #
-
-    def _account(self, now: int, committed_now: int) -> None:
-        stats = self.stats
-        if self._issued_this_cycle:
-            stats.ilp_sum += self._issued_this_cycle
-            stats.ilp_cycles += 1
-        outstanding = self.hierarchy.outstanding_offchip(now)
-        if outstanding:
-            stats.mlp_sum += outstanding
-            stats.mlp_cycles += 1
-
-        if committed_now:
-            stats.classify_cycle(CycleClass.COMMIT)
-        elif self._squashed_this_cycle or not len(self.rob):
-            stats.classify_cycle(CycleClass.FRONTEND_STALL)
-        else:
-            head = self.rob.head
-            if head.is_load or head.is_store:
-                stats.classify_cycle(CycleClass.MEMORY_STALL)
-            else:
-                stats.classify_cycle(CycleClass.BACKEND_STALL)
-
-        # Program naturally drained?
-        if (
-            not self.halted
-            and not len(self.rob)
-            and not self._fetch_buffer
-            and self.program.fetch(self.fetch_unit.fetch_pc) is None
-        ):
             self.halted = True
 
 

@@ -16,60 +16,53 @@ from repro.isa.instruction import Instr
 
 
 class DynInstr:
-    """One in-flight dynamic micro-op (a ROB entry)."""
+    """One in-flight dynamic micro-op (a ROB entry).
 
-    __slots__ = (
-        "seq", "instr", "pc", "fetched",
-        "phys_dest", "prev_phys", "phys_srcs",
-        "issued", "completed", "bcast", "squashed", "issue_penalty",
-        "dispatch_cycle", "issue_cycle", "complete_cycle", "bcast_cycle",
-        "safe_cycle",
-        "result", "src_vals",
-        "resolved", "actual_next_pc", "actual_taken", "mispredicted",
-        "addr", "mem_size", "store_data", "bypassed_stores",
-        "forwarded_from", "data_obtained",
-        "invisible", "needs_validation", "retire_ready",
-        "fault",
-    )
+    Class-level defaults stand in for the per-entry zero/None/False
+    initialisations, so dispatching an entry pays five attribute stores
+    instead of thirty; reads of never-written fields fall back to the
+    class attributes (all immutable).
+    """
+
+    phys_dest: Optional[int] = None
+    prev_phys: Optional[int] = None
+    phys_srcs: tuple = ()
+    issued = False
+    issue_penalty = 0  # extra latency charged at issue (FPU wake)
+    completed = False
+    bcast = False
+    squashed = False
+    issue_cycle = -1
+    complete_cycle = -1
+    bcast_cycle = -1
+    # Cycle at which the NDA safety condition was first satisfied; -1
+    # while still unsafe.  Used to model extra broadcast-logic latency.
+    safe_cycle = -1
+    result: Optional[int] = None
+    src_vals: tuple = ()  # source values captured at issue
+    # Branch resolution.
+    resolved = False
+    actual_next_pc: Optional[int] = None
+    actual_taken = False
+    mispredicted = False
+    # Memory.
+    addr: Optional[int] = None
+    mem_size = 8
+    store_data: Optional[int] = None
+    bypassed_stores: Optional[Set[int]] = None
+    forwarded_from: Optional[int] = None
+    data_obtained = False  # load has selected its data source
+    invisible = False  # InvisiSpec: accessed without filling caches
+    needs_validation = False
+    retire_ready = 0  # earliest commit cycle (InvisiSpec validation)
+    fault: Optional[str] = None
 
     def __init__(self, seq: int, fetched: FetchedOp, dispatch_cycle: int):
         self.seq = seq
         self.instr: Instr = fetched.instr
         self.pc: int = fetched.pc
         self.fetched = fetched
-        self.phys_dest: Optional[int] = None
-        self.prev_phys: Optional[int] = None
-        self.phys_srcs: tuple = ()
-        self.issued = False
-        self.issue_penalty = 0  # extra latency charged at issue (FPU wake)
-        self.completed = False
-        self.bcast = False
-        self.squashed = False
         self.dispatch_cycle = dispatch_cycle
-        self.issue_cycle = -1
-        self.complete_cycle = -1
-        self.bcast_cycle = -1
-        # Cycle at which the NDA safety condition was first satisfied; -1
-        # while still unsafe.  Used to model extra broadcast-logic latency.
-        self.safe_cycle = -1
-        self.result: Optional[int] = None
-        self.src_vals: tuple = ()  # source values captured at issue
-        # Branch resolution.
-        self.resolved = False
-        self.actual_next_pc: Optional[int] = None
-        self.actual_taken = False
-        self.mispredicted = False
-        # Memory.
-        self.addr: Optional[int] = None
-        self.mem_size = 8
-        self.store_data: Optional[int] = None
-        self.bypassed_stores: Optional[Set[int]] = None
-        self.forwarded_from: Optional[int] = None
-        self.data_obtained = False  # load has selected its data source
-        self.invisible = False  # InvisiSpec: accessed without filling caches
-        self.needs_validation = False
-        self.retire_ready = 0  # earliest commit cycle (InvisiSpec validation)
-        self.fault: Optional[str] = None
 
     # Convenience properties used throughout the pipeline. ------------- #
 

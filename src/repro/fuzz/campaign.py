@@ -228,7 +228,6 @@ def run_smt_seed(
     pair = generate_smt(seed, template=template)
     config = replace(
         spec.config, num_contexts=2, sharing=pair.sharing,
-        engine="reference",
     ).validate()
     machine = SmtMachine([pair.attacker, pair.victim.program], config)
     oracle = TaintOracle(
@@ -515,9 +514,9 @@ def run_campaign(
     With ``smt=True`` every seed runs as a co-resident attacker/victim
     pair on the two-context machine (repro.smt) and witnesses are judged
     against each scheme's *cross-context* claims
-    (:func:`claimed_blocked_cross_channels`).  SMT pairs run through the
-    reference engine's two-context lockstep already, so ``windows > 1``
-    does not combine with ``smt``.
+    (:func:`claimed_blocked_cross_channels`).  SMT pairs already step
+    their two contexts in lockstep on :class:`~repro.smt.SmtMachine`, so
+    ``windows > 1`` does not combine with ``smt``.
 
     Executes through the suite engine's parallel scheduler (fork-based
     workers, deterministic results, serial fallback on worker failure);

@@ -1,33 +1,25 @@
 """Simulator-speed benchmark (host wall-clock, not simulated cycles).
 
 Measures how fast the out-of-order core simulates — kilo-cycles of
-simulated time per second of host time — per (workload, configuration,
-engine) triple, with the idle-cycle fast-forward on and off.  Schema 2
-(the engine era) differs from schema 1 in three deliberate ways:
+simulated time per second of host time — per (workload, configuration)
+pair, with the idle-cycle fast-forward on and off.
 
 * **Construction is excluded from the timer.**  Program generation,
-  cache/core construction and the fast engine's one-time micro-op
-  pre-decode happen before ``perf_counter`` starts; only ``core.run()``
-  is measured.  Schema 1 timed ``simulate()`` whole, so its numbers
-  under-report steady-state throughput (and penalized the fast engine
-  for its pre-decode pass, which real sweeps pay once per thousands of
-  windows).
-* **Every row names its ``engine`` and ``windows``.**  The same
-  (workload, config) is measured under both the reference core and the
-  table-driven fast core, and the payload carries explicit
-  fast-vs-reference speedup columns.  Multi-window rows (``windows >
+  cache/core construction and the one-time micro-op pre-decode happen
+  before ``perf_counter`` starts; only ``core.run()`` is measured
+  (schema 1 timed ``simulate()`` whole).
+* **Every row names its ``windows``.**  Multi-window rows (``windows >
   1``) measure the lockstep runner's aggregate throughput.
-* **Bit-identity is enforced across engines, not just FF modes.**  A
-  fast-engine run whose ``cycles``/``committed`` differ from the
-  reference engine's is a correctness bug and the harness raises.
+* **Fast-forward must be bit-identical.**  A run whose
+  ``cycles``/``committed`` differ between FF on and off is a
+  correctness bug and the harness raises.
 
+Schema 3 drops schema 2's per-engine rows: there is one core.
 ``run_simspeed`` returns a JSON-serializable payload;
 ``render_simspeed`` pretty-prints it; ``compare_simspeed`` diffs a
 fresh payload against a checked-in baseline (warn-only — shared-runner
-clocks are noisy); ``gate_simspeed`` is the one hard check CI enforces:
-the fast engine must hold at least a 2x stepping-path advantage over
-the reference on mcf/ooo.  ``profile_case`` captures a cProfile pstats
-dump of one row for regression triage.
+clocks are noisy).  ``profile_case`` captures a cProfile pstats dump of
+one row for regression triage.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import config_registry
@@ -47,43 +38,29 @@ from repro.workloads.generator import spec_program
 #: one (exchange2), across the protection schemes whose timing differs.
 DEFAULT_WORKLOADS = ("mcf", "leela", "exchange2")
 DEFAULT_CONFIGS = ("ooo", "strict", "invisispec-spectre", "fence-on-branch")
-DEFAULT_ENGINES = ("reference", "fast")
 DEFAULT_INSTRUCTIONS = 3_000
 DEFAULT_REPEATS = 3
 DEFAULT_SEED = 7
 
-#: CI hard gate: minimum fast/reference stepping-path (no-FF) speedup
-#: on the gate case.  The no-FF ratio is the honest engine comparison —
-#: fast-forward skips work instead of doing it faster, and its benefit
-#: varies per scheme.
-GATE_WORKLOAD = "mcf"
-GATE_CONFIG = "ooo"
-GATE_MIN_RATIO = 2.0
+#: Payload schema (3: one core, so no per-engine rows).
+SCHEMA = 3
 
 
 class SimSpeedError(RuntimeError):
     """Raised when two must-be-identical runs diverge."""
 
 
-def _build_core(program, config, engine: str, fast_forward: bool):
-    """One measured core, constructed OUTSIDE any timer."""
-    return make_core(
-        program, replace(config, engine=engine), fast_forward=fast_forward,
-    )
-
-
-def _time_run(program, config, engine: str, fast_forward: bool,
-              repeats: int):
+def _time_run(program, config, fast_forward: bool, repeats: int):
     """Best-of-*repeats* wall time of ``core.run()`` alone.
 
     A fresh core is constructed per repeat (runs mutate machine state),
-    but construction — including the fast engine's micro-op pre-decode —
-    happens before the clock starts.  Returns ``(seconds, outcome)``.
+    but construction — including the micro-op pre-decode — happens
+    before the clock starts.  Returns ``(seconds, outcome)``.
     """
     best = None
     outcome = None
     for _ in range(repeats):
-        core = _build_core(program, config, engine, fast_forward)
+        core = make_core(program, config, fast_forward=fast_forward)
         start = time.perf_counter()
         result = core.run()
         elapsed = time.perf_counter() - start
@@ -110,9 +87,8 @@ def measure_case(
     instructions: int = DEFAULT_INSTRUCTIONS,
     repeats: int = DEFAULT_REPEATS,
     seed: int = DEFAULT_SEED,
-    engine: str = "fast",
 ) -> Dict[str, object]:
-    """Time one (workload, config, engine) triple, FF on and off."""
+    """Time one (workload, config) pair, FF on and off."""
     spec = config_registry()[config_name]
     if spec.in_order:
         raise ValueError(
@@ -120,11 +96,10 @@ def measure_case(
             "benchmark measures the out-of-order core" % config_name
         )
     program = spec_program(workload, instructions=instructions, seed=seed)
-    wall_ff, fast = _time_run(program, spec.config, engine, True, repeats)
-    wall_no, slow = _time_run(program, spec.config, engine, False, repeats)
+    wall_ff, fast = _time_run(program, spec.config, True, repeats)
+    wall_no, slow = _time_run(program, spec.config, False, repeats)
     _check_identical(
-        "fast-forward on %s/%s [%s]" % (workload, config_name, engine),
-        fast, slow,
+        "fast-forward on %s/%s" % (workload, config_name), fast, slow,
     )
     cycles = fast.stats.cycles
     committed = fast.stats.committed
@@ -132,7 +107,6 @@ def measure_case(
         "workload": workload,
         "config": config_name,
         "label": spec.label,
-        "engine": engine,
         "windows": 1,
         "cycles": cycles,
         "committed": committed,
@@ -152,7 +126,6 @@ def measure_multiwindow(
     instructions: int = DEFAULT_INSTRUCTIONS,
     repeats: int = DEFAULT_REPEATS,
     seed: int = DEFAULT_SEED,
-    engine: str = "fast",
 ) -> Dict[str, object]:
     """Aggregate throughput of *windows* lockstep runs (seeds seed..+N-1).
 
@@ -169,7 +142,6 @@ def measure_multiwindow(
             "%r is an in-order configuration; the simulator-speed "
             "benchmark measures the out-of-order core" % config_name
         )
-    config = replace(spec.config, engine=engine)
     programs = [
         spec_program(workload, instructions=instructions, seed=seed + i)
         for i in range(windows)
@@ -179,7 +151,7 @@ def measure_multiwindow(
     setup_seconds = 0.0
     for _ in range(repeats):
         setup_start = time.perf_counter()
-        cores = [make_core(program, config) for program in programs]
+        cores = [make_core(program, spec.config) for program in programs]
         setup_seconds += time.perf_counter() - setup_start
         start = time.perf_counter()
         outcomes = run_cores_lockstep(cores, max_cycles=5_000_000)
@@ -193,7 +165,6 @@ def measure_multiwindow(
         "workload": workload,
         "config": config_name,
         "label": spec.label,
-        "engine": engine,
         "windows": windows,
         "cycles": cycles,
         "committed": committed,
@@ -210,9 +181,7 @@ def _one_obs_run(program, config, attach_bus: bool, sample_interval: int,
                  tracer=None):
     """One timed core run, optionally with an attached telemetry bus
     (and a metrics sampler on it) and/or a run span on *tracer*."""
-    from repro.core.ooo import OutOfOrderCore
-
-    core = OutOfOrderCore(program, config)
+    core = make_core(program, config)
     sampler = None
     if attach_bus:
         from repro.obs import EventBus, MetricsSampler
@@ -248,9 +217,7 @@ def measure_obs_overhead(
     to a scratch directory (the distributed-tracing attach cost — one
     span + one JSONL append per run).  All four must be bit-identical;
     the overhead contract (DESIGN.md §3.5/§3.10) is ~0% for the first
-    two and <10% with sampling or tracing enabled.  Measured on the
-    reference engine (the telemetry bus's hook-elision contract is
-    defined against it).
+    two and <10% with sampling or tracing enabled.
     """
     import tempfile
 
@@ -337,72 +304,37 @@ def run_simspeed(
     seed: int = DEFAULT_SEED,
     verbose: bool = False,
     obs: bool = False,
-    engines: Sequence[str] = DEFAULT_ENGINES,
     windows: int = 1,
 ) -> Dict[str, object]:
-    """Measure the full matrix; returns the JSON (schema 2) payload.
+    """Measure the full matrix; returns the JSON (schema 3) payload.
 
-    Each (workload, config) pair is measured under every engine in
-    *engines*; when both engines are present, cross-engine bit-identity
-    is asserted and ``speedup_fast_vs_reference`` /
-    ``speedup_fast_vs_reference_no_ff`` are attached to the fast rows.
-    ``windows > 1`` appends lockstep aggregate rows (fast engine) for
-    each pair.
+    ``windows > 1`` appends a lockstep aggregate row per pair.
     """
     results: List[Dict[str, object]] = []
     for workload in workloads:
         for config_name in configs:
-            by_engine: Dict[str, Dict[str, object]] = {}
-            for engine in engines:
-                case = measure_case(
-                    workload, config_name,
-                    instructions=instructions, repeats=repeats,
-                    seed=seed, engine=engine,
-                )
-                by_engine[engine] = case
-                results.append(case)
-            if "reference" in by_engine and "fast" in by_engine:
-                ref = by_engine["reference"]
-                fast = by_engine["fast"]
-                if (ref["cycles"] != fast["cycles"]
-                        or ref["committed"] != fast["committed"]):
-                    raise SimSpeedError(
-                        "engines diverged on %s/%s: cycles %d vs %d, "
-                        "committed %d vs %d" % (
-                            workload, config_name,
-                            ref["cycles"], fast["cycles"],
-                            ref["committed"], fast["committed"],
-                        )
-                    )
-                fast["speedup_fast_vs_reference"] = (
-                    fast["cycles_per_sec"] / ref["cycles_per_sec"]
-                    if ref["cycles_per_sec"] else 0.0
-                )
-                fast["speedup_fast_vs_reference_no_ff"] = (
-                    fast["cycles_per_sec_no_ff"]
-                    / ref["cycles_per_sec_no_ff"]
-                    if ref["cycles_per_sec_no_ff"] else 0.0
-                )
+            single = measure_case(
+                workload, config_name,
+                instructions=instructions, repeats=repeats, seed=seed,
+            )
+            rows = [single]
             if windows > 1:
                 agg = measure_multiwindow(
                     workload, config_name, windows,
-                    instructions=instructions, repeats=repeats,
-                    seed=seed, engine="fast",
+                    instructions=instructions, repeats=repeats, seed=seed,
                 )
-                single = by_engine.get("fast") or by_engine.get(
-                    "reference"
-                )
-                if single and single["cycles_per_sec"]:
+                if single["cycles_per_sec"]:
                     agg["speedup_vs_single_window"] = (
                         agg["cycles_per_sec"] / single["cycles_per_sec"]
                     )
-                results.append(agg)
+                rows.append(agg)
+            results.extend(rows)
             if verbose:
-                for case in results[-len(by_engine) - (windows > 1):]:
+                for case in rows:
                     print(
-                        "  %-12s %-20s %-9s w=%-2d %8.0f kc/s" % (
+                        "  %-12s %-20s w=%-2d %8.0f kc/s" % (
                             case["workload"], case["config"],
-                            case["engine"], case["windows"],
+                            case["windows"],
                             case["cycles_per_sec"] / 1000.0,
                         )
                     )
@@ -412,16 +344,11 @@ def run_simspeed(
         if "speedup_vs_no_ff" in c
     ]
     rates = [c["cycles_per_sec"] for c in results]
-    engine_ratios = [
-        c["speedup_fast_vs_reference_no_ff"] for c in single_rows
-        if "speedup_fast_vs_reference_no_ff" in c
-    ]
     payload: Dict[str, object] = {
-        "schema": 2,
+        "schema": SCHEMA,
         "instructions": instructions,
         "repeats": repeats,
         "seed": seed,
-        "engines": list(engines),
         "windows": windows,
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -430,12 +357,6 @@ def run_simspeed(
             "min_speedup_vs_no_ff": min(speedups) if speedups else 0.0,
             "max_speedup_vs_no_ff": max(speedups) if speedups else 0.0,
             "best_cycles_per_sec": max(rates) if rates else 0.0,
-            "min_speedup_fast_vs_reference_no_ff": (
-                min(engine_ratios) if engine_ratios else 0.0
-            ),
-            "max_speedup_fast_vs_reference_no_ff": (
-                max(engine_ratios) if engine_ratios else 0.0
-            ),
         },
     }
     if obs:
@@ -465,7 +386,6 @@ def profile_case(
     output_path: str,
     instructions: int = DEFAULT_INSTRUCTIONS,
     seed: int = DEFAULT_SEED,
-    engine: str = "fast",
 ) -> str:
     """cProfile one run of a row; dump pstats to *output_path*.
 
@@ -479,7 +399,7 @@ def profile_case(
 
     spec = config_registry()[config_name]
     program = spec_program(workload, instructions=instructions, seed=seed)
-    core = _build_core(program, spec.config, engine, True)
+    core = make_core(program, spec.config)
     profiler = cProfile.Profile()
     profiler.enable()
     core.run()
@@ -503,7 +423,7 @@ def _slowest_row(payload: Dict[str, object]) -> Optional[Dict[str, object]]:
 
 
 def render_simspeed(payload: Dict[str, object]) -> str:
-    """ASCII table of one payload (schema 2)."""
+    """ASCII table of one payload (schema 3)."""
     lines = [
         "Simulator speed (%d instructions, best of %d, seed %d, "
         "Python %s)" % (
@@ -511,28 +431,26 @@ def render_simspeed(payload: Dict[str, object]) -> str:
             payload["seed"], payload["python"],
         ),
         "",
-        "%-12s %-20s %-9s %3s %10s %10s %10s %8s %8s" % (
-            "workload", "config", "engine", "win", "sim-cycles",
-            "kc/s (ff)", "kc/s (off)", "ff-spd", "vs-ref",
+        "%-12s %-20s %3s %10s %10s %10s %8s" % (
+            "workload", "config", "win", "sim-cycles",
+            "kc/s (ff)", "kc/s (off)", "ff-spd",
         ),
-        "-" * 100,
+        "-" * 80,
     ]
     for case in payload["results"]:
         no_ff = case.get("cycles_per_sec_no_ff")
-        ratio = case.get("speedup_fast_vs_reference_no_ff")
         lines.append(
-            "%-12s %-20s %-9s %3d %10d %10.0f %10s %8s %8s" % (
-                case["workload"], case["config"], case["engine"],
+            "%-12s %-20s %3d %10d %10.0f %10s %8s" % (
+                case["workload"], case["config"],
                 case["windows"], case["cycles"],
                 case["cycles_per_sec"] / 1000.0,
                 "%.0f" % (no_ff / 1000.0) if no_ff else "-",
                 "%.2fx" % case["speedup_vs_no_ff"]
                 if "speedup_vs_no_ff" in case else "-",
-                "%.2fx" % ratio if ratio else "-",
             )
         )
     agg = payload["aggregate"]
-    lines.append("-" * 100)
+    lines.append("-" * 80)
     lines.append(
         "fast-forward speedup: min %.2fx, max %.2fx; best rate %.0f kc/s"
         % (
@@ -540,14 +458,6 @@ def render_simspeed(payload: Dict[str, object]) -> str:
             agg["best_cycles_per_sec"] / 1000.0,
         )
     )
-    if agg.get("min_speedup_fast_vs_reference_no_ff"):
-        lines.append(
-            "fast engine vs reference (stepping path, no FF): "
-            "min %.2fx, max %.2fx" % (
-                agg["min_speedup_fast_vs_reference_no_ff"],
-                agg["max_speedup_fast_vs_reference_no_ff"],
-            )
-        )
     obs = payload.get("obs")
     if obs:
         lines.append(
@@ -571,18 +481,17 @@ def compare_simspeed(
 ) -> List[str]:
     """Warnings for cases slower than *baseline* by more than *threshold*.
 
-    Compares ``cycles_per_sec`` per (workload, config, engine, windows).
-    Returns human-readable warning strings — the CI job prints them and
-    still exits 0, because shared-runner wall clocks are far too noisy
-    for a hard perf gate (that is :func:`gate_simspeed`'s job, and it
-    compares two engines within ONE run, immune to host speed).
+    Compares ``cycles_per_sec`` per (workload, config, windows).  Returns
+    human-readable warning strings — the CI job prints them and still
+    exits 0, because shared-runner wall clocks are far too noisy for a
+    hard perf gate.
     """
     warnings: List[str] = []
     if payload.get("schema") != baseline.get("schema"):
         return [
             "NOTE: baseline is schema %r, this run is schema %r -- "
-            "skipping the regression check (schema 2 times core.run() "
-            "only; schema 1 numbers include construction)" % (
+            "skipping the regression check (rows are not comparable "
+            "across schemas)" % (
                 baseline.get("schema"), payload.get("schema"),
             )
         ]
@@ -596,76 +505,26 @@ def compare_simspeed(
                 % (key, baseline.get(key), payload.get(key))
             ]
     reference = {
-        (
-            case["workload"], case["config"],
-            case.get("engine", "reference"), case.get("windows", 1),
-        ): case
+        (case["workload"], case["config"], case.get("windows", 1)): case
         for case in baseline.get("results", [])
     }
     for case in payload["results"]:
-        key = (
-            case["workload"], case["config"],
-            case.get("engine", "reference"), case.get("windows", 1),
-        )
+        key = (case["workload"], case["config"], case.get("windows", 1))
         base = reference.get(key)
         if base is None or not base["cycles_per_sec"]:
             continue
         ratio = case["cycles_per_sec"] / base["cycles_per_sec"]
         if ratio < 1.0 - threshold:
             warnings.append(
-                "WARNING: %s/%s [%s, w=%d] simulates at %.0f kc/s, "
+                "WARNING: %s/%s [w=%d] simulates at %.0f kc/s, "
                 "%.0f%% below the baseline's %.0f kc/s" % (
-                    key[0], key[1], key[2], key[3],
+                    key[0], key[1], key[2],
                     case["cycles_per_sec"] / 1000.0,
                     (1.0 - ratio) * 100.0,
                     base["cycles_per_sec"] / 1000.0,
                 )
             )
     return warnings
-
-
-def gate_simspeed(
-    payload: Dict[str, object],
-    min_ratio: float = GATE_MIN_RATIO,
-    workload: str = GATE_WORKLOAD,
-    config: str = GATE_CONFIG,
-) -> List[str]:
-    """The CI hard gate: fast engine >= *min_ratio* x reference.
-
-    Checks ``speedup_fast_vs_reference_no_ff`` on the gate case — a
-    within-run ratio of two engines measured back-to-back on the same
-    host, so absolute runner speed cancels out.  Returns failure
-    strings (empty when the gate passes); the CI job exits non-zero on
-    any.
-    """
-    failures: List[str] = []
-    row = None
-    for case in payload.get("results", []):
-        if (case.get("workload") == workload
-                and case.get("config") == config
-                and case.get("engine") == "fast"
-                and case.get("windows") == 1):
-            row = case
-            break
-    if row is None:
-        return [
-            "GATE: no fast-engine row for %s/%s in the payload -- run "
-            "with both engines enabled" % (workload, config)
-        ]
-    ratio = row.get("speedup_fast_vs_reference_no_ff")
-    if not ratio:
-        return [
-            "GATE: %s/%s fast row has no reference counterpart -- run "
-            "with both engines enabled" % (workload, config)
-        ]
-    if ratio < min_ratio:
-        failures.append(
-            "GATE FAILURE: fast engine is %.2fx the reference on %s/%s "
-            "(stepping path, no FF); the floor is %.2fx" % (
-                ratio, workload, config, min_ratio,
-            )
-        )
-    return failures
 
 
 # ---------------------------------------------------------------------- #
@@ -680,9 +539,9 @@ def _history_rates(payload: Dict[str, object]) -> Dict[str, float]:
     """Flatten a simspeed payload to ``key -> cycles_per_sec``."""
     rates: Dict[str, float] = {}
     for case in payload.get("results", []):
-        key = "%s/%s/%s/w%d" % (
+        key = "%s/%s/w%d" % (
             case.get("workload", "?"), case.get("config", "?"),
-            case.get("engine", "reference"), case.get("windows", 1),
+            case.get("windows", 1),
         )
         rates[key] = round(float(case.get("cycles_per_sec", 0.0)), 1)
     return rates
@@ -747,12 +606,20 @@ def compare_history(payload: Dict[str, object],
 
     Flags per-case throughput moves beyond *threshold* in either
     direction; comparable only on the same host, so CI treats these as
-    annotations, not gates.
+    annotations, not gates.  A previous row of another schema is not
+    compared.
     """
     history = load_history(path)
     if not history:
         return ["history: no prior rows at %s (this run seeds it)" % path]
     prev = history[-1]
+    if prev.get("schema") != payload.get("schema"):
+        return [
+            "history: previous row is schema %r, this run is schema %r "
+            "-- skipping the drift check" % (
+                prev.get("schema"), payload.get("schema"),
+            )
+        ]
     lines = [
         "history: comparing against %s (%s, %d prior rows)" % (
             (prev.get("git_revision") or "no-git")[:12],

@@ -18,11 +18,12 @@ the same definitions as :func:`repro.isa.semantics.eval_alu` and
 property-checks the equivalence over randomized operands for every
 opcode.
 
-The fast execution core (:mod:`repro.core.fastcore`) replaces its
-per-cycle attribute/dict lookups with integer-indexed reads of these
-arrays.  Lowering is cached per :class:`Program` identity (weakly, so
-programs are not kept alive), which is what lets N sampling windows and
-repeated benchmark runs share one decode table.
+The out-of-order core (:mod:`repro.core.ooo`) replaces per-cycle
+attribute/dict lookups with integer-indexed reads of these arrays.
+Lowering is cached per :class:`Program` identity, which is what lets N
+sampling windows and repeated benchmark runs share one decode table.
+The cache is a ``WeakKeyDictionary`` keyed on the program and the
+tables hold no reference back to it, so an entry dies with its program.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ F_MEM_BYTE = 1 << 10  # LOADB / STOREB: one-byte access
 F_MEM = 1 << 11  # occupies the memory FU (loads, stores, clflush)
 
 # Execute-kind: which arm of the writeback/complete dispatch the op takes.
-# Mirrors the branch structure of OutOfOrderCore._complete exactly.
+# One arm per distinct completion behaviour in OutOfOrderCore._writeback.
 K_ALU = 0  # eval via the pre-bound closure
 K_BRANCH = 1
 K_STORE = 2
@@ -287,7 +288,7 @@ COND_FNS: Dict[Opcode, Callable] = {
 def eval_uop(op: Opcode, a: int, b: int, imm: int) -> int:
     """Table-driven equivalent of :func:`repro.isa.semantics.eval_alu`.
 
-    Exists for the property tests; the fast core binds the closure per
+    Exists for the property tests; the core binds the closure per
     static micro-op instead of dispatching per dynamic one.
     """
     factory = ALU_FACTORIES.get(op)
@@ -314,16 +315,17 @@ class MicroProgram:
     """
 
     __slots__ = (
-        "program", "n",
+        "n",
         "op_ids", "kinds", "flags", "fu_ids", "latency",
         "rd", "srcs", "imm", "target",
         "exec_fns", "cond_fns",
     )
 
     def __init__(self, program: Program):
+        # No back-reference to *program*: the lowering cache holds this
+        # object strongly, so one would keep every program alive.
         instrs = program.instrs
         n = len(instrs)
-        self.program = program
         self.n = n
         self.op_ids: List[int] = [0] * n
         self.kinds: List[int] = [0] * n

@@ -12,9 +12,11 @@ Two programs run co-resident and share microarchitectural state:
 
 Both modes share main memory, which is architecturally coherent (caches
 model timing only), so the contexts can synchronize through flag words.
-Select via ``SimConfig(num_contexts=2, sharing=..., engine="reference")``
-and drive with :class:`SmtMachine`; the single-context path is untouched
-and stays bit-identical to the golden files.
+Select via ``SimConfig(num_contexts=2, sharing=...)`` and drive with
+:class:`SmtMachine`, which runs one ordinary
+:class:`~repro.core.ooo.OutOfOrderCore` per context.  The single-context
+path is untouched and stays bit-identical to the golden files; the
+two-context path is pinned by ``tests/golden/smt_equivalence.json``.
 """
 
 from repro.smt.machine import (

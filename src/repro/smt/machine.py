@@ -1,8 +1,8 @@
 """The two-context machine: construction, arbitration, and the run loop.
 
-The model deliberately reuses the reference :class:`OutOfOrderCore`
-unchanged: each hardware context is one core instance holding the
-context's *private* state (ROB, IQ, LSQ, rename tables, fetch buffer), so
+The model deliberately reuses :class:`OutOfOrderCore` unchanged: each
+hardware context is one core instance holding the context's *private*
+state (ROB, IQ, LSQ, rename tables, fetch buffer), so
 per-context squash and recovery come from the existing machinery for
 free.  Sharing is injected at construction through :class:`SharedState`:
 the shared objects (main memory, cache hierarchy or L2, BTB, RAS,
@@ -90,16 +90,14 @@ def context_config(config: SimConfig) -> SimConfig:
     """The per-context SimConfig derived from a two-context *config*.
 
     SMT mode partitions the back end; shared-L2 mode keeps full private
-    cores.  The derived config is single-context (each context's core is
-    an ordinary core) on the reference engine.
+    cores.  The derived config is single-context: each context's core is
+    an ordinary core.
     """
     core = (
         partitioned_core_config(config.core)
         if config.sharing == "smt" else config.core
     )
-    return replace(
-        config, core=core, num_contexts=1, engine="reference"
-    ).validate()
+    return replace(config, core=core, num_contexts=1).validate()
 
 
 class SmtMachine:
@@ -114,9 +112,11 @@ class SmtMachine:
         they intentionally communicate (see ``CROSS_MAPS`` in
         :mod:`repro.attacks.common`).
     config:
-        A validated two-context :class:`SimConfig`
-        (``num_contexts=2``, ``engine="reference"``; the fast engine is
-        rejected at SimConfig construction).
+        A two-context :class:`SimConfig` (``num_contexts=2``).
+
+    Each context's core reads the shared BTB, RAS, and hierarchy — and
+    their observer slots — afresh on every access, which is what lets
+    :meth:`_enter` re-route the shared observers between contexts.
     """
 
     def __init__(
@@ -126,9 +126,7 @@ class SmtMachine:
         direction_predictor: str = "tournament",
         fast_forward: bool = True,
     ):
-        config = (config or SimConfig(
-            num_contexts=2, engine="reference"
-        )).validate()
+        config = (config or SimConfig(num_contexts=2)).validate()
         if config.num_contexts != len(programs):
             raise ConfigError(
                 "config.num_contexts=%d but %d programs supplied"
@@ -230,7 +228,7 @@ class SmtMachine:
         now = self.cycle
         target = max_cycles
         for core in active:
-            if core.iq._ready and not core._ready_horizon_overridden:
+            if core.iq._ready and core._hook_ready_horizon is None:
                 return now
             limit = core._last_commit_cycle + deadlock_cycles + 1
             if max_cycles < limit:

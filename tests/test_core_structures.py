@@ -1,4 +1,15 @@
-"""Unit tests for rename, ROB, issue queue, FU pool, and LSQ."""
+"""Unit tests for rename, ROB, issue queue, FU pool, and LSQ.
+
+The ``*Model`` classes check the ROB, the issue queue and the LSQ
+against small pure-Python models of their contracts over seeded random
+operation sequences; ``TestLSQStepTable`` walks the LSQ through a fixed
+table of steps covering forwarding, bypass, violation and squash.
+"""
+
+import random
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Optional, Tuple
 
 import pytest
 
@@ -411,3 +422,321 @@ class TestLSQ:
         lsq.dispatch(store(0))
         lsq.dispatch(store(1, addr=0x50))
         assert lsq.unresolved_store_seqs() == {0}
+
+
+# ---------------------------------------------------------------------- #
+# Randomized model checks.
+# ---------------------------------------------------------------------- #
+
+_BY_SEQ = attrgetter("seq")
+SEEDS = range(6)
+
+
+def branch(seq) -> DynInstr:
+    return dyn(seq, Instr(Opcode.BEQ, rs1=R1, rs2=R2, target=0))
+
+
+class TestROBModel:
+    """The ROB against a list of ``(seq, is_branch)``, oldest first."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_ops_match_model(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.randint(1, 12)
+        rob = ROB(capacity)
+        model = []
+        next_seq = 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.45:
+                if len(model) < capacity:
+                    is_branch = rng.random() < 0.3
+                    rob.push(branch(next_seq) if is_branch
+                             else alu(next_seq))
+                    model.append((next_seq, is_branch))
+                    next_seq += 1
+            elif roll < 0.7:
+                if model:
+                    assert rob.pop_head().seq == model.pop(0)[0]
+            elif roll < 0.85:
+                cut = rng.randint(-1, next_seq)
+                removed = rob.squash_younger(cut)
+                assert [e.seq for e in removed] == [
+                    s for s, _ in reversed(model) if s > cut
+                ]
+                assert all(e.squashed for e in removed)
+                model = [(s, b) for s, b in model if s <= cut]
+            else:
+                probe = rng.randint(0, next_seq)
+                older = [s for s, b in model if b and s < probe]
+                found = rob.nearest_older_branch(probe)
+                assert (found.seq if found else None) == (
+                    older[-1] if older else None
+                )
+            assert [e.seq for e in rob] == [s for s, _ in model]
+            assert len(rob) == len(model)
+            assert rob.full == (len(model) >= capacity)
+            assert (rob.head.seq if rob.head else None) == (
+                model[0][0] if model else None
+            )
+
+
+class TestIssueQueueModel:
+    """The issue queue against a map of entry -> unbroadcast sources.
+
+    Every entry is an ALU op, so select's FU limit is ``num_alu`` per
+    cycle; the model picks the oldest woken, unvetoed entries up to
+    ``min(width, num_alu)``.
+    """
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_ops_match_model(self, seed):
+        rng = random.Random(seed)
+        num_alu = rng.randint(1, 3)
+        veto = rng.randrange(3)
+        prf = PhysRegFile(256)
+        iq = IssueQueue(rng.randint(2, 16), prf)
+        pool = FUPool(CoreConfig(num_alu=num_alu))
+        waiting = {}  # live entry -> sources still awaiting a broadcast
+        in_flight = []  # allocated, not yet broadcast
+        next_seq = 0
+
+        def may_issue(entry, now):
+            return entry.seq % 3 != veto
+
+        for now in range(300):
+            roll = rng.random()
+            if roll < 0.4 and len(waiting) < iq.capacity:
+                if len(in_flight) < 4:
+                    in_flight.append(prf.alloc())
+                entry = alu(next_seq)
+                next_seq += 1
+                entry.phys_srcs = tuple(
+                    rng.choice(in_flight + [R2, R3])
+                    for _ in range(rng.randint(0, 2))
+                )
+                iq.insert(entry)
+                waiting[entry] = [
+                    s for s in entry.phys_srcs if s in in_flight
+                ]
+            elif roll < 0.6 and in_flight:
+                reg = in_flight.pop(rng.randrange(len(in_flight)))
+                prf.mark_ready(reg)
+                iq.on_broadcast(reg)
+                for entry, srcs in waiting.items():
+                    waiting[entry] = [s for s in srcs if s != reg]
+            elif roll < 0.7 and waiting:
+                cut = rng.choice(list(waiting)).seq
+                for entry in list(waiting):
+                    if entry.seq >= cut:
+                        entry.squashed = True
+                        del waiting[entry]
+                iq.remove_squashed()
+            else:
+                width = rng.randint(1, 4)
+                expected = [
+                    e for e in sorted(waiting, key=_BY_SEQ)
+                    if not waiting[e] and may_issue(e, now)
+                ][:min(width, num_alu)]
+                assert iq.select(now, width, pool, may_issue) == expected
+                for entry in expected:
+                    del waiting[entry]
+            assert len(iq) == len(waiting)
+            assert iq.full == (len(waiting) >= iq.capacity)
+
+
+def _model_bytes(entry) -> range:
+    return range(entry.addr, entry.addr + entry.mem_size)
+
+
+def _model_decide(stores, load) -> Tuple:
+    """LSQ.decide_load's contract, as (action, value, from, bypassed).
+
+    The youngest older store overlapping the load decides: it forwards
+    when it covers every load byte and has its data, else the load
+    waits.  Older stores with unknown addresses younger than that one
+    are bypassed.
+    """
+    bypassed = set()
+    for store in sorted(stores, key=_BY_SEQ, reverse=True):
+        if store.seq > load.seq:
+            continue
+        if store.addr is None:
+            bypassed.add(store.seq)
+            continue
+        covered = set(_model_bytes(store))
+        wanted = list(_model_bytes(load))
+        if not covered.intersection(wanted):
+            continue
+        if not covered.issuperset(wanted) or store.store_data is None:
+            return (LoadAction.WAIT, None, None, set())
+        data = [(store.store_data >> (8 * i)) & 0xFF
+                for i in range(store.mem_size)]
+        value = sum(data[addr - store.addr] << (8 * i)
+                    for i, addr in enumerate(wanted))
+        return (LoadAction.FORWARD, value, store.seq, bypassed)
+    return (LoadAction.MEMORY, None, None, bypassed)
+
+
+def _model_violation(loads, store) -> Optional[DynInstr]:
+    """LSQ.check_violation's contract: the eldest younger load that
+    took its data without seeing *store* and overlaps it."""
+    stale = [
+        load for load in loads
+        if load.seq > store.seq and load.addr is not None
+        and load.data_obtained
+        and not (load.forwarded_from is not None
+                 and load.forwarded_from > store.seq)
+        and set(_model_bytes(load)) & set(_model_bytes(store))
+    ]
+    return min(stale, key=_BY_SEQ) if stale else None
+
+
+def _decision(decision) -> Tuple:
+    return (decision.action, decision.value, decision.forwarded_from,
+            decision.bypassed_stores)
+
+
+def _take_data(load, decision) -> None:
+    """What the core's memory phase records once a load has data."""
+    if decision.action is not LoadAction.WAIT:
+        load.data_obtained = True
+    if decision.action is LoadAction.FORWARD:
+        load.forwarded_from = decision.forwarded_from
+
+
+class TestLSQModel:
+    """The LSQ against byte-level models of load and violation rules."""
+
+    ADDRS = (0x100, 0x101, 0x104, 0x108)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_ops_match_model(self, seed):
+        rng = random.Random(seed)
+        lq, sq = rng.randint(1, 6), rng.randint(1, 6)
+        lsq = LSQ(lq, sq)
+        loads, stores = [], []
+        next_seq = 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.2:
+                entry = load(next_seq, addr=rng.choice(self.ADDRS),
+                             size=rng.choice((1, 8)))
+                assert lsq.can_dispatch(entry) == (len(loads) < lq)
+                if len(loads) < lq:
+                    lsq.dispatch(entry)
+                    loads.append(entry)
+                next_seq += 1
+            elif roll < 0.4:
+                entry = store(next_seq, size=rng.choice((1, 8)))
+                assert lsq.can_dispatch(entry) == (len(stores) < sq)
+                if len(stores) < sq:
+                    lsq.dispatch(entry)
+                    stores.append(entry)
+                next_seq += 1
+            elif roll < 0.55 and loads:
+                target = rng.choice(loads)
+                expected = _model_decide(stores, target)
+                decision = lsq.decide_load(target)
+                assert _decision(decision) == expected
+                _take_data(target, decision)
+            elif roll < 0.7:
+                unresolved = [s for s in stores if s.addr is None]
+                if unresolved:
+                    resolving = rng.choice(unresolved)
+                    resolving.addr = rng.choice(self.ADDRS)
+                    resolving.store_data = rng.getrandbits(64)
+                    expected = _model_violation(loads, resolving)
+                    assert lsq.check_violation(resolving) is expected
+            elif roll < 0.8 and (loads or stores):
+                cut = rng.choice(loads + stores).seq
+                for entry in loads + stores:
+                    if entry.seq > cut:
+                        entry.squashed = True
+                lsq.remove_squashed()
+                loads = [e for e in loads if not e.squashed]
+                stores = [e for e in stores if not e.squashed]
+            elif loads or stores:
+                oldest = min(loads + stores, key=_BY_SEQ)
+                lsq.retire(oldest)
+                (loads if oldest in loads else stores).remove(oldest)
+            assert lsq.loads == loads
+            assert lsq.stores == stores
+            assert lsq.unresolved_store_seqs() == {
+                s.seq for s in stores if s.addr is None
+            }
+
+
+@dataclass
+class Step:
+    """One LSQ step: dispatch, decide, resolve, squash or retire."""
+
+    op: str
+    seq: int
+    addr: Optional[int] = None
+    size: int = 8
+    data: Optional[int] = None
+    expect: object = None
+
+
+#: Forwarding, bypass, violation and squash, in the order a core meets
+#: them.  ``expect`` is the decision tuple for "decide" and the victim's
+#: seq for "resolve".
+LSQ_STEPS = [
+    Step("store", 0),                               # address unknown
+    Step("load", 1, addr=0x100),
+    Step("decide", 1, expect=(LoadAction.MEMORY, None, None, {0})),
+    Step("store", 2, addr=0x100, data=0x1122334455667788),
+    Step("load", 3, addr=0x102, size=1),
+    Step("decide", 3, expect=(LoadAction.FORWARD, 0x66, 2, set())),
+    Step("store", 4, addr=0x104, size=1, data=0xAB),
+    Step("load", 5, addr=0x100),                    # partial overlap
+    Step("decide", 5, expect=(LoadAction.WAIT, None, None, set())),
+    # Store 0 lands on load 1's bytes: load 1 bypassed it and is the
+    # eldest stale load; load 3 forwarded from the younger store 2.
+    Step("resolve", 0, addr=0x100, data=7, expect=1),
+    Step("squash", 0),                              # refetch from load 1
+    Step("load", 6, addr=0x100),
+    Step("decide", 6, expect=(LoadAction.FORWARD, 7, 0, set())),
+    Step("retire", 0),
+    Step("decide", 6, expect=(LoadAction.MEMORY, None, None, set())),
+]
+
+
+class TestLSQStepTable:
+    def test_steps(self):
+        lsq = LSQ(4, 4)
+        live = {}
+        for step in LSQ_STEPS:
+            if step.op == "load":
+                live[step.seq] = load(step.seq, addr=step.addr,
+                                      size=step.size)
+                lsq.dispatch(live[step.seq])
+            elif step.op == "store":
+                live[step.seq] = store(step.seq, addr=step.addr,
+                                       data=step.data, size=step.size)
+                lsq.dispatch(live[step.seq])
+            elif step.op == "decide":
+                target = live[step.seq]
+                decision = lsq.decide_load(target)
+                assert _decision(decision) == step.expect, step
+                assert _model_decide(lsq.stores, target) == step.expect
+                _take_data(target, decision)
+            elif step.op == "resolve":
+                resolving = live[step.seq]
+                resolving.addr, resolving.store_data = step.addr, step.data
+                victim = lsq.check_violation(resolving)
+                assert victim is _model_violation(lsq.loads, resolving)
+                assert victim.seq == step.expect, step
+            elif step.op == "squash":
+                for seq, entry in list(live.items()):
+                    if seq > step.seq:
+                        entry.squashed = True
+                        del live[seq]
+                lsq.remove_squashed()
+                assert [e.seq for e in lsq.loads + lsq.stores] == [0]
+            else:  # retire
+                lsq.retire(live.pop(step.seq))
+        assert lsq.forwards == 2
+        assert lsq.bypasses == 1
+        assert lsq.violations == 1

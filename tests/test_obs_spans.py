@@ -360,9 +360,9 @@ class TestObsOverheadTracing:
 
 class TestBenchHistory:
     PAYLOAD = {
-        "schema": 2, "instructions": 100, "seed": 7,
+        "schema": 3, "instructions": 100, "seed": 7,
         "results": [
-            {"workload": "mcf", "config": "ooo", "engine": "fast",
+            {"workload": "mcf", "config": "ooo",
              "windows": 1, "cycles_per_sec": 1_000_000.0},
         ],
     }
@@ -370,7 +370,7 @@ class TestBenchHistory:
     def test_append_then_compare(self, tmp_path):
         path = str(tmp_path / "hist.jsonl")
         entry = simspeed.append_history(self.PAYLOAD, path=path)
-        assert entry["cycles_per_sec"] == {"mcf/ooo/fast/w1": 1_000_000.0}
+        assert entry["cycles_per_sec"] == {"mcf/ooo/w1": 1_000_000.0}
         assert "recorded" in entry and "git_revision" in entry
         slower = json.loads(json.dumps(self.PAYLOAD))
         slower["results"][0]["cycles_per_sec"] = 500_000.0
@@ -379,6 +379,12 @@ class TestBenchHistory:
                    for line in lines)
         steady = simspeed.compare_history(self.PAYLOAD, path=path)
         assert any("within" in line for line in steady)
+
+    def test_compare_skips_rows_of_another_schema(self, tmp_path):
+        path = str(tmp_path / "hist.jsonl")
+        simspeed.append_history(dict(self.PAYLOAD, schema=2), path=path)
+        lines = simspeed.compare_history(self.PAYLOAD, path=path)
+        assert len(lines) == 1 and "schema" in lines[0]
 
     def test_compare_without_history_seeds(self, tmp_path):
         lines = simspeed.compare_history(

@@ -1,9 +1,9 @@
 """Two-context co-residency model (:mod:`repro.smt`).
 
-Three contracts:
+Four contracts:
 
-* **Guard rails** — the fast engine, the lockstep runners, and
-  ``make_core`` all reject multi-context configs with a clear
+* **Guard rails** — the lockstep runners and ``make_core`` reject
+  multi-context configs with a clear
   :class:`~repro.errors.ConfigError` pointing at ``SmtMachine``.
 * **Single-context bit-identity** — ``num_contexts=1`` (explicit or
   default) is invisible: cache keys and ``to_dict`` payloads are
@@ -12,6 +12,17 @@ Three contracts:
 * **Arbiter determinism** — the same program pair under the same config
   produces the same round-robin interleaving (pinned by the machine's
   sha256 interleave digest) and the same per-context counters.
+* **Two-context golden** — ``tests/golden/smt_equivalence.json`` pins
+  the per-context counters and interleave digest of every cross-context
+  attack, and the victim cycles plus witnesses of ``run_smt_seed``, on
+  every out-of-order configuration.  It is the spec for two-context
+  runs: any diff is a timing change, never noise.
+
+Regenerating the two-context golden (only after an *intentional* timing
+change, never to paper over a diff)::
+
+    PYTHONPATH=src python -c \
+        "from tests.test_smt import write_smt_golden; write_smt_golden()"
 """
 
 from __future__ import annotations
@@ -23,10 +34,13 @@ from dataclasses import replace
 import pytest
 
 from repro.api import simulate
+from repro.attacks.common import default_guesses, run_cross_attack
+from repro.attacks.taxonomy import CROSS_IMPLEMENTED
 from repro.config import SimConfig, config_registry
 from repro.core import make_core
 from repro.debug.trace import TraceRecord
 from repro.errors import ConfigError
+from repro.fuzz import fuzz_configs, run_smt_seed
 from repro.fuzz.generator import generate_smt
 from repro.harness.multiwindow import (
     WindowTask,
@@ -38,11 +52,21 @@ from repro.smt import SmtMachine, run_pair
 from repro.workloads import spec_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "scheme_equivalence.json"
+SMT_GOLDEN = pathlib.Path(__file__).parent / "golden" / "smt_equivalence.json"
+
+#: Cross-attack golden parameters: secret 42 (42 & 7 != 0, as cross_btb
+#: requires) timed over 16 guesses.
+SMT_GOLDEN_SECRET = 42
+SMT_GOLDEN_GUESSES = 16
+SMT_GOLDEN_SEEDS = range(10)
+
+#: Host-time fields: nondeterministic, never part of a golden.
+_HOST_FIELDS = ("sim_wall_seconds", "kilo_cycles_per_sec")
 
 
 def _two_context(sharing: str = "smt") -> SimConfig:
     return replace(
-        SimConfig(), num_contexts=2, sharing=sharing, engine="reference"
+        SimConfig(), num_contexts=2, sharing=sharing
     ).validate()
 
 
@@ -51,19 +75,11 @@ def _two_context(sharing: str = "smt") -> SimConfig:
 # ---------------------------------------------------------------------- #
 
 
-def test_fast_engine_rejects_two_contexts():
-    with pytest.raises(ConfigError, match="reference"):
-        SimConfig(num_contexts=2, engine="fast")
-
-
 def test_validate_rejects_bad_context_counts_and_sharing():
     with pytest.raises(ConfigError, match="num_contexts"):
-        replace(SimConfig(), num_contexts=3, engine="reference").validate()
+        replace(SimConfig(), num_contexts=3).validate()
     with pytest.raises(ConfigError, match="sharing"):
-        replace(
-            SimConfig(), num_contexts=2, sharing="bogus",
-            engine="reference",
-        ).validate()
+        replace(SimConfig(), num_contexts=2, sharing="bogus").validate()
 
 
 def test_make_core_rejects_two_contexts():
@@ -104,7 +120,7 @@ def test_context_fields_absent_from_single_context_payloads():
     base = SimConfig()
     assert "num_contexts" not in base.to_dict()
     assert "sharing" not in base.to_dict()
-    two = replace(base, num_contexts=2, engine="reference")
+    two = replace(base, num_contexts=2)
     assert two.to_dict()["num_contexts"] == 2
     assert two.to_dict()["sharing"] == "smt"
 
@@ -113,7 +129,7 @@ def test_cache_key_unchanged_by_explicit_single_context():
     base = SimConfig()
     explicit = replace(base, num_contexts=1, sharing="l2")
     assert explicit.cache_key() == base.cache_key()
-    two = replace(base, num_contexts=2, engine="reference")
+    two = replace(base, num_contexts=2)
     assert two.cache_key() != base.cache_key()
 
 
@@ -226,3 +242,100 @@ def test_smt_trace_events_use_per_context_pids():
         event["args"]["name"] for event in events if event["ph"] == "M"
     }
     assert names == {"context 0 pipeline", "context 1 pipeline"}
+
+
+# ---------------------------------------------------------------------- #
+# Two-context golden.
+# ---------------------------------------------------------------------- #
+
+
+def _counters(stats) -> dict:
+    payload = stats.to_dict()
+    for name in _HOST_FIELDS:
+        del payload[name]
+    return payload
+
+
+def _cross_attack_case(info, config_name: str) -> dict:
+    """Per-context counters and interleave digest of one cross attack."""
+    machines = []
+
+    def recording(*args, **kwargs):
+        machine, outcomes = run_cross_attack(*args, **kwargs)
+        machines.append(machine)
+        return machine, outcomes
+
+    config = config_registry()[config_name].config
+    guesses = default_guesses(SMT_GOLDEN_SECRET, SMT_GOLDEN_GUESSES)
+    original = info.module.run_cross_attack
+    info.module.run_cross_attack = recording
+    try:
+        outcome = info.module.run(
+            config, secret=SMT_GOLDEN_SECRET, guesses=guesses,
+        )
+    finally:
+        info.module.run_cross_attack = original
+    (machine,) = machines
+    return {
+        "leaked": outcome.leaked,
+        "interleave_digest": machine.interleave_digest(),
+        "contexts": [_counters(core.stats) for core in machine.cores],
+    }
+
+
+def _fuzz_seed_case(seed: int, config_name: str) -> dict:
+    """Victim cycles and sorted witnesses of one two-context fuzz run."""
+    result = run_smt_seed(seed, config_name)
+    witnesses = sorted(
+        (w.channel, w.seq, w.pc, w.addr, w.cycle, w.detail)
+        for w in result.witnesses
+    )
+    return {
+        "cycles": result.cycles,
+        "witnesses": [list(w) for w in witnesses],
+    }
+
+
+def _smt_golden_cases():
+    attacks = ["attack/%s/%s" % (info.name, name)
+               for info in CROSS_IMPLEMENTED for name in fuzz_configs()]
+    seeds = ["fuzz/%d/%s" % (seed, name)
+             for seed in SMT_GOLDEN_SEEDS for name in fuzz_configs()]
+    return attacks + seeds
+
+
+def _smt_case(case: str) -> dict:
+    kind, what, config_name = case.split("/")
+    if kind == "attack":
+        (info,) = [i for i in CROSS_IMPLEMENTED if i.name == what]
+        return _cross_attack_case(info, config_name)
+    return _fuzz_seed_case(int(what), config_name)
+
+
+def write_smt_golden() -> None:
+    """Regenerate ``tests/golden/smt_equivalence.json``."""
+    payload = {
+        "comment": "see tests/test_smt.py",
+        "secret": SMT_GOLDEN_SECRET,
+        "guesses": SMT_GOLDEN_GUESSES,
+        "cases": {case: _smt_case(case) for case in _smt_golden_cases()},
+    }
+    SMT_GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True)
+                          + "\n")
+
+
+@pytest.fixture(scope="module")
+def smt_golden():
+    return json.loads(SMT_GOLDEN.read_text())
+
+
+def test_smt_golden_covers_every_case(smt_golden):
+    assert sorted(smt_golden["cases"]) == sorted(_smt_golden_cases())
+
+
+@pytest.mark.parametrize("case", _smt_golden_cases())
+def test_smt_golden_bit_identical(case, smt_golden):
+    assert _smt_case(case) == smt_golden["cases"][case], (
+        "two-context timing changed for %s (see the module docstring "
+        "before regenerating)" % case
+    )
