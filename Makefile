@@ -2,7 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test attack-smoke bench-smoke fuzz-smoke obs-smoke server-smoke \
-	scale-smoke smt-smoke trace-smoke bench bench-simspeed cache-clear
+	scale-smoke smt-smoke trace-smoke e2e-selftest bench bench-simspeed \
+	cache-clear
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,6 +66,13 @@ scale-smoke:
 # causally-linked spans from every process (mirrors CI).
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
+
+# Self-test of the end-to-end benchmark (benchmarks/e2e, ~10 s): small
+# traced and untraced passes of its pipelines, and compare.py's verdicts.
+# `make test` collects only tests/, so without this a change in src/ can
+# break the benchmark unnoticed (mirrors CI).
+e2e-selftest:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Simulator-speed benchmark: host kilo-cycles/sec with the idle-cycle
 # fast-forward on vs off, plus telemetry-bus overhead; refreshes the

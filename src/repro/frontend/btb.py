@@ -9,33 +9,27 @@ exercises precisely this structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.memory.replacement import LRUPolicy
+from repro.memory.cache import TagArray
 
 
-class BTB:
-    """Set-associative branch target buffer with LRU replacement."""
+class BTB(TagArray):
+    """Set-associative branch target buffer with LRU replacement.
+
+    The set/way/LRU bookkeeping is the caches' :class:`TagArray`, keyed
+    by branch PC; the BTB adds the predicted targets and its counters.
+    """
 
     def __init__(self, entries: int = 4096, assoc: int = 4):
         if entries % assoc:
             raise ValueError("BTB entries must divide evenly into ways")
-        self.num_sets = entries // assoc
-        if self.num_sets & (self.num_sets - 1):
+        num_sets = entries // assoc
+        if num_sets & (num_sets - 1):
             raise ValueError("BTB set count must be a power of two")
-        self.assoc = assoc
-        self._set_mask = self.num_sets - 1
-        # Per set: pc -> target, plus way bookkeeping for LRU.
-        self._targets: List[Dict[int, int]] = [
-            dict() for _ in range(self.num_sets)
-        ]
-        self._ways: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._way_pc: List[Dict[int, int]] = [
-            dict() for _ in range(self.num_sets)
-        ]
-        self._repl: List[LRUPolicy] = [
-            LRUPolicy(assoc) for _ in range(self.num_sets)
-        ]
+        super().__init__(num_sets, assoc)
+        # pc -> predicted target for every resident entry.
+        self._targets: Dict[int, int] = {}
         self.lookups = 0
         self.hits = 0
         self.updates = 0
@@ -46,22 +40,19 @@ class BTB:
         # install/refresh events as btb_update.
         self.obs = None
 
-    def _index(self, pc: int) -> int:
-        return pc & self._set_mask
-
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for the branch at *pc*, or None on miss."""
         self.lookups += 1
-        index = self._index(pc)
-        target = self._targets[index].get(pc)
+        target = self._targets.get(pc)
         if target is not None:
             self.hits += 1
+            index = pc & self._set_mask
             self._repl[index].touch(self._ways[index][pc])
         return target
 
     def probe(self, pc: int) -> Optional[int]:
         """Non-destructive lookup (no stats, no LRU update)."""
-        return self._targets[self._index(pc)].get(pc)
+        return self._targets.get(pc)
 
     def update(self, pc: int, target: int) -> None:
         """Install/refresh the mapping ``pc -> target``.
@@ -75,42 +66,23 @@ class BTB:
         obs = self.obs
         if obs is not None and obs.btb_update is not None:
             obs.btb_update(pc, target)
-        index = self._index(pc)
-        targets = self._targets[index]
-        ways = self._ways[index]
+        targets = self._targets
+        index = pc & self._set_mask
         if pc in targets:
-            targets[pc] = target
-            self._repl[index].touch(ways[pc])
-            return
-        if len(targets) >= self.assoc:
-            victim_way = self._repl[index].victim()
-            victim_pc = self._way_pc[index].pop(victim_way)
-            del targets[victim_pc]
-            del ways[victim_pc]
-            self._repl[index].forget(victim_way)
-            way = victim_way
+            self._repl[index].touch(self._ways[index][pc])
         else:
-            used = set(ways.values())
-            way = next(w for w in range(self.assoc) if w not in used)
+            evicted = self._insert(index, pc)
+            if evicted is not None:
+                del targets[evicted]
         targets[pc] = target
-        ways[pc] = way
-        self._way_pc[index][way] = pc
-        self._repl[index].touch(way)
 
     def invalidate(self, pc: int) -> bool:
         """Drop the entry for *pc*; True when one existed."""
-        index = self._index(pc)
-        if pc not in self._targets[index]:
+        if not self._remove(pc & self._set_mask, pc):
             return False
-        way = self._ways[index].pop(pc)
-        del self._targets[index][pc]
-        del self._way_pc[index][way]
-        self._repl[index].forget(way)
+        del self._targets[pc]
         return True
 
     def flush(self) -> None:
-        for index in range(self.num_sets):
-            self._targets[index].clear()
-            self._ways[index].clear()
-            self._way_pc[index].clear()
-            self._repl[index] = LRUPolicy(self.assoc)
+        self._clear()
+        self._targets.clear()

@@ -5,8 +5,8 @@ simulations of the same configuration — SMARTS sampling windows at
 different seeds, fuzz seeds under one scheme.  On a single-CPU host the
 process pool cannot help, so this module amortizes the per-run driver
 overhead instead: it constructs every core up front (program generation,
-cache construction and the micro-op pre-decode all happen once, outside
-the stepped region) and then advances all windows round-robin in
+core construction and the micro-op pre-decode all happen once, outside
+the stepped region; cache and BTB sets are still created on first fill) and then advances all windows round-robin in
 *quanta* of committed instructions, each quantum running inside the
 core's own hoisted ``run_to_commit``/``run_slice`` loop rather than a
 per-``advance()`` Python loop.

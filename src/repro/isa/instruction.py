@@ -22,6 +22,29 @@ from repro.isa.registers import LR, is_arch_reg, reg_name
 # Opcodes whose destination register is implicitly the link register.
 _CALL_OPS = (Opcode.CALL, Opcode.CALLR)
 
+#: Register sources each opcode must have; an opcode missing here takes
+#: any number.  A module-level table because every ``Instr`` checks it
+#: and program generation builds thousands of them.
+_SRC_COUNTS = {
+    **dict.fromkeys((
+        Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+        Opcode.SHL, Opcode.SHR, Opcode.SLT, Opcode.MUL, Opcode.DIV,
+        Opcode.FADD, Opcode.FMUL, Opcode.FDIV,
+        Opcode.STORE, Opcode.STOREB,
+        Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
+    ), 2),
+    **dict.fromkeys((
+        Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
+        Opcode.SHLI, Opcode.SHRI,
+        Opcode.LOAD, Opcode.LOADB, Opcode.CLFLUSH,
+        Opcode.JR, Opcode.CALLR, Opcode.RET,
+    ), 1),
+    **dict.fromkeys((
+        Opcode.LI, Opcode.JMP, Opcode.CALL, Opcode.RDTSC, Opcode.RDMSR,
+        Opcode.FENCE, Opcode.NOP, Opcode.HALT,
+    ), 0),
+}
+
 
 class Instr:
     """One static micro-op.
@@ -87,7 +110,7 @@ class Instr:
                 raise AssemblyError("%s requires a static target" % self.op)
         if op_info.is_indirect and not op_info.is_ret and not self.srcs:
             raise AssemblyError("%s requires a target register" % self.op)
-        expected = _expected_src_count(self.op)
+        expected = _SRC_COUNTS.get(self.op)
         if expected is not None and len(self.srcs) != expected:
             raise AssemblyError(
                 "%s expects %d source registers, got %d"
@@ -109,31 +132,3 @@ class Instr:
         if self.target is not None:
             parts.append("@%s" % (self.target,))
         return "<%s pc=%d>" % (" ".join(parts), self.pc)
-
-
-def _expected_src_count(op: Opcode) -> Optional[int]:
-    """Number of register sources *op* must have, or None if flexible."""
-    two_src = {
-        Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-        Opcode.SHL, Opcode.SHR, Opcode.SLT, Opcode.MUL, Opcode.DIV,
-        Opcode.FADD, Opcode.FMUL, Opcode.FDIV,
-        Opcode.STORE, Opcode.STOREB,
-        Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
-    }
-    one_src = {
-        Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
-        Opcode.SHLI, Opcode.SHRI,
-        Opcode.LOAD, Opcode.LOADB, Opcode.CLFLUSH,
-        Opcode.JR, Opcode.CALLR, Opcode.RET,
-    }
-    zero_src = {
-        Opcode.LI, Opcode.JMP, Opcode.CALL, Opcode.RDTSC, Opcode.RDMSR,
-        Opcode.FENCE, Opcode.NOP, Opcode.HALT,
-    }
-    if op in two_src:
-        return 2
-    if op in one_src:
-        return 1
-    if op in zero_src:
-        return 0
-    return None

@@ -1,4 +1,4 @@
-"""Set-associative tag-array cache.
+"""Set-associative tag arrays: the caches, and the bookkeeping the BTB shares.
 
 Data values always come from :class:`~repro.memory.memory.MainMemory` (plus
 LSQ forwarding inside the core); the caches model *timing* and the covert-
@@ -10,7 +10,7 @@ which is exactly the property Spectre-style transmit phases exploit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.config import CacheConfig
 from repro.memory.replacement import ReplacementPolicy, make_policy
@@ -37,7 +37,87 @@ class CacheStats:
         return self.misses / total if total else 0.0
 
 
-class Cache:
+class TagArray:
+    """Set, way and replacement bookkeeping for a set-associative array.
+
+    Keys are non-negative ints (line addresses for :class:`Cache`, branch
+    PCs for :class:`~repro.frontend.btb.BTB`); key *k* lives in set
+    ``k & (num_sets - 1)``.  A set's key -> way map, way -> key list and
+    replacement policy are created on the set's first insert, so an
+    untouched set costs nothing and a lookup there is a miss that
+    allocates nothing.  A ``random`` policy is seeded with its set index,
+    as if every set had been built up front.
+
+    Subclasses read ``_ways``/``_repl`` inline on their hit paths and
+    leave inserting, evicting, invalidating and clearing to the methods
+    here.
+
+    Args:
+        num_sets: number of sets (a power of two).
+        assoc: ways per set.
+        policy: replacement policy name (``lru``, ``plru`` or ``random``).
+    """
+
+    def __init__(self, num_sets: int, assoc: int, policy: str = "lru"):
+        # Built once and dropped, so that a bad policy name or an
+        # associativity the policy cannot handle fails here rather than
+        # at the first fill.
+        make_policy(policy, assoc)
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self._policy = policy
+        self._set_mask = num_sets - 1
+        self._clear()
+
+    def _clear(self) -> None:
+        """Return every set to its never-touched state."""
+        # Per set index, each None until the set's first insert: key ->
+        # way, way -> key (None marks a free way), replacement policy.
+        self._ways: List[Optional[Dict[int, int]]] = [None] * self.num_sets
+        self._keys: List[Optional[List[Optional[int]]]] = (
+            [None] * self.num_sets
+        )
+        self._repl: List[Optional[ReplacementPolicy]] = [None] * self.num_sets
+
+    def _insert(self, index: int, key: int) -> Optional[int]:
+        """Install absent *key* in set *index*, in the lowest free way or
+        else the policy's victim.  Returns the evicted key, or None."""
+        ways = self._ways[index]
+        if ways is None:
+            ways = self._ways[index] = {}
+            keys = self._keys[index] = [None] * self.assoc
+            repl = self._repl[index] = make_policy(
+                self._policy, self.assoc, seed=index
+            )
+        else:
+            keys = self._keys[index]
+            repl = self._repl[index]
+        evicted = None
+        if len(ways) < self.assoc:
+            way = keys.index(None)
+        else:
+            way = repl.victim()
+            evicted = keys[way]
+            del ways[evicted]
+        ways[key] = way
+        keys[way] = key
+        repl.touch(way)
+        return evicted
+
+    def _remove(self, index: int, key: int) -> bool:
+        """Drop *key* from set *index*; True when it was resident."""
+        ways = self._ways[index]
+        if ways is None:
+            return False
+        way = ways.pop(key, None)
+        if way is None:
+            return False
+        self._keys[index][way] = None
+        self._repl[index].forget(way)
+        return True
+
+
+class Cache(TagArray):
     """One level of set-associative cache (tags only).
 
     Args:
@@ -47,37 +127,20 @@ class Cache:
     """
 
     def __init__(self, config: CacheConfig, name: str, policy: str = "lru"):
+        super().__init__(config.num_sets, config.assoc, policy)
         self.config = config
         self.name = name
-        self.num_sets = config.num_sets
-        self.assoc = config.assoc
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._set_mask = self.num_sets - 1
-        # Per set: way -> tag; tags stored both directions for O(1) lookup.
-        self._tags: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._ways: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._repl: List[ReplacementPolicy] = [
-            make_policy(policy, self.assoc, seed=i) for i in range(self.num_sets)
-        ]
         self.stats = CacheStats()
-
-    # ------------------------------------------------------------------ #
 
     def line_addr(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    def _index(self, line: int) -> int:
-        return line & self._set_mask
-
-    def _tag(self, line: int) -> int:
-        return line >> (self._set_mask.bit_length())
-
-    # ------------------------------------------------------------------ #
-
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no stats, no LRU update)."""
-        line = self.line_addr(addr)
-        return self._tag(line) in self._ways[self._index(line)]
+        line = addr >> self._line_shift
+        ways = self._ways[line & self._set_mask]
+        return ways is not None and line in ways
 
     def access(self, addr: int, fill: bool = True) -> bool:
         """Look up *addr*; returns True on hit.
@@ -87,65 +150,46 @@ class Cache:
         full).  InvisiSpec's speculative loads pass ``fill=False`` so the
         d-cache is left untouched.
         """
-        line = self.line_addr(addr)
-        index = self._index(line)
-        tag = self._tag(line)
+        line = addr >> self._line_shift
+        index = line & self._set_mask
         ways = self._ways[index]
-        way = ways.get(tag)
-        if way is not None:
-            self.stats.hits += 1
-            self._repl[index].touch(way)
-            return True
+        if ways is not None:
+            way = ways.get(line)
+            if way is not None:
+                self.stats.hits += 1
+                self._repl[index].touch(way)
+                return True
         self.stats.misses += 1
         if fill:
-            self._fill(index, tag)
+            self._insert(index, line)
+            self.stats.fills += 1
         return False
-
-    def _fill(self, index: int, tag: int) -> None:
-        ways = self._ways[index]
-        tags = self._tags[index]
-        if len(ways) < self.assoc:
-            way = next(w for w in range(self.assoc) if w not in tags)
-        else:
-            way = self._repl[index].victim()
-            old_tag = tags.pop(way)
-            del ways[old_tag]
-        ways[tag] = way
-        tags[way] = tag
-        self._repl[index].touch(way)
-        self.stats.fills += 1
 
     def fill(self, addr: int) -> None:
         """Install the line holding *addr* (used by delayed exposures)."""
-        line = self.line_addr(addr)
-        index = self._index(line)
-        tag = self._tag(line)
-        if tag not in self._ways[index]:
-            self._fill(index, tag)
+        line = addr >> self._line_shift
+        index = line & self._set_mask
+        ways = self._ways[index]
+        way = None if ways is None else ways.get(line)
+        if way is None:
+            self._insert(index, line)
+            self.stats.fills += 1
         else:
-            self._repl[index].touch(self._ways[index][tag])
+            self._repl[index].touch(way)
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line holding *addr* (CLFLUSH). True if it was present."""
-        line = self.line_addr(addr)
-        index = self._index(line)
-        tag = self._tag(line)
-        ways = self._ways[index]
-        way = ways.pop(tag, None)
-        if way is None:
+        line = addr >> self._line_shift
+        if not self._remove(line & self._set_mask, line):
             return False
-        del self._tags[index][way]
-        self._repl[index].forget(way)
         self.stats.invalidations += 1
         return True
 
     def flush_all(self) -> None:
-        """Empty the entire cache."""
-        for index in range(self.num_sets):
-            self._ways[index].clear()
-            self._tags[index].clear()
-            self._repl[index] = make_policy("lru", self.assoc, seed=index)
+        """Empty the entire cache, replacement state included; the stats
+        counters are kept."""
+        self._clear()
 
     def resident_lines(self) -> int:
         """Total number of valid lines (for tests)."""
-        return sum(len(ways) for ways in self._ways)
+        return sum(len(ways) for ways in self._ways if ways is not None)

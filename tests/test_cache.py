@@ -1,5 +1,7 @@
 """Unit tests for the tag-array caches and replacement policies."""
 
+import random
+
 import pytest
 
 from repro.config import CacheConfig
@@ -76,6 +78,19 @@ class TestCacheBasics:
         cache.access(0x2000)
         cache.flush_all()
         assert cache.resident_lines() == 0
+
+    @pytest.mark.parametrize("policy", ["lru", "plru", "random"])
+    def test_flush_all_restores_fresh_state(self, policy):
+        """A flushed cache keeps its policy and replays like a new one."""
+        rng = random.Random(7)
+        addrs = [rng.randrange(64) * 64 for _ in range(400)]
+        fresh = small_cache(assoc=4, policy=policy)
+        flushed = small_cache(assoc=4, policy=policy)
+        for addr in addrs:
+            flushed.access(addr)
+        flushed.flush_all()
+        assert [flushed.access(a) for a in addrs] == \
+            [fresh.access(a) for a in addrs]
 
 
 class TestEviction:
@@ -164,3 +179,9 @@ class TestReplacementPolicies:
         cache = small_cache(policy="random")
         cache.access(0x1000)
         assert cache.access(0x1000)
+
+    def test_cache_rejects_bad_policy_at_construction(self):
+        with pytest.raises(ValueError):
+            small_cache(policy="mru")
+        with pytest.raises(ValueError):
+            small_cache(assoc=3, policy="plru")

@@ -82,7 +82,15 @@ class TestValidation:
             Instr(Opcode.JR)
 
     def test_wrong_source_count(self):
-        with pytest.raises(AssemblyError):
-            Instr(Opcode.ADD, rd=R1, rs1=R2)  # two sources required
-        with pytest.raises(AssemblyError):
-            Instr(Opcode.LOAD, rd=R1, rs1=R2, rs2=R3)  # one source only
+        cases = [
+            (Opcode.ADD, R2, None, 2, 1),
+            (Opcode.STORE, R2, None, 2, 1),
+            (Opcode.LOAD, R2, R3, 1, 2),
+            (Opcode.RET, None, R2, 1, 2),  # plus the implicit LR source
+            (Opcode.LI, R2, None, 0, 1),
+            (Opcode.JMP, R2, None, 0, 1),
+        ]
+        for op, rs1, rs2, expected, got in cases:
+            message = "expects %d source registers, got %d" % (expected, got)
+            with pytest.raises(AssemblyError, match=message):
+                Instr(op, rd=R1, rs1=rs1, rs2=rs2, target=0)
