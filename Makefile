@@ -17,7 +17,7 @@ attack-smoke:
 # Tiny end-to-end sweep through the parallel engine (mirrors CI).
 bench-smoke:
 	$(PYTHON) -m repro.cli bench --benchmarks exchange2 leela \
-		--samples 1 --warmup 500 --measure 2000 --jobs 2
+		--samples 2 --warmup 500 --measure 2000 --jobs 2
 
 # Time-boxed differential fuzzing: 40 fixed seeds (all five gadget
 # templates, all four covert channels) across every out-of-order scheme;

@@ -230,23 +230,3 @@ class InOrderCore:
             self._write(instr.rd, next_pc)
             return target
         return regs[instr.srcs[0]] & U64_MASK  # RET
-
-
-def run_inorder(
-    program: Program,
-    config: Optional[SimConfig] = None,
-    max_cycles: int = 50_000_000,
-) -> RunOutcome:
-    """Deprecated shim: use :func:`repro.simulate` with ``in_order=True``."""
-    import warnings
-
-    from repro.api import simulate
-
-    warnings.warn(
-        "run_inorder() is deprecated and no longer exported from the "
-        "repro package; migrate to repro.simulate(program, config, "
-        "in_order=True). This shim (repro.core.inorder.run_inorder) "
-        "will be removed next.",
-        DeprecationWarning, stacklevel=2,
-    )
-    return simulate(program, config, in_order=True, max_cycles=max_cycles)

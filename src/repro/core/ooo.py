@@ -1326,26 +1326,3 @@ class OutOfOrderCore:
         self._last_commit_cycle = now
         if handler is None:
             self.halted = True
-
-
-def run_program(
-    program: Program,
-    config: Optional[SimConfig] = None,
-    max_cycles: int = 5_000_000,
-    direction_predictor: str = "tournament",
-) -> RunOutcome:
-    """Deprecated shim: use :func:`repro.simulate` instead."""
-    import warnings
-
-    from repro.api import simulate
-
-    warnings.warn(
-        "run_program() is deprecated and no longer exported from the "
-        "repro package; migrate to repro.simulate(program, config). "
-        "This shim (repro.core.ooo.run_program) will be removed next.",
-        DeprecationWarning, stacklevel=2,
-    )
-    return simulate(
-        program, config, max_cycles=max_cycles,
-        direction_predictor=direction_predictor,
-    )

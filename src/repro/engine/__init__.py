@@ -1,6 +1,6 @@
 """Parallel suite engine: job expansion, result store, pluggable backends.
 
-The engine turns a sweep (benchmarks x configurations x samples) into
+The engine turns a sweep (benchmarks x samples x configurations) into
 independent, deterministic jobs, serves repeats from a content-addressed
 result store (sharded disk, optionally tiered with the job server's
 artifact routes), and hands the rest to a pluggable execution backend —

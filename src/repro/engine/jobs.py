@@ -1,20 +1,28 @@
 """Job decomposition for the suite engine.
 
-A sweep is the cross product ``benchmarks x configs x samples``; every
+A sweep is the cross product ``benchmarks x samples x configs``; every
 cell of that product is one :class:`SimJob` — a fully self-contained,
-picklable description of a single SMARTS measurement window.  Jobs carry
-no shared state and derive their RNG seed purely from their coordinates,
-so they can execute in any order, on any worker process, and still
-reproduce the serial sweep bit for bit.
+picklable description of a single SMARTS measurement window.  Jobs
+derive their RNG seed purely from their coordinates, so they can execute
+in any order, on any worker process, and still reproduce the serial
+sweep bit for bit.
+
+Every configuration of one ``(benchmark, sample)`` pair measures the
+same program, and :func:`expand_jobs` puts those jobs back to back, so
+:meth:`SimJob.execute` reuses the program the previous job in this
+process generated when the key matches.  Programs are never mutated by
+a run, so reuse cannot change a window; :func:`forget_program` (called
+when each ``run_jobs`` starts) keeps the reuse inside one sweep.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import ConfigSpec, SimConfig
+from repro.isa.program import Program
 from repro.stats.counters import PipelineStats
 from repro.stats.sampling import run_window
 from repro.workloads.generator import spec_program
@@ -36,6 +44,18 @@ def derive_seed(
     """
     del benchmark, label  # part of the identity, not of the seed
     return seed0 + sample_index
+
+
+#: The program the last :class:`SimJob` in this process ran, keyed by
+#: ``(benchmark, instructions, seed)``.  Kept as one tuple so a reader
+#: always gets a program together with its own key.
+_last_program: Optional[Tuple[tuple, Program]] = None
+
+
+def forget_program() -> None:
+    """Drop the reused program, so the next job generates its own."""
+    global _last_program
+    _last_program = None
 
 
 @dataclass(frozen=True)
@@ -62,11 +82,21 @@ class SimJob:
             self.benchmark, self.label, self.sample_index, self.seed,
         )
 
+    def program(self) -> Program:
+        """This job's program, reused from the previous job on a match."""
+        global _last_program
+        key = (self.benchmark, self.instructions, self.seed)
+        last = _last_program  # one read: a concurrent sweep may replace it
+        if last is not None and last[0] == key:
+            return last[1]
+        program = spec_program(*key)
+        _last_program = (key, program)
+        return program
+
     def execute(self) -> PipelineStats:
         """Run this job's measurement window (in the current process)."""
-        program = spec_program(self.benchmark, self.instructions, self.seed)
         return run_window(
-            program, self.config, self.warmup, self.measure,
+            self.program(), self.config, self.warmup, self.measure,
             in_order=self.in_order,
         )
 
@@ -80,12 +110,17 @@ def expand_jobs(
     instructions: int,
     seed0: int = 0,
 ) -> List[SimJob]:
-    """Expand a sweep into its independent jobs, in serial-sweep order."""
+    """Expand a sweep into its independent jobs, in serial-sweep order.
+
+    The order is benchmark, then sample, then configuration: every
+    configuration of one ``(benchmark, sample)`` program runs back to
+    back, which is what lets :meth:`SimJob.program` generate it once.
+    """
+    specs = [ConfigSpec.coerce(spec) for spec in specs]
     jobs: List[SimJob] = []
     for benchmark in benchmarks:
-        for spec in specs:
-            spec = ConfigSpec.coerce(spec)
-            for index in range(samples):
+        for index in range(samples):
+            for spec in specs:
                 jobs.append(SimJob(
                     benchmark=benchmark,
                     label=spec.label,

@@ -43,7 +43,7 @@ from repro.engine.backends import (
     SerialBackend,
     make_backend,
 )
-from repro.engine.jobs import JobResult, SimJob, execute_job
+from repro.engine.jobs import JobResult, SimJob, execute_job, forget_program
 from repro.engine.store import ResultStore
 from repro.obs.spans import maybe_tracer
 
@@ -148,6 +148,8 @@ def run_jobs(
     keeps a resumable manifest at that path, and ``resume`` replays one.
     """
     start_wall = time.perf_counter()
+    # Jobs share a program within this sweep only (see SimJob.program).
+    forget_program()
     stats = EngineStats(jobs=len(jobs_list))
     # Distributed tracing (no-op when detached): one engine.run span for
     # the whole call, retroactive per-job queue/execute/cache-hit spans

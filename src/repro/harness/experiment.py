@@ -185,8 +185,10 @@ def run_suite(
 ) -> SuiteResult:
     """Run the full sweep and return every sampled run.
 
-    The sweep is expanded into independent ``(benchmark, config, sample)``
-    jobs and executed by the :mod:`repro.engine` scheduler:
+    The sweep is expanded into independent jobs, ordered benchmark x
+    sample x config so that every configuration of one sampled program
+    runs back to back and shares one generated program, and executed by
+    the :mod:`repro.engine` scheduler:
 
     * ``jobs`` — worker processes (default ``os.cpu_count()``; ``jobs=1``
       runs serially in-process).  Results are identical either way.

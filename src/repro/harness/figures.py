@@ -28,8 +28,6 @@ from repro.harness.experiment import (
 )
 from repro.stats.counters import CycleClass
 from repro.stats.report import render_series, render_table
-from repro.stats.sampling import smarts_sample
-from repro.workloads.generator import spec_program
 from repro.workloads.profiles import DEFAULT_SUITE
 
 # ---------------------------------------------------------------------- #

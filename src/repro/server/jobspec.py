@@ -3,7 +3,7 @@
 Three job kinds wrap the three campaign surfaces of the repo, each as a
 plain-JSON ``spec`` validated here before anything touches the queue:
 
-* ``sweep`` — a SMARTS sampling sweep (benchmarks x configs x samples),
+* ``sweep`` — a SMARTS sampling sweep (benchmarks x samples x configs),
   executed through :func:`repro.engine.run_jobs` with the shared
   content-addressed :class:`~repro.engine.cache.ResultCache`;
 * ``attack`` — one attack PoC on one configuration, run as an

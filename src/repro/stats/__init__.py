@@ -4,7 +4,7 @@
 the cores (which themselves use ``repro.stats.counters``), so pulling it
 into the package root would create an import cycle.  Import it directly::
 
-    from repro.stats.sampling import smarts_sample
+    from repro.stats.sampling import SampledRun, run_window
 """
 
 from repro.stats.counters import CycleClass, PipelineStats

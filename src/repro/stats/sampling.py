@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.config import SimConfig
 from repro.core.inorder import InOrderCore
@@ -38,16 +38,6 @@ def t95(dof: int) -> float:
     if not candidates:
         return _T95[1]
     return _T95[max(candidates)]
-
-
-def stats_delta(end: PipelineStats, start: PipelineStats) -> PipelineStats:
-    """Back-compat alias for :meth:`PipelineStats.delta`."""
-    return end.delta(start)
-
-
-def snapshot(stats: PipelineStats) -> PipelineStats:
-    """Back-compat alias for :meth:`PipelineStats.snapshot`."""
-    return stats.snapshot()
 
 
 @dataclass
@@ -147,26 +137,3 @@ def run_window(
     if window.committed == 0:
         raise SimulationError("empty measurement window for %s" % program.name)
     return window
-
-
-def smarts_sample(
-    make_program: Callable[[int], Program],
-    config: SimConfig,
-    label: str,
-    benchmark: str,
-    samples: int = 3,
-    warmup: int = 2_000,
-    measure: int = 8_000,
-    in_order: bool = False,
-    seed0: int = 0,
-) -> SampledRun:
-    """SMARTS-style sampling: one window per seeded checkpoint."""
-    collected = []
-    for index in range(samples):
-        seed = seed0 + index
-        program = make_program(seed)
-        window = run_window(
-            program, config, warmup, measure, in_order=in_order
-        )
-        collected.append(Sample(seed=seed, window=window))
-    return SampledRun(label=label, benchmark=benchmark, samples=collected)

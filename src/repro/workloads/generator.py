@@ -19,6 +19,7 @@ as checkpoints.
 from __future__ import annotations
 
 import random
+import struct
 import zlib
 from typing import Dict, List, Optional
 
@@ -304,7 +305,8 @@ def generate_program(
         WS_BASE,
         bytes(data_rng.randrange(256) for _ in range(seed_region)),
     )
-    # Pointer-chase table: one entry per 64-byte line, a random cycle.
+    # Pointer-chase table: one entry per 64-byte line, a random cycle,
+    # written as one blob so loading the image copies whole pages.
     if prof.chase_frac > 0:
         chase_entries = min(max(ws_size // 64, 1024), 32768)
     else:
@@ -312,9 +314,11 @@ def generate_program(
     order = list(range(1, chase_entries))
     data_rng.shuffle(order)
     order = [0] + order
+    chase = bytearray(chase_entries * 64)
     for position, entry in enumerate(order):
         successor = order[(position + 1) % chase_entries]
-        asm.word(CHASE_BASE + entry * 64, CHASE_BASE + successor * 64)
+        struct.pack_into("<Q", chase, entry * 64, CHASE_BASE + successor * 64)
+    asm.data(CHASE_BASE, chase)
 
     # ------------------------------------------------------------------ #
     # Code: entry jump, leaf functions, dispatch table, main loop.

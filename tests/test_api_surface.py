@@ -120,11 +120,7 @@ class TestConsolidatedFacade:
             api.not_a_thing
 
     def test_no_in_repo_caller_of_retired_shims(self):
-        """src/, benchmarks/, and examples/ must not call the shims.
-
-        The defining modules (which hold the shims) and this scan are
-        the only survivors.
-        """
+        """src/, benchmarks/ and examples/ neither define nor call them."""
         import re
         from pathlib import Path
 
@@ -136,14 +132,12 @@ class TestConsolidatedFacade:
             if not base.is_dir():
                 continue
             for path in sorted(base.rglob("*.py")):
-                if path.name in ("ooo.py", "inorder.py"):
-                    continue
                 for lineno, line in enumerate(
                     path.read_text().splitlines(), 1
                 ):
-                    if pattern.search(line) and "def " not in line:
+                    if pattern.search(line):
                         offenders.append("%s:%d" % (path, lineno))
-        assert not offenders, "retired shims still called: %s" % offenders
+        assert not offenders, "retired shims still present: %s" % offenders
 
     def test_window_facade_matches_sampling_layer(self):
         from repro import baseline_ooo, run_window

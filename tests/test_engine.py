@@ -26,6 +26,7 @@ from repro.engine import (
 from repro.errors import SimulationError
 from repro.harness.experiment import figure7_config_specs, run_suite
 from repro.stats.counters import PipelineStats
+from repro.stats.sampling import run_window
 from repro.workloads.generator import spec_program
 
 TINY = dict(samples=2, warmup=300, measure=800, instructions=2_500)
@@ -61,13 +62,84 @@ class TestSeedDerivation:
         first, second = tiny_jobs(), tiny_jobs()
         assert first == second
         assert [j.coordinates for j in first[:4]] == [
-            ("exchange2", "OoO", 0), ("exchange2", "OoO", 1),
-            ("exchange2", "Strict", 0), ("exchange2", "Strict", 1),
+            ("exchange2", "OoO", 0), ("exchange2", "Strict", 0),
+            ("exchange2", "In-Order", 0), ("exchange2", "OoO", 1),
         ]
 
     def test_jobs_are_picklable(self):
         job = tiny_jobs()[0]
         assert pickle.loads(pickle.dumps(job)) == job
+
+
+class TestProgramReuse:
+    """A sweep generates each ``(benchmark, sample)`` program once."""
+
+    def test_one_generation_per_program_per_sweep(self, monkeypatch):
+        import repro.engine.jobs as jobs_module
+
+        calls = []
+        generate = jobs_module.spec_program
+
+        def counting(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(jobs_module, "spec_program", counting)
+        kwargs = dict(
+            benchmarks=["exchange2", "leela"], configs=tiny_specs(),
+            jobs=1, **TINY
+        )
+        first = run_suite(**kwargs)
+        assert len(calls) == 4  # 2 benchmarks x 2 samples, not x 3 configs
+        second = run_suite(**kwargs)
+        assert len(calls) == 8  # no program outlives its sweep
+        assert {key: run.cpis for key, run in first.runs.items()} == \
+            {key: run.cpis for key, run in second.runs.items()}
+        # Even when a sweep's first program is the last one the previous
+        # sweep ran (leela, sample 1):
+        run_suite(**dict(kwargs, benchmarks=["leela"], samples=1, seed0=1))
+        assert calls[-1] == ("leela", TINY["instructions"], 1)
+        assert len(calls) == 9
+
+    def test_each_job_gets_the_program_of_its_own_key(self):
+        def job(benchmark, seed, instructions=2_500):
+            return SimJob(
+                benchmark=benchmark, label="OoO", config=baseline_ooo(),
+                in_order=False, sample_index=0, seed=seed, warmup=300,
+                measure=800, instructions=instructions,
+            )
+
+        a, b = job("exchange2", 3), job("leela", 4)
+        programs = [each.program() for each in (a, b, a)]
+        assert [program.name for program in programs] == \
+            ["exchange2-s3", "leela-s4", "exchange2-s3"]
+        assert a.program() is programs[2]
+        assert job("exchange2", 3, instructions=5_000).program() \
+            is not programs[2]
+
+    def test_one_program_serves_every_configuration(self):
+        # Reuse is sound only if no scheme's run mutates the program or
+        # depends on what an earlier run left on it (the sweep goldens
+        # cover only OoO, Strict and In-Order).
+        def image(program):
+            return (
+                [(i.op, i.rd, i.srcs, i.imm, i.target)
+                 for i in program.instrs],
+                program.data, program.initial_regs, program.msrs,
+                program.privileged,
+            )
+
+        shared = spec_program("mcf", 2_500, seed=7)
+        for spec in config_registry().values():
+            window = run_window(
+                shared, spec.config, 300, 800, in_order=spec.in_order,
+            )
+            fresh = run_window(
+                spec_program("mcf", 2_500, seed=7), spec.config, 300, 800,
+                in_order=spec.in_order,
+            )
+            assert window.to_dict() == fresh.to_dict(), spec.label
+        assert image(shared) == image(spec_program("mcf", 2_500, seed=7))
 
 
 class TestParallelEqualsSerial:
@@ -239,30 +311,18 @@ class TestSimulateFacade:
         assert inorder.cpi >= ooo.cpi  # serial core is never faster
         assert inorder.stats.ilp <= 1.0
 
-    def test_shims_delegate_with_deprecation_warning(self):
-        # The retired names are gone from the package surface and
-        # survive only on their defining modules.
-        from repro.core.inorder import run_inorder
-        from repro.core.ooo import run_program
-
-        program = spec_program("exchange2", 1_500, seed=1)
-        with pytest.warns(DeprecationWarning, match="repro.simulate"):
-            legacy = run_program(program, baseline_ooo())
-        assert legacy.stats.cycles == \
-            simulate(program, baseline_ooo()).stats.cycles
-        with pytest.warns(DeprecationWarning, match="in_order=True"):
-            legacy_io = run_inorder(program)
-        assert legacy_io.stats.cycles == \
-            simulate(program, in_order=True).stats.cycles
-
     def test_shims_retired_from_package_exports(self):
         import repro
         import repro.core
+        import repro.core.inorder
+        import repro.core.ooo
 
         for retired in ("run_program", "run_inorder"):
             assert retired not in repro.__all__
             assert retired not in repro.core.__all__
             assert not hasattr(repro, retired)
+            assert not hasattr(repro.core.ooo, retired)
+            assert not hasattr(repro.core.inorder, retired)
 
 
 class TestConfigRegistry:

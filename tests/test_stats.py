@@ -4,17 +4,10 @@ import pytest
 
 from repro.config import baseline_ooo
 from repro.errors import SimulationError
+from repro.harness.experiment import run_suite
 from repro.stats.counters import CycleClass, PipelineStats
 from repro.stats.report import render_histogram, render_series, render_table
-from repro.stats.sampling import (
-    Sample,
-    SampledRun,
-    run_window,
-    smarts_sample,
-    snapshot,
-    stats_delta,
-    t95,
-)
+from repro.stats.sampling import Sample, SampledRun, run_window, t95
 from repro.workloads.generator import spec_program
 
 
@@ -72,11 +65,11 @@ class TestSampling:
     def test_snapshot_and_delta(self):
         stats = PipelineStats(cycles=100, committed=40)
         stats.cycle_class[CycleClass.COMMIT] = 30
-        snap = snapshot(stats)
+        snap = stats.snapshot()
         stats.cycles = 150
         stats.committed = 70
         stats.cycle_class[CycleClass.COMMIT] = 45
-        delta = stats_delta(stats, snap)
+        delta = stats.delta(snap)
         assert delta.cycles == 50
         assert delta.committed == 30
         assert delta.cycle_class[CycleClass.COMMIT] == 15
@@ -98,12 +91,11 @@ class TestSampling:
             run_window(program, baseline_ooo(), warmup=500_000, measure=10)
 
     def test_smarts_sample_aggregation(self):
-        run = smarts_sample(
-            lambda seed: spec_program("exchange2", 3_000, seed),
-            baseline_ooo(),
-            label="OoO", benchmark="exchange2",
-            samples=3, warmup=500, measure=1_000,
+        suite = run_suite(
+            benchmarks=["exchange2"], configs=["ooo"], samples=3,
+            warmup=500, measure=1_000, instructions=3_000, jobs=1,
         )
+        run = suite.run("exchange2", "OoO")
         assert len(run.samples) == 3
         assert run.mean_cpi > 0
         assert run.ci95 >= 0

@@ -153,9 +153,26 @@ class TestGenerator:
         assert any(i.op is Opcode.CALLR for i in program.instrs)
 
     def test_chase_table_initialized(self):
+        # The table is one cycle through every line-sized entry: a chase
+        # from CHASE_BASE visits each entry once, then returns to it.
+        from repro.memory.memory import MainMemory
         from repro.workloads.generator import CHASE_BASE
-        program = spec_program("mcf", 3_000, seed=0)
-        assert any(addr >= CHASE_BASE for addr in program.data)
+
+        entries = {"mcf": 32768, "leela": 2048, "lbm": 64}
+        for name, count in entries.items():
+            for seed in (0, 5):
+                memory = MainMemory()
+                memory.load_image(spec_program(name, 2_000, seed).data)
+                seen = {CHASE_BASE}
+                addr = memory.read_word(CHASE_BASE)
+                while addr != CHASE_BASE:
+                    assert addr not in seen, (name, seed, hex(addr))
+                    seen.add(addr)
+                    addr = memory.read_word(addr)
+                assert seen == {
+                    CHASE_BASE + 64 * k for k in range(count)
+                }, (name, seed)
+                assert memory.read_word(CHASE_BASE + 64 * count) == 0
 
     def test_no_privileged_ranges(self):
         program = spec_program("gcc", 2_000, seed=0)
