@@ -79,8 +79,8 @@ e2e-selftest:
 # checked-in BENCH_simspeed.json and appends a git-SHA-stamped row to
 # results/bench_history.jsonl (perf trajectory across commits).
 bench-simspeed:
-	$(PYTHON) benchmarks/bench_simspeed.py --obs --windows 8 \
-		--history --output BENCH_simspeed.json
+	$(PYTHON) benchmarks/bench_simspeed.py --obs --history \
+		--output BENCH_simspeed.json
 
 # Full figure/table regeneration (writes under results/).
 bench:

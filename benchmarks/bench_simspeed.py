@@ -3,7 +3,7 @@
 
 Measures host wall-clock simulation throughput (kilo-cycles/sec) per
 (workload, config) with the idle-cycle fast-forward on and off, and
-writes the JSON (schema 3) payload consumed by the CI perf-smoke job::
+writes the JSON (schema 4) payload consumed by the CI perf-smoke job::
 
     PYTHONPATH=src python benchmarks/bench_simspeed.py
     PYTHONPATH=src python benchmarks/bench_simspeed.py \\
@@ -15,10 +15,10 @@ exit code stays 0 (runner wall clocks are too noisy for a hard
 cross-run gate).  The hard gate is ``--obs``: metrics sampling and span
 tracing must each cost under 10% wall clock, and every telemetry
 variant must simulate bit-identically.  ``--profile`` dumps the slowest
-row's cProfile under ``results/profiles/`` for triage; ``--windows N``
-adds lockstep aggregate-throughput rows.  Unlike the ``bench_fig*``
-modules this is a standalone script, not a pytest-benchmark suite: it
-times the simulator itself, not the machine being simulated.
+row's cProfile under ``results/profiles/`` for triage.  Unlike the
+``bench_fig*`` modules this is a standalone script, not a
+pytest-benchmark suite: it times the simulator itself, not the machine
+being simulated.
 """
 
 from __future__ import annotations
@@ -95,11 +95,6 @@ def main(argv=None) -> int:
              "checked but not wall-clock-gated — see --obs)",
     )
     parser.add_argument(
-        "--windows", type=int, default=1, metavar="N",
-        help="also measure lockstep aggregate throughput over N "
-             "full runs per (workload, config)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="cProfile the slowest row into results/profiles/",
     )
@@ -123,7 +118,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         verbose=True,
         obs=args.obs,
-        windows=args.windows,
     )
     print()
     print(render_simspeed(payload))

@@ -55,7 +55,7 @@ from repro.core import (
     OutOfOrderCore,
     RunOutcome,
 )
-from repro.engine import ResultCache
+from repro.engine.store import ShardedDiskStore
 from repro.harness.experiment import SuiteResult, run_suite
 from repro.errors import (
     AssemblyError,
@@ -97,7 +97,7 @@ __all__ = [
     "SchemeParams",
     "register_scheme",
     "registered_schemes",
-    "ResultCache",
+    "ShardedDiskStore",
     "SuiteResult",
     "run_suite",
     "InOrderCore",

@@ -45,7 +45,7 @@ from typing import List, Optional
 
 from repro.attacks.taxonomy import CROSS_IMPLEMENTED, IMPLEMENTED
 from repro.config import config_registry
-from repro.engine import ResultCache
+from repro.engine.store import ShardedDiskStore
 from repro.harness import (
     render_figure4,
     render_figure7,
@@ -247,11 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "attached-idle vs metrics sampling)",
     )
     simspeed.add_argument(
-        "--windows", type=int, default=1, metavar="N",
-        help="also measure lockstep aggregate throughput over N "
-             "windows per (workload, config)",
-    )
-    simspeed.add_argument(
         "--profile", action="store_true",
         help="cProfile the slowest row into results/profiles/",
     )
@@ -352,16 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay completed seeds from a checkpoint manifest",
     )
     fuzz_run.add_argument(
-        "--windows", type=int, default=1, metavar="N",
-        help="batch N runs at a time through the in-process lockstep "
-             "runner (bit-identical; the fast path on one CPU; "
-             "mutually exclusive with --backend/--checkpoint/--resume)",
-    )
-    fuzz_run.add_argument(
         "--smt", action="store_true",
         help="fuzz paired two-context programs on the co-residency "
-             "model (cross-context channels; incompatible with "
-             "--windows > 1)",
+             "model (cross-context channels)",
     )
 
     fuzz_replay = fuzz_sub.add_parser(
@@ -592,7 +580,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "cache":
-        cache = ResultCache(args.cache_dir)
+        cache = ShardedDiskStore(args.cache_dir)
         if args.action == "clear":
             removed = cache.clear()
             print("removed %d cached windows from %s" % (removed, cache.root))
@@ -734,8 +722,6 @@ def _run_command(args) -> int:
             kwargs["seed"] = args.seed
         if args.obs:
             kwargs["obs"] = True
-        if args.windows > 1:
-            kwargs["windows"] = args.windows
         payload = simspeed_mod.run_simspeed(**kwargs)
         print()
         print(simspeed_mod.render_simspeed(payload))
@@ -1165,7 +1151,6 @@ def _fuzz(args) -> int:
             backend=args.backend,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            windows=args.windows,
             smt=args.smt,
         )
         print(campaign.describe())

@@ -272,36 +272,13 @@ class OutOfOrderCore:
     ) -> RunOutcome:
         """Simulate until HALT (or the program runs out), then report."""
         wall_start = time.perf_counter()
-        self.run_slice(None, max_cycles, deadlock_cycles)
-        return self.finish_run(time.perf_counter() - wall_start)
-
-    def run_slice(
-        self,
-        commit_target: Optional[int],
-        max_cycles: int,
-        deadlock_cycles: int = 100_000,
-    ) -> bool:
-        """The ``run()`` loop, stoppable at a committed-instruction count.
-
-        Runs until HALT, the cycle budget, or (when *commit_target* is
-        not None) ``self.committed >= commit_target`` — with the exact
-        deadlock semantics of ``run()``, so slicing a run at arbitrary
-        commit counts and resuming reproduces the unsliced run bit for
-        bit (the loop carries no state besides the machine itself).
-        Returns True once the run is over (halted or out of budget),
-        False when it merely paused at *commit_target*.  The lockstep
-        multi-window runner drives full runs through this.
-        """
         fast = self.fast_forward
         iq = self.iq
         step = self.step
         probe = self._next_interesting_cycle
         skip = self._skip_to
         probe_ready = self._hook_ready_horizon is not None
-        check_commit = commit_target is not None
         while not self.halted and self.cycle < max_cycles:
-            if check_commit and self.committed >= commit_target:
-                return False
             # Inline gate: a non-empty ready pool means the machine is
             # busy this cycle, so skip the full quiescence probe — it
             # would veto anyway, and on issue-bound phases its cost per
@@ -328,10 +305,10 @@ class OutOfOrderCore:
             step()
             if self.cycle - self._last_commit_cycle > deadlock_cycles:
                 raise self._deadlock_error(deadlock_cycles)
-        return True
+        return self.finish_run(time.perf_counter() - wall_start)
 
     def finish_run(self, wall: float) -> RunOutcome:
-        """Final accounting once ``run_slice`` reported the run over."""
+        """Final accounting once a run is over (halted or out of budget)."""
         self.stats.cycles = self.cycle
         self.stats.committed = self.committed
         self.protection.finalize_stats(self.stats)
@@ -361,7 +338,8 @@ class OutOfOrderCore:
         boundary test sees identical warmup/measure boundaries, and
         stopping at an intermediate commit count and resuming is
         transparent: ``run_to_commit(a); run_to_commit(b)`` equals
-        ``run_to_commit(b)`` for any ``a <= b``.
+        ``run_to_commit(b)`` for any ``a <= b``.  Unlike :meth:`run` it
+        has no deadlock check, which is why the two loops stay separate.
         """
         fast = self.fast_forward
         iq = self.iq

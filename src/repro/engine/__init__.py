@@ -33,7 +33,6 @@ from repro.engine.jobs import (
     SimJob,
     derive_seed,
     execute_job,
-    execute_window_batch,
     expand_jobs,
 )
 from repro.engine.retry import ENGINE_RETRY, LEASE_RETRY, RetryPolicy
@@ -47,7 +46,6 @@ from repro.engine.store import (
     CACHE_SCHEMA,
     CacheStats,
     RemoteArtifactStore,
-    ResultCache,
     ResultStore,
     ShardedDiskStore,
     TieredStore,
@@ -73,7 +71,6 @@ __all__ = [
     "CACHE_SCHEMA",
     "CacheStats",
     "RemoteArtifactStore",
-    "ResultCache",
     "ResultStore",
     "ShardedDiskStore",
     "TieredStore",
@@ -87,7 +84,6 @@ __all__ = [
     "SimJob",
     "derive_seed",
     "execute_job",
-    "execute_window_batch",
     "expand_jobs",
     "EngineStats",
     "JobFailure",

@@ -153,49 +153,6 @@ class JobResult:
     t_end: float = 0.0
 
 
-def execute_window_batch(
-    jobs: Sequence[SimJob], quantum: int = 1_024,
-) -> List[JobResult]:
-    """Execute a batch of :class:`SimJob` windows in lockstep.
-
-    In-process alternative to fanning the jobs out one-per-worker: all
-    windows are constructed up front and stepped round-robin through
-    the lockstep runner (:mod:`repro.harness.multiwindow`), which
-    amortizes per-run driver overhead — the winning strategy on
-    single-CPU hosts, where the process pool has nowhere to scale.
-    Windows are bit-identical to ``job.execute()``; results come back
-    in job order.  Each result's ``elapsed`` is its window's share of
-    the batch (total stepped wall split by simulated cycles), since
-    lockstep interleaves the windows on one clock.
-    """
-    from repro.harness.multiwindow import WindowTask, run_windows
-
-    tasks = [
-        WindowTask(
-            benchmark=job.benchmark,
-            instructions=job.instructions,
-            seed=job.seed,
-            config=job.config,
-            warmup=job.warmup,
-            measure=job.measure,
-            in_order=job.in_order,
-        )
-        for job in jobs
-    ]
-    start = time.perf_counter()
-    batch = run_windows(tasks, quantum=quantum)
-    end = time.perf_counter()
-    total_cycles = batch.total_cycles or 1
-    results = []
-    for job, window_result in zip(jobs, batch.results):
-        share = (end - start) * window_result.cycles / total_cycles
-        results.append(JobResult(
-            job=job, window=window_result.window, elapsed=share,
-            t_start=start, t_end=end,
-        ))
-    return results
-
-
 def execute_job(job) -> JobResult:
     """Run one job to completion (this is the per-worker entry point).
 

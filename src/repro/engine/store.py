@@ -10,10 +10,10 @@ the entry.
 
 Three tiers implement one :class:`ResultStore` interface:
 
-* :class:`ShardedDiskStore` (exported as the historical ``ResultCache``
-  name) — JSON files under ``results/.cache/<kk>/<key>.json``.  Entries
-  left behind by the pre-shard flat layout (``results/.cache/<key>.json``)
-  are migrated lazily on first touch, so an old cache keeps its warmth.
+* :class:`ShardedDiskStore` — JSON files under
+  ``results/.cache/<kk>/<key>.json``.  Entries left behind by the
+  pre-shard flat layout (``results/.cache/<key>.json``) are migrated
+  lazily on first touch, so an old cache keeps its warmth.
 * :class:`RemoteArtifactStore` — the same payloads read through and
   written back over the job server's ``/v1/artifacts`` routes
   (``GET``/``PUT /v1/artifacts/<key>``), so many worker hosts share one
@@ -303,11 +303,6 @@ class ShardedDiskStore(ResultStore):
                 except OSError:
                     pass
         return removed
-
-
-#: The historical name: PR 1 called the (then only) disk tier the
-#: "result cache" and half the repo imports it as such.
-ResultCache = ShardedDiskStore
 
 
 class RemoteArtifactStore(ResultStore):

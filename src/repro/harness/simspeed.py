@@ -8,13 +8,12 @@ pair, with the idle-cycle fast-forward on and off.
   cache/core construction and the one-time micro-op pre-decode happen
   before ``perf_counter`` starts; only ``core.run()`` is measured
   (schema 1 timed ``simulate()`` whole).
-* **Every row names its ``windows``.**  Multi-window rows (``windows >
-  1``) measure the lockstep runner's aggregate throughput.
 * **Fast-forward must be bit-identical.**  A run whose
   ``cycles``/``committed`` differ between FF on and off is a
   correctness bug and the harness raises.
 
-Schema 3 drops schema 2's per-engine rows: there is one core.
+Schema 4 drops schema 3's ``windows`` field (every row is one run);
+schema 3 dropped schema 2's per-engine rows.
 ``run_simspeed`` returns a JSON-serializable payload;
 ``render_simspeed`` pretty-prints it; ``compare_simspeed`` diffs a
 fresh payload against a checked-in baseline (warn-only — shared-runner
@@ -42,8 +41,8 @@ DEFAULT_INSTRUCTIONS = 3_000
 DEFAULT_REPEATS = 3
 DEFAULT_SEED = 7
 
-#: Payload schema (3: one core, so no per-engine rows).
-SCHEMA = 3
+#: Payload schema (4: one row per (workload, config) pair).
+SCHEMA = 4
 
 
 class SimSpeedError(RuntimeError):
@@ -107,7 +106,6 @@ def measure_case(
         "workload": workload,
         "config": config_name,
         "label": spec.label,
-        "windows": 1,
         "cycles": cycles,
         "committed": committed,
         "wall_seconds": wall_ff,
@@ -116,64 +114,6 @@ def measure_case(
         "cycles_per_sec_no_ff": cycles / wall_no if wall_no > 0 else 0.0,
         "committed_per_sec": committed / wall_ff if wall_ff > 0 else 0.0,
         "speedup_vs_no_ff": wall_no / wall_ff if wall_ff > 0 else 0.0,
-    }
-
-
-def measure_multiwindow(
-    workload: str,
-    config_name: str,
-    windows: int,
-    instructions: int = DEFAULT_INSTRUCTIONS,
-    repeats: int = DEFAULT_REPEATS,
-    seed: int = DEFAULT_SEED,
-) -> Dict[str, object]:
-    """Aggregate throughput of *windows* lockstep runs (seeds seed..+N-1).
-
-    Each window is a full run of its own generated program; the row's
-    ``cycles_per_sec`` is total simulated cycles across all windows per
-    second of lockstep wall time.  Setup (program generation, core
-    construction, pre-decode) is reported separately, not timed.
-    """
-    from repro.harness.multiwindow import run_cores_lockstep
-
-    spec = config_registry()[config_name]
-    if spec.in_order:
-        raise ValueError(
-            "%r is an in-order configuration; the simulator-speed "
-            "benchmark measures the out-of-order core" % config_name
-        )
-    programs = [
-        spec_program(workload, instructions=instructions, seed=seed + i)
-        for i in range(windows)
-    ]
-    best_wall = None
-    best_outcomes = None
-    setup_seconds = 0.0
-    for _ in range(repeats):
-        setup_start = time.perf_counter()
-        cores = [make_core(program, spec.config) for program in programs]
-        setup_seconds += time.perf_counter() - setup_start
-        start = time.perf_counter()
-        outcomes = run_cores_lockstep(cores, max_cycles=5_000_000)
-        elapsed = time.perf_counter() - start
-        if best_wall is None or elapsed < best_wall:
-            best_wall = elapsed
-            best_outcomes = outcomes
-    cycles = sum(o.stats.cycles for o in best_outcomes)
-    committed = sum(o.stats.committed for o in best_outcomes)
-    return {
-        "workload": workload,
-        "config": config_name,
-        "label": spec.label,
-        "windows": windows,
-        "cycles": cycles,
-        "committed": committed,
-        "wall_seconds": best_wall,
-        "setup_seconds": setup_seconds / repeats,
-        "cycles_per_sec": cycles / best_wall if best_wall > 0 else 0.0,
-        "committed_per_sec": (
-            committed / best_wall if best_wall > 0 else 0.0
-        ),
     }
 
 
@@ -304,52 +244,30 @@ def run_simspeed(
     seed: int = DEFAULT_SEED,
     verbose: bool = False,
     obs: bool = False,
-    windows: int = 1,
 ) -> Dict[str, object]:
-    """Measure the full matrix; returns the JSON (schema 3) payload.
-
-    ``windows > 1`` appends a lockstep aggregate row per pair.
-    """
+    """Measure the full matrix; returns the JSON (schema 4) payload."""
     results: List[Dict[str, object]] = []
     for workload in workloads:
         for config_name in configs:
-            single = measure_case(
+            case = measure_case(
                 workload, config_name,
                 instructions=instructions, repeats=repeats, seed=seed,
             )
-            rows = [single]
-            if windows > 1:
-                agg = measure_multiwindow(
-                    workload, config_name, windows,
-                    instructions=instructions, repeats=repeats, seed=seed,
-                )
-                if single["cycles_per_sec"]:
-                    agg["speedup_vs_single_window"] = (
-                        agg["cycles_per_sec"] / single["cycles_per_sec"]
-                    )
-                rows.append(agg)
-            results.extend(rows)
+            results.append(case)
             if verbose:
-                for case in rows:
-                    print(
-                        "  %-12s %-20s w=%-2d %8.0f kc/s" % (
-                            case["workload"], case["config"],
-                            case["windows"],
-                            case["cycles_per_sec"] / 1000.0,
-                        )
+                print(
+                    "  %-12s %-20s %8.0f kc/s" % (
+                        case["workload"], case["config"],
+                        case["cycles_per_sec"] / 1000.0,
                     )
-    single_rows = [c for c in results if c["windows"] == 1]
-    speedups = [
-        c["speedup_vs_no_ff"] for c in single_rows
-        if "speedup_vs_no_ff" in c
-    ]
+                )
+    speedups = [c["speedup_vs_no_ff"] for c in results]
     rates = [c["cycles_per_sec"] for c in results]
     payload: Dict[str, object] = {
         "schema": SCHEMA,
         "instructions": instructions,
         "repeats": repeats,
         "seed": seed,
-        "windows": windows,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "results": results,
@@ -412,10 +330,9 @@ def profile_case(
 
 
 def _slowest_row(payload: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """The single-window row with the lowest kc/s (profiling target)."""
+    """The row with the lowest kc/s (profiling target)."""
     rows = [
-        c for c in payload.get("results", [])
-        if c.get("windows") == 1 and c.get("cycles_per_sec")
+        c for c in payload.get("results", []) if c.get("cycles_per_sec")
     ]
     if not rows:
         return None
@@ -423,7 +340,7 @@ def _slowest_row(payload: Dict[str, object]) -> Optional[Dict[str, object]]:
 
 
 def render_simspeed(payload: Dict[str, object]) -> str:
-    """ASCII table of one payload (schema 3)."""
+    """ASCII table of one payload (schema 4)."""
     lines = [
         "Simulator speed (%d instructions, best of %d, seed %d, "
         "Python %s)" % (
@@ -431,26 +348,23 @@ def render_simspeed(payload: Dict[str, object]) -> str:
             payload["seed"], payload["python"],
         ),
         "",
-        "%-12s %-20s %3s %10s %10s %10s %8s" % (
-            "workload", "config", "win", "sim-cycles",
+        "%-12s %-20s %10s %10s %10s %8s" % (
+            "workload", "config", "sim-cycles",
             "kc/s (ff)", "kc/s (off)", "ff-spd",
         ),
-        "-" * 80,
+        "-" * 76,
     ]
     for case in payload["results"]:
-        no_ff = case.get("cycles_per_sec_no_ff")
         lines.append(
-            "%-12s %-20s %3d %10d %10.0f %10s %8s" % (
-                case["workload"], case["config"],
-                case["windows"], case["cycles"],
+            "%-12s %-20s %10d %10.0f %10.0f %7.2fx" % (
+                case["workload"], case["config"], case["cycles"],
                 case["cycles_per_sec"] / 1000.0,
-                "%.0f" % (no_ff / 1000.0) if no_ff else "-",
-                "%.2fx" % case["speedup_vs_no_ff"]
-                if "speedup_vs_no_ff" in case else "-",
+                case["cycles_per_sec_no_ff"] / 1000.0,
+                case["speedup_vs_no_ff"],
             )
         )
     agg = payload["aggregate"]
-    lines.append("-" * 80)
+    lines.append("-" * 76)
     lines.append(
         "fast-forward speedup: min %.2fx, max %.2fx; best rate %.0f kc/s"
         % (
@@ -481,7 +395,7 @@ def compare_simspeed(
 ) -> List[str]:
     """Warnings for cases slower than *baseline* by more than *threshold*.
 
-    Compares ``cycles_per_sec`` per (workload, config, windows).  Returns
+    Compares ``cycles_per_sec`` per (workload, config).  Returns
     human-readable warning strings — the CI job prints them and still
     exits 0, because shared-runner wall clocks are far too noisy for a
     hard perf gate.
@@ -505,20 +419,20 @@ def compare_simspeed(
                 % (key, baseline.get(key), payload.get(key))
             ]
     reference = {
-        (case["workload"], case["config"], case.get("windows", 1)): case
+        (case["workload"], case["config"]): case
         for case in baseline.get("results", [])
     }
     for case in payload["results"]:
-        key = (case["workload"], case["config"], case.get("windows", 1))
+        key = (case["workload"], case["config"])
         base = reference.get(key)
         if base is None or not base["cycles_per_sec"]:
             continue
         ratio = case["cycles_per_sec"] / base["cycles_per_sec"]
         if ratio < 1.0 - threshold:
             warnings.append(
-                "WARNING: %s/%s [w=%d] simulates at %.0f kc/s, "
+                "WARNING: %s/%s simulates at %.0f kc/s, "
                 "%.0f%% below the baseline's %.0f kc/s" % (
-                    key[0], key[1], key[2],
+                    key[0], key[1],
                     case["cycles_per_sec"] / 1000.0,
                     (1.0 - ratio) * 100.0,
                     base["cycles_per_sec"] / 1000.0,
@@ -539,10 +453,7 @@ def _history_rates(payload: Dict[str, object]) -> Dict[str, float]:
     """Flatten a simspeed payload to ``key -> cycles_per_sec``."""
     rates: Dict[str, float] = {}
     for case in payload.get("results", []):
-        key = "%s/%s/w%d" % (
-            case.get("workload", "?"), case.get("config", "?"),
-            case.get("windows", 1),
-        )
+        key = "%s/%s" % (case.get("workload", "?"), case.get("config", "?"))
         rates[key] = round(float(case.get("cycles_per_sec", 0.0)), 1)
     return rates
 

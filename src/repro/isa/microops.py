@@ -20,8 +20,9 @@ opcode.
 
 The out-of-order core (:mod:`repro.core.ooo`) replaces per-cycle
 attribute/dict lookups with integer-indexed reads of these arrays.
-Lowering is cached per :class:`Program` identity, which is what lets N
-sampling windows and repeated benchmark runs share one decode table.
+Lowering is cached per :class:`Program` identity, which is what lets
+every window of one sweep program (one per configuration) and repeated
+benchmark runs share one decode table.
 The cache is a ``WeakKeyDictionary`` keyed on the program and the
 tables hold no reference back to it, so an entry dies with its program.
 """
@@ -310,8 +311,7 @@ class MicroProgram:
     Every list is indexed by static PC (instruction index).  The arrays
     carry only *static* facts — the dynamic state stays on
     :class:`~repro.core.rob.DynInstr` — so one ``MicroProgram`` is safely
-    shared by any number of concurrently running cores (the lockstep
-    multi-window runner relies on this).
+    shared by every core that runs its program.
     """
 
     __slots__ = (

@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.engine.store import ResultCache, ResultStore
+from repro.engine.store import ResultStore, ShardedDiskStore
 from repro.envelope import error_envelope, make_envelope
 from repro.obs.log import get_logger
 from repro.obs.spans import Tracer, maybe_tracer, span_latency_summary
@@ -94,7 +94,7 @@ class ReproServer:
         if isinstance(cache, ResultStore):
             self.cache: Optional[ResultStore] = cache
         elif cache:
-            self.cache = ResultCache(cache_dir)
+            self.cache = ShardedDiskStore(cache_dir)
         else:
             self.cache = None
         self.auth = auth

@@ -5,7 +5,7 @@ plain-JSON ``spec`` validated here before anything touches the queue:
 
 * ``sweep`` — a SMARTS sampling sweep (benchmarks x samples x configs),
   executed through :func:`repro.engine.run_jobs` with the shared
-  content-addressed :class:`~repro.engine.cache.ResultCache`;
+  content-addressed :class:`~repro.engine.store.ShardedDiskStore`;
 * ``attack`` — one attack PoC on one configuration, run as an
   :class:`AttackJob` through the same engine job layer (the third
   implementation of the ``SimJob``/``FuzzJob`` polymorphic contract);
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ConfigSpec, config_registry
-from repro.engine.cache import ResultCache, _code_version, job_cache_key
+from repro.engine.store import ResultStore, _code_version, job_cache_key
 from repro.engine.jobs import SimJob, expand_jobs
 from repro.errors import ReproError
 
@@ -205,7 +205,7 @@ def content_key(kind: str, spec: dict) -> str:
     return digest
 
 
-def is_warm(kind: str, spec: dict, cache: Optional[ResultCache]) -> bool:
+def is_warm(kind: str, spec: dict, cache: Optional[ResultStore]) -> bool:
     """True when the result cache can answer the whole job right now.
 
     Only sweeps are cache-backed (attack/fuzz runs are novelty-seeking);
@@ -263,7 +263,7 @@ class AttackJob:
 
 def execute_sweep(
     spec: dict,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     engine_jobs: int = 1,
 ) -> dict:
     """Run one sweep through the engine; returns a ``suite`` envelope."""

@@ -198,7 +198,7 @@ class WorkerPool:
             self._sync_cache_metrics()
 
     def _sync_cache_metrics(self) -> None:
-        """Mirror the shared ResultCache counters into gauges.
+        """Mirror the shared result store counters into gauges.
 
         The cache object is cumulative across jobs, so counters would
         double-count; gauges track the live totals instead.  A tiered

@@ -120,12 +120,16 @@ class TestConsolidatedFacade:
             api.not_a_thing
 
     def test_no_in_repo_caller_of_retired_shims(self):
-        """src/, benchmarks/ and examples/ neither define nor call them."""
+        """src/, benchmarks/ and examples/ neither define, alias nor call
+        them."""
         import re
         from pathlib import Path
 
         root = Path(repro.__file__).resolve().parent.parent.parent
-        pattern = re.compile(r"\b(run_program|run_inorder)\s*\(")
+        pattern = re.compile(
+            r"\b(run_program|run_inorder|run_windows|run_cores_lockstep"
+            r"|execute_window_batch|run_slice|ResultCache)\s*[(=]"
+        )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):
             base = root / tree

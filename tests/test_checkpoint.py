@@ -177,12 +177,12 @@ class TestResume:
         assert len(results) == len(jobs_list)
 
     def test_resumed_results_skip_the_cache_store(self, tmp_path):
-        from repro.engine import ResultCache
+        from repro.engine.store import ShardedDiskStore
 
         path = tmp_path / "ck.json"
         jobs_list = tiny_jobs()[:2]
         run_jobs(jobs_list, checkpoint=str(path), checkpoint_interval=1)
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedDiskStore(tmp_path / "cache")
         _, _, stats = run_jobs(jobs_list, resume=str(path), cache=cache)
         assert stats.resumed == 2
         assert cache.stats.stores == 0  # replays are not re-stored

@@ -48,6 +48,18 @@ def test_no_command_rejected():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "run", "--windows", "2"],
+    ["bench-simspeed", "--windows", "2"],
+])
+def test_windows_flag_rejected(argv):
+    # Independent runs go through the engine only; no flag picks
+    # another path.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+
+
 def test_bench_tiny(capsys, tmp_path):
     code = main([
         "bench", "--benchmarks", "exchange2", "--samples", "2",

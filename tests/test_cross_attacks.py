@@ -157,8 +157,3 @@ def test_smt_campaign_smoke_no_counterexamples():
         count for channel, count in baseline.items()
         if channel.startswith("cross-")
     ) > 0
-
-
-def test_smt_campaign_rejects_windowed_runner():
-    with pytest.raises(ValueError, match="windows"):
-        run_campaign(range(2), smt=True, windows=2)

@@ -14,7 +14,7 @@ from repro.config import (
     nda_config,
 )
 from repro.engine import (
-    ResultCache,
+    ShardedDiskStore,
     SimJob,
     derive_seed,
     execute_job,
@@ -177,7 +177,7 @@ class TestParallelEqualsSerial:
 
 class TestResultCache:
     def test_miss_then_hit_roundtrips_window(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         job = tiny_jobs()[0]
         assert cache.load(job) is None
         result = execute_job(job)
@@ -202,7 +202,7 @@ class TestResultCache:
                     job_cache_key(other_window)}) == 4
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         job = tiny_jobs()[0]
         cache.store(job, execute_job(job).window)
         path = cache._path(job_cache_key(job))
@@ -212,7 +212,7 @@ class TestResultCache:
         assert not path.exists()  # bad entry evicted
 
     def test_clear_removes_everything(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         for job in tiny_jobs()[:3]:
             cache.store(job, PipelineStats(cycles=10, committed=5))
         assert cache.size() == 3

@@ -108,6 +108,43 @@ class TestRunWindowEquivalence:
         assert fast_dict == slow_dict
 
 
+class TestRunToCommitResume:
+    """``run_to_commit(a); run_to_commit(b)`` equals ``run_to_commit(b)``.
+
+    Sampling windows stop at the warm-up boundary and resume, so the
+    core's driver loop must carry no state besides the machine itself.
+    """
+
+    TARGET = 1_000
+
+    @staticmethod
+    def _counters(core):
+        data = asdict(core.stats)
+        for field in WALL_FIELDS:
+            data.pop(field)
+        return (core.cycle, core.committed, core.ff_skipped_cycles, data,
+                core.arch_state().regs)
+
+    @pytest.mark.parametrize("config_name", ["ooo", "fence-on-branch"])
+    @pytest.mark.parametrize("workload", ["mcf", "leela"])
+    def test_sliced_equals_single_call(self, workload, config_name,
+                                       request):
+        program = request.getfixturevalue(workload + "_program")
+        config = config_registry()[config_name].config
+        sliced = OutOfOrderCore(program, config, fast_forward=True)
+        pauses = 0
+        for bound in range(64, self.TARGET, 64):
+            sliced.run_to_commit(bound, max_cycles=2_000_000)
+            pauses += sliced.committed < self.TARGET
+        sliced.run_to_commit(self.TARGET, max_cycles=2_000_000)
+        whole = OutOfOrderCore(program, config, fast_forward=True)
+        whole.run_to_commit(self.TARGET, max_cycles=2_000_000)
+        assert pauses == self.TARGET // 64
+        assert whole.committed >= self.TARGET and not whole.halted
+        assert whole.ff_skipped_cycles > 0
+        assert self._counters(sliced) == self._counters(whole)
+
+
 class TestEngagement:
     def test_fast_forward_skips_cycles(self, mcf_program):
         core = OutOfOrderCore(mcf_program, config_registry()["ooo"].config)

@@ -141,10 +141,10 @@ class TestIngestion:
         assert deferred.value == outcome.stats.deferred_broadcasts > 0
 
     def test_engine_and_cache_ingest(self, tmp_path):
-        from repro.engine.cache import ResultCache
+        from repro.engine.store import ShardedDiskStore
         from repro.harness import run_suite
 
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         suite = run_suite(
             benchmarks=["exchange2"],
             configs=[config_registry()["ooo"]],

@@ -163,9 +163,9 @@ class TestEngineEvents:
         assert all(e["dur"] >= 1 for e in executes)
 
     def test_cache_hits_become_instants(self, tmp_path):
-        from repro.engine.cache import ResultCache
+        from repro.engine.store import ShardedDiskStore
 
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         self._job_trace(tmp_path, cache=cache)
         suite = self._job_trace(tmp_path, cache=cache)
         events = engine_trace_events(suite.engine.job_trace)

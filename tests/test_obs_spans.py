@@ -360,17 +360,17 @@ class TestObsOverheadTracing:
 
 class TestBenchHistory:
     PAYLOAD = {
-        "schema": 3, "instructions": 100, "seed": 7,
+        "schema": 4, "instructions": 100, "seed": 7,
         "results": [
             {"workload": "mcf", "config": "ooo",
-             "windows": 1, "cycles_per_sec": 1_000_000.0},
+             "cycles_per_sec": 1_000_000.0},
         ],
     }
 
     def test_append_then_compare(self, tmp_path):
         path = str(tmp_path / "hist.jsonl")
         entry = simspeed.append_history(self.PAYLOAD, path=path)
-        assert entry["cycles_per_sec"] == {"mcf/ooo/w1": 1_000_000.0}
+        assert entry["cycles_per_sec"] == {"mcf/ooo": 1_000_000.0}
         assert "recorded" in entry and "git_revision" in entry
         slower = json.loads(json.dumps(self.PAYLOAD))
         slower["results"][0]["cycles_per_sec"] = 500_000.0

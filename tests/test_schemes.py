@@ -21,7 +21,7 @@ from repro.config import (
     nda_config,
     scheme_config,
 )
-from repro.engine.cache import job_cache_key
+from repro.engine.store import job_cache_key
 from repro.engine.jobs import SimJob
 from repro.errors import ConfigError
 from repro.schemes import (

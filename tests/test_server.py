@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine.store import ShardedDiskStore
 from repro.envelope import RESULT_SCHEMA, validate_envelope
 from repro.server import (
     DurableQueue,
@@ -262,7 +262,7 @@ class TestJobSpec:
     def test_is_warm_flips_after_windows_are_cached(self, tmp_path):
         from repro.engine.jobs import execute_job
 
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         spec = validate_spec("sweep", TINY_SWEEP)
         assert not is_warm("sweep", spec, cache)
         assert not is_warm("sweep", spec, None)

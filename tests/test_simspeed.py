@@ -3,9 +3,14 @@ measurement (`bench-simspeed --obs`)."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.harness.simspeed import (
+    SCHEMA,
+    _slowest_row,
     compare_simspeed,
     measure_case,
     measure_obs_overhead,
@@ -100,3 +105,35 @@ class TestCompare:
 
     def test_identical_payload_is_clean(self, obs_payload):
         assert compare_simspeed(obs_payload, obs_payload) == []
+
+    def test_checked_in_baseline_is_comparable(self, obs_payload):
+        # CI's perf-smoke diffs a fresh run against this file; a baseline
+        # of another schema would only print a NOTE and compare nothing.
+        path = Path(__file__).resolve().parent.parent / "BENCH_simspeed.json"
+        baseline = json.loads(path.read_text())
+        assert baseline["schema"] == SCHEMA
+        assert all("windows" not in case for case in baseline["results"])
+        # ... and it holds the rows of the --quick matrix CI runs.
+        rows = {(c["workload"], c["config"]) for c in baseline["results"]}
+        assert {("mcf", "ooo"), ("mcf", "strict")} <= rows
+        fresh = dict(obs_payload, instructions=baseline["instructions"],
+                     seed=baseline["seed"])
+        assert not any("NOTE" in line
+                       for line in compare_simspeed(fresh, baseline))
+
+
+class TestSlowestRow:
+    def test_picks_the_lowest_rate(self):
+        payload = {"results": [
+            {"workload": "mcf", "config": "ooo", "cycles_per_sec": 9e5},
+            {"workload": "leela", "config": "strict", "cycles_per_sec": 3e5},
+            {"workload": "exchange2", "config": "ooo", "cycles_per_sec": 5e5},
+        ]}
+        row = _slowest_row(payload)
+        assert (row["workload"], row["config"]) == ("leela", "strict")
+
+    def test_real_payload_has_a_target(self, obs_payload):
+        assert _slowest_row(obs_payload) is obs_payload["results"][0]
+
+    def test_empty_payload_has_none(self):
+        assert _slowest_row({"results": []}) is None

@@ -14,7 +14,6 @@ from repro.config import ConfigSpec, baseline_ooo
 from repro.engine import expand_jobs, execute_job, job_cache_key, run_jobs
 from repro.engine.store import (
     RemoteArtifactStore,
-    ResultCache,
     ShardedDiskStore,
     TieredStore,
     open_store,
@@ -224,6 +223,3 @@ class TestOpenStore:
         assert isinstance(tiered.remote, RemoteArtifactStore)
         passthrough = ShardedDiskStore(tmp_path)
         assert open_store(passthrough) is passthrough
-
-    def test_result_cache_is_the_sharded_store(self):
-        assert ResultCache is ShardedDiskStore
