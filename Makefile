@@ -52,18 +52,19 @@ obs-smoke:
 server-smoke:
 	$(PYTHON) benchmarks/server_smoke.py
 
-# Execution-backend smoke: the same sweep through serial, local-pool,
-# and worker-protocol backends must be bit-identical, then a
-# checkpointing fuzz campaign is SIGTERM'd mid-run and resumed — zero
-# re-execution of completed jobs, identical witness corpus (mirrors CI;
-# checkpoint artifacts land under results/scale-smoke/).
+# Execution-backend smoke: the same sweep through the serial and
+# local-pool backends must be bit-identical, then a checkpointing fuzz
+# campaign is SIGTERM'd mid-run and resumed — zero re-execution of
+# completed jobs, identical witness corpus (mirrors CI; checkpoint
+# artifacts land under results/scale-smoke/).
 scale-smoke:
 	$(PYTHON) benchmarks/scale_smoke.py
 
-# Distributed-tracing smoke: a traced server submit plus a coordinator
-# with two external socket workers, all spooling spans into one
-# REPRO_TRACE_DIR; the merged Perfetto trace must validate and contain
-# causally-linked spans from every process (mirrors CI).
+# Distributed-tracing smoke: a traced server submit and a traced
+# local-pool `bench` driver, both spooling spans into one
+# REPRO_TRACE_DIR; each leg's spans must be causally linked, and the
+# merged Perfetto trace must validate with spans from exactly the
+# server and the CLI (mirrors CI).
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
 

@@ -1,12 +1,11 @@
 #!/usr/bin/env python
 """CI smoke for the execution backends (``make scale-smoke``).
 
-One tiny sweep, three ways, one answer:
+One tiny sweep, two ways, one answer:
 
-1. **Bit-identity.** Run the same job set through the ``serial``,
-   ``local-pool``, and ``worker-protocol`` backends (the last one over
-   real sockets with spawned worker interpreters) and require every
-   measurement window to be byte-identical to the serial reference.
+1. **Bit-identity.** Run the same job set through the ``serial`` and
+   ``local-pool`` backends and require every measurement window of the
+   pool run to be byte-identical to the serial reference.
 2. **Kill/resume.** Launch a checkpointing fuzz campaign as a
    subprocess, SIGTERM it mid-run, validate the checkpoint manifest it
    left behind, then resume it — completed jobs must replay without
@@ -27,7 +26,6 @@ import time
 
 from repro.config import ConfigSpec, NDAPolicyName, baseline_ooo, nda_config
 from repro.engine import expand_jobs, run_jobs
-from repro.engine.backends import WorkerProtocolBackend
 from repro.fuzz.campaign import run_campaign
 from repro.obs.manifest import validate_checkpoint
 
@@ -59,23 +57,14 @@ def check_bit_identity() -> None:
     assert not failures, failures
     print("serial:          %s" % serial_stats.describe())
 
-    for backend, kwargs in (
-        ("local-pool", {"jobs": 2}),
-        (WorkerProtocolBackend(processes=2, lease_timeout=120.0,
-                               connect_timeout=60.0), {"jobs": 2}),
-    ):
-        results, failures, stats = run_jobs(jobs, backend=backend, **kwargs)
-        assert not failures, failures
-        print("%-16s %s" % (stats.backend + ":", stats.describe()))
-        if stats.backend == "worker-protocol":
-            assert not stats.degraded, \
-                "worker-protocol degraded to serial — no workers connected"
-        got, want = windows(results), windows(reference)
-        diff = [coords for coords in want if got[coords] != want[coords]]
-        assert not diff, "backend %s diverged from serial on %s" % (
-            stats.backend, diff,
-        )
-    print("bit-identity: all backends match the serial reference")
+    results, failures, stats = run_jobs(jobs, backend="local-pool", jobs=2)
+    assert not failures, failures
+    print("local-pool:      %s" % stats.describe())
+    assert not stats.degraded, "local-pool degraded to serial"
+    got, want = windows(results), windows(reference)
+    diff = [coords for coords in want if got[coords] != want[coords]]
+    assert not diff, "local-pool diverged from serial on %s" % diff
+    print("bit-identity: local-pool matches the serial reference")
 
 
 def check_kill_resume() -> None:

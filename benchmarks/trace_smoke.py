@@ -1,22 +1,21 @@
 #!/usr/bin/env python
 """CI smoke for end-to-end distributed tracing (``make trace-smoke``).
 
-Exercises the ISSUE 10 acceptance path with real processes sharing one
-``REPRO_TRACE_DIR`` spool directory:
+Drives real processes that share one ``REPRO_TRACE_DIR`` spool
+directory:
 
 1. **Server leg.** Boot ``nda-repro serve``, submit a small fuzz
    campaign carrying a client ``traceparent``, poll ``/v1/status`` and
    ``nda-repro obs top`` while it runs, and wait for the result.  The
    server process must spool causally linked ``submit`` →
    ``queue.wait`` → ``job.execute`` spans continuing the client trace.
-2. **Coordinator + two external workers.** Run a sweep through the
-   worker-protocol backend with ``--no-spawn`` and attach two separate
-   ``nda-repro worker`` processes; the coordinator spools ``lease``
-   spans and each worker spools ``worker.execute`` spans joined to the
-   coordinator's trace across the socket frames.
+2. **Driver leg.** Run a traced ``nda-repro bench`` on the local-pool
+   backend.  The CLI process must spool one ``cli.bench`` root, one
+   ``engine.run`` child, and one ``engine.execute`` span per executed
+   job, all on that root's trace.
 3. **Merge.** ``nda-repro obs trace merge`` stitches every spool into
    one Perfetto trace that must pass ``validate_chrome_trace`` and
-   contain spans from the server, the coordinator, and both workers.
+   contain spans from exactly two services: the server and the CLI.
 
 Spool/queue directories are wiped at startup but kept afterwards so a
 CI failure can upload them for triage.
@@ -24,6 +23,7 @@ CI failure can upload them for triage.
 
 import argparse
 import json
+import re
 import shutil
 import socket
 import subprocess
@@ -52,28 +52,6 @@ def free_port() -> int:
     port = sock.getsockname()[1]
     sock.close()
     return port
-
-
-def start_worker(port: int, coordinator, env, attempts: int = 60):
-    """Launch an external worker, retrying until the coordinator listens.
-
-    No TCP probe here on purpose: any bare connect would count as a
-    worker to the coordinator's degrade heuristics.  A worker that finds
-    nothing listening exits 1 immediately, so launch-and-check is the
-    non-intrusive readiness test.
-    """
-    for _ in range(attempts):
-        if coordinator.poll() is not None:
-            raise SystemExit("coordinator died before workers attached")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "worker",
-             "--connect", "127.0.0.1:%d" % port],
-            env=env,
-        )
-        time.sleep(0.5)
-        if proc.poll() is None:
-            return proc
-    raise SystemExit("worker never connected to :%d" % port)
 
 
 def wait_healthy(client: ServerClient, proc, timeout: float = 30.0) -> None:
@@ -159,44 +137,39 @@ def _server_leg(spool: str, queue_dir: str, cache_dir: str, env) -> None:
           "submit -> queue.wait -> job.execute -> fuzz.campaign")
 
 
-def _worker_leg(spool: str, env) -> None:
-    port = free_port()
-    coordinator = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "bench",
-         "--benchmarks", "exchange2", "--samples", "3",
-         "--warmup", "2000", "--measure", "8000",
-         "--jobs", "2", "--no-cache",
-         "--backend", "worker-protocol", "--no-spawn",
-         "--bind", "127.0.0.1:%d" % port],
-        env=env, stdout=subprocess.DEVNULL,
+def _driver_leg(spool: str, env) -> None:
+    out = cli("bench", "--benchmarks", "exchange2", "--samples", "2",
+              "--warmup", "500", "--measure", "2000",
+              "--jobs", "2", "--backend", "local-pool", "--no-cache",
+              env=env, timeout=300)
+    assert out.returncode == 0, out.stderr or out.stdout
+    engine_line = next(
+        line for line in out.stdout.splitlines()
+        if line.startswith("engine: ")
     )
-    workers = []
-    try:
-        for _ in range(2):
-            workers.append(start_worker(port, coordinator, env))
-        rc = coordinator.wait(timeout=300)
-        assert rc == 0, "coordinator exited %d" % rc
-        for worker in workers:
-            assert worker.wait(timeout=30) == 0, "a worker exited nonzero"
-    finally:
-        for proc in [coordinator] + workers:
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait(timeout=10)
+    executed = int(re.search(r"(\d+) executed", engine_line).group(1))
 
-    rows = read_span_spools(spool)
-    leases = [r for r in rows if r["name"] == "lease"]
-    assert leases, "coordinator spooled no lease spans"
-    coordinator_trace = leases[0]["trace_id"]
-    executes = [r for r in rows if r["name"] == "worker.execute"]
-    worker_pids = {r["pid"] for r in executes}
-    assert len(worker_pids) == 2, \
-        "expected spans from 2 worker processes, got pids %s" % worker_pids
-    assert all(r["trace_id"] == coordinator_trace for r in executes), \
-        "worker spans did not join the coordinator trace"
-    print("[trace-smoke] %d leases; %d worker.execute spans from "
-          "2 worker processes joined trace %s"
-          % (len(leases), len(executes), coordinator_trace[:12]))
+    rows = [r for r in read_span_spools(spool) if r["service"] == "cli"]
+    roots = [r for r in rows if r["name"] == "cli.bench"]
+    assert len(roots) == 1, "expected one cli.bench span, got %d" % len(
+        roots)
+    root = roots[0]
+    assert not root["parent_id"], "cli.bench is not a root: %r" % root
+    on_trace = [r for r in rows if r["trace_id"] == root["trace_id"]]
+    runs = [r for r in on_trace if r["name"] == "engine.run"]
+    assert len(runs) == 1, "expected one engine.run span, got %d" % len(
+        runs)
+    assert runs[0]["parent_id"] == root["span_id"], \
+        "engine.run not parented on cli.bench"
+    executes = [r for r in on_trace if r["name"] == "engine.execute"]
+    assert len(executes) == executed, \
+        "%d engine.execute spans for %d executed jobs" % (
+            len(executes), executed)
+    assert all(r["parent_id"] == runs[0]["span_id"] for r in executes), \
+        "engine.execute not parented on engine.run"
+    print("[trace-smoke] driver spans causally linked: cli.bench -> "
+          "engine.run -> %d engine.execute (%s)"
+          % (len(executes), engine_line))
 
 
 def main() -> int:
@@ -214,7 +187,7 @@ def main() -> int:
     env = dict(os.environ, REPRO_TRACE_DIR=args.spool_dir)
 
     _server_leg(args.spool_dir, args.queue_dir, args.cache_dir, env)
-    _worker_leg(args.spool_dir, env)
+    _driver_leg(args.spool_dir, env)
 
     # ---- Merge every spool into one validating Perfetto trace. ---- #
     merged = str(Path(args.spool_dir).parent / "merged.json")
@@ -231,10 +204,8 @@ def main() -> int:
     services = sorted(
         {entry.split(":")[0] for entry in summary["processes"]}
     )
-    workers = [p for p in summary["processes"] if p.startswith("worker:")]
-    assert services == ["cli", "server", "worker"], summary["processes"]
-    assert len(workers) == 2, summary["processes"]
-    assert summary["traces"] >= 2, summary  # server leg + coordinator leg
+    assert services == ["cli", "server"], summary["processes"]
+    assert summary["traces"] >= 2, summary  # server leg + driver leg
     print("[trace-smoke] merged trace validates with spans from %d "
           "processes: %s" % (
               len(summary["processes"]), ", ".join(summary["processes"]),

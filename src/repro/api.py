@@ -183,11 +183,9 @@ def submit_suite(
     jobs: Optional[int] = None,
     cache=False,
     cache_dir=None,
-    remote_cache: Optional[str] = None,
     progress=None,
     collect_trace: bool = False,
     backend=None,
-    backend_options=None,
     checkpoint=None,
     resume=None,
 ):
@@ -196,11 +194,9 @@ def submit_suite(
     A keyword-only facade over :func:`repro.harness.experiment.run_suite`
     (which remains available for positional callers): expands
     ``(benchmark, config, sample)`` jobs, hands them to an execution
-    backend (``backend=`` — ``serial``, ``local-pool``, or
-    ``worker-protocol`` socket workers; bit-identical results either
-    way), and serves repeats from the content-addressed result store
-    (``remote_cache=<server URL>`` tiers it with the job server's shared
-    artifact routes).  ``checkpoint``/``resume`` keep and replay a
+    backend (``backend=`` — ``serial`` or ``local-pool``; bit-identical
+    results either way), and serves repeats from the content-addressed
+    result store on disk.  ``checkpoint``/``resume`` keep and replay a
     resumable manifest so preempted sweeps restart where they died.
     Returns a :class:`~repro.harness.experiment.SuiteResult` with
     per-job engine/cache accounting on ``.engine``.
@@ -216,10 +212,9 @@ def submit_suite(
         configs,
         samples=samples, warmup=warmup, measure=measure,
         instructions=instructions, seed0=seed0, jobs=jobs,
-        cache=cache, cache_dir=cache_dir, remote_cache=remote_cache,
+        cache=cache, cache_dir=cache_dir,
         progress=progress, collect_trace=collect_trace,
-        backend=backend, backend_options=backend_options,
-        checkpoint=checkpoint, resume=resume,
+        backend=backend, checkpoint=checkpoint, resume=resume,
     )
 
 

@@ -14,7 +14,6 @@ Subcommands::
     nda-repro config list            # registered schemes + named configs
     nda-repro cache info|clear       # inspect/drop the result cache
     nda-repro cache gc --older-than 14      # prune stale cached windows
-    nda-repro worker --connect HOST:PORT    # join a worker-protocol run
     nda-repro fuzz run --seeds 200 --jobs 8   # differential leak fuzzing
     nda-repro fuzz replay 7 --config strict   # one seed on one config
     nda-repro fuzz minimize 7 --output w.json # ddmin to a reproducer
@@ -31,10 +30,9 @@ Subcommands::
 Sweeps (``bench``/``figure``) run on the parallel suite engine and cache
 windows under ``results/.cache/``; use ``--jobs N`` to size the worker
 pool and ``--no-cache`` to force re-simulation.  ``--backend`` picks the
-execution backend (``serial``, ``local-pool``, ``worker-protocol``),
-``--remote-cache URL`` tiers the result store with a running job
-server's artifact routes, and ``--checkpoint FILE`` / ``--resume FILE``
-make long campaigns survive preemption (see DESIGN.md §3.7).
+execution backend (``serial`` or ``local-pool``), and ``--checkpoint
+FILE`` / ``--resume FILE`` make long campaigns survive preemption (see
+DESIGN.md §3.7).
 """
 
 from __future__ import annotations
@@ -82,24 +80,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "or $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--remote-cache", default=None, metavar="URL",
-        help="tier the result store with a job server's "
-             "/v1/artifacts routes (read-through, write-back)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        choices=["serial", "local-pool", "worker-protocol"],
+        "--backend", default=None, choices=["serial", "local-pool"],
         help="execution backend (default: local-pool when --jobs > 1)",
-    )
-    parser.add_argument(
-        "--bind", default=None, metavar="HOST:PORT",
-        help="worker-protocol only: coordinator listen address "
-             "(default: 127.0.0.1, ephemeral port)",
-    )
-    parser.add_argument(
-        "--no-spawn", action="store_true",
-        help="worker-protocol only: do not spawn local workers; wait "
-             "for external `nda-repro worker --connect` processes",
     )
     parser.add_argument(
         "--checkpoint", default=None, metavar="FILE",
@@ -112,30 +94,12 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_options(args) -> Optional[dict]:
-    """worker-protocol knobs from ``--bind``/``--no-spawn`` (else None)."""
-    options: dict = {}
-    if getattr(args, "bind", None):
-        from repro.engine.backends.worker_protocol import parse_address
-        try:
-            host, port = parse_address(args.bind)
-        except ValueError as err:
-            raise SystemExit(str(err))
-        options["host"] = host
-        options["port"] = port
-    if getattr(args, "no_spawn", False):
-        options["spawn"] = False
-    return options or None
-
-
 def _engine_kwargs(args) -> dict:
     return {
         "jobs": args.jobs,
         "cache": not args.no_cache,
         "cache_dir": None if args.no_cache else args.cache_dir,
-        "remote_cache": getattr(args, "remote_cache", None),
         "backend": getattr(args, "backend", None),
-        "backend_options": _backend_options(args),
         "checkpoint": getattr(args, "checkpoint", None),
         "resume": getattr(args, "resume", None),
     }
@@ -273,24 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "days ago (required for gc)",
     )
 
-    worker_cmd = sub.add_parser(
-        "worker",
-        help="pull jobs from a worker-protocol coordinator "
-             "(see `--backend worker-protocol --no-spawn`)",
-    )
-    worker_cmd.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address printed by the driving sweep",
-    )
-    worker_cmd.add_argument(
-        "--processes", type=int, default=1, metavar="N",
-        help="parallel pull loops to run (default: 1)",
-    )
-    worker_cmd.add_argument(
-        "--timeout", type=float, default=30.0, metavar="SECONDS",
-        help="per-connection idle timeout (default: 30)",
-    )
-
     trace = sub.add_parser(
         "trace", help="pipeline trace of a micro-kernel (ASCII chart)"
     )
@@ -334,8 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_run.add_argument("--max-cycles", type=int, default=400_000)
     fuzz_run.add_argument(
-        "--backend", default=None,
-        choices=["serial", "local-pool", "worker-protocol"],
+        "--backend", default=None, choices=["serial", "local-pool"],
         help="execution backend (default: local-pool when --jobs > 1)",
     )
     fuzz_run.add_argument(
@@ -542,8 +487,8 @@ _TRACED_COMMANDS = frozenset({
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     from repro.obs.spans import maybe_tracer
-    # Untraced commands must not claim the process tracer: `serve` and
-    # `worker` create their own service-named tracers on first use.
+    # Untraced commands must not claim the process tracer: `serve`
+    # creates its own service-named tracer on first use.
     if args.command not in _TRACED_COMMANDS:
         return _run_command(args)
     tracer = maybe_tracer("cli")
@@ -595,12 +540,6 @@ def _run_command(args) -> int:
             print("cache dir: %s" % cache.root)
             print("entries:   %d" % cache.size())
         return 0
-
-    if args.command == "worker":
-        from repro.engine.backends import worker_main
-        return worker_main(
-            args.connect, processes=args.processes, timeout=args.timeout,
-        )
 
     if args.command == "attack":
         cross_info = next(
@@ -1104,10 +1043,6 @@ def _render_top(status: dict, server: str) -> str:
     workers = status.get("workers", {})
     lines.append("workers  threads=%d executed=%d"
                  % (workers.get("threads", 0), workers.get("executed", 0)))
-    for name, lease in sorted((workers.get("leases") or {}).items()):
-        lines.append("  lease  %-18s %d leases, %.0fms busy, %d errors"
-                     % (name, lease.get("leases", 0),
-                        lease.get("busy_ms", 0.0), lease.get("errors", 0)))
     cache = status.get("cache")
     if cache:
         lines.append(
@@ -1246,20 +1181,15 @@ def _figure(args) -> int:
         return 0
     engine_kwargs = _engine_kwargs(args)
     if args.which == "9e":
-        if engine_kwargs["cache"]:
-            from repro.engine import open_store
-            cache = open_store(
-                engine_kwargs["cache_dir"],
-                remote=engine_kwargs["remote_cache"],
-            )
-        else:
-            cache = False
+        cache = (
+            ShardedDiskStore(engine_kwargs["cache_dir"])
+            if engine_kwargs["cache"] else False
+        )
         print(render_figure9e(figure9e(
             benchmarks=benchmarks,
             jobs=engine_kwargs["jobs"],
             cache=cache,
             backend=engine_kwargs["backend"],
-            backend_options=engine_kwargs["backend_options"],
             checkpoint=engine_kwargs["checkpoint"],
             resume=engine_kwargs["resume"],
         )))

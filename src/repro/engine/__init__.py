@@ -2,11 +2,9 @@
 
 The engine turns a sweep (benchmarks x samples x configurations) into
 independent, deterministic jobs, serves repeats from a content-addressed
-result store (sharded disk, optionally tiered with the job server's
-artifact routes), and hands the rest to a pluggable execution backend —
-``serial``, ``local-pool``, or pull-based socket workers
-(``worker-protocol``).  Long runs checkpoint their progress into a
-resumable manifest (``checkpoint=``/``resume=``).  See
+result store on disk, and hands the rest to an execution backend on this
+host — ``serial`` or ``local-pool``.  Long runs checkpoint their
+progress into a resumable manifest (``checkpoint=``/``resume=``).  See
 ``repro.harness.experiment.run_suite`` for the high-level entry point
 that reassembles the jobs into a :class:`SuiteResult`.
 """
@@ -17,7 +15,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     available_backends,
     make_backend,
-    worker_main,
 )
 from repro.engine.checkpoint import (
     build_checkpoint,
@@ -35,7 +32,7 @@ from repro.engine.jobs import (
     execute_job,
     expand_jobs,
 )
-from repro.engine.retry import ENGINE_RETRY, LEASE_RETRY, RetryPolicy
+from repro.engine.retry import RetryPolicy
 from repro.engine.scheduler import (
     EngineStats,
     JobFailure,
@@ -45,13 +42,9 @@ from repro.engine.scheduler import (
 from repro.engine.store import (
     CACHE_SCHEMA,
     CacheStats,
-    RemoteArtifactStore,
-    ResultStore,
     ShardedDiskStore,
-    TieredStore,
     default_cache_dir,
     job_cache_key,
-    open_store,
 )
 
 __all__ = [
@@ -60,7 +53,6 @@ __all__ = [
     "ExecutionBackend",
     "available_backends",
     "make_backend",
-    "worker_main",
     "build_checkpoint",
     "decode_result",
     "encode_result",
@@ -70,15 +62,9 @@ __all__ = [
     "write_checkpoint",
     "CACHE_SCHEMA",
     "CacheStats",
-    "RemoteArtifactStore",
-    "ResultStore",
     "ShardedDiskStore",
-    "TieredStore",
     "default_cache_dir",
     "job_cache_key",
-    "open_store",
-    "ENGINE_RETRY",
-    "LEASE_RETRY",
     "RetryPolicy",
     "JobResult",
     "SimJob",

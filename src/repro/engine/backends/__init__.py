@@ -1,20 +1,18 @@
 """``repro.engine.backends``: pluggable job placement.
 
-Three built-ins, selected by name (``run_jobs(..., backend="...")`` or
+Two built-ins, selected by name (``run_jobs(..., backend="...")`` or
 CLI ``--backend``):
 
 ======================  =================================================
 ``serial``              every job in the driver process, in order — the
                         bit-identity reference and universal fallback
 ``local-pool``          fork-based ``ProcessPoolExecutor`` on this host
-                        (the historical default for ``--jobs > 1``)
-``worker-protocol``     pull-based socket workers, local or remote
-                        (``nda-repro worker --connect HOST:PORT``)
+                        (the default for ``--jobs > 1``)
 ======================  =================================================
 
-All three produce bit-identical windows for the same job set (pinned by
-``tests/golden/backend_equivalence.json``); they differ only in where
-and how concurrently the deterministic jobs execute.
+Both produce bit-identical windows for the same job set (pinned by
+``tests/golden/backend_equivalence.json``); they differ only in how
+concurrently the deterministic jobs execute.
 """
 
 from __future__ import annotations
@@ -24,16 +22,11 @@ from typing import Dict, List, Type
 from repro.engine.backends.base import BackendContext, ExecutionBackend
 from repro.engine.backends.local_pool import LocalPoolBackend
 from repro.engine.backends.serial import SerialBackend
-from repro.engine.backends.worker_protocol import (
-    WorkerProtocolBackend,
-    worker_main,
-)
 
 #: name -> backend class; third parties may register via this dict.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     LocalPoolBackend.name: LocalPoolBackend,
-    WorkerProtocolBackend.name: WorkerProtocolBackend,
 }
 
 
@@ -41,7 +34,7 @@ def available_backends() -> List[str]:
     return sorted(BACKENDS)
 
 
-def make_backend(name: str, **options) -> ExecutionBackend:
+def make_backend(name: str) -> ExecutionBackend:
     """Instantiate a backend by registry name."""
     try:
         backend_cls = BACKENDS[name]
@@ -50,7 +43,7 @@ def make_backend(name: str, **options) -> ExecutionBackend:
             "unknown backend %r (available: %s)"
             % (name, ", ".join(available_backends()))
         ) from None
-    return backend_cls(**options)
+    return backend_cls()
 
 
 __all__ = [
@@ -59,8 +52,6 @@ __all__ = [
     "ExecutionBackend",
     "LocalPoolBackend",
     "SerialBackend",
-    "WorkerProtocolBackend",
     "available_backends",
     "make_backend",
-    "worker_main",
 ]

@@ -1,4 +1,4 @@
-"""The ExecutionBackend interface: *where* the engine's jobs run.
+"""The ExecutionBackend interface: *how* the engine's jobs run.
 
 ``run_jobs`` (the driver) owns all policy that is independent of
 placement — cache/resume phases, result ordering, checkpointing,
@@ -8,17 +8,15 @@ backend's whole contract is :meth:`ExecutionBackend.run`: execute every
 through the :class:`BackendContext` callbacks.
 
 The callbacks are thread-safe (the driver serializes them behind one
-lock and drops duplicate completions), so a backend may call them from
-handler threads — the worker-protocol coordinator does.  Because every
-job derives its results purely from its own fields, any backend that
-faithfully runs ``execute_job(job)`` somewhere produces bit-identical
-windows; the golden test ``tests/golden/backend_equivalence.json`` pins
-that across all three built-ins.
+lock and drops duplicate completions).  Because every job derives its
+results purely from its own fields, any backend that faithfully runs
+``execute_job(job)`` produces bit-identical windows; the golden test
+``tests/golden/backend_equivalence.json`` pins that for both built-ins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.engine.jobs import JobResult
@@ -48,17 +46,8 @@ class BackendContext:
     mark_submitted: Callable[[int], None] = lambda index: None
     #: Effective worker count the driver resolved (pool size).
     workers: int = 1
-    #: The raw ``--jobs`` request, before fork-availability clamping —
-    #: backends that spawn fresh interpreters (worker-protocol) honor
-    #: this even on platforms where ``fork`` is unavailable.
-    requested_jobs: Optional[int] = None
     #: Test seam for the local pool (ProcessPoolExecutor-compatible).
     executor_factory: Optional[Callable] = None
-    #: Traceparent of the driver's ``engine.run`` span (``None`` when
-    #: tracing is detached).  Backends that cross a process boundary
-    #: forward it — the worker protocol puts it in every job frame so
-    #: remote workers parent their spans under the submitting trace.
-    traceparent: Optional[str] = None
 
 
 class ExecutionBackend:
@@ -74,6 +63,3 @@ class ExecutionBackend:
     ) -> None:
         """Execute every pending ``(index, job)``; report each exactly once."""
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name

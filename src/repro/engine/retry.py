@@ -1,12 +1,9 @@
-"""One retry policy for every requeue path in the repo.
+"""The durable job queue's retry policy: jittered exponential backoff.
 
-Before this module existed the repo had two independent retry
-implementations: the engine scheduler's retry-then-serial rule (a job
-that dies in a pool worker gets exactly one serial retry in the parent)
-and the job server's durable-queue exponential backoff
-(``retry_backoff * 2**(attempt-1)`` seconds, then park as ``failed``).
-Both — plus the worker-protocol backend's lease re-queue path — now
-share :class:`RetryPolicy`.
+A queued job that raises is retried after
+``backoff * multiplier**(attempt - 1)`` seconds (capped at
+``max_delay``) until ``max_retries`` is spent, then parked as
+``failed`` (see :class:`repro.server.queue.DurableQueue`).
 
 The backoff is *jittered* so a thundering herd of requeued jobs does not
 re-land on the same instant, but deterministically so: the jitter is a
@@ -57,10 +54,3 @@ class RetryPolicy:
             base *= 1.0 + self.jitter * jitter_fraction(key, attempt)
         return max(0.0, base)
 
-
-#: The scheduler's historical contract: one serial retry, no sleeping.
-ENGINE_RETRY = RetryPolicy(max_retries=1, backoff=0.0, jitter=0.0)
-
-#: Lease re-queues in the worker-protocol backend: a lost job goes back
-#: to the queue twice before the coordinator runs it serially itself.
-LEASE_RETRY = RetryPolicy(max_retries=2, backoff=0.0, jitter=0.0)

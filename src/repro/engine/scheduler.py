@@ -13,15 +13,14 @@ where jobs execute:
   resolves, else ``serial``);
 * **accounting** — results return in submission order regardless of
   completion order, failures are collected rather than raised, stats
-  cover cache/resume/retry/lease behavior;
+  cover cache/resume/retry behavior;
 * **checkpointing** — with ``checkpoint=<path>`` the driver rewrites a
   resumable manifest every ``checkpoint_interval`` completions (and at
   the end), so a SIGTERM'd campaign restarts from where it died.
 
 The driver's completion callbacks are serialized behind one lock and
-drop duplicate completions (a worker whose lease expired may still
-report), so backends are free to call them from handler threads.  The
-historical failure contract is unchanged: a job that dies on a worker is
+drop duplicate completions, so a job is never accounted twice whichever
+thread reports it.  The failure contract: a job that dies on a worker is
 retried once serially in the driver; a job that also fails serially
 becomes a :class:`JobFailure`.
 """
@@ -44,7 +43,7 @@ from repro.engine.backends import (
     make_backend,
 )
 from repro.engine.jobs import JobResult, SimJob, execute_job, forget_program
-from repro.engine.store import ResultStore
+from repro.engine.store import ShardedDiskStore
 from repro.obs.spans import maybe_tracer
 
 #: progress callback: (jobs finished so far, total jobs, latest result).
@@ -85,9 +84,6 @@ class EngineStats:
     backend: str = "serial"
     #: Results replayed from a checkpoint manifest (--resume).
     resumed: int = 0
-    #: Worker-protocol lease grants / re-queues (0 on other backends).
-    leases: int = 0
-    lease_requeues: int = 0
 
     def describe(self) -> str:
         parts = [
@@ -103,8 +99,6 @@ class EngineStats:
             parts.append("%d resumed" % self.resumed)
         if self.retries:
             parts.append("%d retried" % self.retries)
-        if self.lease_requeues:
-            parts.append("%d leases requeued" % self.lease_requeues)
         if self.failures:
             parts.append("%d FAILED" % self.failures)
         if self.degraded:
@@ -128,12 +122,11 @@ def run_jobs(
     jobs_list: Sequence[SimJob],
     *,
     jobs: Optional[int] = None,
-    cache: Optional[ResultStore] = None,
+    cache: Optional[ShardedDiskStore] = None,
     progress: Optional[ProgressFn] = None,
     executor_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
     collect_trace: bool = False,
     backend: Optional[Union[str, ExecutionBackend]] = None,
-    backend_options: Optional[dict] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     checkpoint_label: str = "engine",
@@ -202,7 +195,7 @@ def run_jobs(
         nonlocal done_count
         with lock:
             if index in accounted:
-                return  # duplicate completion (e.g. expired lease): drop
+                return  # duplicate completion: drop
             accounted.add(index)
             slots[index] = result
             done_count += 1
@@ -328,7 +321,7 @@ def run_jobs(
             LocalPoolBackend() if workers > 1 else SerialBackend()
         )
     elif isinstance(backend, str):
-        backend_obj = make_backend(backend, **(backend_options or {}))
+        backend_obj = make_backend(backend)
     else:
         backend_obj = backend
     if isinstance(backend_obj, SerialBackend):
@@ -344,11 +337,7 @@ def run_jobs(
             run_serially=run_serially,
             mark_submitted=mark_submitted,
             workers=workers,
-            requested_jobs=jobs,
             executor_factory=executor_factory,
-            traceparent=(
-                run_span.traceparent() if run_span is not None else None
-            ),
         )
         backend_obj.run(pending, context)
 

@@ -1,4 +1,4 @@
-"""The result store: tiered, shareable, content-addressed window storage.
+"""The result store: content-addressed window storage on disk.
 
 Every job's measurement window is stored as JSON keyed by a SHA-256 over
 the complete job identity (:func:`job_cache_key`): machine configuration
@@ -8,24 +8,13 @@ replaces a simulation outright; any change to configuration, workload,
 sampling, or code version changes the key and transparently invalidates
 the entry.
 
-Three tiers implement one :class:`ResultStore` interface:
-
-* :class:`ShardedDiskStore` — JSON files under
-  ``results/.cache/<kk>/<key>.json``.  Entries left behind by the
-  pre-shard flat layout (``results/.cache/<key>.json``) are migrated
-  lazily on first touch, so an old cache keeps its warmth.
-* :class:`RemoteArtifactStore` — the same payloads read through and
-  written back over the job server's ``/v1/artifacts`` routes
-  (``GET``/``PUT /v1/artifacts/<key>``), so many worker hosts share one
-  warm cache.  Transport failures are counted, never raised: a dead
-  server degrades to re-simulation.
-* :class:`TieredStore` — local in front of remote: loads fill the local
-  tier on a remote hit (read-through), stores land in both (write-back).
-
-``open_store`` builds the right composition from a local directory and
-an optional server URL.  Set ``REPRO_CACHE_DIR`` to relocate the local
-tier; delete the directory (or run ``nda-repro cache clear``) to drop
-it; ``nda-repro cache gc --older-than N`` expires stale entries.
+:class:`ShardedDiskStore` keeps the entries as JSON files under
+``results/.cache/<kk>/<key>.json``.  Entries left behind by the
+pre-shard flat layout (``results/.cache/<key>.json``) are migrated
+lazily on first touch, so an old cache keeps its warmth.  Set
+``REPRO_CACHE_DIR`` to relocate it; delete the directory (or run
+``nda-repro cache clear``) to drop it; ``nda-repro cache gc
+--older-than N`` expires stale entries.
 """
 
 from __future__ import annotations
@@ -36,7 +25,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.engine.jobs import SimJob
 from repro.stats.counters import PipelineStats
@@ -99,34 +88,8 @@ class CacheStats:
         )
 
 
-class ResultStore:
-    """Interface every result tier implements (see module docstring).
-
-    The engine driver only ever calls these four members, so any object
-    with them — disk shard, HTTP tier, a test double — plugs into
-    ``run_jobs(cache=...)`` and the server's warm-submission probe.
-    """
-
-    stats: CacheStats
-
-    def has(self, job: SimJob) -> bool:
-        """Whether *job*'s window is available, without loading it."""
-        raise NotImplementedError
-
-    def load(self, job: SimJob) -> Optional[PipelineStats]:
-        """The stored window for *job*, or None on a miss."""
-        raise NotImplementedError
-
-    def store(self, job: SimJob, window: PipelineStats) -> None:
-        """Persist one window (failures must be non-fatal)."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
 def _entry_payload(job: SimJob, key: str, window: PipelineStats) -> dict:
-    """The JSON document both disk and remote tiers store per window."""
+    """The JSON document stored per window."""
     return {
         "key": key,
         "benchmark": job.benchmark,
@@ -138,7 +101,7 @@ def _entry_payload(job: SimJob, key: str, window: PipelineStats) -> dict:
     }
 
 
-class ShardedDiskStore(ResultStore):
+class ShardedDiskStore:
     """JSON result store keyed by :func:`job_cache_key`, sharded on disk.
 
     Layout: ``<root>/<key[:2]>/<key>.json``.  Walks, counts, and deletes
@@ -304,160 +267,3 @@ class ShardedDiskStore(ResultStore):
                     pass
         return removed
 
-
-class RemoteArtifactStore(ResultStore):
-    """Window tier speaking the job server's ``/v1/artifacts`` routes.
-
-    Entries are addressed by the same :func:`job_cache_key`, so every
-    host computing the same job derives the same URL; the payload is the
-    identical JSON document the disk tier writes.  All transport and
-    server failures degrade to misses (load) or dropped writes (store),
-    counted in ``stats.errors`` — a flaky network can slow a sweep down
-    but never break it.
-    """
-
-    def __init__(self, base_url: str, token: Optional[str] = None,
-                 timeout: float = 10.0) -> None:
-        from urllib.parse import urlsplit
-
-        parts = urlsplit(base_url)
-        if parts.scheme not in ("http", "https"):
-            raise ValueError(
-                "remote store URL must be http(s), got %r" % (base_url,)
-            )
-        self.scheme = parts.scheme
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or (443 if parts.scheme == "https" else 80)
-        self.token = token
-        self.timeout = timeout
-        self.stats = CacheStats()
-
-    def describe(self) -> str:
-        return "remote:%s://%s:%d" % (self.scheme, self.host, self.port)
-
-    def _request(self, method: str, path: str,
-                 body: Optional[dict] = None) -> Tuple[int, Optional[dict]]:
-        from http.client import HTTPConnection, HTTPSConnection
-
-        conn_cls = HTTPSConnection if self.scheme == "https" else \
-            HTTPConnection
-        connection = conn_cls(self.host, self.port, timeout=self.timeout)
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = "Bearer %s" % self.token
-        try:
-            payload = json.dumps(body).encode("utf-8") \
-                if body is not None else None
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            blob = response.read()
-            try:
-                decoded = json.loads(blob.decode("utf-8")) if blob else None
-            except (ValueError, UnicodeDecodeError):
-                decoded = None
-            return response.status, decoded
-        finally:
-            connection.close()
-
-    def _get(self, key: str) -> Optional[dict]:
-        try:
-            status, payload = self._request(
-                "GET", "/v1/artifacts/%s" % key
-            )
-        except OSError:
-            self.stats.errors += 1
-            return None
-        if status != 200 or not isinstance(payload, dict):
-            return None
-        return payload
-
-    def has(self, job: SimJob) -> bool:
-        return self._get(job_cache_key(job)) is not None
-
-    def load(self, job: SimJob) -> Optional[PipelineStats]:
-        payload = self._get(job_cache_key(job))
-        if payload is None:
-            self.stats.misses += 1
-            return None
-        try:
-            window = PipelineStats.from_dict(payload["window"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            self.stats.errors += 1
-            return None
-        self.stats.hits += 1
-        return window
-
-    def store(self, job: SimJob, window: PipelineStats) -> None:
-        key = job_cache_key(job)
-        try:
-            status, _payload = self._request(
-                "PUT", "/v1/artifacts/%s" % key,
-                body=_entry_payload(job, key, window),
-            )
-        except OSError:
-            self.stats.errors += 1
-            return
-        if status in (200, 201):
-            self.stats.stores += 1
-        else:
-            self.stats.errors += 1
-
-
-class TieredStore(ResultStore):
-    """Local tier in front of a remote one: read-through, write-back.
-
-    ``load`` tries local first; a remote hit back-fills the local tier
-    so the next lookup on this host stays on disk.  ``store`` lands in
-    both, so a worker's fresh window becomes visible to the fleet.
-    ``stats`` summarizes the composition (per-tier detail stays on
-    ``local.stats`` / ``remote.stats``).
-    """
-
-    def __init__(self, local: ResultStore, remote: ResultStore) -> None:
-        self.local = local
-        self.remote = remote
-        self.stats = CacheStats()
-
-    def describe(self) -> str:
-        return "%s + %s" % (self.local.describe(), self.remote.describe())
-
-    def has(self, job: SimJob) -> bool:
-        return self.local.has(job) or self.remote.has(job)
-
-    def load(self, job: SimJob) -> Optional[PipelineStats]:
-        window = self.local.load(job)
-        if window is None:
-            window = self.remote.load(job)
-            if window is not None:
-                self.local.store(job, window)  # read-through fill
-        if window is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return window
-
-    def store(self, job: SimJob, window: PipelineStats) -> None:
-        self.local.store(job, window)
-        self.remote.store(job, window)  # write-back to the shared tier
-        self.stats.stores += 1
-
-
-def open_store(
-    local=None,
-    remote: Optional[str] = None,
-    token: Optional[str] = None,
-) -> ResultStore:
-    """Compose the result store for one run.
-
-    ``local`` is a directory (None = ``results/.cache`` or
-    ``$REPRO_CACHE_DIR``); ``remote`` an optional job-server base URL
-    whose ``/v1/artifacts`` routes become the shared tier.
-    """
-    if isinstance(local, ResultStore):
-        disk: ResultStore = local
-    else:
-        disk = ShardedDiskStore(local)
-    if remote:
-        return TieredStore(disk, RemoteArtifactStore(remote, token=token))
-    return disk

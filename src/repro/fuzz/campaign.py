@@ -383,7 +383,6 @@ def run_campaign(
     progress=None,
     max_cycles: int = 400_000,
     backend=None,
-    backend_options: Optional[dict] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     resume=None,
@@ -441,7 +440,7 @@ def run_campaign(
         _register_checkpoint_codec()
         return run_jobs(
             fuzz_jobs, jobs=jobs, cache=None, progress=progress,
-            backend=backend, backend_options=backend_options,
+            backend=backend,
             checkpoint=checkpoint, checkpoint_interval=checkpoint_interval,
             checkpoint_label="fuzz", resume=resume,
         )

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import ConfigSpec, config_registry
 from repro.engine.jobs import expand_jobs
-from repro.engine.store import ResultStore, open_store
+from repro.engine.store import ShardedDiskStore
 from repro.engine.scheduler import EngineStats, ProgressFn, run_jobs
 from repro.errors import SimulationError
 from repro.stats.sampling import Sample, SampledRun
@@ -172,13 +172,11 @@ def run_suite(
     seed0: int = 0,
     verbose: bool = False,
     jobs: Optional[int] = None,
-    cache: Union[bool, ResultStore, None] = False,
+    cache: Union[bool, ShardedDiskStore, None] = False,
     cache_dir=None,
-    remote_cache: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
     collect_trace: bool = False,
     backend=None,
-    backend_options: Optional[dict] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     resume=None,
@@ -192,10 +190,9 @@ def run_suite(
 
     * ``jobs`` — worker processes (default ``os.cpu_count()``; ``jobs=1``
       runs serially in-process).  Results are identical either way.
-    * ``cache`` — ``True`` (or any :class:`ResultStore`) serves repeated
-      jobs from the on-disk store under ``results/.cache/``; ``cache_dir``
-      overrides the location and ``remote_cache`` (a job-server URL)
-      tiers it with the server's shared ``/v1/artifacts`` store.
+    * ``cache`` — ``True`` (or a :class:`ShardedDiskStore`) serves
+      repeated jobs from the on-disk store under ``results/.cache/``;
+      ``cache_dir`` overrides the location.
     * ``backend`` — execution backend name or instance (see
       :mod:`repro.engine.backends`); results are bit-identical across
       backends.
@@ -209,13 +206,11 @@ def run_suite(
         [ConfigSpec.coerce(spec) for spec in configs]
         if configs is not None else figure7_config_specs()
     )
-    result_cache: Optional[ResultStore]
-    if isinstance(cache, ResultStore):
+    result_cache: Optional[ShardedDiskStore]
+    if isinstance(cache, ShardedDiskStore):
         result_cache = cache
-        if remote_cache:
-            result_cache = open_store(result_cache, remote=remote_cache)
-    elif cache or cache_dir is not None or remote_cache:
-        result_cache = open_store(cache_dir, remote=remote_cache)
+    elif cache or cache_dir is not None:
+        result_cache = ShardedDiskStore(cache_dir)
     else:
         result_cache = None
 
@@ -225,7 +220,7 @@ def run_suite(
     job_results, failures, engine_stats = run_jobs(
         job_list, jobs=jobs, cache=result_cache, progress=progress,
         collect_trace=collect_trace,
-        backend=backend, backend_options=backend_options,
+        backend=backend,
         checkpoint=checkpoint, checkpoint_interval=checkpoint_interval,
         checkpoint_label="suite", resume=resume,
     )

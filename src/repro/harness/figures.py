@@ -253,7 +253,6 @@ def figure9e(
     jobs: Optional[int] = None,
     cache=False,
     backend=None,
-    backend_options=None,
     checkpoint=None,
     resume=None,
 ) -> Dict[str, float]:
@@ -261,8 +260,8 @@ def figure9e(
 
     ``backend``/``checkpoint``/``resume`` pass straight through to the
     engine (see :func:`repro.harness.experiment.run_suite`), so the
-    delay sweep can scale out over socket workers and survive
-    preemption like any other campaign.
+    delay sweep runs on a process pool and survives preemption like any
+    other campaign.
     """
     specs = [ConfigSpec("OoO", baseline_ooo())]
     for delay in delays:
@@ -280,7 +279,6 @@ def figure9e(
         jobs=jobs,
         cache=cache,
         backend=backend,
-        backend_options=backend_options,
         checkpoint=checkpoint,
         resume=resume,
     )

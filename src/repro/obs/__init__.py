@@ -16,8 +16,8 @@ One cross-cutting observability stack for the whole simulator:
 * :mod:`repro.obs.perfetto` — Chrome trace-event (Perfetto) JSON export
   of per-instruction lifecycle spans and engine job spans.
 * :mod:`repro.obs.spans` — distributed trace spans: W3C-traceparent
-  contexts propagated from submit through queue, lease, and socket
-  worker, spooled per process and merged into one Perfetto trace.
+  contexts propagated from submit through queue and execution, spooled
+  per process and merged into one Perfetto trace.
 * :mod:`repro.obs.log` — structured JSON-lines logging with
   ``job_id``/``trace_id`` correlation fields.
 * :mod:`repro.obs.manifest` — JSON run manifests: a provenance record

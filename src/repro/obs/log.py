@@ -1,7 +1,7 @@
 """Structured JSON-lines logging with trace correlation.
 
-Replaces the ad-hoc ``print``/stderr writes in the job server and the
-worker protocol with one-line JSON records::
+Replaces the ad-hoc ``print``/stderr writes in the job server with
+one-line JSON records::
 
     {"ts": 1754650000.123, "level": "info", "service": "server",
      "event": "job.done", "job_id": "3f9c...", "trace_id": "4bf9..."}
@@ -14,10 +14,9 @@ Perfetto trace.
 
 Records go to stderr by default — machine-parseable but still visible
 under ``nda-repro serve``.  Set ``REPRO_LOG_PATH`` to append to a file
-instead (spawned socket workers run with stderr detached, so the file
-sink is how their logs survive).  Non-serializable field values are
-``repr()``-ed rather than raised: logging must never take down the
-server loop.
+instead (how a server run with stderr detached keeps its logs).
+Non-serializable field values are ``repr()``-ed rather than raised:
+logging must never take down the server loop.
 """
 
 from __future__ import annotations

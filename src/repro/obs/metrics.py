@@ -277,15 +277,13 @@ class MetricsRegistry:
 
         Every series carries a ``backend`` label (read off the stats,
         defaulting to ``local-pool`` for pre-backend EngineStats
-        objects) so ``/metrics`` distinguishes where work ran; the
-        lease counters only move under the worker-protocol backend.
+        objects) so ``/metrics`` distinguishes how work ran.
         """
         labels.setdefault(
             "backend", getattr(engine, "backend", "") or "local-pool"
         )
         for name in ("jobs", "executed", "cache_hits", "cache_misses",
-                     "stores", "retries", "failures", "resumed",
-                     "leases", "lease_requeues"):
+                     "stores", "retries", "failures", "resumed"):
             self.counter(
                 "engine_" + name, "suite engine accounting"
             ).labels(**labels).inc(getattr(engine, name, 0))

@@ -16,8 +16,8 @@ loadable at https://ui.perfetto.dev or ``chrome://tracing``:
 * :func:`merge_span_spools` — stitches the per-process distributed-trace
   spools written by :mod:`repro.obs.spans` into one trace: each process
   becomes a Perfetto process group, parent→child span links become flow
-  arrows, so a submit renders causally connected to the socket worker
-  that executed it three processes away.
+  arrows, so a CLI submit renders causally connected to the server
+  worker thread that executed it in another process.
 
 The convention throughout: **1 simulated cycle = 1 µs** of trace time
 (the format's ``ts``/``dur`` unit), so cycle counts read directly off
@@ -295,8 +295,8 @@ def span_trace_events(
     group; within a group, spans pack greedily into lanes like the
     pipeline view.  Every span whose parent is present in the batch gets
     a flow arrow from the parent slice to its own start, so the
-    submit → queue → lease → execute chain reads as connected arrows
-    across process groups.
+    submit → queue → execute chain reads as connected arrows across
+    process groups.
     """
     rows = sorted(
         (

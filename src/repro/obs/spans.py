@@ -5,12 +5,11 @@ Every entry point (``POST /v1/jobs``, CLI ``run``/``attack``/``fuzz``/
 interval with a 128-bit ``trace_id`` shared by everything one request
 caused, a 64-bit ``span_id``, an optional parent link, and free-form
 attributes.  The context crosses process boundaries as a standard
-traceparent string (``00-<trace_id>-<span_id>-01``): the server stores
-it on the durable :class:`~repro.server.queue.JobRecord`, the engine
-hands it to execution backends, and the worker protocol carries it
-inside the length-prefixed job frame, so an external ``nda-repro
-worker`` three hops away still tags its spans with the submitting
-client's trace id.
+traceparent string (``00-<trace_id>-<span_id>-01``): a client sends
+it in the ``POST /v1/jobs`` body and the server stores it on the
+durable :class:`~repro.server.queue.JobRecord`, so the worker thread
+that later claims the job tags its spans with the submitting client's
+trace id.
 
 Each process owns at most one :class:`Tracer`.  Finished spans land in
 two places:
@@ -29,9 +28,8 @@ unset, :func:`maybe_tracer` returns ``None`` and every instrumentation
 site reduces to one ``is None`` test — detached runs are bit-identical
 to the golden files, and the attached overhead is CI-gated next to the
 sampler's (``measure_obs_overhead`` grows a ``tracing`` variant).
-Activation is environment-driven precisely so spawned worker
-interpreters and external worker processes inherit it without any
-protocol change.
+Activation is environment-driven precisely so every process a run
+starts (the job server, a CLI driver, its pool workers) inherits it.
 """
 
 from __future__ import annotations
@@ -74,8 +72,8 @@ class SpanContext:
     """An immutable ``(trace_id, span_id)`` pair.
 
     Serializes to/from the W3C ``traceparent`` header format so the
-    context survives JSON job payloads, durable queue records, and
-    pickled worker frames without a custom wire format.
+    context survives JSON job payloads and durable queue records
+    without a custom wire format.
     """
 
     __slots__ = ("trace_id", "span_id")
@@ -281,8 +279,8 @@ class Tracer:
         status: str = "ok",
     ) -> dict:
         """A retroactive finished span with explicit unix timestamps —
-        how queue-wait and lease intervals are reconstructed after the
-        fact."""
+        how queue-wait and engine job intervals are reconstructed after
+        the fact."""
         sp = self.start_span(name, parent=parent, attrs=attrs, start=start)
         sp._finished = True
         return self._finish(sp, end=end, status=status)

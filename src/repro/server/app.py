@@ -11,16 +11,9 @@ Endpoints (auth = Bearer token when a tokens file is configured)::
     GET  /v1/jobs/<id>           status + queue position          [auth]
     GET  /v1/jobs/<id>/result    the result envelope              [auth]
     GET  /v1/artifacts/<key>     content-addressed JSON artifact  [auth]
-    PUT  /v1/artifacts/<key>     upload an artifact under <key>   [auth]
     GET  /v1/status              live observatory snapshot        [auth]
     GET  /metrics                text exposition (open, for scrapers)
     GET  /healthz                liveness + queue counts (open)
-
-The artifact routes double as the engine's shared result-store tier
-(:class:`repro.engine.store.RemoteArtifactStore`): worker hosts PUT
-their computed windows under the engine's content-addressed job keys
-and every other host's read-through cache GETs them back, so one warm
-server cache serves the whole fleet.
 
 Submission is where the engine's content-addressed cache earns its keep:
 the job id *is* the content key, so a duplicate request returns the
@@ -39,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.engine.store import ResultStore, ShardedDiskStore
+from repro.engine.store import ShardedDiskStore
 from repro.envelope import error_envelope, make_envelope
 from repro.obs.log import get_logger
 from repro.obs.spans import Tracer, maybe_tracer, span_latency_summary
@@ -58,7 +51,7 @@ from repro.server.workers import WorkerPool
 DEFAULT_QUEUE_DIR = "results/queue"
 
 _STATUS_TEXT = {
-    200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
+    200: "OK", 202: "Accepted", 400: "Bad Request",
     401: "Unauthorized", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error",
@@ -91,8 +84,8 @@ class ReproServer:
             retry_backoff=retry_backoff,
         )
         self.artifacts = ArtifactStore(self.queue_dir / "artifacts")
-        if isinstance(cache, ResultStore):
-            self.cache: Optional[ResultStore] = cache
+        if isinstance(cache, ShardedDiskStore):
+            self.cache: Optional[ShardedDiskStore] = cache
         elif cache:
             self.cache = ShardedDiskStore(cache_dir)
         else:
@@ -125,8 +118,6 @@ class ReproServer:
              "jobs.result", self._get_result, True),
             ("GET", re.compile(r"^/v1/artifacts/([0-9a-f]{64})$"),
              "artifacts.get", self._get_artifact, True),
-            ("PUT", re.compile(r"^/v1/artifacts/([0-9a-f]{64})$"),
-             "artifacts.put", self._put_artifact, True),
             ("GET", re.compile(r"^/v1/status$"), "status",
              self._get_status, True),
             ("GET", re.compile(r"^/metrics$"), "metrics",
@@ -298,9 +289,9 @@ class ReproServer:
         writer.close()
 
     def _dispatch(self, method, path, headers, body):
-        # A path may be served under several methods (GET and PUT both
-        # match /v1/artifacts/<key>), so a method mismatch keeps looking
-        # and only 405s after every route had its chance.
+        # A path that matches a route under another method answers 405,
+        # not 404.  The scan goes on after a mismatch so that one path
+        # can be served under several methods.
         matched_path = None
         for route_method, pattern, name, handler, needs_auth in self._routes:
             match = pattern.match(path)
@@ -485,29 +476,6 @@ class ReproServer:
             ), {}
         return 200, payload, {}
 
-    def _put_artifact(self, match, headers, body, principal):
-        """Remote result-store write-back: store a window under its key."""
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else None
-        except (ValueError, UnicodeDecodeError):
-            payload = None
-        if not isinstance(payload, dict):
-            return 400, error_envelope(
-                "bad_request", "artifact body must be a JSON object"
-            ), {}
-        key = match.group(1)
-        if not self.artifacts.put(key, payload):
-            return 400, error_envelope(
-                "bad_request", "invalid artifact key %r" % key
-            ), {}
-        self.metrics.counter(
-            "server_artifact_puts_total",
-            "artifacts uploaded via PUT /v1/artifacts",
-        ).labels().inc()
-        return 201, make_envelope(
-            "artifact", key=key, link="/v1/artifacts/%s" % key,
-        ), {}
-
     def _get_status(self, match, headers, body, principal):
         """Live observatory snapshot: queue, workers, cache, latencies.
 
@@ -538,36 +506,17 @@ class ReproServer:
                 })
         cache_info = None
         if self.cache is not None:
-            stats = getattr(self.cache, "stats", None)
-            if stats is not None:
-                lookups = stats.hits + stats.misses
-                cache_info = {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "stores": stats.stores,
-                    "errors": stats.errors,
-                    "hit_rate": round(stats.hits / lookups, 4)
-                    if lookups else 0.0,
-                }
+            stats = self.cache.stats
+            lookups = stats.hits + stats.misses
+            cache_info = {
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "stores": stats.stores,
+                "errors": stats.errors,
+                "hit_rate": round(stats.hits / lookups, 4)
+                if lookups else 0.0,
+            }
         rows = self.tracer.finished()
-        # Per-worker lease accounting exists when the engine ran a
-        # socket backend inside this process (the coordinator records
-        # "lease" spans into the same process tracer).
-        leases: dict = {}
-        for row in rows:
-            if row.get("name") != "lease":
-                continue
-            worker = (row.get("attrs") or {}).get("worker", "?")
-            entry = leases.setdefault(
-                worker, {"leases": 0, "busy_ms": 0.0, "errors": 0},
-            )
-            entry["leases"] += 1
-            entry["busy_ms"] = round(
-                entry["busy_ms"]
-                + (row["end_unix"] - row["start_unix"]) * 1e3, 3,
-            )
-            if row.get("status") != "ok":
-                entry["errors"] += 1
         return 200, make_envelope(
             "status",
             queue=self.queue.counts(),
@@ -576,7 +525,6 @@ class ReproServer:
             workers={
                 "threads": self.pool.workers,
                 "executed": self.pool.executed,
-                "leases": leases,
             },
             cache=cache_info,
             latency={

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ConfigSpec, config_registry
-from repro.engine.store import ResultStore, _code_version, job_cache_key
+from repro.engine.store import ShardedDiskStore, _code_version, job_cache_key
 from repro.engine.jobs import SimJob, expand_jobs
 from repro.errors import ReproError
 
@@ -205,7 +205,9 @@ def content_key(kind: str, spec: dict) -> str:
     return digest
 
 
-def is_warm(kind: str, spec: dict, cache: Optional[ResultStore]) -> bool:
+def is_warm(
+    kind: str, spec: dict, cache: Optional[ShardedDiskStore]
+) -> bool:
     """True when the result cache can answer the whole job right now.
 
     Only sweeps are cache-backed (attack/fuzz runs are novelty-seeking);
@@ -263,7 +265,7 @@ class AttackJob:
 
 def execute_sweep(
     spec: dict,
-    cache: Optional[ResultStore] = None,
+    cache: Optional[ShardedDiskStore] = None,
     engine_jobs: int = 1,
 ) -> dict:
     """Run one sweep through the engine; returns a ``suite`` envelope."""

@@ -21,9 +21,10 @@ resubmitting an identical request returns the existing record instead
 of queueing a duplicate.  ``submissions`` counts how many times each
 job was asked for.
 
-The :class:`ArtifactStore` is the same idea for results: JSON blobs
-stored under their own SHA-256, fetched back via
-``GET /v1/artifacts/<key>``.
+The :class:`ArtifactStore` is the same idea for results: the worker
+pool stores JSON blobs under their own SHA-256, and clients read them
+back via ``GET /v1/artifacts/<key>`` (the only artifact route; there is
+no upload).
 """
 
 from __future__ import annotations
@@ -318,26 +319,6 @@ class ArtifactStore:
             tmp.write_text(text)
             os.replace(tmp, path)
         return key
-
-    def put(self, key: str, payload: dict) -> bool:
-        """Persist *payload* under a caller-chosen 64-hex *key*.
-
-        This is the write half of the shared result-store tier
-        (``PUT /v1/artifacts/<key>``): remote engine runs upload their
-        windows keyed by the engine's content-addressed job key, which
-        is *not* the payload's own hash — so unlike :meth:`store` the
-        key arrives from outside.  Idempotent; returns False on an
-        invalid key.
-        """
-        if len(key) != 64 or any(
-                ch not in "0123456789abcdef" for ch in key):
-            return False
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.%d" % os.getpid())
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-        return True
 
     def load(self, key: str) -> Optional[dict]:
         """The payload stored under *key*, or None."""

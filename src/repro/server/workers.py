@@ -14,10 +14,7 @@ Workers are *threads*, not processes: a simulation job spends its time
 inside the engine, which can fan out to its own process pool
 (``engine_jobs``); the threads only coordinate.  ``engine_jobs=1`` (the
 default) keeps everything in-process, which is the safe choice when the
-server embeds in tests.  This split — durable queue in front, engine
-behind — is deliberately the seam where ROADMAP item 3's remote workers
-plug in: a future puller speaks the same claim/complete/fail protocol
-over HTTP instead of a function call.
+server embeds in tests.
 """
 
 from __future__ import annotations
@@ -201,26 +198,13 @@ class WorkerPool:
         """Mirror the shared result store counters into gauges.
 
         The cache object is cumulative across jobs, so counters would
-        double-count; gauges track the live totals instead.  A tiered
-        store additionally exports its per-tier detail (the
-        ``RemoteArtifactStore`` hit/miss/error counters were previously
-        counted but never surfaced) under a ``tier`` label.
+        double-count; gauges track the live totals instead.
         """
-        tiers = [({}, self.cache)]
-        local = getattr(self.cache, "local", None)
-        remote = getattr(self.cache, "remote", None)
-        if local is not None and remote is not None:
-            tiers.append(({"tier": "local"}, local))
-            tiers.append(({"tier": "remote"}, remote))
-        for labels, store in tiers:
-            stats = getattr(store, "stats", None)
-            if stats is None:
-                continue
-            for name in ("hits", "misses", "stores", "errors"):
-                self.metrics.gauge(
-                    "server_result_cache_" + name,
-                    "shared result-cache accounting",
-                ).labels(**labels).set(getattr(stats, name))
+        for name in ("hits", "misses", "stores", "errors"):
+            self.metrics.gauge(
+                "server_result_cache_" + name,
+                "shared result-cache accounting",
+            ).labels().set(getattr(self.cache.stats, name))
 
 
 def run_one(record: JobRecord, pool: WorkerPool) -> Optional[JobRecord]:

@@ -128,7 +128,9 @@ class TestConsolidatedFacade:
         root = Path(repro.__file__).resolve().parent.parent.parent
         pattern = re.compile(
             r"\b(run_program|run_inorder|run_windows|run_cores_lockstep"
-            r"|execute_window_batch|run_slice|ResultCache)\s*[(=]"
+            r"|execute_window_batch|run_slice|ResultCache"
+            r"|WorkerProtocolBackend|worker_main|RemoteArtifactStore"
+            r"|TieredStore|open_store)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):

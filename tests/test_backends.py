@@ -1,4 +1,4 @@
-"""Execution backends: registry, bit-identity, lease recovery, degrade.
+"""Execution backends: registry and bit-identity.
 
 ``tests/golden/backend_equivalence.json`` pins the serial backend's
 windows for a tiny sweep; every backend must reproduce them exactly —
@@ -31,8 +31,6 @@ Regenerating (only after an *intentional* timing change)::
 
 import json
 import pathlib
-import socket
-import threading
 
 import pytest
 
@@ -42,15 +40,8 @@ from repro.engine.backends import (
     BACKENDS,
     LocalPoolBackend,
     SerialBackend,
-    WorkerProtocolBackend,
     available_backends,
     make_backend,
-)
-from repro.engine.backends.worker_protocol import (
-    _worker_loop,
-    parse_address,
-    recv_msg,
-    send_msg,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / \
@@ -78,28 +69,13 @@ def windows_by_coords(results):
 
 class TestRegistry:
     def test_all_three_backends_registered(self):
-        assert available_backends() == \
-            ["local-pool", "serial", "worker-protocol"]
+        assert available_backends() == ["local-pool", "serial"]
         assert BACKENDS["serial"] is SerialBackend
         assert BACKENDS["local-pool"] is LocalPoolBackend
-        assert BACKENDS["worker-protocol"] is WorkerProtocolBackend
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="worker-protocol"):
+        with pytest.raises(ValueError, match="local-pool"):
             make_backend("slurm")
-
-    def test_options_reach_the_backend(self):
-        backend = make_backend(
-            "worker-protocol", port=12345, spawn=False, processes=3,
-        )
-        assert backend.port == 12345
-        assert not backend.spawn
-        assert backend.processes_requested == 3
-
-    def test_parse_address(self):
-        assert parse_address("10.0.0.5:9000") == ("10.0.0.5", 9000)
-        with pytest.raises(ValueError):
-            parse_address("no-port")
 
 
 class TestBitIdentity:
@@ -127,81 +103,3 @@ class TestBitIdentity:
         results, stats = self.run_backend("local-pool", jobs=2)
         assert stats.backend == "local-pool"
         assert windows_by_coords(results) == golden
-
-    def test_worker_protocol_matches_golden(self, golden):
-        backend = WorkerProtocolBackend(
-            processes=2, lease_timeout=120.0, connect_timeout=60.0,
-        )
-        results, stats = self.run_backend(backend, jobs=2)
-        assert stats.backend == "worker-protocol"
-        assert not stats.degraded
-        assert stats.leases >= 6
-        assert windows_by_coords(results) == golden
-
-
-class TestWorkerProtocolRecovery:
-    def _drive(self, backend, jobs_list):
-        """run_jobs in a thread so the test can play worker."""
-        box = {}
-
-        def drive():
-            box["out"] = run_jobs(jobs_list, backend=backend, jobs=1)
-
-        thread = threading.Thread(target=drive, daemon=True)
-        thread.start()
-        deadline = 50  # ~5s at 0.1s polls
-        import time
-        while backend.address is None and deadline:
-            time.sleep(0.1)
-            deadline -= 1
-        assert backend.address is not None, "coordinator never bound"
-        return thread, box
-
-    def test_dead_worker_lease_is_requeued(self):
-        """A worker that takes a job and vanishes must not lose it."""
-        jobs_list = tiny_jobs()[:2]
-        backend = WorkerProtocolBackend(
-            spawn=False, connect_timeout=60.0, lease_timeout=60.0,
-            poll_interval=0.01,
-        )
-        thread, box = self._drive(backend, jobs_list)
-
-        # A preempted worker: lease one job, then drop the connection
-        # without replying.
-        conn = socket.create_connection(backend.address, timeout=5.0)
-        send_msg(conn, {"type": "hello", "pid": 0, "host": "test"})
-        send_msg(conn, {"type": "ready"})
-        msg = recv_msg(conn)
-        assert msg["type"] == "job"
-        conn.close()
-
-        # An honest worker drains the queue, requeued job included.
-        honest = threading.Thread(
-            target=_worker_loop, args=backend.address, daemon=True,
-        )
-        honest.start()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive(), "sweep hung after worker death"
-
-        results, failures, stats = box["out"]
-        assert not failures
-        assert len(results) == len(jobs_list)
-        assert stats.lease_requeues >= 1
-        golden = json.loads(GOLDEN.read_text())["windows"]
-        for coords, window in windows_by_coords(results).items():
-            assert window == golden[coords]
-
-    def test_degrades_to_serial_when_nobody_connects(self):
-        jobs_list = tiny_jobs()[:2]
-        backend = WorkerProtocolBackend(
-            spawn=False, connect_timeout=0.2, poll_interval=0.01,
-        )
-        results, failures, stats = run_jobs(
-            jobs_list, backend=backend, jobs=1,
-        )
-        assert not failures
-        assert len(results) == len(jobs_list)
-        assert stats.degraded
-        golden = json.loads(GOLDEN.read_text())["windows"]
-        for coords, window in windows_by_coords(results).items():
-            assert window == golden[coords]

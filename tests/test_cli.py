@@ -51,13 +51,20 @@ def test_no_command_rejected():
 @pytest.mark.parametrize("argv", [
     ["fuzz", "run", "--windows", "2"],
     ["bench-simspeed", "--windows", "2"],
+    ["worker", "--connect", "127.0.0.1:1"],
+    ["bench", "--remote-cache", "http://127.0.0.1:1"],
+    ["bench", "--bind", "127.0.0.1:0"],
+    ["bench", "--no-spawn"],
+    ["bench", "--backend", "worker-protocol"],
+    ["fuzz", "run", "--backend", "worker-protocol"],
 ])
-def test_windows_flag_rejected(argv):
-    # Independent runs go through the engine only; no flag picks
-    # another path.
+def test_retired_flag_rejected(argv, capsys):
+    # Independent runs go through the engine on one host only; no
+    # subcommand, flag or backend name picks another path.
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_bench_tiny(capsys, tmp_path):

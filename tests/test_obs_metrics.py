@@ -164,16 +164,13 @@ class TestIngestion:
         from repro.engine.scheduler import EngineStats
 
         stats = EngineStats(
-            jobs=4, executed=2, backend="worker-protocol", resumed=1,
-            leases=5, lease_requeues=2,
+            jobs=4, executed=2, backend="local-pool", resumed=1,
+            retries=3,
         )
         registry = MetricsRegistry()
         registry.ingest_engine_stats(stats, sweep="scale")
-        labels = {"sweep": "scale", "backend": "worker-protocol"}
-        assert registry.get("engine_leases").labels(**labels).value == 5
-        assert registry.get("engine_lease_requeues").labels(
-            **labels
-        ).value == 2
+        labels = {"sweep": "scale", "backend": "local-pool"}
+        assert registry.get("engine_retries").labels(**labels).value == 3
         assert registry.get("engine_resumed").labels(**labels).value == 1
 
     def test_ingest_twice_accumulates(self):

@@ -1,13 +1,8 @@
-"""The shared retry policy (engine serial retry, queue backoff, leases)."""
+"""The durable queue's retry policy: jittered exponential backoff."""
 
 import pytest
 
-from repro.engine.retry import (
-    ENGINE_RETRY,
-    LEASE_RETRY,
-    RetryPolicy,
-    jitter_fraction,
-)
+from repro.engine.retry import RetryPolicy, jitter_fraction
 
 
 class TestRetryPolicy:
@@ -49,21 +44,10 @@ class TestRetryPolicy:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ENGINE_RETRY.max_retries = 5
+            RetryPolicy().max_retries = 5
 
 
 class TestSharedInstances:
-    def test_engine_retry_is_one_shot_and_sleepless(self):
-        assert ENGINE_RETRY.max_retries == 1
-        assert ENGINE_RETRY.delay(1) == 0.0
-        assert not ENGINE_RETRY.exhausted(1)
-        assert ENGINE_RETRY.exhausted(2)
-
-    def test_lease_retry_allows_two_requeues(self):
-        assert LEASE_RETRY.max_retries == 2
-        assert LEASE_RETRY.delay(2) == 0.0
-        assert LEASE_RETRY.exhausted(3)
-
     def test_durable_queue_uses_the_shared_policy(self, tmp_path):
         from repro.server import DurableQueue
 
@@ -71,8 +55,3 @@ class TestSharedInstances:
         assert isinstance(queue.retry_policy, RetryPolicy)
         assert queue.retry_policy.max_retries == 3
         assert queue.retry_policy.backoff == 2.0
-
-    def test_worker_protocol_uses_lease_retry(self):
-        from repro.engine.backends import WorkerProtocolBackend
-
-        assert WorkerProtocolBackend().retry is LEASE_RETRY

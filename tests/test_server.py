@@ -501,6 +501,26 @@ class TestServerEndToEnd:
             client.job("f" * 64)
         assert err.value.status == 404
 
+    def test_artifact_upload_is_refused(self, server):
+        import http.client
+
+        srv, client = server
+        body = json.dumps({"key": "ab" * 32, "window": {}})
+        conn = http.client.HTTPConnection(*srv.address, timeout=10)
+        try:
+            conn.request("PUT", "/v1/artifacts/" + "ab" * 32, body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 405
+        assert validate_envelope(payload) == []
+        assert payload["kind"] == "error"
+        assert payload["error"]["code"] == "method_not_allowed"
+        assert list((srv.queue_dir / "artifacts").rglob("*")) == []
+        assert set(client.status()["workers"]) == {"threads", "executed"}
+
     def test_job_status_payload_is_an_envelope(self, server):
         _, client = server
         job = client.submit("sweep", TINY_SWEEP)
