@@ -46,9 +46,9 @@ obs-smoke:
 
 # Job-server smoke: boot the HTTP service, submit the same tiny sweep
 # twice (the second must dedup to the completed job), exercise the
-# nda-repro submit client, then restart with a fresh queue and require
-# the warm cache to answer inline with zero engine executions, scraping
-# /metrics throughout (mirrors CI).
+# nda-repro submit client and check the job's submission count and the
+# /healthz queue counts, then restart with a fresh queue and require the
+# warm job to run with zero engine executions (mirrors CI).
 server-smoke:
 	$(PYTHON) benchmarks/server_smoke.py
 

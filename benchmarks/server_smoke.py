@@ -7,13 +7,13 @@ and drives it over the socket:
 1. **Cold run + dedup.** Submit a tiny sweep, wait for it, then submit
    the identical spec again — the second submission must come back as
    the *same* completed job (``submissions == 2``) without another
-   engine execution, and ``/metrics`` must show the dedup.
+   engine execution.
 2. **CLI client.** ``nda-repro submit --wait`` against the same server
-   must print the suite result envelope.
-3. **Warm-cache short-circuit.** A second server with a *fresh* queue
-   directory but the same result cache must answer the same submission
-   inline: completed at submit time, ``cached`` flagged, and zero
-   engine executions in the result's accounting.
+   must print the suite result envelope; afterwards the job counts 3
+   submissions and ``/healthz`` reports exactly one done job.
+3. **Warm cache.** A second server with a *fresh* queue directory but
+   the same result cache must run the same submission through its
+   queue with zero engine executions in the result's accounting.
 
 Queue directories are wiped at startup but kept afterwards so a CI
 failure can upload them for triage.
@@ -112,15 +112,12 @@ def main() -> int:
         assert envelope["kind"] == "suite"
         print("[smoke] nda-repro submit --wait printed the envelope")
 
-        text = client.metrics_text()
-        for needle in (
-            'server_submissions_total{kind="sweep"} 3',
-            'server_jobs_deduped_total{kind="sweep"} 2',
-            'server_jobs_completed_total{kind="sweep"} 1',
-            'server_queue_jobs{state="done"} 1',
-        ):
-            assert needle in text, "metrics missing %r" % needle
-        print("[smoke] /metrics reflects 3 submissions, 2 dedups, 1 run")
+        submissions = client.job(job.id).submissions
+        assert submissions == 3, submissions
+        queue = client.health()["queue"]
+        assert queue["done"] == 1, queue
+        print("[smoke] one done job after 3 submissions (/healthz %s)"
+              % queue)
     finally:
         proc.terminate()
         proc.wait(timeout=10)
@@ -135,15 +132,13 @@ def main() -> int:
         print("[smoke] server B on %s (fresh queue, warm cache)" % base)
 
         job = client.submit("sweep", SWEEP)
-        assert job.state == "done", \
-            "warm submission should complete inline, got %s" % job.state
-        assert job.cached, "warm submission not flagged cached"
+        done = client.wait(job.id, timeout=300)
+        assert done.state == "done", "warm job ended %s: %s" % (
+            done.state, done.error)
         result = client.result(job.id)
         assert result["engine"]["executed"] == 0, \
             "warm run executed %d windows" % result["engine"]["executed"]
-        text = client.metrics_text()
-        assert 'server_cache_shortcircuit_total{kind="sweep"} 1' in text
-        print("[smoke] warm submission short-circuited the queue "
+        print("[smoke] warm job ran from the result cache "
               "(0 executions, %d cache hits)"
               % result["engine"]["cache_hits"])
     finally:

@@ -5,9 +5,8 @@ Drives real processes that share one ``REPRO_TRACE_DIR`` spool
 directory:
 
 1. **Server leg.** Boot ``nda-repro serve``, submit a small fuzz
-   campaign carrying a client ``traceparent``, poll ``/v1/status`` and
-   ``nda-repro obs top`` while it runs, and wait for the result.  The
-   server process must spool causally linked ``submit`` →
+   campaign carrying a client ``traceparent``, and wait for the result.
+   The server process must spool causally linked ``submit`` →
    ``queue.wait`` → ``job.execute`` spans continuing the client trace.
 2. **Driver leg.** Run a traced ``nda-repro bench`` on the local-pool
    backend.  The CLI process must spool one ``cli.bench`` root, one
@@ -91,21 +90,9 @@ def _server_leg(spool: str, queue_dir: str, cache_dir: str, env) -> None:
         print("[trace-smoke] submitted fuzz job %s (%s)"
               % (job.id[:12], job.state))
 
-        status = client.status()
-        assert status["kind"] == "status", status
-        assert status["jobs"]["total"] >= 1, status["jobs"]
-        assert status["tracing"]["service"] == "server", status["tracing"]
-        print("[trace-smoke] /v1/status live: queue=%s" % status["queue"])
-
         done = client.wait(job.id, timeout=300)
         assert done.state == "done", "fuzz job ended %s: %s" % (
             done.state, done.error)
-
-        top = cli("obs", "top", "--server", base, "--iterations", "1",
-                  env=env)
-        assert top.returncode == 0, top.stderr
-        assert "queue" in top.stdout, top.stdout
-        print("[trace-smoke] obs top rendered one snapshot")
     finally:
         proc.terminate()
         proc.wait(timeout=10)

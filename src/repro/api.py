@@ -202,8 +202,9 @@ def submit_suite(
     per-job engine/cache accounting on ``.engine``.
 
     For the same sweep as a durable HTTP job instead, submit the spec
-    through :class:`ServerClient` — the server derives the identical
-    cache keys, so warm results short-circuit its queue too.
+    through :class:`ServerClient`: the server's workers call this same
+    ``run_suite``, so windows already in the result store are served
+    from it there too.
     """
     from repro.harness.experiment import DEFAULT_SUITE, run_suite
 

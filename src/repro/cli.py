@@ -22,7 +22,6 @@ Subcommands::
     nda-repro submit attack spectre_v1_cache --wait
     nda-repro obs trace spectre_v1 --config strict   # Perfetto export
     nda-repro obs trace merge --dir results/traces/spans  # stitch spools
-    nda-repro obs top --server http://127.0.0.1:8765  # live observatory
     nda-repro obs metrics                    # render latest metric snapshot
     nda-repro obs manifest list              # run provenance records
     nda-repro obs export --benchmarks mcf    # engine job-span trace
@@ -373,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spec", default=None, metavar="JSON",
         help="inline JSON merged over the positional shorthand",
     )
-    submit_cmd.add_argument("--priority", type=int, default=0)
     submit_cmd.add_argument(
         "--wait", action="store_true",
         help="block until the job finishes and print its result envelope",
@@ -436,24 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_manifest.add_argument(
         "path", nargs="?", default=None,
         help="manifest file (default: the latest one)",
-    )
-
-    obs_top = obs_sub.add_parser(
-        "top",
-        help="poll a running job server's /v1/status and print live "
-             "campaign progress (queue depth, workers, cache, latency)",
-    )
-    obs_top.add_argument(
-        "--server", default="http://127.0.0.1:8765", metavar="URL"
-    )
-    obs_top.add_argument("--token", default=None)
-    obs_top.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="seconds between polls (default: 2)",
-    )
-    obs_top.add_argument(
-        "--iterations", type=int, default=0, metavar="N",
-        help="stop after N polls (default: 0 = until interrupted)",
     )
 
     obs_export = obs_sub.add_parser(
@@ -768,7 +748,7 @@ def _run_command(args) -> int:
         current = tracer.current() if tracer is not None else None
         try:
             job = client.submit(
-                args.kind, spec, priority=args.priority,
+                args.kind, spec,
                 traceparent=current.traceparent() if current else None,
             )
             if args.wait:
@@ -865,9 +845,6 @@ def _obs(args) -> int:
         print("trace: %s  (open at https://ui.perfetto.dev)"
               % summary["path"])
         return 0
-
-    if args.obs_command == "top":
-        return _obs_top(args)
 
     if args.obs_command == "trace":
         from repro.core.inorder import InOrderCore
@@ -986,84 +963,6 @@ def _obs(args) -> int:
         return 0
 
     return 2
-
-
-def _obs_top(args) -> int:
-    """Poll ``GET /v1/status`` and print a live observatory summary."""
-    import time as time_mod
-
-    from repro.server import ServerClient, ServerError
-
-    client = ServerClient(args.server, token=args.token)
-    polls = 0
-    while True:
-        try:
-            status = client.status()
-        except ServerError as err:
-            print("server error [%d %s]: %s"
-                  % (err.status, err.code, err), file=sys.stderr)
-            return 1
-        polls += 1
-        print(_render_top(status, args.server))
-        if args.iterations and polls >= args.iterations:
-            return 0
-        try:
-            time_mod.sleep(max(0.1, args.interval))
-        except KeyboardInterrupt:
-            print()
-            return 0
-
-
-def _render_top(status: dict, server: str) -> str:
-    """One poll of /v1/status as a compact multi-line block."""
-    import time as time_mod
-
-    lines = ["-- %s  %s" % (server, time_mod.strftime("%H:%M:%S"))]
-    queue = status.get("queue", {})
-    lines.append(
-        "queue    " + "  ".join(
-            "%s=%d" % (state, queue.get(state, 0))
-            for state in ("queued", "running", "done", "failed")
-        )
-    )
-    jobs = status.get("jobs", {})
-    for kind, counts in sorted((jobs.get("by_kind") or {}).items()):
-        lines.append(
-            "  %-7s %d done / %d running / %d queued / %d failed"
-            " (%d cached)"
-            % (kind, counts.get("done", 0), counts.get("running", 0),
-               counts.get("queued", 0), counts.get("failed", 0),
-               counts.get("cached", 0))
-        )
-    for job in status.get("running") or []:
-        lines.append("  > %s %s attempt %d, %.1fs"
-                     % (job.get("id"), job.get("kind"),
-                        job.get("attempt", 0),
-                        job.get("running_seconds", 0.0)))
-    workers = status.get("workers", {})
-    lines.append("workers  threads=%d executed=%d"
-                 % (workers.get("threads", 0), workers.get("executed", 0)))
-    cache = status.get("cache")
-    if cache:
-        lines.append(
-            "cache    hits=%d misses=%d stores=%d errors=%d"
-            " (hit rate %.1f%%)"
-            % (cache.get("hits", 0), cache.get("misses", 0),
-               cache.get("stores", 0), cache.get("errors", 0),
-               100.0 * cache.get("hit_rate", 0.0))
-        )
-    latency = status.get("latency", {})
-    parts = []
-    for label, key in (("queue-wait", "queue_wait"), ("execute", "execute")):
-        summary = latency.get(key) or {}
-        if summary.get("count"):
-            parts.append("%s p50=%.0fms p95=%.0fms (n=%d)"
-                         % (label, summary.get("p50_ms", 0.0),
-                            summary.get("p95_ms", 0.0),
-                            summary.get("count", 0)))
-    if parts:
-        lines.append("latency  " + "   ".join(parts))
-    return "\n".join(lines)
 
 
 def _fuzz(args) -> int:

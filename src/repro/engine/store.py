@@ -143,9 +143,8 @@ class ShardedDiskStore:
         """Whether *job*'s window is on disk, without reading it.
 
         A pure existence probe: no hit/miss accounting, no JSON parse.
-        The job server's submission path uses this to decide whether a
-        sweep can short-circuit the queue entirely; a corrupt entry
-        found later still degrades to re-simulation inside ``load``.
+        A corrupt entry found later still degrades to re-simulation
+        inside ``load``.
         """
         return self._locate(job_cache_key(job)) is not None
 

@@ -8,9 +8,9 @@ One cross-cutting observability stack for the whole simulator:
   single ``is None`` test and simulation is bit-identical to a build
   without the bus; attached, subscribers receive typed pipeline events.
 * :class:`MetricsRegistry` — counters, gauges, and histograms with
-  labels, unifying :class:`~repro.stats.counters.PipelineStats`, engine
-  cache statistics, and fuzz campaign witness counts behind one
-  ``collect()`` snapshot that round-trips through JSON.
+  labels, unifying :class:`~repro.stats.counters.PipelineStats` and
+  fuzz campaign witness counts behind one ``collect()`` snapshot that
+  round-trips through JSON.
 * :class:`MetricsSampler` — a periodic in-simulation sampler producing
   occupancy/MLP/deferred-broadcast time series.
 * :mod:`repro.obs.perfetto` — Chrome trace-event (Perfetto) JSON export
@@ -39,14 +39,12 @@ from repro.obs.spans import (
     install_tracer,
     maybe_tracer,
     parse_traceparent,
-    span_latency_summary,
     uninstall_tracer,
 )
 from repro.obs.metrics import (
     MetricsRegistry,
     metrics_from_campaign,
     metrics_from_run,
-    text_exposition,
 )
 from repro.obs.sampler import MetricsSampler
 from repro.obs.perfetto import (
@@ -79,7 +77,6 @@ __all__ = [
     "MetricsRegistry",
     "metrics_from_campaign",
     "metrics_from_run",
-    "text_exposition",
     "MetricsSampler",
     "JsonLogger",
     "get_logger",
@@ -89,7 +86,6 @@ __all__ = [
     "install_tracer",
     "maybe_tracer",
     "parse_traceparent",
-    "span_latency_summary",
     "uninstall_tracer",
     "counter_trace_events",
     "engine_trace_events",

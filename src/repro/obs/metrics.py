@@ -1,10 +1,8 @@
 """The metrics registry: counters, gauges, and histograms with labels.
 
-One registry unifies everything the repo used to report through three
-unrelated channels — :class:`~repro.stats.counters.PipelineStats`,
-the engine's :class:`~repro.engine.scheduler.EngineStats` / cache
-statistics, and fuzz-campaign witness counts — behind a single
-``MetricsRegistry.collect()`` snapshot:
+One registry unifies the repo's two stat channels —
+:class:`~repro.stats.counters.PipelineStats` and fuzz-campaign witness
+counts — behind a single ``MetricsRegistry.collect()`` snapshot:
 
     registry = MetricsRegistry()
     registry.ingest_pipeline_stats(outcome.stats, scheme="nda-strict",
@@ -235,7 +233,7 @@ class MetricsRegistry:
         return render_table(("metric", "kind", "labels", "value"), rows)
 
     # ------------------------------------------------------------------ #
-    # Ingestion: the three legacy stat channels.
+    # Ingestion: the two stat channels.
     # ------------------------------------------------------------------ #
 
     def ingest_pipeline_stats(self, stats, **labels: str) -> None:
@@ -271,43 +269,6 @@ class MetricsRegistry:
             if value == float("inf"):
                 value = 0.0
             self.gauge(name, help_text).labels(**labels).set(value)
-
-    def ingest_engine_stats(self, engine, **labels: str) -> None:
-        """Fold one engine run's :class:`EngineStats` in.
-
-        Every series carries a ``backend`` label (read off the stats,
-        defaulting to ``local-pool`` for pre-backend EngineStats
-        objects) so ``/metrics`` distinguishes how work ran.
-        """
-        labels.setdefault(
-            "backend", getattr(engine, "backend", "") or "local-pool"
-        )
-        for name in ("jobs", "executed", "cache_hits", "cache_misses",
-                     "stores", "retries", "failures", "resumed"):
-            self.counter(
-                "engine_" + name, "suite engine accounting"
-            ).labels(**labels).inc(getattr(engine, name, 0))
-        self.gauge("engine_workers", "worker processes used").labels(
-            **labels
-        ).set(engine.workers)
-        self.gauge("engine_wall_seconds", "sweep wall-clock").labels(
-            **labels
-        ).set(engine.wall_seconds)
-        self.gauge(
-            "engine_sim_seconds", "summed per-job simulation time"
-        ).labels(**labels).set(engine.sim_seconds)
-        hist = self.histogram(
-            "engine_job_milliseconds", "per-job execution time"
-        ).labels(**labels)
-        for elapsed in engine.job_seconds.values():
-            hist.observe(int(elapsed * 1000.0))
-
-    def ingest_cache_stats(self, cache_stats, **labels: str) -> None:
-        """Fold a :class:`~repro.engine.store.CacheStats` block in."""
-        for name in ("hits", "misses", "stores", "errors"):
-            self.counter(
-                "cache_" + name, "result-cache accounting"
-            ).labels(**labels).inc(getattr(cache_stats, name))
 
     def ingest_campaign(self, campaign, **labels: str) -> None:
         """Fold a fuzz :class:`CampaignResult` in: per-channel baseline
@@ -363,72 +324,6 @@ def _fmt_value(value) -> str:
     if isinstance(value, float) and not value.is_integer():
         return "%.3f" % value
     return str(int(value))
-
-
-def _expo_value(value) -> str:
-    """Prometheus sample value: integers bare, floats repr'd."""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _expo_labels(labels: Dict[str, str], extra: str = "") -> str:
-    pairs = [
-        '%s="%s"' % (k, str(v).replace("\\", "\\\\").replace('"', '\\"'))
-        for k, v in sorted(labels.items())
-    ]
-    if extra:
-        pairs.append(extra)
-    return "{%s}" % ",".join(pairs) if pairs else ""
-
-
-def text_exposition(registry) -> str:
-    """Prometheus-style text rendering of a registry (or a ``collect()``
-    payload) — what the job server returns from ``GET /metrics``.
-
-    Counters and gauges render one sample per label set; histograms
-    render cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``
-    (the power-of-two lower bounds become upper-bound ``le`` edges).
-    """
-    payload = registry.collect() if hasattr(registry, "collect") else registry
-    lines: List[str] = []
-    for entry in payload.get("metrics", ()):
-        name, kind = entry["name"], entry["kind"]
-        if entry.get("help"):
-            lines.append("# HELP %s %s" % (name, entry["help"]))
-        lines.append("# TYPE %s %s" % (
-            name, "gauge" if kind == "gauge" else
-            "counter" if kind == "counter" else "histogram",
-        ))
-        for sample in entry.get("samples", ()):
-            labels = sample.get("labels", {})
-            if kind == "histogram":
-                cumulative = 0
-                for bucket, count in sorted(
-                    (int(k), v) for k, v in sample["buckets"].items()
-                ):
-                    cumulative += count
-                    upper = bucket * 2 if bucket else 1
-                    lines.append("%s_bucket%s %d" % (
-                        name, _expo_labels(labels, 'le="%d"' % upper),
-                        cumulative,
-                    ))
-                lines.append("%s_bucket%s %d" % (
-                    name, _expo_labels(labels, 'le="+Inf"'),
-                    sample["count"],
-                ))
-                lines.append("%s_sum%s %s" % (
-                    name, _expo_labels(labels), _expo_value(sample["sum"]),
-                ))
-                lines.append("%s_count%s %d" % (
-                    name, _expo_labels(labels), sample["count"],
-                ))
-            else:
-                lines.append("%s%s %s" % (
-                    name, _expo_labels(labels),
-                    _expo_value(sample["value"]),
-                ))
-    return "\n".join(lines) + "\n"
 
 
 def metrics_from_run(stats, **labels: str) -> MetricsRegistry:

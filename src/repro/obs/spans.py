@@ -14,9 +14,8 @@ trace id.
 Each process owns at most one :class:`Tracer`.  Finished spans land in
 two places:
 
-* a **flight recorder** — a bounded in-memory ring the job server reads
-  to derive ``GET /v1/status`` latency percentiles and the span
-  histograms on ``/metrics``; and
+* a **flight recorder** — a bounded in-memory ring that
+  :meth:`Tracer.finished` reads back within the process; and
 * a **JSONL spool** — one append-only file per process under the trace
   directory (``<service>-<pid>.spans.jsonl``), which
   :func:`repro.obs.perfetto.merge_span_spools` stitches into a single
@@ -40,7 +39,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: Schema version stamped on every spooled span row.
 SPAN_SCHEMA = 1
@@ -174,9 +173,8 @@ class Span:
 class Tracer:
     """Per-process span factory, flight recorder, and JSONL spool.
 
-    ``spool_dir=None`` keeps spans in memory only (the job server uses
-    this for its always-on status ring); a directory turns on the
-    per-process spool file that the Perfetto merger consumes.
+    ``spool_dir=None`` keeps spans in memory only; a directory turns on
+    the per-process spool file that the Perfetto merger consumes.
     """
 
     def __init__(
@@ -202,7 +200,6 @@ class Tracer:
         self._ring: deque = deque(maxlen=ring_size)
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self.finished_total = 0
         self.spool_errors = 0
 
     # ------------------------------------------------------------------ #
@@ -309,7 +306,6 @@ class Tracer:
             row["attrs"] = span.attrs
         with self._lock:
             self._ring.append(row)
-            self.finished_total += 1
         if self.spool_path is not None:
             try:
                 line = json.dumps(row, sort_keys=True)
@@ -327,28 +323,6 @@ class Tracer:
         if name is None:
             return rows
         return [row for row in rows if row["name"] == name]
-
-    def since(self, cursor: int):
-        """Spans finished after *cursor* (a prior ``finished_total``)
-        that are still in the ring; returns ``(new_cursor, rows)``.
-        The incremental read the server's histogram ingestion uses so a
-        repeated ``/metrics`` scrape never double-counts a span."""
-        with self._lock:
-            total = self.finished_total
-            fresh = total - int(cursor)
-            if fresh <= 0:
-                return total, []
-            rows = list(self._ring)
-            return total, rows[-min(fresh, len(rows)):]
-
-    def describe(self) -> dict:
-        return {
-            "service": self.service,
-            "pid": self.pid,
-            "spool": self.spool_path,
-            "finished": self.finished_total,
-            "spool_errors": self.spool_errors,
-        }
 
 
 # ---------------------------------------------------------------------- #
@@ -403,37 +377,3 @@ def uninstall_tracer() -> None:
     with _GLOBAL_LOCK:
         _PROCESS_TRACER = None
         _ENV_CHECKED = False
-
-
-# ---------------------------------------------------------------------- #
-# Latency summaries (the /v1/status observatory reads these).
-# ---------------------------------------------------------------------- #
-
-
-def _percentile(ordered: List[float], quantile: float) -> float:
-    """Nearest-rank percentile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    rank = max(
-        0, min(len(ordered) - 1, int(round(quantile * (len(ordered) - 1))))
-    )
-    return ordered[rank]
-
-
-def span_latency_summary(rows: Iterable[dict], name: str) -> dict:
-    """p50/p95/max/mean duration (ms) of the spans named *name*."""
-    durations = sorted(
-        (row["end_unix"] - row["start_unix"]) * 1e3
-        for row in rows
-        if row.get("name") == name
-    )
-    if not durations:
-        return {"count": 0, "p50_ms": 0.0, "p95_ms": 0.0,
-                "max_ms": 0.0, "mean_ms": 0.0}
-    return {
-        "count": len(durations),
-        "p50_ms": round(_percentile(durations, 0.50), 3),
-        "p95_ms": round(_percentile(durations, 0.95), 3),
-        "max_ms": round(durations[-1], 3),
-        "mean_ms": round(sum(durations) / len(durations), 3),
-    }

@@ -1,22 +1,22 @@
 """Simulation-as-a-service: the async HTTP job server.
 
-The server glues the repo's two reuse layers together — the engine's
-content-addressed result cache (PR 1) and the unified metrics registry
-(PR 5) — behind a durable, authenticated HTTP API: identical requests
-from many users cost one simulation, and everything the service does is
-observable at ``GET /metrics``.
+Four routes — submit a job, read its status, fetch its result, and a
+health probe — in front of a durable FIFO queue.  Worker threads run
+each job with the function the CLI uses (``run_suite``, the attack PoC
+modules, ``run_campaign``) over the engine's content-addressed result
+cache, so identical requests from many users cost one simulation.
 
 Layering (each module is importable on its own):
 
-* :mod:`repro.server.queue`    — durable priority queue + artifact store
+* :mod:`repro.server.queue`    — durable FIFO queue + result store
 * :mod:`repro.server.jobspec`  — job kinds, validation, content keys
-* :mod:`repro.server.workers`  — thread pool draining queue via engine
+* :mod:`repro.server.workers`  — thread pool draining the queue
 * :mod:`repro.server.auth`     — token table + per-token rate limiting
 * :mod:`repro.server.app`      — asyncio HTTP front-end (the service)
 * :mod:`repro.server.client`   — typed client (CLI + tests sit on it)
 
 Quick start: ``nda-repro serve`` then ``nda-repro submit attack
-spectre_v1 --config strict --wait`` — or from Python::
+spectre_v1_cache --config strict --wait`` — or from Python::
 
     from repro.server import ReproServer
     from repro.api import ServerClient
@@ -35,10 +35,8 @@ from repro.server.auth import Principal, RateLimiter, TokenAuth
 from repro.server.client import JobStatus, ServerClient, ServerError
 from repro.server.jobspec import (
     JOB_KINDS,
-    AttackJob,
     SpecError,
     content_key,
-    is_warm,
     validate_spec,
 )
 from repro.server.queue import (
@@ -59,10 +57,8 @@ __all__ = [
     "ServerClient",
     "ServerError",
     "JOB_KINDS",
-    "AttackJob",
     "SpecError",
     "content_key",
-    "is_warm",
     "validate_spec",
     "ArtifactStore",
     "DurableQueue",

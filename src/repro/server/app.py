@@ -7,19 +7,15 @@ are ``kind: "error"`` envelopes with a structured ``error.code``.
 
 Endpoints (auth = Bearer token when a tokens file is configured)::
 
-    POST /v1/jobs                submit {kind, spec, priority}    [auth]
+    POST /v1/jobs                submit {kind, spec}              [auth]
     GET  /v1/jobs/<id>           status + queue position          [auth]
     GET  /v1/jobs/<id>/result    the result envelope              [auth]
-    GET  /v1/artifacts/<key>     content-addressed JSON artifact  [auth]
-    GET  /v1/status              live observatory snapshot        [auth]
-    GET  /metrics                text exposition (open, for scrapers)
     GET  /healthz                liveness + queue counts (open)
 
-Submission is where the engine's content-addressed cache earns its keep:
-the job id *is* the content key, so a duplicate request returns the
-existing record, and a sweep whose windows are all cached is completed
-inline — worker threads never see it (``cached: true`` on the record,
-``server_cache_shortcircuit_total`` on the metrics).
+The job id *is* the content key of the work, so a duplicate request
+returns the existing record instead of queueing the work again.  Every
+new job goes through the FIFO queue to a worker thread; a sweep whose
+windows are already in the result store executes nothing there.
 """
 
 from __future__ import annotations
@@ -28,22 +24,15 @@ import asyncio
 import json
 import re
 import threading
-import time
 from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.engine.store import ShardedDiskStore
 from repro.envelope import error_envelope, make_envelope
 from repro.obs.log import get_logger
-from repro.obs.spans import Tracer, maybe_tracer, span_latency_summary
+from repro.obs.spans import maybe_tracer
 from repro.server.auth import ANONYMOUS, RateLimiter, TokenAuth
-from repro.server.jobspec import (
-    JOB_KINDS,
-    SpecError,
-    content_key,
-    is_warm,
-    validate_spec,
-)
+from repro.server.jobspec import SpecError, content_key, validate_spec
 from repro.server.queue import ArtifactStore, DurableQueue, JobRecord
 from repro.server.workers import WorkerPool
 
@@ -75,9 +64,6 @@ class ReproServer:
         max_body: int = 1 << 20,
         request_timeout: float = 30.0,
     ) -> None:
-        from repro.obs.metrics import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
         self.queue_dir = Path(queue_dir)
         self.queue = DurableQueue(
             self.queue_dir, max_retries=max_retries,
@@ -92,38 +78,26 @@ class ReproServer:
             self.cache = None
         self.auth = auth
         self.limiter = RateLimiter()
-        # The tracer is always on in-memory (the /v1/status latency
-        # summaries need the span ring even for a detached run); it only
-        # spools to disk when REPRO_TRACE_DIR is set.
-        self.tracer = maybe_tracer("server") or Tracer("server")
-        self._spans_ingested = 0  # /metrics histogram drain cursor
+        # None unless REPRO_TRACE_DIR is set (or a tracer is installed):
+        # an untraced server records no spans.
+        self.tracer = maybe_tracer("server")
         self.pool = WorkerPool(
             self.queue, self.artifacts, cache=self.cache, workers=workers,
-            engine_jobs=engine_jobs, metrics=self.metrics,
-            tracer=self.tracer,
+            engine_jobs=engine_jobs, tracer=self.tracer,
         )
         self.max_body = max_body
         self.request_timeout = request_timeout
         self.address: Optional[Tuple[str, int]] = None
-        self._submit_lock = threading.Lock()
         self._asyncio_server = None
         self._thread = None
         self._loop = None
         self._routes = (
-            ("POST", re.compile(r"^/v1/jobs$"), "jobs.submit",
-             self._post_jobs, True),
-            ("GET", re.compile(r"^/v1/jobs/([0-9a-f]{8,64})$"), "jobs.get",
+            ("POST", re.compile(r"^/v1/jobs$"), self._post_jobs, True),
+            ("GET", re.compile(r"^/v1/jobs/([0-9a-f]{8,64})$"),
              self._get_job, True),
             ("GET", re.compile(r"^/v1/jobs/([0-9a-f]{8,64})/result$"),
-             "jobs.result", self._get_result, True),
-            ("GET", re.compile(r"^/v1/artifacts/([0-9a-f]{64})$"),
-             "artifacts.get", self._get_artifact, True),
-            ("GET", re.compile(r"^/v1/status$"), "status",
-             self._get_status, True),
-            ("GET", re.compile(r"^/metrics$"), "metrics",
-             self._get_metrics, False),
-            ("GET", re.compile(r"^/healthz$"), "healthz",
-             self._get_healthz, False),
+             self._get_result, True),
+            ("GET", re.compile(r"^/healthz$"), self._get_healthz, False),
         )
 
     # ------------------------------------------------------------------ #
@@ -148,9 +122,9 @@ class ReproServer:
                          port: int = 0) -> Tuple[str, int]:
         """Run the server in a daemon thread; returns the bound address.
 
-        This is how tests (and the CLI's ``submit --spawn``) embed the
-        service: the caller's thread stays free, the event loop lives in
-        the background thread, and :meth:`close` tears everything down.
+        This is how tests embed the service: the caller's thread stays
+        free, the event loop lives in the background thread, and
+        :meth:`close` tears everything down.
         """
         ready = threading.Event()
 
@@ -205,7 +179,6 @@ class ReproServer:
         status, payload, extra_headers = 500, error_envelope(
             "internal", "unhandled server error"
         ), {}
-        route_name = "unknown"
         try:
             try:
                 method, path, headers, body = await asyncio.wait_for(
@@ -217,7 +190,7 @@ class ReproServer:
                     ConnectionError):
                 return  # client went away; nothing to answer
             else:
-                status, payload, extra_headers, route_name = self._dispatch(
+                status, payload, extra_headers = self._dispatch(
                     method, path, headers, body
                 )
         except Exception as error:  # noqa: BLE001 — must answer something
@@ -225,9 +198,6 @@ class ReproServer:
                 "internal", "%s: %s" % (type(error).__name__, error)
             )
         finally:
-            self.metrics.counter(
-                "http_requests_total", "HTTP requests by route and status"
-            ).labels(route=route_name, status=str(status)).inc()
             try:
                 await self._write_response(
                     writer, status, payload, extra_headers
@@ -259,6 +229,8 @@ class ReproServer:
             raise _HttpError(
                 400, "bad_request", "unparseable Content-Length"
             )
+        if length < 0:
+            raise _HttpError(400, "bad_request", "negative Content-Length")
         if length > self.max_body:
             raise _HttpError(
                 413, "payload_too_large",
@@ -269,15 +241,10 @@ class ReproServer:
         return method.upper(), path, headers, body
 
     async def _write_response(self, writer, status, payload, extra_headers):
-        if isinstance(payload, (dict, list)):
-            blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-        else:
-            blob = str(payload).encode("utf-8")
-            content_type = "text/plain; charset=utf-8"
+        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         head = [
             "HTTP/1.1 %d %s" % (status, _STATUS_TEXT.get(status, "Status")),
-            "Content-Type: %s" % content_type,
+            "Content-Type: application/json; charset=utf-8",
             "Content-Length: %d" % len(blob),
             "Connection: close",
         ]
@@ -292,13 +259,13 @@ class ReproServer:
         # A path that matches a route under another method answers 405,
         # not 404.  The scan goes on after a mismatch so that one path
         # can be served under several methods.
-        matched_path = None
-        for route_method, pattern, name, handler, needs_auth in self._routes:
+        path_matched = False
+        for route_method, pattern, handler, needs_auth in self._routes:
             match = pattern.match(path)
             if not match:
                 continue
             if method != route_method:
-                matched_path = name
+                path_matched = True
                 continue
             principal = ANONYMOUS
             if needs_auth and self.auth is not None:
@@ -312,7 +279,7 @@ class ReproServer:
                             "unauthorized",
                             "missing or unknown bearer token",
                         ),
-                        {}, name,
+                        {},
                     )
                 retry_after = self.limiter.check(principal)
                 if retry_after > 0:
@@ -327,25 +294,21 @@ class ReproServer:
                             },
                         ),
                         {"Retry-After": "%d" % max(1, int(retry_after + 1))},
-                        name,
                     )
-            status, payload, extra = handler(
-                match, headers, body, principal
-            )
-            return status, payload, extra, name
-        if matched_path is not None:
+            return handler(match, headers, body, principal)
+        if path_matched:
             return (
                 405,
                 error_envelope(
                     "method_not_allowed",
                     "%s does not accept %s" % (path, method),
                 ),
-                {}, matched_path,
+                {},
             )
         return (
             404,
             error_envelope("not_found", "no route for %s" % path),
-            {}, "unknown",
+            {},
         )
 
     # ------------------------------------------------------------------ #
@@ -371,60 +334,32 @@ class ReproServer:
                 "invalid_spec", "job spec rejected",
                 detail={"problems": error.problems},
             ), {}
-        priority = request.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            return 400, error_envelope(
-                "bad_request", "'priority' must be an integer"
-            ), {}
-        self.metrics.counter(
-            "server_submissions_total", "job submissions by kind"
-        ).labels(kind=kind).inc()
-
         # The trace context rides at the request's top level, not inside
         # the spec (validate_spec rejects unknown spec fields).  A
         # malformed header starts a fresh trace rather than erroring.
         client_traceparent = request.get("traceparent")
         if not isinstance(client_traceparent, str):
             client_traceparent = None
-        submit_span = self.tracer.start_span(
-            "submit", parent=client_traceparent,
-            attrs={"kind": kind, "principal": principal.name},
-        )
+        submit_span = None
+        if self.tracer is not None:
+            submit_span = self.tracer.start_span(
+                "submit", parent=client_traceparent,
+                attrs={"kind": kind, "principal": principal.name},
+            )
         record = JobRecord(
             id=content_key(kind, spec), kind=kind, spec=spec,
-            priority=priority, max_retries=self.queue.max_retries,
+            max_retries=self.queue.max_retries,
             principal=principal.name,
-            traceparent=submit_span.traceparent(),
+            traceparent=(
+                submit_span.traceparent() if submit_span is not None else ""
+            ),
         )
-        outcome = "queued"
-        try:
-            with self._submit_lock:
-                existing = self.queue.get(record.id)
-                if existing is not None:
-                    stored, _created = self.queue.submit(record)
-                    self.metrics.counter(
-                        "server_jobs_deduped_total",
-                        "submissions answered by an existing job",
-                    ).labels(kind=kind).inc()
-                    outcome = "deduped"
-                    return 200, self._job_payload(stored), {}
-                if is_warm(kind, spec, self.cache):
-                    # Warm cache: complete inline, queue and workers
-                    # skipped.
-                    stored, _created = self.queue.submit(record)
-                    finished = self.pool.run_job(stored, cached=True)
-                    self.metrics.counter(
-                        "server_cache_shortcircuit_total",
-                        "submissions completed from the result cache",
-                    ).labels(kind=kind).inc()
-                    outcome = "cache_shortcircuit"
-                    return 200, self._job_payload(finished), {}
-                self.queue.submit(record)
-            return 202, self._job_payload(record), {}
-        finally:
-            submit_span.attrs["job_id"] = record.id
-            submit_span.attrs["outcome"] = outcome
+        stored, created = self.queue.submit(record)
+        if submit_span is not None:
+            submit_span.attrs["job_id"] = stored.id
+            submit_span.attrs["outcome"] = "queued" if created else "deduped"
             submit_span.end()
+        return (202 if created else 200), self._job_payload(stored), {}
 
     def _resolve(self, job_id: str) -> Optional[JobRecord]:
         record = self.queue.get(job_id)
@@ -468,116 +403,6 @@ class ReproServer:
             ), {}
         return 200, result, {}
 
-    def _get_artifact(self, match, headers, body, principal):
-        payload = self.artifacts.load(match.group(1))
-        if payload is None:
-            return 404, error_envelope(
-                "not_found", "unknown artifact %r" % match.group(1)
-            ), {}
-        return 200, payload, {}
-
-    def _get_status(self, match, headers, body, principal):
-        """Live observatory snapshot: queue, workers, cache, latencies.
-
-        Everything span-derived comes from the server tracer's in-memory
-        ring, so the endpoint works identically whether or not spooling
-        (``REPRO_TRACE_DIR``) is enabled.
-        """
-        now = time.time()
-        records = self.queue.records()
-        by_kind: dict = {}
-        running = []
-        for record in records:
-            entry = by_kind.setdefault(
-                record.kind, {"queued": 0, "running": 0, "done": 0,
-                              "failed": 0, "cached": 0},
-            )
-            entry[record.state] += 1
-            if record.cached:
-                entry["cached"] += 1
-            if record.state == "running":
-                running.append({
-                    "id": record.id[:12],
-                    "kind": record.kind,
-                    "attempt": record.attempts,
-                    "running_seconds": round(
-                        max(0.0, now - record.started_unix), 3
-                    ) if record.started_unix else 0.0,
-                })
-        cache_info = None
-        if self.cache is not None:
-            stats = self.cache.stats
-            lookups = stats.hits + stats.misses
-            cache_info = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "stores": stats.stores,
-                "errors": stats.errors,
-                "hit_rate": round(stats.hits / lookups, 4)
-                if lookups else 0.0,
-            }
-        rows = self.tracer.finished()
-        return 200, make_envelope(
-            "status",
-            queue=self.queue.counts(),
-            jobs={"total": len(records), "by_kind": by_kind},
-            running=running,
-            workers={
-                "threads": self.pool.workers,
-                "executed": self.pool.executed,
-            },
-            cache=cache_info,
-            latency={
-                "queue_wait": span_latency_summary(rows, "queue.wait"),
-                "execute": span_latency_summary(rows, "job.execute"),
-            },
-            tracing=self.tracer.describe(),
-        ), {}
-
-    #: Span names mirrored into /metrics latency histograms.
-    _SPAN_HISTOGRAMS = {
-        "queue.wait": (
-            "server_queue_wait_milliseconds",
-            "span-derived queue wait before a worker claims a job",
-        ),
-        "job.execute": (
-            "server_execute_milliseconds",
-            "span-derived wall time executing a job",
-        ),
-    }
-
-    def _ingest_span_metrics(self) -> None:
-        """Drain spans finished since the last scrape into histograms.
-
-        The cursor (``_spans_ingested``) makes the drain incremental, so
-        back-to-back /metrics scrapes never double-count a span.
-        """
-        cursor, fresh = self.tracer.since(self._spans_ingested)
-        for row in fresh:
-            entry = self._SPAN_HISTOGRAMS.get(row.get("name"))
-            if entry is None:
-                continue
-            name, help_text = entry
-            kind = str((row.get("attrs") or {}).get("kind", ""))
-            self.metrics.histogram(name, help_text).labels(
-                kind=kind
-            ).observe((row["end_unix"] - row["start_unix"]) * 1e3)
-        self._spans_ingested = cursor
-
-    def _get_metrics(self, match, headers, body, principal):
-        from repro.obs.metrics import text_exposition
-
-        counts = self.queue.counts()
-        gauge = self.metrics.gauge(
-            "server_queue_jobs", "jobs in the durable queue by state"
-        )
-        for state, count in counts.items():
-            gauge.labels(state=state).set(count)
-        self._ingest_span_metrics()
-        if self.cache is not None:
-            self.pool._sync_cache_metrics()
-        return 200, text_exposition(self.metrics), {}
-
     def _get_healthz(self, match, headers, body, principal):
         return 200, make_envelope(
             "job",
@@ -597,10 +422,6 @@ class ReproServer:
         links = {"self": "/v1/jobs/%s" % record.id}
         if record.state == "done":
             links["result"] = "/v1/jobs/%s/result" % record.id
-            # Artifact links are namespaced so an artifact named
-            # "result" cannot shadow the result endpoint link.
-            for name, key in record.artifacts.items():
-                links["artifact:" + name] = "/v1/artifacts/%s" % key
         return make_envelope(
             "job",
             job=job,
@@ -636,7 +457,10 @@ def serve(
             queue_dir=str(server.queue_dir),
             cache=server.cache.describe() if server.cache else "disabled",
             auth="enabled" if server.auth else "disabled",
-            tracing=server.tracer.describe(),
+            tracing=(
+                server.tracer.spool_path if server.tracer is not None
+                else "disabled"
+            ),
         )
         try:
             await server.serve_forever()

@@ -12,7 +12,7 @@ Tokens live in a JSON file (``nda-repro serve --tokens tokens.json``)::
 
 Clients present the token as ``Authorization: Bearer <token>`` (a bare
 token value is accepted too).  Each token maps to a :class:`Principal`
-whose name labels the server's metrics and job records; unknown or
+whose name labels the server's job records and submit spans; unknown or
 missing tokens are rejected with 401 before any spec parsing happens.
 
 Rate limiting is a classic token bucket per principal: ``rate_per_sec``

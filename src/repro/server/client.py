@@ -7,13 +7,17 @@ its surface *is* the wire protocol's compatibility contract::
     from repro.api import ServerClient
 
     client = ServerClient("http://127.0.0.1:8765", token="s3cret")
-    job = client.submit("attack", {"attack": "spectre_v1",
+    job = client.submit("attack", {"attack": "spectre_v1_cache",
                                    "config": "strict"})
     job = client.wait(job.id, timeout=120)
     result = client.result(job.id)        # a repro.result/v1 envelope
 
-Every JSON response is checked against the envelope contract before it
-is returned; HTTP-level rejections surface as :class:`ServerError` with
+One method per route — :meth:`~ServerClient.submit`,
+:meth:`~ServerClient.job`, :meth:`~ServerClient.result` and
+:meth:`~ServerClient.health` — plus :meth:`~ServerClient.wait` and
+:meth:`~ServerClient.submit_and_wait`, which poll ``job``.  Every
+response is checked against the envelope contract before it is
+returned; HTTP-level rejections surface as :class:`ServerError` with
 the structured ``error.code`` the server sent (``invalid_spec``,
 ``unauthorized``, ``rate_limited``, ...).
 """
@@ -44,16 +48,14 @@ class ServerError(ReproError):
 
 @dataclass(frozen=True)
 class JobStatus:
-    """One job record as the status endpoint reports it."""
+    """One job record as ``GET /v1/jobs/<id>`` reports it."""
 
     id: str
     kind: str
     state: str
-    priority: int
     attempts: int
     retries: int
     submissions: int
-    cached: bool
     error: str
     result_key: str
     queue_position: Optional[int]
@@ -70,11 +72,9 @@ class JobStatus:
             id=job.get("id", ""),
             kind=job.get("kind", ""),
             state=job.get("state", ""),
-            priority=job.get("priority", 0),
             attempts=job.get("attempts", 0),
             retries=job.get("retries", 0),
             submissions=job.get("submissions", 0),
-            cached=bool(job.get("cached", False)),
             error=job.get("error", ""),
             result_key=job.get("result_key", ""),
             queue_position=envelope.get("queue_position"),
@@ -119,7 +119,6 @@ class ServerClient:
             response = connection.getresponse()
             raw = response.read()
             status = response.status
-            content_type = response.getheader("Content-Type", "")
         except (OSError, ConnectionError) as error:
             raise ServerError(
                 0, "transport",
@@ -128,15 +127,12 @@ class ServerClient:
             )
         finally:
             connection.close()
-        if content_type.startswith("text/plain"):
-            document = raw.decode("utf-8")
-        else:
-            try:
-                document = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                raise ServerError(
-                    status, "protocol", "non-JSON response from server"
-                )
+        try:
+            document = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            raise ServerError(
+                status, "protocol", "non-JSON response from server"
+            )
         if status >= 400:
             error = (
                 document.get("error", {})
@@ -166,14 +162,12 @@ class ServerClient:
         return self._request("GET", "/healthz")[1]
 
     def submit(self, kind: str, spec: Optional[dict] = None,
-               priority: int = 0,
                traceparent: Optional[str] = None) -> JobStatus:
-        """Submit one job; returns its status (possibly already done —
-        idempotent resubmissions and warm-cache sweeps come back
-        ``state == "done"`` immediately).  *traceparent* (a W3C-style
-        header from :mod:`repro.obs.spans`) links the server-side spans
-        to the caller's trace."""
-        body = {"kind": kind, "spec": spec or {}, "priority": priority}
+        """Submit one job; returns its status (an idempotent resubmission
+        of a finished job comes back ``state == "done"`` immediately).
+        *traceparent* (a W3C-style header from :mod:`repro.obs.spans`)
+        links the server-side spans to the caller's trace."""
+        body = {"kind": kind, "spec": spec or {}}
         if traceparent:
             body["traceparent"] = traceparent
         _status, envelope = self._request("POST", "/v1/jobs", body=body)
@@ -186,18 +180,6 @@ class ServerClient:
     def result(self, job_id: str) -> dict:
         """The job's result envelope (raises ``not_ready`` while queued)."""
         return self._request("GET", "/v1/jobs/%s/result" % job_id)[1]
-
-    def artifact(self, key: str) -> dict:
-        return self._request("GET", "/v1/artifacts/%s" % key)[1]
-
-    def metrics_text(self) -> str:
-        return self._request("GET", "/metrics")[1]
-
-    def status(self) -> dict:
-        """Live observatory snapshot (``GET /v1/status``): queue depth,
-        per-kind progress, worker throughput, cache hit rate, and
-        span-derived queue-wait / execute latency summaries."""
-        return self._request("GET", "/v1/status")[1]
 
     def wait(self, job_id: str, timeout: float = 120.0,
              poll: float = 0.1) -> JobStatus:
@@ -220,10 +202,9 @@ class ServerClient:
             time.sleep(poll)
 
     def submit_and_wait(self, kind: str, spec: Optional[dict] = None,
-                        priority: int = 0,
                         timeout: float = 120.0) -> dict:
         """Submit, wait, and fetch the result envelope in one call."""
-        job = self.submit(kind, spec, priority=priority)
+        job = self.submit(kind, spec)
         if not job.finished:
             job = self.wait(job.id, timeout=timeout)
         if job.state == "failed":

@@ -1,37 +1,36 @@
 """Job specifications: what ``POST /v1/jobs`` accepts and how it runs.
 
 Three job kinds wrap the three campaign surfaces of the repo, each as a
-plain-JSON ``spec`` validated here before anything touches the queue:
+plain-JSON ``spec`` validated here before anything touches the queue,
+and each run by the same function its CLI command uses:
 
-* ``sweep`` — a SMARTS sampling sweep (benchmarks x samples x configs),
-  executed through :func:`repro.engine.run_jobs` with the shared
-  content-addressed :class:`~repro.engine.store.ShardedDiskStore`;
-* ``attack`` — one attack PoC on one configuration, run as an
-  :class:`AttackJob` through the same engine job layer (the third
-  implementation of the ``SimJob``/``FuzzJob`` polymorphic contract);
-* ``fuzz`` — a differential leak-fuzzing campaign
-  (:func:`repro.fuzz.run_campaign`).
+* ``sweep`` — a SMARTS sampling sweep (benchmarks x samples x configs)
+  through :func:`repro.harness.experiment.run_suite` with the shared
+  content-addressed :class:`~repro.engine.store.ShardedDiskStore`
+  (``nda-repro bench``);
+* ``attack`` — one attack PoC on one configuration, run by its PoC
+  module (``nda-repro attack``);
+* ``fuzz`` — a differential leak-fuzzing campaign through
+  :func:`repro.fuzz.run_campaign` (``nda-repro fuzz run``).
 
 :func:`content_key` derives each job's identity from what it *computes*,
 not when it was asked for: a sweep's key is a digest over the engine's
 per-window cache keys (so two requests that would simulate the same
 windows collapse to one queue entry), and attack/fuzz keys hash the
-normalized spec plus the code version.  :func:`is_warm` is the queue
-short-circuit probe — True when every window of a sweep already sits in
-the result cache, in which case submission completes the job inline
-without a worker ever seeing it.
+normalized spec plus the code version.  A sweep whose windows are all
+in the result store still goes through the queue; ``run_suite`` then
+serves every window from the store and executes nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.config import ConfigSpec, config_registry
+from repro.config import config_registry
+from repro.engine.jobs import expand_jobs
 from repro.engine.store import ShardedDiskStore, _code_version, job_cache_key
-from repro.engine.jobs import SimJob, expand_jobs
 from repro.errors import ReproError
 
 JOB_KINDS = ("sweep", "attack", "fuzz")
@@ -72,7 +71,7 @@ def _config_names(spec, default, problems, *, ooo_only=False) -> List[str]:
         return list(default)
     out = []
     for name in names:
-        if name not in registry:
+        if not isinstance(name, str) or name not in registry:
             problems.append(
                 "unknown config %r (see `nda-repro config list`)" % (name,)
             )
@@ -110,7 +109,7 @@ def validate_spec(kind: str, spec) -> dict:
             problems.append("'benchmarks' must be a non-empty list")
             benchmarks = list(DEFAULT_SUITE)
         for bench in benchmarks:
-            if bench not in PROFILES:
+            if not isinstance(bench, str) or bench not in PROFILES:
                 problems.append("unknown benchmark %r" % (bench,))
         normalized = {
             "benchmarks": benchmarks,
@@ -126,18 +125,17 @@ def validate_spec(kind: str, spec) -> dict:
                 spec, "instructions", 14000, 100, 10**7, problems
             ),
             "seed0": _int_field(spec, "seed0", 0, 0, 10**9, problems),
-            "trace": bool(spec.get("trace", False)),
         }
     elif kind == "attack":
         names = _attack_names()
         attack = spec.get("attack")
-        if attack not in names:
+        if not isinstance(attack, str) or attack not in names:
             problems.append(
                 "unknown attack %r (expected one of %s)"
                 % (attack, ", ".join(names))
             )
         config = spec.get("config", "ooo")
-        if config not in config_registry():
+        if not isinstance(config, str) or config not in config_registry():
             problems.append("unknown config %r" % (config,))
         normalized = {
             "attack": attack,
@@ -172,17 +170,6 @@ def validate_spec(kind: str, spec) -> dict:
 # ---------------------------------------------------------------------- #
 
 
-def sweep_jobs(spec: dict) -> Tuple[List[str], List[ConfigSpec], List[SimJob]]:
-    """Expand a validated sweep spec into its engine jobs."""
-    registry = config_registry()
-    specs = [registry[name] for name in spec["configs"]]
-    jobs = expand_jobs(
-        spec["benchmarks"], specs, spec["samples"], spec["warmup"],
-        spec["measure"], spec["instructions"], spec["seed0"],
-    )
-    return list(spec["benchmarks"]), specs, jobs
-
-
 def content_key(kind: str, spec: dict) -> str:
     """The job id: a digest of what the job computes.
 
@@ -192,7 +179,12 @@ def content_key(kind: str, spec: dict) -> str:
     code version (same invalidation rule as the cache).
     """
     if kind == "sweep":
-        _, _, jobs = sweep_jobs(spec)
+        registry = config_registry()
+        jobs = expand_jobs(
+            spec["benchmarks"], [registry[name] for name in spec["configs"]],
+            spec["samples"], spec["warmup"], spec["measure"],
+            spec["instructions"], spec["seed0"],
+        )
         payload = {
             "kind": kind,
             "windows": sorted(job_cache_key(job) for job in jobs),
@@ -205,59 +197,6 @@ def content_key(kind: str, spec: dict) -> str:
     return digest
 
 
-def is_warm(
-    kind: str, spec: dict, cache: Optional[ShardedDiskStore]
-) -> bool:
-    """True when the result cache can answer the whole job right now.
-
-    Only sweeps are cache-backed (attack/fuzz runs are novelty-seeking);
-    a warm sweep is completed inline at submission time — it never
-    touches the queue or a worker.
-    """
-    if kind != "sweep" or cache is None:
-        return False
-    _, _, jobs = sweep_jobs(spec)
-    return all(cache.has(job) for job in jobs)
-
-
-# ---------------------------------------------------------------------- #
-# AttackJob: the third implementation of the engine's job contract.
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class AttackJob:
-    """One attack PoC execution for the engine scheduler (picklable)."""
-
-    attack: str
-    config_name: str
-    secret: int
-    guess_count: int
-
-    @property
-    def coordinates(self) -> tuple:
-        return (self.attack, self.config_name, self.secret)
-
-    def describe(self) -> str:
-        return "attack %s on %s (secret %d)" % (
-            self.attack, self.config_name, self.secret,
-        )
-
-    def execute(self):
-        """Run the PoC in the current process; returns its outcome."""
-        from repro.attacks.common import default_guesses
-        from repro.attacks.taxonomy import IMPLEMENTED
-
-        info = next(i for i in IMPLEMENTED if i.name == self.attack)
-        spec = config_registry()[self.config_name]
-        return info.module.run(
-            spec.config,
-            secret=self.secret,
-            guesses=default_guesses(self.secret, self.guess_count),
-            in_order=spec.in_order,
-        )
-
-
 # ---------------------------------------------------------------------- #
 # Executors (run in worker threads; return result envelopes).
 # ---------------------------------------------------------------------- #
@@ -268,82 +207,57 @@ def execute_sweep(
     cache: Optional[ShardedDiskStore] = None,
     engine_jobs: int = 1,
 ) -> dict:
-    """Run one sweep through the engine; returns a ``suite`` envelope."""
-    from repro.engine.scheduler import run_jobs
+    """Run one sweep through ``run_suite``; returns a ``suite`` envelope."""
     from repro.envelope import make_envelope
-    from repro.stats.sampling import Sample, SampledRun
+    from repro.harness.experiment import run_suite
 
-    benchmarks, specs, jobs = sweep_jobs(spec)
-    collect_trace = bool(spec.get("trace"))
-    results, failures, stats = run_jobs(
-        jobs, jobs=engine_jobs, cache=cache, collect_trace=collect_trace,
+    registry = config_registry()
+    suite = run_suite(
+        spec["benchmarks"], [registry[name] for name in spec["configs"]],
+        samples=spec["samples"], warmup=spec["warmup"],
+        measure=spec["measure"], instructions=spec["instructions"],
+        seed0=spec["seed0"], jobs=engine_jobs, cache=cache,
     )
-    if failures:
-        raise ReproError(
-            "%d of %d sweep windows failed: %s" % (
-                len(failures), len(jobs),
-                "; ".join(
-                    "%s: %s" % (f.job.describe(), f.error)
-                    for f in failures[:3]
-                ),
-            )
-        )
-    cells: Dict[Tuple[str, str], List[Sample]] = {}
-    for job_result in results:
-        job = job_result.job
-        cells.setdefault((job.benchmark, job.label), []).append(
-            Sample(seed=job.seed, window=job_result.window)
-        )
-    cpi: Dict[str, Dict[str, dict]] = {}
-    for bench in benchmarks:
+    cpi: dict = {}
+    for bench in suite.benchmarks:
         cpi[bench] = {}
-        for config_spec in specs:
-            run = SampledRun(
-                label=config_spec.label, benchmark=bench,
-                samples=cells.get((bench, config_spec.label), []),
-            )
-            cpi[bench][config_spec.label] = {
+        for label in suite.labels:
+            run = suite.run(bench, label)
+            cpi[bench][label] = {
                 "mean_cpi": run.mean_cpi,
                 "ci95": run.ci95,
                 "samples": len(run.samples),
             }
-    body = {
-        "spec": spec,
-        "benchmarks": benchmarks,
-        "labels": [s.label for s in specs],
-        "cpi": cpi,
-        "engine": {
-            "jobs": stats.jobs,
-            "executed": stats.executed,
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-            "retries": stats.retries,
-            "workers": stats.workers,
-            "wall_seconds": stats.wall_seconds,
+    engine = suite.engine
+    return make_envelope(
+        "suite",
+        spec=spec,
+        benchmarks=suite.benchmarks,
+        labels=suite.labels,
+        cpi=cpi,
+        engine={
+            name: getattr(engine, name)
+            for name in ("jobs", "executed", "cache_hits", "cache_misses",
+                         "retries", "workers", "wall_seconds")
         },
-    }
-    if collect_trace:
-        from repro.obs.perfetto import engine_trace_events
-
-        body["trace_events"] = engine_trace_events(stats.job_trace)
-    return make_envelope("suite", **body), stats
+    )
 
 
-def execute_attack(spec: dict, engine_jobs: int = 1) -> dict:
-    """Run one attack PoC through the engine's job layer."""
-    from repro.engine.scheduler import run_jobs
+def execute_attack(spec: dict) -> dict:
+    """Run one attack PoC the way ``nda-repro attack`` does."""
+    from repro.attacks.common import default_guesses
+    from repro.attacks.taxonomy import IMPLEMENTED
     from repro.envelope import attack_envelope
 
-    job = AttackJob(
-        attack=spec["attack"],
-        config_name=spec["config"],
+    info = next(i for i in IMPLEMENTED if i.name == spec["attack"])
+    config_spec = config_registry()[spec["config"]]
+    outcome = info.module.run(
+        config_spec.config,
         secret=spec["secret"],
-        guess_count=spec["guesses"],
+        guesses=default_guesses(spec["secret"], spec["guesses"]),
+        in_order=config_spec.in_order,
     )
-    results, failures, stats = run_jobs([job], jobs=engine_jobs, cache=None)
-    if failures:
-        raise ReproError(failures[0].error)
-    return attack_envelope(results[0].window, spec=spec), stats
+    return attack_envelope(outcome, spec=spec)
 
 
 def execute_fuzz(spec: dict, engine_jobs: int = 1) -> dict:
@@ -370,11 +284,4 @@ def execute_fuzz(spec: dict, engine_jobs: int = 1) -> dict:
         ],
         "summary": campaign.describe(),
     }
-    return make_envelope("fuzz-campaign", **body), None
-
-
-EXECUTORS = {
-    "sweep": execute_sweep,
-    "attack": execute_attack,
-    "fuzz": execute_fuzz,
-}
+    return make_envelope("fuzz-campaign", **body)

@@ -1,4 +1,4 @@
-"""Durable on-disk job queue and content-addressed artifact store.
+"""Durable on-disk job queue and content-addressed result store.
 
 Every submitted job is one JSON file under ``<queue_dir>/jobs/<id>.json``
 holding the full :class:`JobRecord` — state transitions rewrite the file
@@ -7,12 +7,12 @@ atomically, so killing the server process loses nothing: a fresh
 old one stopped (jobs that were mid-execution are requeued; their
 attempt count survives, so a crash loop still converges to ``failed``).
 
-Scheduling is priority-first (higher ``priority`` wins), FIFO within a
-priority.  A job that fails is retried with jittered exponential
-backoff (the shared :class:`repro.engine.retry.RetryPolicy` — base
-``retry_backoff``, doubling per attempt, deterministic per-job jitter)
-until ``max_retries`` is exhausted, then parked in ``failed`` with the
-last error — the server never crash-loops on a poisoned job.
+Scheduling is FIFO: workers claim jobs in submission order.  A job
+that fails is retried with jittered exponential backoff (the shared
+:class:`repro.engine.retry.RetryPolicy` — base ``retry_backoff``,
+doubling per attempt, deterministic per-job jitter) until
+``max_retries`` is exhausted, then parked in ``failed`` with the last
+error — the server never crash-loops on a poisoned job.
 
 Submission is idempotent: the job id *is* the content key of the work
 (for sweeps, a digest over the engine's per-window content-addressed
@@ -22,9 +22,9 @@ of queueing a duplicate.  ``submissions`` counts how many times each
 job was asked for.
 
 The :class:`ArtifactStore` is the same idea for results: the worker
-pool stores JSON blobs under their own SHA-256, and clients read them
-back via ``GET /v1/artifacts/<key>`` (the only artifact route; there is
-no upload).
+pool stores each result envelope under its own SHA-256, and
+``GET /v1/jobs/<id>/result`` reads it back through the record's
+``result_key``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -51,7 +51,6 @@ class JobRecord:
     id: str
     kind: str  # "sweep" | "attack" | "fuzz"
     spec: dict
-    priority: int = 0
     state: str = "queued"
     submitted_unix: float = 0.0
     started_unix: float = 0.0
@@ -60,12 +59,10 @@ class JobRecord:
     attempts: int = 0
     max_retries: int = 2
     submissions: int = 1
-    cached: bool = False
     principal: str = ""
     error: str = ""
     result_key: str = ""
-    artifacts: Dict[str, str] = field(default_factory=dict)
-    seq: int = 0  # FIFO tie-break within a priority
+    seq: int = 0  # submission order: the order workers claim in
     #: W3C traceparent of the submit span (see :mod:`repro.obs.spans`);
     #: empty when the submission was untraced.  Persisted with the
     #: record so a requeue-after-crash still executes under the
@@ -75,7 +72,7 @@ class JobRecord:
 
     @property
     def retries(self) -> int:
-        """Executions beyond the first (what the status endpoint reports)."""
+        """Executions beyond the first (``GET /v1/jobs/<id>`` reports it)."""
         return max(0, self.attempts - 1)
 
     @property
@@ -87,12 +84,14 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobRecord":
+        # Unknown keys are dropped, so a record written by an older
+        # version with since-retired fields still loads.
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in names})
 
 
 class DurableQueue:
-    """Priority job queue persisted one-JSON-file-per-job (thread-safe)."""
+    """FIFO job queue persisted one-JSON-file-per-job (thread-safe)."""
 
     def __init__(
         self,
@@ -182,17 +181,18 @@ class DurableQueue:
     # Worker side.
     # ------------------------------------------------------------------ #
 
-    def _eligible(self, now: float) -> List[JobRecord]:
-        return sorted(
+    def _oldest_eligible(self, now: float) -> Optional[JobRecord]:
+        return min(
             (
                 r for r in self._records.values()
                 if r.state == "queued" and r.not_before <= now
             ),
-            key=lambda r: (-r.priority, r.seq),
+            key=lambda r: r.seq,
+            default=None,
         )
 
     def claim(self, timeout: float = 0.0) -> Optional[JobRecord]:
-        """Pop the best eligible job and mark it ``running``.
+        """Pop the oldest eligible job and mark it ``running``.
 
         Blocks up to *timeout* seconds waiting for work (backoff windows
         count: a job whose ``not_before`` lies inside the wait becomes
@@ -202,9 +202,8 @@ class DurableQueue:
         with self._lock:
             while True:
                 now = time.time()
-                eligible = self._eligible(now)
-                if eligible:
-                    record = eligible[0]
+                record = self._oldest_eligible(now)
+                if record is not None:
                     record.state = "running"
                     record.started_unix = now
                     record.attempts += 1
@@ -223,19 +222,14 @@ class DurableQueue:
                     remaining = min(remaining, max(0.01, min(backoffs)))
                 self._lock.wait(remaining)
 
-    def complete(self, job_id: str, *, result_key: str = "",
-                 artifacts: Optional[Dict[str, str]] = None,
-                 cached: bool = False) -> JobRecord:
+    def complete(self, job_id: str, *, result_key: str = "") -> JobRecord:
         """Transition one job to ``done``."""
         with self._lock:
             record = self._records[job_id]
             record.state = "done"
             record.finished_unix = time.time()
             record.error = ""
-            record.cached = cached
             record.result_key = result_key
-            if artifacts:
-                record.artifacts.update(artifacts)
             self._persist(record)
             self._lock.notify_all()
             return record
@@ -279,7 +273,7 @@ class DurableQueue:
                 return None
             ordered = sorted(
                 (r for r in self._records.values() if r.state == "queued"),
-                key=lambda r: (-r.priority, r.seq),
+                key=lambda r: r.seq,
             )
             return [r.id for r in ordered].index(job_id)
 

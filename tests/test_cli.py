@@ -57,6 +57,8 @@ def test_no_command_rejected():
     ["bench", "--no-spawn"],
     ["bench", "--backend", "worker-protocol"],
     ["fuzz", "run", "--backend", "worker-protocol"],
+    ["obs", "top"],
+    ["submit", "sweep", "--priority", "1"],
 ])
 def test_retired_flag_rejected(argv, capsys):
     # Independent runs go through the engine on one host only; no

@@ -233,40 +233,3 @@ class TestCliJson:
         assert env["kind"] == "attack"
         assert env["leaked"] is True
         assert rc == 1  # leak under the baseline exits 1 by contract
-
-
-class TestTextExposition:
-    def test_counters_gauges_histograms_render(self):
-        from repro.obs.metrics import MetricsRegistry, text_exposition
-
-        registry = MetricsRegistry()
-        registry.counter("requests_total", "requests").labels(
-            route="jobs.submit", status="202"
-        ).inc(3)
-        registry.gauge("queue_depth", "jobs waiting").labels().set(7)
-        hist = registry.histogram("latency_cycles", "per-op latency")
-        for value in (1, 2, 200):
-            hist.labels().observe(value)
-        text = text_exposition(registry)
-        assert "# TYPE requests_total counter" in text
-        assert 'requests_total{route="jobs.submit",status="202"} 3' in text
-        assert "queue_depth 7" in text
-        assert "# TYPE latency_cycles histogram" in text
-        assert 'latency_cycles_bucket{le="+Inf"} 3' in text
-        assert "latency_cycles_count 3" in text
-        assert "latency_cycles_sum 203" in text
-
-    def test_bucket_counts_are_cumulative(self):
-        from repro.obs.metrics import MetricsRegistry, text_exposition
-
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "test")
-        for value in (1, 1, 100):
-            hist.labels().observe(value)
-        lines = [
-            line for line in text_exposition(registry).splitlines()
-            if line.startswith("h_bucket")
-        ]
-        counts = [float(line.rsplit(" ", 1)[1]) for line in lines]
-        assert counts == sorted(counts)
-        assert counts[-1] == 3  # +Inf bucket sees everything

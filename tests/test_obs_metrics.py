@@ -140,39 +140,6 @@ class TestIngestion:
         )
         assert deferred.value == outcome.stats.deferred_broadcasts > 0
 
-    def test_engine_and_cache_ingest(self, tmp_path):
-        from repro.engine.store import ShardedDiskStore
-        from repro.harness import run_suite
-
-        cache = ShardedDiskStore(tmp_path)
-        suite = run_suite(
-            benchmarks=["exchange2"],
-            configs=[config_registry()["ooo"]],
-            samples=1, warmup=300, measure=600, instructions=2_000,
-            jobs=1, cache=cache,
-        )
-        registry = MetricsRegistry()
-        registry.ingest_engine_stats(suite.engine, sweep="test")
-        # Engine series carry the execution backend as a label.
-        labels = {"sweep": "test", "backend": suite.engine.backend}
-        assert registry.get("engine_jobs").labels(**labels).value == 1
-        assert registry.get("engine_workers").labels(**labels).value == 1
-        registry.ingest_cache_stats(cache.stats, sweep="test")
-        assert registry.get("cache_stores").labels(sweep="test").value == 1
-
-    def test_engine_ingest_labels_and_counts_backend_series(self):
-        from repro.engine.scheduler import EngineStats
-
-        stats = EngineStats(
-            jobs=4, executed=2, backend="local-pool", resumed=1,
-            retries=3,
-        )
-        registry = MetricsRegistry()
-        registry.ingest_engine_stats(stats, sweep="scale")
-        labels = {"sweep": "scale", "backend": "local-pool"}
-        assert registry.get("engine_retries").labels(**labels).value == 3
-        assert registry.get("engine_resumed").labels(**labels).value == 1
-
     def test_ingest_twice_accumulates(self):
         outcome = self._outcome()
         registry = MetricsRegistry()

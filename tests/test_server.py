@@ -7,11 +7,11 @@ the actual socket.
 """
 
 import json
+import socket
 import threading
 
 import pytest
 
-from repro.engine.store import ShardedDiskStore
 from repro.envelope import RESULT_SCHEMA, validate_envelope
 from repro.server import (
     DurableQueue,
@@ -24,10 +24,8 @@ from repro.server import (
     SpecError,
     TokenAuth,
     content_key,
-    is_warm,
     validate_spec,
 )
-from repro.server.jobspec import sweep_jobs
 from repro.server.queue import ArtifactStore
 
 #: One engine window; simulates in well under a second.
@@ -44,9 +42,17 @@ POISON_SWEEP = {
 }
 
 
-def record(job_id="a" * 64, kind="fuzz", priority=0, **kwargs):
-    return JobRecord(id=job_id, kind=kind, spec={}, priority=priority,
-                     **kwargs)
+def _raw_post(request: dict) -> bytes:
+    """A complete ``POST /v1/jobs`` HTTP request carrying *request*."""
+    body = json.dumps(request).encode("utf-8")
+    return (
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+
+
+def record(job_id="a" * 64, kind="fuzz", **kwargs):
+    return JobRecord(id=job_id, kind=kind, spec={}, **kwargs)
 
 
 @pytest.fixture
@@ -63,13 +69,13 @@ def server(tmp_path):
 
 class TestDurableQueue:
     def test_priority_first_fifo_within(self, tmp_path):
+        # Workers claim in submission order, whatever the ids.
         queue = DurableQueue(tmp_path)
-        queue.submit(record("a" * 64, priority=0))
-        queue.submit(record("b" * 64, priority=5))
-        queue.submit(record("c" * 64, priority=5))
-        assert queue.claim().id == "b" * 64
+        for job_id in ("c" * 64, "a" * 64, "b" * 64):
+            queue.submit(record(job_id))
         assert queue.claim().id == "c" * 64
         assert queue.claim().id == "a" * 64
+        assert queue.claim().id == "b" * 64
         assert queue.claim() is None
 
     def test_idempotent_resubmission_bumps_submissions(self, tmp_path):
@@ -115,8 +121,7 @@ class TestDurableQueue:
         queue = DurableQueue(tmp_path)
         queue.submit(record())
         queue.claim()
-        queue.complete("a" * 64, result_key="f" * 64,
-                       artifacts={"result": "f" * 64})
+        queue.complete("a" * 64, result_key="f" * 64)
         revived = DurableQueue(tmp_path)
         job = revived.get("a" * 64)
         assert job.state == "done"
@@ -131,13 +136,40 @@ class TestDurableQueue:
         assert len(revived) == 1
 
     def test_position_is_priority_aware(self, tmp_path):
+        # Queue position is submission order.
         queue = DurableQueue(tmp_path)
-        queue.submit(record("a" * 64, priority=0))
-        queue.submit(record("b" * 64, priority=9))
+        queue.submit(record("b" * 64))
+        queue.submit(record("a" * 64))
         assert queue.position("b" * 64) == 0
         assert queue.position("a" * 64) == 1
         queue.claim()
         assert queue.position("b" * 64) is None
+        assert queue.position("a" * 64) == 0
+
+    def test_record_with_retired_fields_recovers_and_claims(self, tmp_path):
+        # A record file as older versions wrote it, with the since-retired
+        # priority/cached/artifacts keys.
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / ("d" * 64 + ".json")).write_text(json.dumps({
+            "id": "d" * 64, "kind": "fuzz", "spec": {"seeds": 1},
+            "priority": 7, "state": "queued", "submitted_unix": 1.0,
+            "attempts": 0, "max_retries": 2, "submissions": 1,
+            "cached": False, "principal": "anonymous", "error": "",
+            "result_key": "", "artifacts": {"trace": "e" * 64},
+            "seq": 3, "traceparent": "",
+        }))
+        queue = DurableQueue(tmp_path)
+        assert len(queue) == 1
+        job = queue.claim()
+        assert job.id == "d" * 64
+        assert job.state == "running"
+        assert job.spec == {"seeds": 1}
+        assert not hasattr(job, "priority")
+        queue.complete(job.id, result_key="f" * 64)
+        saved = json.loads((jobs / ("d" * 64 + ".json")).read_text())
+        assert saved["state"] == "done"
+        assert not {"priority", "cached", "artifacts"} & set(saved)
 
     def test_claim_blocks_until_notified(self, tmp_path):
         queue = DurableQueue(tmp_path)
@@ -259,19 +291,6 @@ class TestJobSpec:
         assert content_key("sweep", base) != \
             content_key("sweep", validate_spec("sweep", more))
 
-    def test_is_warm_flips_after_windows_are_cached(self, tmp_path):
-        from repro.engine.jobs import execute_job
-
-        cache = ShardedDiskStore(tmp_path)
-        spec = validate_spec("sweep", TINY_SWEEP)
-        assert not is_warm("sweep", spec, cache)
-        assert not is_warm("sweep", spec, None)
-        _, _, jobs = sweep_jobs(spec)
-        for job in jobs:
-            cache.store(job, execute_job(job).window)
-        assert is_warm("sweep", spec, cache)
-        assert not is_warm("attack", {"attack": "x"}, cache)
-
 
 class TestServerEndToEnd:
     def test_health_and_metrics_need_no_token(self, tmp_path):
@@ -282,8 +301,6 @@ class TestServerEndToEnd:
             client = ServerClient("http://%s:%d" % (host, port))
             health = client.health()
             assert health["kind"] == "job"
-            text = client.metrics_text()
-            assert "server_queue_jobs" in text
         finally:
             srv.close()
 
@@ -307,11 +324,7 @@ class TestServerEndToEnd:
         assert again.id == job.id
         assert again.state == "done"
         assert again.submissions == 2
-        assert srv.pool.executed == 1  # the engine ran exactly once
-
-        text = client.metrics_text()
-        assert 'server_submissions_total{kind="sweep"} 2' in text
-        assert 'server_jobs_deduped_total{kind="sweep"} 1' in text
+        assert again.attempts == 1  # the job ran exactly once
 
     def test_warm_cache_short_circuits_queue_across_restart(self, tmp_path):
         first = ReproServer(
@@ -323,8 +336,9 @@ class TestServerEndToEnd:
         client.wait(job.id, timeout=120)
         first.close()
 
-        # Fresh queue, same result cache: the submission completes
-        # inline — no queue wait, no worker, zero engine executions.
+        # Fresh queue, same result cache: the job goes through the queue
+        # like any other, and run_suite serves every window from the
+        # store — zero engine executions.
         second = ReproServer(
             queue_dir=tmp_path / "q2", cache_dir=tmp_path / "cache",
         )
@@ -332,14 +346,10 @@ class TestServerEndToEnd:
         try:
             client = ServerClient("http://%s:%d" % (host, port))
             job = client.submit("sweep", TINY_SWEEP)
-            assert job.state == "done"
-            assert job.cached
+            assert client.wait(job.id, timeout=120).state == "done"
             result = client.result(job.id)
             assert result["engine"]["executed"] == 0
             assert result["engine"]["cache_hits"] >= 1
-            text = client.metrics_text()
-            assert 'server_cache_shortcircuit_total{kind="sweep"} 1' \
-                in text
         finally:
             second.close()
 
@@ -434,9 +444,6 @@ class TestServerEndToEnd:
                 client.result(job.id)
             assert err.value.status == 409
             assert err.value.code == "job_failed"
-            text = client.metrics_text()
-            assert 'server_jobs_failed_total{kind="sweep"} 1' in text
-            assert 'server_job_errors_total{kind="sweep"} 2' in text
         finally:
             srv.close()
 
@@ -453,6 +460,7 @@ class TestServerEndToEnd:
                 client.result(job.id)
             assert err.value.status == 409
             assert err.value.code == "not_ready"
+            assert srv.queue.get(job.id).attempts == 0
         finally:
             srv.close()
 
@@ -465,6 +473,8 @@ class TestServerEndToEnd:
         job = client.submit("sweep", TINY_SWEEP)
         assert job.state == "queued"
         first.close()
+        left = first.queue.get(job.id)
+        assert left.state == "queued" and left.attempts == 0
 
         # Server B over the same queue dir picks the job up and runs it.
         second = ReproServer(queue_dir=tmp_path / "q", cache=False)
@@ -491,35 +501,80 @@ class TestServerEndToEnd:
 
     def test_artifact_fetch_and_misses(self, server):
         _, client = server
-        job = client.submit("sweep", TINY_SWEEP)
-        job = client.wait(job.id, timeout=120)
-        assert client.artifact(job.result_key)["kind"] == "suite"
-        with pytest.raises(ServerError) as err:
-            client.artifact("0" * 64)
-        assert err.value.status == 404
         with pytest.raises(ServerError) as err:
             client.job("f" * 64)
         assert err.value.status == 404
 
     def test_artifact_upload_is_refused(self, server):
+        # The server has four routes; the retired upload, artifact,
+        # observatory and metrics routes are unknown paths.
         import http.client
 
         srv, client = server
         body = json.dumps({"key": "ab" * 32, "window": {}})
-        conn = http.client.HTTPConnection(*srv.address, timeout=10)
-        try:
-            conn.request("PUT", "/v1/artifacts/" + "ab" * 32, body=body,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            payload = json.loads(response.read())
-        finally:
-            conn.close()
-        assert response.status == 405
+        for method, path in (
+            ("PUT", "/v1/artifacts/" + "ab" * 32),
+            ("GET", "/v1/artifacts/" + "ab" * 32),
+            ("GET", "/v1/status"),
+            ("GET", "/metrics"),
+        ):
+            conn = http.client.HTTPConnection(*srv.address, timeout=10)
+            try:
+                conn.request(method, path, body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 404, (method, path)
+            assert validate_envelope(payload) == []
+            assert payload["kind"] == "error"
+            assert payload["error"]["code"] == "not_found"
+        assert list(srv.queue_dir.rglob("*")) == []
+        assert client.health()["health"] == "ok"
+
+    @pytest.mark.parametrize("raw,code", [
+        pytest.param(
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            "bad_request", id="negative-content-length",
+        ),
+        pytest.param(
+            _raw_post({"kind": "sweep", "spec": {"benchmarks": [{}]}}),
+            "invalid_spec", id="benchmark-not-a-string",
+        ),
+        pytest.param(
+            _raw_post({"kind": "sweep", "spec": {"configs": [[1]]}}),
+            "invalid_spec", id="sweep-config-not-a-string",
+        ),
+        pytest.param(
+            _raw_post({"kind": "attack", "spec": {
+                "attack": "spectre_v1_cache", "config": [],
+            }}),
+            "invalid_spec", id="attack-config-not-a-string",
+        ),
+        pytest.param(
+            _raw_post({"kind": "fuzz", "spec": {"configs": [{"a": 1}]}}),
+            "invalid_spec", id="fuzz-config-not-a-string",
+        ),
+    ])
+    def test_malformed_request_gets_400_not_500(self, server, raw, code):
+        srv, client = server
+        with socket.create_connection(srv.address, timeout=10) as sock:
+            sock.sendall(raw)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        payload = json.loads(body)
+        assert head.split()[1] == b"400"
         assert validate_envelope(payload) == []
         assert payload["kind"] == "error"
-        assert payload["error"]["code"] == "method_not_allowed"
-        assert list((srv.queue_dir / "artifacts").rglob("*")) == []
-        assert set(client.status()["workers"]) == {"threads", "executed"}
+        assert payload["error"]["code"] == code
+        status, health = client._request("GET", "/healthz")
+        assert status == 200 and health["health"] == "ok"
 
     def test_job_status_payload_is_an_envelope(self, server):
         _, client = server
@@ -529,9 +584,3 @@ class TestServerEndToEnd:
         assert validate_envelope(raw) == []
         assert raw["kind"] == "job"
         assert raw["links"]["result"].endswith("/result")
-
-    def test_http_request_counter_covers_routes(self, server):
-        _, client = server
-        client.health()
-        text = client.metrics_text()
-        assert 'http_requests_total{route="healthz",status="200"}' in text
