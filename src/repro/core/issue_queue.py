@@ -45,19 +45,6 @@ class IssueQueue:
     def full(self) -> bool:
         return self._size >= self.capacity
 
-    @property
-    def has_ready(self) -> bool:
-        """O(1): any entry waiting in the ready pool (selectable or not)?"""
-        return bool(self._ready)
-
-    def ready_entries(self) -> List[DynInstr]:
-        """The ready pool, for read-only inspection (schemes, probes).
-
-        May contain already-squashed entries (select() filters them);
-        callers must not mutate the list.
-        """
-        return self._ready
-
     def insert(self, entry: DynInstr) -> None:
         ready_bits = self.prf.ready
         outstanding = 0

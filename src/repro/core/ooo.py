@@ -222,10 +222,6 @@ class OutOfOrderCore:
         self._hook_on_commit = _hook(prot, "on_commit")
         self._hook_on_branch_resolved = _hook(prot, "on_branch_resolved")
         self._hook_load_invisible = _hook(prot, "load_executes_invisibly")
-        # A scheme that refines the ready-pool fast-forward veto
-        # (FenceOnBranch) must be probed even with a non-empty ready
-        # pool: it may prove every ready entry fenced, unlocking a skip.
-        self._hook_ready_horizon = _hook(prot, "issue_ready_horizon")
         # Per-phase working sets, bundled so each phase pays ONE attribute
         # load plus a tuple unpack instead of re-hoisting ~20 locals per
         # call.  Only references that are never rebound belong here: the
@@ -277,14 +273,18 @@ class OutOfOrderCore:
         step = self.step
         probe = self._next_interesting_cycle
         skip = self._skip_to
-        probe_ready = self._hook_ready_horizon is not None
+        probe_busy = self._hook_may_issue is not None
         while not self.halted and self.cycle < max_cycles:
-            # Inline gate: a non-empty ready pool means the machine is
-            # busy this cycle, so skip the full quiescence probe — it
-            # would veto anyway, and on issue-bound phases its cost per
-            # cycle is the whole fast-forward overhead.  (_ready is read
-            # fresh each iteration: select/remove_squashed rebind it.)
-            if fast and (probe_ready or not iq._ready):
+            # Inline gate: with a non-empty ready pool the probe can only
+            # find a skip while a serializing op holds dispatch (the
+            # window drains down to it) or when the scheme may veto every
+            # ready entry; any other busy cycle steps without probing,
+            # since on issue-bound phases the probe's cost per cycle is
+            # the whole fast-forward overhead.  (_ready is read fresh
+            # each iteration: _issue/remove_squashed rebind it.)
+            if fast and (
+                probe_busy or not iq._ready or self._fence_seq is not None
+            ):
                 # Never skip past the cycle at which the deadlock check
                 # would fire, so a dead machine raises at the exact same
                 # cycle (with identical accounting) as the stepped loop.
@@ -346,13 +346,15 @@ class OutOfOrderCore:
         step = self.step
         probe = self._next_interesting_cycle
         skip = self._skip_to
-        probe_ready = self._hook_ready_horizon is not None
+        probe_busy = self._hook_may_issue is not None
         while (
             not self.halted
             and self.cycle < max_cycles
             and self.committed < target
         ):
-            if fast and (probe_ready or not iq._ready):
+            if fast and (
+                probe_busy or not iq._ready or self._fence_seq is not None
+            ):
                 jump = probe(max_cycles)
                 if jump > self.cycle:
                     skip(jump)
@@ -393,22 +395,23 @@ class OutOfOrderCore:
         """
         now = self.cycle
         horizon = limit
-        # Issue: anything in the ready pool retries every cycle.  (Even a
-        # vetoed-ready entry — FU busy, serializing op not at head — may
-        # unblock mid-span without its unblocker being a *heap* event, so
-        # be conservative and never skip while the pool is non-empty —
-        # unless the scheme's issue_ready_horizon proves every ready
-        # entry fenced until an already-tracked event.)
-        if self.iq._ready:
-            ready_horizon = self._hook_ready_horizon
-            if ready_horizon is None:
-                return now
-            event = ready_horizon(now)
-            if event is not None:
-                if event <= now:
+        # Issue: a ready entry is busy if _issue could select it this
+        # cycle.  Two kinds cannot, until an event bounded below: a
+        # serializing op that is not the ROB head (the head moves only
+        # on a commit or a squash), and an entry the scheme's may_issue
+        # vetoes (released only by a pipeline event; see its contract).
+        # Anything else, an FU-blocked entry included, vetoes the skip.
+        ready = self.iq._ready
+        if ready:
+            rob_entries = self.rob.entries
+            head = rob_entries[0] if rob_entries else None
+            flags = self._flags
+            may_issue = self._hook_may_issue
+            for entry in ready:
+                if entry is not head and flags[entry.pc] & F_SERIALIZING:
+                    continue
+                if may_issue is None or may_issue(entry, now):
                     return now
-                if event < horizon:
-                    horizon = event
         # Writeback: the completion heap is the primary event source.
         completions = self._completions
         if completions:

@@ -165,31 +165,17 @@ class ProtectionModel:
     # ------------------------------------------------------------------ #
 
     def may_issue(self, entry: DynInstr, now: int) -> bool:
-        """May *entry* leave the issue queue this cycle?"""
-        return True
+        """May *entry* leave the issue queue this cycle?
 
-    def issue_ready_horizon(self, now: int) -> Optional[int]:
-        """May the issue stage act while the ready pool is non-empty?
-
-        Consulted by the idle-cycle fast-forward *only* when the issue
-        queue's ready pool is non-empty (an empty pool needs no scheme
-        opinion).  Same return contract as :meth:`next_event`: ``None``
-        means no ready entry can issue until some other tracked event
-        source fires first, so the clock may skip; any cycle ``<= now``
-        vetoes skipping.
-
-        The base implementation vetoes unconditionally — a ready entry
-        might issue any cycle as far as the base scheme knows.  A scheme
-        whose :meth:`may_issue` gate can stall *every* ready entry for
-        long spans (e.g. FenceOnBranch) should override this to return
-        ``None`` when all ready entries are currently vetoed, PROVIDED
-        each veto is released only by events the clock already tracks
-        (completions, memory responses, deferred broadcasts, its own
-        ``next_event``).  The override must depend only on machine state,
-        never on ``now`` itself: the fast-forward relies on a ``None``
-        answer staying ``None`` across the whole skipped span.
+        The idle-cycle fast-forward also asks it, and counts a vetoed
+        ready entry as idle (DESIGN.md, "The event-driven clock").  So
+        an override must keep three promises: a veto has no side
+        effects, does not depend on ``now``, and is released only by a
+        pipeline event the clock already tracks (a completion, a memory
+        response, a broadcast, a commit, a squash, or this scheme's own
+        :meth:`next_event`), never by time passing.
         """
-        return now
+        return True
 
     # ------------------------------------------------------------------ #
     # Load visibility (InvisiSpec-style schemes).

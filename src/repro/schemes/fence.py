@@ -48,9 +48,10 @@ class FenceOnBranchModel(ProtectionModel):
     """Serialize issue past unresolved branches (and before loads).
 
     The issue gates depend only on ROB/safety state, never on the cycle
-    number, so the scheme is purely reactive and inherits the base
-    ``next_event()``: fast-forward legality is decided entirely by the
-    pipeline's own event sources.
+    number, and are released only by completions (an older branch
+    resolving, an older entry completing) or squashes.  So the scheme
+    is purely reactive, inherits the base ``next_event()``, and keeps
+    ``may_issue``'s fast-forward contract.
     """
 
     name = "fence-on-branch"
@@ -75,18 +76,6 @@ class FenceOnBranchModel(ProtectionModel):
                 if not older.completed:
                     return False
         return True
-
-    def issue_ready_horizon(self, now):
-        # Both issue gates are released only by completions (an older
-        # branch resolving, an older entry completing) or by squashes —
-        # events the fast-forward clock already bounds via the
-        # completion/memory heaps.  So when every ready entry is fenced,
-        # the issue stage is provably idle until one of those fires and
-        # the clock may skip; one selectable entry vetoes the skip.
-        for entry in self.core.iq.ready_entries():
-            if not entry.squashed and self.may_issue(entry, now):
-                return now
-        return None
 
     def on_dispatch(self, entry: DynInstr) -> None:
         self.safety.on_dispatch(entry)

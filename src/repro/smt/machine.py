@@ -172,9 +172,9 @@ class SmtMachine:
             for index, program in enumerate(programs)
         ]
         self.cycle = 0
-        #: Rolling digest of (active-mask, leading-context) per stepped
-        #: cycle — the arbiter's interleaving, pinned by determinism
-        #: tests.
+        #: Rolling digest of (active-mask, leading-context) per simulated
+        #: cycle, skipped ones included — the arbiter's interleaving,
+        #: pinned by determinism tests and equal with fast_forward off.
         self._interleave = hashlib.sha256()
         # Shared-slot routing (SMT mode only): the shared hierarchy/BTB
         # have one observer slot each, so per-context observers (taint
@@ -228,7 +228,8 @@ class SmtMachine:
         now = self.cycle
         target = max_cycles
         for core in active:
-            if core.iq._ready and core._hook_ready_horizon is None:
+            if (core.iq._ready and core._fence_seq is None
+                    and core._hook_may_issue is None):
                 return now
             limit = core._last_commit_cycle + deadlock_cycles + 1
             if max_cycles < limit:
@@ -260,11 +261,15 @@ class SmtMachine:
             active = [core for core in cores if not core.halted]
             if not active:
                 break
+            # No context halts inside a quiescent span: one mask covers
+            # the skipped cycles and the stepped one.
+            mask = sum(1 << core.ctx for core in active)
             if self.fast_forward:
                 target = self._ff_target(active, max_cycles, deadlock_cycles)
                 if target > self.cycle:
                     for core in active:
                         core._skip_to(target)
+                    self._digest_span(mask, target)
                     self.cycle = target
                     if self.cycle >= max_cycles:
                         break
@@ -273,9 +278,6 @@ class SmtMachine:
                                 > deadlock_cycles):
                             raise core._deadlock_error(deadlock_cycles)
             order = self._order()
-            mask = sum(
-                1 << i for i, core in enumerate(cores) if not core.halted
-            )
             self._interleave.update(bytes((mask, order[0])))
             for index in order:
                 core = cores[index]
@@ -292,6 +294,19 @@ class SmtMachine:
                     raise core._deadlock_error(deadlock_cycles)
         wall = time.perf_counter() - wall_start
         return [core.finish_run(wall) for core in cores]
+
+    def _digest_span(self, mask: int, target: int) -> None:
+        """Fold the skipped cycles ``[self.cycle, target)`` into the
+        interleave digest exactly as stepping each would: the leader of
+        cycle ``c`` is ``c % n``.  (Two bytes per cycle; a span never
+        outlasts the deadlock window.)"""
+        n = len(self.cores)
+        start = self.cycle
+        period = bytes(
+            byte for c in range(start, start + n) for byte in (mask, c % n)
+        )
+        whole, rest = divmod(target - start, n)
+        self._interleave.update(period * whole + period[:2 * rest])
 
     def interleave_digest(self) -> str:
         """Hex digest of the arbiter's interleaving so far."""

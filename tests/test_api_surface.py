@@ -132,7 +132,8 @@ class TestConsolidatedFacade:
             r"|WorkerProtocolBackend|worker_main|RemoteArtifactStore"
             r"|TieredStore|open_store|is_warm|AttackJob|text_exposition"
             r"|span_latency_summary|ingest_engine_stats|ingest_cache_stats"
-            r"|metrics_text)\s*[(=]"
+            r"|metrics_text|issue_ready_horizon|_hook_ready_horizon"
+            r"|ready_entries|has_ready)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):

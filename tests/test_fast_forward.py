@@ -3,7 +3,10 @@
 The out-of-order core's fast-forward must be invisible in every counter
 (not just cycles/CPI), on every registered scheme, for both generated
 workloads and the attack PoCs.  Wall-clock fields are the one sanctioned
-difference and are stripped before comparison.
+difference and are stripped before comparison.  Engagement tests check
+that the clock does skip: through a cold miss, and through the wait
+behind a serializing op (every PoC's ``rdtsc; load; rdtsc`` probe) that
+is ready but not yet at the ROB head.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from repro.attacks.common import default_guesses
 from repro.config import config_registry
 from repro.core.ooo import OutOfOrderCore
 from repro.isa.assembler import Assembler
+from repro.isa.registers import R1, R2, R3, R4
 from repro.schemes.base import ProtectionModel
+from repro.stats.counters import CycleClass
 from repro.stats.sampling import run_window
 from repro.workloads.generator import spec_program
 
@@ -34,8 +39,6 @@ WALL_FIELDS = {"sim_wall_seconds", "kilo_cycles_per_sec"}
 OOO_CONFIGS = sorted(
     name for name, spec in config_registry().items() if not spec.in_order
 )
-#: One config per scheme class for the (slower) attack sweep.
-SCHEME_CONFIGS = ["ooo", "strict", "invisispec-spectre", "fence-on-branch"]
 
 ATTACKS = [
     gpr_steering, lazyfp, meltdown, netspectre, spectre_btb,
@@ -48,6 +51,15 @@ def stats_dict(outcome):
     for field in WALL_FIELDS:
         data.pop(field)
     return data
+
+
+def _machine_state(core):
+    """Everything a run leaves behind except host time and skip counts."""
+    data = asdict(core.stats)
+    for field in WALL_FIELDS:
+        data.pop(field)
+    return (core.cycle, core.committed, core.halted, data,
+            core.arch_state().regs)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +93,7 @@ class TestWorkloadEquivalence:
 class TestAttackEquivalence:
     @pytest.mark.parametrize("attack", ATTACKS,
                              ids=[a.__name__.split(".")[-1] for a in ATTACKS])
-    @pytest.mark.parametrize("config_name", SCHEME_CONFIGS)
+    @pytest.mark.parametrize("config_name", OOO_CONFIGS)
     def test_attack_bit_identical(self, attack, config_name):
         config = config_registry()[config_name].config
         guesses = default_guesses(42, 8)
@@ -119,11 +131,7 @@ class TestRunToCommitResume:
 
     @staticmethod
     def _counters(core):
-        data = asdict(core.stats)
-        for field in WALL_FIELDS:
-            data.pop(field)
-        return (core.cycle, core.committed, core.ff_skipped_cycles, data,
-                core.arch_state().regs)
+        return _machine_state(core) + (core.ff_skipped_cycles,)
 
     @pytest.mark.parametrize("config_name", ["ooo", "fence-on-branch"])
     @pytest.mark.parametrize("workload", ["mcf", "leela"])
@@ -165,6 +173,121 @@ class TestEngagement:
         assert outcome.kilo_cycles_per_sec > 0
         assert outcome.stats.summary()["kilo_cycles_per_sec"] == \
             pytest.approx(outcome.kilo_cycles_per_sec)
+
+
+def _rdtsc_between_misses():
+    """``li; load; rdtsc; load; fence; halt``, both loads on cold lines.
+
+    While each load waits on DRAM, the only ready micro-op is the
+    serializing one behind it (RDTSC, then FENCE), which cannot issue
+    before it reaches the ROB head.
+    """
+    asm = Assembler()
+    asm.li(R1, 0x40000)
+    asm.load(R2, R1, 0)
+    asm.rdtsc(R3)
+    asm.load(R4, R1, 4096)
+    asm.fence()
+    asm.halt()
+    return asm.build()
+
+
+def _fenced_load_then_rdtsc():
+    """A cold load, a younger load FenceOnBranch fences until the first
+    completes, and a serializing op behind both."""
+    asm = Assembler()
+    asm.li(R1, 0x40000)
+    asm.load(R2, R1, 0)
+    asm.load(R3, R1, 4096)
+    asm.rdtsc(R4)
+    asm.halt()
+    return asm.build()
+
+
+SERIALIZING_PROGRAMS = {
+    "rdtsc-between-misses": _rdtsc_between_misses,
+    "fenced-load-then-rdtsc": _fenced_load_then_rdtsc,
+}
+
+
+def _stepping_behind_loads(core):
+    """Record the cycles *core* steps while a load heads its ROB."""
+    stepped = []
+    step = core.step
+
+    def recording_step():
+        head = core.rob.head
+        if head is not None and head.is_load_like:
+            stepped.append(core.cycle)
+        step()
+
+    core.step = recording_step
+    return stepped
+
+
+class TestSerializingWait:
+    """A serializing op that is ready but not the ROB head is idle: the
+    clock skips the miss it waits behind, with no change in any
+    counter."""
+
+    @pytest.mark.parametrize("program", sorted(SERIALIZING_PROGRAMS))
+    @pytest.mark.parametrize("config_name", OOO_CONFIGS)
+    def test_run_bit_identical(self, config_name, program):
+        config = config_registry()[config_name].config
+        build = SERIALIZING_PROGRAMS[program]
+        fast = OutOfOrderCore(build(), config)
+        slow = OutOfOrderCore(build(), config, fast_forward=False)
+        fast.run()
+        slow.run()
+        assert fast.halted
+        assert _machine_state(fast) == _machine_state(slow)
+
+    @pytest.mark.parametrize("program", sorted(SERIALIZING_PROGRAMS))
+    @pytest.mark.parametrize("config_name", OOO_CONFIGS)
+    def test_run_to_commit_bit_identical(self, config_name, program):
+        config = config_registry()[config_name].config
+        build = SERIALIZING_PROGRAMS[program]
+        fast = OutOfOrderCore(build(), config)
+        slow = OutOfOrderCore(build(), config, fast_forward=False)
+        for target in range(1, len(fast.program.instrs) + 1):
+            fast.run_to_commit(target, max_cycles=10_000)
+            slow.run_to_commit(target, max_cycles=10_000)
+            assert _machine_state(fast) == _machine_state(slow), target
+        assert fast.halted
+
+    @pytest.mark.parametrize("config_name", ["ooo", "fence-on-branch"])
+    def test_skips_cover_the_miss_wait(self, config_name):
+        config = config_registry()[config_name].config
+        core = OutOfOrderCore(_rdtsc_between_misses(), config)
+        stepped = _stepping_behind_loads(core)
+        core.run()
+        miss_wait = core.stats.cycle_class[CycleClass.MEMORY_STALL]
+        assert miss_wait > 2 * config.mem.dram_cycles
+        # Per miss: the access, the completion and at most one more.
+        assert len(stepped) <= 6, stepped
+        assert core.ff_skipped_cycles > miss_wait
+
+    def test_fence_on_branch_skips_behind_fenced_load(self):
+        config = config_registry()["fence-on-branch"].config
+        core = OutOfOrderCore(_fenced_load_then_rdtsc(), config)
+        stepped = _stepping_behind_loads(core)
+        skips = []
+        skip_to = core._skip_to
+
+        def recording_skip_to(target):
+            ready = sorted(entry.pc for entry in core.iq._ready)
+            skips.append((target - core.cycle, ready))
+            skip_to(target)
+
+        core._skip_to = recording_skip_to
+        core.run()
+        # The first miss is skipped with the fenced younger load (pc 2)
+        # and the RDTSC (pc 3) both ready.
+        behind_fence = [span for span, ready in skips if ready == [2, 3]]
+        assert behind_fence and max(behind_fence) > config.mem.dram_cycles
+        miss_wait = core.stats.cycle_class[CycleClass.MEMORY_STALL]
+        assert miss_wait > 2 * config.mem.dram_cycles
+        assert len(stepped) <= 6, stepped
 
 
 def _model_for(config_name: str) -> ProtectionModel:

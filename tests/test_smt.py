@@ -11,12 +11,16 @@ Four contracts:
   exactly under an explicit single-context config.
 * **Arbiter determinism** — the same program pair under the same config
   produces the same round-robin interleaving (pinned by the machine's
-  sha256 interleave digest) and the same per-context counters.
+  sha256 interleave digest) and the same per-context counters.  The
+  digest folds in every simulated cycle, skipped ones included, so a
+  cross attack gives the same digest and counters with the idle-cycle
+  fast-forward on and off.
 * **Two-context golden** — ``tests/golden/smt_equivalence.json`` pins
   the per-context counters and interleave digest of every cross-context
   attack, and the victim cycles plus witnesses of ``run_smt_seed``, on
   every out-of-order configuration.  It is the spec for two-context
-  runs: any diff is a timing change, never noise.
+  runs: any diff is a timing change, never noise.  Its digests are the
+  machine's interleaving, not its fast-forward decisions.
 
 Regenerating the two-context golden (only after an *intentional* timing
 change, never to paper over a diff)::
@@ -27,6 +31,7 @@ change, never to paper over a diff)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 from dataclasses import replace
@@ -188,6 +193,19 @@ def test_same_pair_same_interleaving(sharing):
         assert committed > 0, "a context never committed"
 
 
+def test_skipped_span_digests_like_stepped_cycles():
+    """A skipped span folds in one (mask, leader) pair per cycle, the
+    leader rotating from the span's first cycle."""
+    machine = SmtMachine(_fuzz_pair("smt"), _two_context("smt"))
+    start, stop = 7, 7 + 10_001  # odd start and odd length
+    machine.cycle = start
+    machine._digest_span(0b11, stop)
+    stepped = hashlib.sha256()
+    for cycle in range(start, stop):
+        stepped.update(bytes((0b11, cycle % 2)))
+    assert machine.interleave_digest() == stepped.hexdigest()
+
+
 def test_run_pair_matches_machine_run():
     config = _two_context("smt")
     programs = _fuzz_pair("smt")
@@ -235,7 +253,8 @@ def _counters(stats) -> dict:
     return payload
 
 
-def _cross_attack_case(info, config_name: str) -> dict:
+def _cross_attack_case(info, config_name: str,
+                       fast_forward: bool = True) -> dict:
     """Per-context counters and interleave digest of one cross attack."""
     machines = []
 
@@ -251,6 +270,7 @@ def _cross_attack_case(info, config_name: str) -> dict:
     try:
         outcome = info.module.run(
             config, secret=SMT_GOLDEN_SECRET, guesses=guesses,
+            fast_forward=fast_forward,
         )
     finally:
         info.module.run_cross_attack = original
@@ -260,6 +280,18 @@ def _cross_attack_case(info, config_name: str) -> dict:
         "interleave_digest": machine.interleave_digest(),
         "contexts": [_counters(core.stats) for core in machine.cores],
     }
+
+
+@pytest.mark.parametrize("config_name", ["ooo", "fence-on-branch"])
+@pytest.mark.parametrize(
+    "info", CROSS_IMPLEMENTED, ids=[i.name for i in CROSS_IMPLEMENTED]
+)
+def test_cross_attack_fast_forward_invisible(info, config_name):
+    """Skipping idle cycles changes neither the interleave digest nor
+    any per-context counter."""
+    fast = _cross_attack_case(info, config_name, fast_forward=True)
+    slow = _cross_attack_case(info, config_name, fast_forward=False)
+    assert fast == slow
 
 
 def _fuzz_seed_case(seed: int, config_name: str) -> dict:
