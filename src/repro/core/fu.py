@@ -5,11 +5,13 @@ branch, memory (AGU), MUL and FP units are pipelined — each unit accepts one
 new micro-op per cycle regardless of latency — while the divider is
 unpipelined and stays busy for the full operation.  Port contention is the
 covert channel SMoTher-Spectre exploits; modeling it per-type keeps that
-channel representable (see ``tests/test_fu.py``).
+channel representable (``TestFUPool`` in ``tests/test_core_structures.py``).
 
-State is int-indexed by :data:`repro.isa.microops.FU_ID`: the core's
-issue phase reads ``_used``/``_counts_by_id`` directly and calls the
-``*_id`` methods; the enum-accepting methods are views of the same state.
+State is int-indexed by :data:`repro.isa.microops.FU_ID`.
+:meth:`repro.core.issue_queue.IssueQueue.select` is the one caller: for
+pipelined units it reads ``_used``, ``_used_cycle`` and ``_counts_by_id``
+directly, and it calls :meth:`FUPool.can_issue_id` for the divider and
+:meth:`FUPool.issue_id` for the divider and the FPU.
 """
 
 from __future__ import annotations
@@ -96,23 +98,8 @@ class FUPool:
                     return 0
         return 0
 
-    def can_issue(self, fu: FUType, now: int) -> bool:
-        return self.can_issue_id(FU_ID[fu], now)
-
-    def issue(self, fu: FUType, now: int, latency: int) -> int:
-        return self.issue_id(FU_ID[fu], now, latency)
-
     def fp_wakeup_penalty(self, now: int) -> int:
         """Extra cycles the next FP op pays if the FPU is power-gated."""
         if now - self._fpu_last_issue > self._fpu_sleep:
             return self._fpu_wakeup
         return 0
-
-    def fpu_awake(self, now: int) -> bool:
-        """Is the FP cluster currently powered (observable channel state)?"""
-        return now - self._fpu_last_issue <= self._fpu_sleep
-
-    def used(self, fu: FUType, now: int) -> int:
-        """Issue slots already consumed on *fu* this cycle (for stats)."""
-        self._roll(now)
-        return self._used[FU_ID[fu]]

@@ -74,21 +74,9 @@ class LSQ:
         self.obs = None
 
     # ------------------------------------------------------------------ #
-    # Occupancy.
+    # Occupancy.  The core's dispatch checks the capacities and appends
+    # to ``loads``/``stores`` in program order.
     # ------------------------------------------------------------------ #
-
-    def can_dispatch(self, entry: DynInstr) -> bool:
-        if entry.is_load:
-            return len(self.loads) < self.lq_capacity
-        if entry.is_store:
-            return len(self.stores) < self.sq_capacity
-        return True
-
-    def dispatch(self, entry: DynInstr) -> None:
-        if entry.is_load:
-            self.loads.append(entry)
-        elif entry.is_store:
-            self.stores.append(entry)
 
     def remove_squashed(self) -> None:
         self.loads = [e for e in self.loads if not e.squashed]
@@ -181,10 +169,6 @@ class LSQ:
         if victim is not None:
             self.violations += 1
         return victim
-
-    def unresolved_store_seqs(self) -> Set[int]:
-        """Seqs of stores whose address is still unknown (for NDA safety)."""
-        return {s.seq for s in self.stores if s.addr is None}
 
 
 def _extract(store: DynInstr, load: DynInstr) -> int:

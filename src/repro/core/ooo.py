@@ -22,7 +22,10 @@ chains and opcode dispatch, and each phase makes one batched pass with
 its loop invariants hoisted into locals.  Scheme hooks are bound once at
 construction: a hook the scheme does not override is skipped at its call
 site (the base implementation is a no-op or a constant), an override is
-called at exactly its cycle.  The golden files pin the resulting timing.
+called at exactly its cycle.  Wake-up and select live in
+:class:`~repro.core.issue_queue.IssueQueue` and fetch in
+:class:`~repro.frontend.fetch.FetchUnit`; the phases call them.  The
+golden files pin the resulting timing.
 
 Stage order within a cycle (reverse pipeline order, standard for
 cycle-level models): writeback -> deferred broadcast -> load visibility
@@ -33,9 +36,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from operator import attrgetter
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import SimConfig
 from repro.core.fu import FUPool
@@ -51,14 +53,12 @@ from repro.frontend.direction import make_direction_predictor
 from repro.frontend.fetch import FetchedOp, FetchUnit
 from repro.frontend.ras import RAS
 from repro.isa.microops import (
-    F_BRANCH,
     F_CALL,
     F_CONDITIONAL,
     F_LOAD,
     F_MEM_BYTE,
     F_SERIALIZING,
     F_STORE,
-    FU_ID,
     K_ALU,
     K_BRANCH,
     K_CLFLUSH,
@@ -68,7 +68,7 @@ from repro.isa.microops import (
     OP_ID,
     lower_program,
 )
-from repro.isa.opcodes import FUType, Opcode
+from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS, R0
 from repro.isa.semantics import MachineState
@@ -79,9 +79,6 @@ from repro.schemes.registry import make_protection
 from repro.stats.counters import CycleClass, PipelineStats
 
 _BY_SEQ = attrgetter("seq")
-
-_FU_FP = FU_ID[FUType.FP]
-_FU_DIV = FU_ID[FUType.DIV]
 
 _OPID_JMP = OP_ID[Opcode.JMP]
 _OPID_CALL = OP_ID[Opcode.CALL]
@@ -149,6 +146,9 @@ class OutOfOrderCore:
             program, self.hierarchy, self.direction, self.btb, self.ras,
             core.fetch_width,
         )
+        # The static micro-op tables (shared by every core running the
+        # same program object).
+        self.u = u = lower_program(program)
 
         self.prf = PhysRegFile(core.phys_regs)
         self.rat = RenameTable(self.prf)
@@ -156,9 +156,9 @@ class OutOfOrderCore:
             if reg != R0:
                 self.prf.value[reg] = value & U64_MASK
         self.rob = ROB(core.rob_entries)
-        self.iq = IssueQueue(core.iq_entries, self.prf)
-        self.lsq = LSQ(core.lq_entries, core.sq_entries)
         self.fus = FUPool(core)
+        self.iq = IssueQueue(core.iq_entries, self.prf, self.fus, u)
+        self.lsq = LSQ(core.lq_entries, core.sq_entries)
         self.memdep = make_memdep(core.memdep)
 
         self.cycle = 0
@@ -176,7 +176,6 @@ class OutOfOrderCore:
         self.protection = make_protection(self)
 
         self._next_seq = 0
-        self._fetch_buffer: Deque[FetchedOp] = deque()
         self._completions: List[Tuple[int, int, DynInstr]] = []
         # Min-heap of (ready_cycle, seq, entry) — seq breaks cycle ties so
         # entries never compare (and pops are deterministic).
@@ -195,15 +194,12 @@ class OutOfOrderCore:
         # are unaffected when no oracle is attached.
         self.taint = None
 
-        # The static micro-op tables (shared by every core running the
-        # same program object).
-        self.u = u = lower_program(program)
         # Hot-loop invariants hoisted out of the per-cycle phases.
         self._issue_width = core.issue_width
         self._fetch_width = core.fetch_width
         self._commit_width = core.commit_width
         self._frontend_depth = core.frontend_depth
-        self._fetch_cap = 2 * core.fetch_width
+        self._fetch_cap = self.fetch_unit.capacity
         self._squash_penalty = core.squash_penalty
         self._dcache_ports = self.config.mem.l1d.ports
         self._priv_mode = self.config.privileged_mode
@@ -225,36 +221,28 @@ class OutOfOrderCore:
         # Per-phase working sets, bundled so each phase pays ONE attribute
         # load plus a tuple unpack instead of re-hoisting ~20 locals per
         # call.  Only references that are never rebound belong here: the
-        # micro-op tables, the RAT/PRF arrays, the ROB deque, the IQ
-        # waiter dict, the fetch buffer and the completion heap.  Anything
-        # a squash rebinds (lsq.loads/stores, _pending_mem, iq._ready,
-        # iq._pending) is read fresh inside the phase.
+        # micro-op tables, the RAT/PRF arrays, the ROB deque, the
+        # completion heap and bound methods.  Anything a squash rebinds
+        # (lsq.loads/stores, _pending_mem) is read fresh inside the phase.
         self._flags = u.flags
         self._disp_tables = (
-            u.flags, u.rd, u.srcs, self.rat.map, self.prf.ready,
-            self.iq._waiters, self.rob.entries, self.rob.capacity,
-            self.iq.capacity, self.rat.rename_dest, self.prf._free,
-            self._hook_on_dispatch, self.stats,
+            u.flags, u.rd, u.srcs, self.rat.map, self.iq.insert,
+            self.rob.entries, self.rob.capacity, self.iq.capacity,
+            self.rat.rename_dest, self.prf._free, self._hook_on_dispatch,
+            self.stats,
         )
         self._issue_tables = (
-            u.fu_ids, u.latency, u.flags, u.imm, self.prf.value,
-            self.fus, self._hook_may_issue, self.rob.entries,
-            self._completions, self.stats,
+            u.latency, u.flags, u.imm, self.prf.value, self.iq.select,
+            self._hook_may_issue, self.rob.entries, self._completions,
+            self.stats,
         )
         self._wb_tables = (
-            u.kinds, u.exec_fns, u.imm, self.prf.value, self.prf.ready,
-            self.iq._waiters, self.rob.entries, self.protection,
-            self._hook_may_broadcast,
+            u.kinds, u.exec_fns, u.imm, self.prf.value, self.iq.broadcast,
+            self.rob.entries, self.protection, self._hook_may_broadcast,
         )
         self._commit_tables = (
             u.flags, u.op_ids, self.rob.entries, self.lsq,
             self.rat.retire, self.stats, self._hook_on_commit,
-        )
-        self._fetch_tables = (
-            u.flags, u.op_ids, self.program.instrs,
-            len(self.program.instrs), self.fetch_unit,
-            self.fetch_unit._line_available, self._fetch_buffer,
-            self._fetch_buffer.append,
         )
 
     # ================================================================== #
@@ -280,10 +268,10 @@ class OutOfOrderCore:
             # window drains down to it) or when the scheme may veto every
             # ready entry; any other busy cycle steps without probing,
             # since on issue-bound phases the probe's cost per cycle is
-            # the whole fast-forward overhead.  (_ready is read fresh
-            # each iteration: _issue/remove_squashed rebind it.)
+            # the whole fast-forward overhead.  (iq.ready is read fresh
+            # each iteration: select/remove_squashed rebind it.)
             if fast and (
-                probe_busy or not iq._ready or self._fence_seq is not None
+                probe_busy or not iq.ready or self._fence_seq is not None
             ):
                 # Never skip past the cycle at which the deadlock check
                 # would fire, so a dead machine raises at the exact same
@@ -353,7 +341,7 @@ class OutOfOrderCore:
             and self.committed < target
         ):
             if fast and (
-                probe_busy or not iq._ready or self._fence_seq is not None
+                probe_busy or not iq.ready or self._fence_seq is not None
             ):
                 jump = probe(max_cycles)
                 if jump > self.cycle:
@@ -395,23 +383,17 @@ class OutOfOrderCore:
         """
         now = self.cycle
         horizon = limit
-        # Issue: a ready entry is busy if _issue could select it this
-        # cycle.  Two kinds cannot, until an event bounded below: a
-        # serializing op that is not the ROB head (the head moves only
-        # on a commit or a squash), and an entry the scheme's may_issue
-        # vetoes (released only by a pipeline event; see its contract).
-        # Anything else, an FU-blocked entry included, vetoes the skip.
-        ready = self.iq._ready
-        if ready:
+        # Issue: busy if select could pick a ready entry this cycle.  A
+        # serializing op that is not the ROB head and an entry the
+        # scheme's may_issue vetoes wait on events bounded below.
+        iq = self.iq
+        if iq.ready:
             rob_entries = self.rob.entries
-            head = rob_entries[0] if rob_entries else None
-            flags = self._flags
-            may_issue = self._hook_may_issue
-            for entry in ready:
-                if entry is not head and flags[entry.pc] & F_SERIALIZING:
-                    continue
-                if may_issue is None or may_issue(entry, now):
-                    return now
+            if iq.can_select(
+                now, rob_entries[0] if rob_entries else None,
+                self._hook_may_issue,
+            ):
+                return now
         # Writeback: the completion heap is the primary event source.
         completions = self._completions
         if completions:
@@ -451,7 +433,7 @@ class OutOfOrderCore:
         # is still in the front-end pipe (event at fetch_cycle + depth),
         # or is structurally blocked — and every unblocker (commit, issue,
         # broadcast) is covered by the other event sources above.
-        buffer = self._fetch_buffer
+        buffer = self.fetch_unit.buffer
         if buffer:
             fetched = buffer[0]
             due = fetched.fetch_cycle + self._frontend_depth
@@ -460,18 +442,13 @@ class OutOfOrderCore:
                     horizon = due
             elif not self._dispatch_blocked(fetched):
                 return now
-        # Fetch: mirrors _fetch()'s guards exactly.
-        if len(buffer) < self._fetch_cap:
-            fu = self.fetch_unit
-            if not (fu._halt_seen or fu._wait_for_resolve):
-                ready = fu._icache_ready
-                if now < ready:
-                    if ready < horizon:
-                        horizon = ready
-                elif self.program.fetch(fu.fetch_pc) is not None:
-                    return now
-                # else: the program ran out past fetch_pc — only a
-                # redirect (an event) restarts fetch.
+        # Fetch: acts now, at a known cycle, or on an event.
+        due = self.fetch_unit.next_fetch_cycle(now)
+        if due is not None:
+            if due <= now:
+                return now
+            if due < horizon:
+                horizon = due
         # The protection scheme's own clock (deferred broadcasts, ...).
         if self._has_next_event:
             event = self.protection.next_event(now)
@@ -500,7 +477,7 @@ class OutOfOrderCore:
         if len(rob.entries) >= rob.capacity:
             return True
         iq = self.iq
-        if iq._size >= iq.capacity:
+        if iq.size >= iq.capacity:
             return True
         u = self.u
         pc = fetched.pc
@@ -520,10 +497,6 @@ class OutOfOrderCore:
         now = self.cycle
         span = target - now
         stats = self.stats
-        # Fetch-stall counters: _fetch() counts a stall cycle only while
-        # the buffer has room.
-        if len(self._fetch_buffer) < self._fetch_cap:
-            self.fetch_unit.account_stalls(now, span)
         # MLP: no new miss can start inside a quiescent span, so the
         # per-cycle outstanding counts collapse to one profile pass.
         mlp_sum, mlp_cycles = self.hierarchy.offchip_profile(now, target)
@@ -577,20 +550,22 @@ class OutOfOrderCore:
         pending = self._pending_mem
         if pending and pending[0][0] <= now:
             self._mem_phase(now)
-        if self.iq._ready:
+        if self.iq.ready:
             self._issue(now)
         rob_entries = self.rob.entries
-        buffer = self._fetch_buffer
+        buffer = self.fetch_unit.buffer
         if (
             buffer
             and self._fence_seq is None
             and buffer[0].fetch_cycle + self._frontend_depth <= now
             and len(rob_entries) < self.rob.capacity
-            and self.iq._size < self.iq.capacity
+            and self.iq.size < self.iq.capacity
         ):
             self._dispatch(now)
         if len(buffer) < self._fetch_cap:
-            self._fetch(now)
+            n_fetched = self.fetch_unit.fetch(now)
+            if n_fetched:
+                self.stats.fetched += n_fetched
         if rob_entries and rob_entries[0].completed:
             committed_now = self._commit(now)
         else:
@@ -625,7 +600,7 @@ class OutOfOrderCore:
         if (
             not self.halted
             and not rob_entries
-            and not self._fetch_buffer
+            and not buffer
             and self.program.fetch(self.fetch_unit.fetch_pc) is None
         ):
             self.halted = True
@@ -649,15 +624,14 @@ class OutOfOrderCore:
                 due.append(entry)
         if len(due) > 1:
             due.sort(key=_BY_SEQ)
-        (kinds, exec_fns, imms, prf_value, ready_bits, iq_waiters,
-         rob_entries, protection, may_broadcast) = self._wb_tables
+        (kinds, exec_fns, imms, prf_value, broadcast, rob_entries,
+         protection, may_broadcast) = self._wb_tables
         issue_width = self._issue_width
         taint = self.taint
         obs = self.obs
         obs_complete = obs.instr_complete if obs is not None else None
         obs_defer = obs.instr_defer if obs is not None else None
         obs_broadcast = obs.instr_broadcast if obs is not None else None
-        iq = self.iq
         for entry in due:
             if entry.squashed:
                 continue  # an older entry in this batch squashed it
@@ -708,28 +682,8 @@ class OutOfOrderCore:
             ):
                 # Safe at completion: the normal wake-up path, no NDA
                 # logic latency involved (only *deferred* wake-ups pay
-                # the Fig 9e delay).  Inline _broadcast: mark ready,
-                # wake IQ waiters.
-                ready_bits[pd] = True
-                waiters = iq_waiters.pop(pd, None)
-                if waiters:
-                    # _pending/_ready rebound by squashes earlier in
-                    # this very loop — read fresh per broadcast.
-                    iq_pending = iq._pending
-                    iq_ready = iq._ready
-                    for waiter in waiters:
-                        if waiter.squashed:
-                            iq_pending.pop(waiter, None)
-                            continue
-                        if waiter not in iq_pending:
-                            continue  # woken via another source already
-                        remaining = iq_pending[waiter] - 1
-                        if remaining <= 0:
-                            del iq_pending[waiter]
-                            iq_ready.append(waiter)
-                            iq._ready_sorted = False
-                        else:
-                            iq_pending[waiter] = remaining
+                # the Fig 9e delay).
+                broadcast(pd)
                 entry.bcast = True
                 entry.bcast_cycle = now
                 self._ports_used += 1
@@ -741,8 +695,8 @@ class OutOfOrderCore:
                     obs_defer(entry, now)
 
     def _broadcast(self, entry: DynInstr, now: int) -> None:
-        self.prf.mark_ready(entry.phys_dest)
-        self.iq.on_broadcast(entry.phys_dest)
+        """A deferred broadcast, drained by the protection scheme."""
+        self.iq.broadcast(entry.phys_dest)
         entry.bcast = True
         entry.bcast_cycle = now
         obs = self.obs
@@ -866,7 +820,7 @@ class OutOfOrderCore:
             item for item in self._pending_mem if not item[2].squashed
         ]
         heapq.heapify(self._pending_mem)
-        self._fetch_buffer.clear()
+        self.fetch_unit.buffer.clear()
         if self._fence_seq is not None and self._fence_seq > seq:
             self._fence_seq = None
         self.fetch_unit.redirect(target_pc, refetch_cycle)
@@ -960,74 +914,20 @@ class OutOfOrderCore:
         return self.mem.read_word(addr)
 
     # ================================================================== #
-    # Issue: fused select + issue over the micro-op tables.
+    # Issue: select, then read operands and schedule.
     # ================================================================== #
 
     def _issue(self, now: int) -> None:
-        iq = self.iq
-        ready = iq._ready
-        if not iq._ready_sorted:
-            if len(ready) > 1:
-                ready.sort(key=_BY_SEQ)
-            iq._ready_sorted = True
-        (fu_ids, latencies, flags, imms, prf_value, fus, may_issue,
+        (latencies, flags, imms, prf_value, select, may_issue,
          rob_entries, completions, stats) = self._issue_tables
-        width = self._issue_width
-        fus_used = fus._used
-        if now != fus._used_cycle:
-            # Inline fus._roll(now).
-            for i in range(len(fus_used)):
-                fus_used[i] = 0
-            fus._used_cycle = now
-        fus_counts = fus._counts_by_id
-        can_issue = fus.can_issue_id
-        rob_head = rob_entries[0] if rob_entries else None
-        # Selection pass: oldest first, the same decision order as
-        # IssueQueue.select, with the serializing-at-head veto before the
-        # scheme's may_issue.  The FU check is inlined for pipelined
-        # units; the divider (the only unit with per-slot busy state)
-        # keeps the method call.
-        selected: List[DynInstr] = []
-        remaining: List[DynInstr] = []
-        size_drop = 0
-        for entry in ready:
-            if entry.squashed:
-                size_drop += 1
-                continue
-            if len(selected) >= width:
-                remaining.append(entry)
-                continue
-            pc = entry.pc
-            fu_id = fu_ids[pc]
-            if (
-                (
-                    fus_used[fu_id] < fus_counts[fu_id]
-                    and fu_id != _FU_DIV
-                    or fu_id == _FU_DIV and can_issue(fu_id, now)
-                )
-                and (
-                    not (flags[pc] & F_SERIALIZING)
-                    or rob_head is entry
-                )
-                and (may_issue is None or may_issue(entry, now))
-            ):
-                if fu_id == _FU_FP or fu_id == _FU_DIV:
-                    entry.issue_penalty = fus.issue_id(
-                        fu_id, now, latencies[pc]
-                    )
-                else:
-                    # issue_penalty stays at its class default of 0.
-                    fus_used[fu_id] += 1
-                selected.append(entry)
-                size_drop += 1
-            else:
-                remaining.append(entry)
-        iq._ready = remaining  # filtered in order: still seq-sorted
-        iq._size -= size_drop
+        selected = select(
+            now, self._issue_width,
+            rob_entries[0] if rob_entries else None, may_issue,
+        )
         if not selected:
             return
-        # Issue pass: read operands, then queue the memory phase (loads)
-        # or the completion (everything else).
+        # Read operands, then queue the memory phase (loads) or the
+        # completion (everything else).
         taint = self.taint
         obs = self.obs
         obs_issue = obs.instr_issue if obs is not None else None
@@ -1069,18 +969,14 @@ class OutOfOrderCore:
     # ================================================================== #
 
     def _dispatch(self, now: int) -> None:
-        (flags, rds, all_srcs, rat_map, ready_bits, iq_waiters,
-         rob_entries, rob_capacity, iq_capacity, rename_dest, prf_free,
-         on_dispatch, stats) = self._disp_tables
-        buffer = self._fetch_buffer
+        (flags, rds, all_srcs, rat_map, iq_insert, rob_entries,
+         rob_capacity, iq_capacity, rename_dest, prf_free, on_dispatch,
+         stats) = self._disp_tables
+        buffer = self.fetch_unit.buffer
         iq = self.iq
         width = self._fetch_width
         depth = self._frontend_depth
-        # IQ/LSQ internals rebound by squashes: read fresh each phase.
-        # (_ready/_pending are stable WITHIN the phase — only issue and
-        # remove_squashed rebind them, and neither runs here.)
-        iq_pending = iq._pending
-        iq_ready = iq._ready
+        # LSQ lists are rebound by squashes: read fresh each phase.
         lsq = self.lsq
         loads = lsq.loads
         stores = lsq.stores
@@ -1097,7 +993,7 @@ class OutOfOrderCore:
                 break
             if (
                 len(rob_entries) >= rob_capacity
-                or iq._size >= iq_capacity
+                or iq.size >= iq_capacity
             ):
                 break
             pc = fetched.pc
@@ -1131,22 +1027,7 @@ class OutOfOrderCore:
             self._next_seq += 1
             buffer.popleft()
             rob_entries.append(entry)
-            # Inline iq.insert: count unready sources, park or ready.
-            outstanding = 0
-            for src in entry.phys_srcs:
-                if not ready_bits[src]:
-                    outstanding += 1
-                    w = iq_waiters.get(src)
-                    if w is None:
-                        iq_waiters[src] = [entry]
-                    else:
-                        w.append(entry)
-            iq._size += 1
-            if outstanding:
-                iq_pending[entry] = outstanding
-            else:
-                iq_ready.append(entry)
-                iq._ready_sorted = False
+            iq_insert(entry)
             if fl & F_LOAD:
                 loads.append(entry)
             elif fl & F_STORE:
@@ -1161,59 +1042,6 @@ class OutOfOrderCore:
                 self._fence_seq = entry.seq
             stats.dispatched += 1
             count += 1
-
-    # ================================================================== #
-    # Fetch.
-    # ================================================================== #
-
-    def _fetch(self, now: int) -> None:
-        # FetchUnit.fetch with the branch test read from the flags table:
-        # non-branch micro-ops (the common case) skip the _predict
-        # dispatch entirely; branches still go through _predict, so the
-        # predictor side effects and the stall/HALT/taken-prediction
-        # break conditions are FetchUnit's own.
-        (flags, op_ids, instrs, n_instr, fu, line_available, buffer,
-         append) = self._fetch_tables
-        # Inline fu.stalled(now), stall-cause counters included.
-        if fu._halt_seen:
-            return
-        if fu._wait_for_resolve:
-            fu.indirect_stall_cycles += 1
-            return
-        if now < fu._icache_ready:
-            fu.icache_stall_cycles += 1
-            return
-        width = self._fetch_width
-        count = 0
-        while count < width:
-            pc = fu.fetch_pc
-            # Inline program.fetch(pc) (the 0 <= guard matters: an
-            # out-of-range pc fetches nothing, it never wraps).
-            instr = instrs[pc] if 0 <= pc < n_instr else None
-            if instr is None:
-                break
-            if not line_available(pc, now):
-                break  # L1I miss: retry once the fill returns
-            if flags[pc] & F_BRANCH:
-                fetched = fu._predict(instr, now)
-                append(fetched)
-                count += 1
-                fu.fetched_ops += 1
-                fu.fetch_pc = fetched.pred_next_pc
-                if fu._wait_for_resolve:
-                    break  # unpredicted indirect target
-                if fetched.pred_next_pc != pc + 1:
-                    break  # taken prediction ends the fetch group
-            else:
-                append(FetchedOp(instr, pc, now, pc + 1))
-                count += 1
-                fu.fetched_ops += 1
-                fu.fetch_pc = pc + 1
-                if op_ids[pc] == _OPID_HALT:
-                    fu._halt_seen = True
-                    break  # nothing meaningful follows a halt
-        if count:
-            self.stats.fetched += count
 
     # ================================================================== #
     # Commit.

@@ -55,14 +55,6 @@ class PhysRegFile:
         self.ready[reg] = False
         self._free.append(reg)
 
-    def write(self, reg: int, value: int) -> None:
-        """Store a produced value WITHOUT waking consumers (no ready bit)."""
-        self.value[reg] = value
-
-    def mark_ready(self, reg: int) -> None:
-        """Broadcast: consumers of *reg* may now issue."""
-        self.ready[reg] = True
-
 
 class RenameTable:
     """Architectural -> physical mapping with walk-back rollback support."""

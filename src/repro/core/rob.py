@@ -82,14 +82,6 @@ class DynInstr:
     def is_load_like(self) -> bool:
         return self.instr.info.is_load_like
 
-    @property
-    def unresolved_branch(self) -> bool:
-        return self.is_branch and not self.resolved
-
-    @property
-    def unresolved_store(self) -> bool:
-        return self.is_store and self.addr is None
-
     def __repr__(self) -> str:
         flags = "".join(
             ch for ch, cond in (
@@ -101,7 +93,11 @@ class DynInstr:
 
 
 class ROB:
-    """In-order window of in-flight instructions."""
+    """In-order window of in-flight instructions.
+
+    The core appends to and pops from :attr:`entries` directly and
+    checks ``len(entries)`` against :attr:`capacity` at dispatch.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -114,18 +110,8 @@ class ROB:
         return iter(self.entries)
 
     @property
-    def full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    @property
     def head(self) -> Optional[DynInstr]:
         return self.entries[0] if self.entries else None
-
-    def push(self, entry: DynInstr) -> None:
-        self.entries.append(entry)
-
-    def pop_head(self) -> DynInstr:
-        return self.entries.popleft()
 
     def squash_younger(self, seq: int) -> "list[DynInstr]":
         """Remove every entry with ``seq > seq`` (youngest first).

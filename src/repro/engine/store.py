@@ -139,15 +139,6 @@ class ShardedDiskStore:
                 return flat  # couldn't move; serve it where it lies
         return None
 
-    def has(self, job: SimJob) -> bool:
-        """Whether *job*'s window is on disk, without reading it.
-
-        A pure existence probe: no hit/miss accounting, no JSON parse.
-        A corrupt entry found later still degrades to re-simulation
-        inside ``load``.
-        """
-        return self._locate(job_cache_key(job)) is not None
-
     def load(self, job: SimJob) -> Optional[PipelineStats]:
         """Return the cached window for *job*, or None on a miss.
 

@@ -9,21 +9,32 @@ Timing model: L1I hits are fully pipelined (no stall); an L1I miss stalls
 fetch until the fill returns.  An indirect branch with no BTB/RAS prediction
 stalls fetch at the branch until the back-end resolves it (the paper's §4.1
 dispatch-stall argument for phantom branches applies the same way).
+
+:class:`FetchUnit` is the only implementation of fetch: the core calls
+:meth:`FetchUnit.fetch` each cycle and dispatches from
+:attr:`FetchUnit.buffer`, and its idle-cycle probe asks
+:meth:`FetchUnit.next_fetch_cycle`.  The fetch loop reads the micro-op
+tables of :mod:`repro.isa.microops`, so only branches pay for a
+prediction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, Optional
 
 from repro.frontend.btb import BTB
 from repro.frontend.direction import DirectionPredictor
 from repro.frontend.ras import RAS
 from repro.isa.instruction import Instr
+from repro.isa.microops import F_BRANCH, OP_ID, lower_program
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 
 INSTR_BYTES = 4
+
+_OPID_HALT = OP_ID[Opcode.HALT]
 
 
 class FetchedOp:
@@ -63,7 +74,7 @@ class FetchedOp:
 
 
 class FetchUnit:
-    """Prediction-directed fetch."""
+    """Prediction-directed fetch into the fetch buffer."""
 
     def __init__(
         self,
@@ -80,89 +91,90 @@ class FetchUnit:
         self.btb = btb
         self.ras = ras
         self.fetch_width = fetch_width
+        #: Fetched micro-ops awaiting dispatch, oldest first.
+        self.buffer: Deque[FetchedOp] = deque()
+        #: Fetch runs only while the buffer holds fewer ops than this.
+        self.capacity = 2 * fetch_width
         self.fetch_pc = 0
+        u = lower_program(program)
+        self._tables = (u.flags, u.op_ids, program.instrs,
+                        len(program.instrs))
         self._icache_ready = 0
         self._current_line = -1
         self._wait_for_resolve = False
         self._halt_seen = False
-        self.fetched_ops = 0
-        self.icache_stall_cycles = 0
-        self.indirect_stall_cycles = 0
 
-    # ------------------------------------------------------------------ #
-    # Read-only state exposed for the core's idle-cycle fast-forward.
-    # ------------------------------------------------------------------ #
+    def fetch(self, now: int) -> int:
+        """Fetch up to ``fetch_width`` micro-ops along the predicted path
+        into :attr:`buffer`; returns how many.
 
-    @property
-    def halt_seen(self) -> bool:
-        """Fetch ran past a HALT and stopped (until a redirect)."""
-        return self._halt_seen
-
-    @property
-    def waiting_for_resolve(self) -> bool:
-        """Fetch stalled behind an unpredicted indirect branch."""
-        return self._wait_for_resolve
-
-    @property
-    def icache_ready_cycle(self) -> int:
-        """First cycle fetch may proceed after a miss/redirect."""
-        return self._icache_ready
-
-    def account_stalls(self, now: int, span: int) -> None:
-        """Batch-replicate ``stalled()``'s counters for a quiescent span.
-
-        The caller (the core's fast-forward) guarantees the fetch unit's
-        stall cause cannot change during ``[now, now + span)`` and, for
-        the i-cache case, that the span ends at or before
-        ``icache_ready_cycle`` — so each skipped cycle would have bumped
-        exactly the counter bumped here.
+        Nothing is fetched while the buffer is at capacity, after a
+        HALT, behind an unpredicted indirect branch, or before an
+        i-cache fill or a redirect is ready.  Non-branch micro-ops (the
+        common case) skip the prediction; a taken prediction, an
+        unpredicted indirect target, a HALT or an L1I miss ends the
+        group.
         """
-        if self._halt_seen:
-            return
-        if self._wait_for_resolve:
-            self.indirect_stall_cycles += span
-        elif now < self._icache_ready:
-            self.icache_stall_cycles += span
-        # else: fetch is not stalled (the program ran out past fetch_pc);
-        # stalled() would count nothing.
-
-    # ------------------------------------------------------------------ #
-
-    def stalled(self, now: int) -> bool:
-        """True when no instruction can be fetched this cycle."""
-        if self._halt_seen:
-            return True
-        if self._wait_for_resolve:
-            self.indirect_stall_cycles += 1
-            return True
-        if now < self._icache_ready:
-            self.icache_stall_cycles += 1
-            return True
-        return False
-
-    def fetch(self, now: int) -> List[FetchedOp]:
-        """Fetch up to ``fetch_width`` micro-ops along the predicted path."""
-        if self.stalled(now):
-            return []
-        out: List[FetchedOp] = []
-        while len(out) < self.fetch_width:
-            instr = self.program.fetch(self.fetch_pc)
+        buffer = self.buffer
+        if (
+            len(buffer) >= self.capacity
+            or self._halt_seen
+            or self._wait_for_resolve
+            or now < self._icache_ready
+        ):
+            return 0
+        flags, op_ids, instrs, n_instr = self._tables
+        append = buffer.append
+        line_available = self._line_available
+        width = self.fetch_width
+        count = 0
+        while count < width:
+            pc = self.fetch_pc
+            # Inline program.fetch(pc) (the 0 <= guard matters: an
+            # out-of-range pc fetches nothing, it never wraps).
+            instr = instrs[pc] if 0 <= pc < n_instr else None
             if instr is None:
                 break
-            if not self._line_available(self.fetch_pc, now):
+            if not line_available(pc, now):
                 break  # L1I miss: retry once the fill returns
-            fetched = self._predict(instr, now)
-            out.append(fetched)
-            self.fetched_ops += 1
-            self.fetch_pc = fetched.pred_next_pc
-            if instr.op is Opcode.HALT:
-                self._halt_seen = True
-                break  # nothing meaningful follows a halt
-            if self._wait_for_resolve:
-                break  # unpredicted indirect target
-            if instr.info.is_branch and fetched.pred_next_pc != fetched.pc + 1:
-                break  # taken prediction ends the fetch group
-        return out
+            if flags[pc] & F_BRANCH:
+                fetched = self._predict(instr, now)
+                append(fetched)
+                count += 1
+                self.fetch_pc = fetched.pred_next_pc
+                if self._wait_for_resolve:
+                    break  # unpredicted indirect target
+                if fetched.pred_next_pc != pc + 1:
+                    break  # taken prediction ends the fetch group
+            else:
+                append(FetchedOp(instr, pc, now, pc + 1))
+                count += 1
+                self.fetch_pc = pc + 1
+                if op_ids[pc] == _OPID_HALT:
+                    self._halt_seen = True
+                    break  # nothing meaningful follows a halt
+        return count
+
+    def next_fetch_cycle(self, now: int) -> Optional[int]:
+        """First cycle ``>= now`` at which :meth:`fetch` acts, or None
+        while fetch waits on an event.
+
+        The events: dispatch drains a full buffer, and a redirect ends a
+        HALT stall, an unpredicted-indirect stall, or a ``fetch_pc`` past
+        the end of the program.  Otherwise fetch acts once the i-cache
+        fill or redirect is ready.  The core's idle-cycle probe uses it.
+        """
+        if (
+            len(self.buffer) >= self.capacity
+            or self._halt_seen
+            or self._wait_for_resolve
+        ):
+            return None
+        if now < self._icache_ready:
+            return self._icache_ready
+        if self.program.fetch(self.fetch_pc) is None:
+            return None
+        return now
 
     def _line_available(self, pc: int, now: int) -> bool:
         line = (pc * INSTR_BYTES) >> 6
@@ -178,11 +190,10 @@ class FetchUnit:
     # ------------------------------------------------------------------ #
 
     def _predict(self, instr: Instr, now: int) -> FetchedOp:
+        """Predict one branch; sets the stall flag when an indirect
+        target is unknown."""
         pc = instr.pc
         op = instr.op
-        if not instr.info.is_branch:
-            return FetchedOp(instr, pc, now, pc + 1)
-
         if instr.info.is_conditional:
             taken = self.direction.predict(pc)
             next_pc = instr.target if taken else pc + 1

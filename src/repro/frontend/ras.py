@@ -44,15 +44,6 @@ class RAS:
         self.pops += 1
         return self._stack[self._pos]
 
-    def peek(self) -> Optional[int]:
-        if self._top == 0:
-            return None
-        return self._stack[(self._pos - 1) % self.entries]
-
-    @property
-    def depth(self) -> int:
-        return self._top
-
     def snapshot(self) -> Snapshot:
         """Capture state for later repair."""
         return (tuple(self._stack), self._top, self._pos)  # type: ignore[return-value]

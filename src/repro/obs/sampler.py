@@ -71,7 +71,7 @@ class MetricsSampler:
             self.rows.append({
                 "cycle": now,
                 "rob": len(rob) if rob is not None else 0,
-                "iq": len(iq) if iq is not None else 0,
+                "iq": iq.size if iq is not None else 0,
                 "lq": len(lsq.loads) if lsq is not None else 0,
                 "sq": len(lsq.stores) if lsq is not None else 0,
                 "outstanding_misses": (

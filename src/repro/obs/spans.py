@@ -12,14 +12,11 @@ that later claims the job tags its spans with the submitting client's
 trace id.
 
 Each process owns at most one :class:`Tracer`.  Finished spans land in
-two places:
-
-* a **flight recorder** — a bounded in-memory ring that
-  :meth:`Tracer.finished` reads back within the process; and
-* a **JSONL spool** — one append-only file per process under the trace
-  directory (``<service>-<pid>.spans.jsonl``), which
-  :func:`repro.obs.perfetto.merge_span_spools` stitches into a single
-  Perfetto trace after the run.
+a **JSONL spool** — one append-only file per process under the trace
+directory (``<service>-<pid>.spans.jsonl``), which
+:func:`repro.obs.perfetto.read_span_spools` reads back and
+:func:`repro.obs.perfetto.merge_span_spools` stitches into a single
+Perfetto trace after the run.
 
 Tracing follows the telemetry layer's no-op-when-detached contract
 (:mod:`repro.obs.bus`): with no tracer installed and ``REPRO_TRACE_DIR``
@@ -37,9 +34,8 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Schema version stamped on every spooled span row.
 SPAN_SCHEMA = 1
@@ -51,9 +47,6 @@ TRACE_SERVICE_ENV = "REPRO_TRACE_SERVICE"
 
 #: Filename suffix of per-process span spools (see ``Tracer.spool_path``).
 SPAN_SPOOL_SUFFIX = ".spans.jsonl"
-
-#: Flight-recorder capacity (finished spans kept in memory).
-DEFAULT_RING_SIZE = 2048
 
 _TRACEPARENT_VERSION = "00"
 _TRACE_FLAGS = "01"
@@ -163,7 +156,7 @@ class Span:
         return self.context.traceparent()
 
     def end(self, end: Optional[float] = None, status: str = "ok") -> None:
-        """Finalize once: into the ring buffer and (if spooling) disk."""
+        """Finalize once: append the span to the spool."""
         if self._finished:
             return
         self._finished = True
@@ -171,33 +164,24 @@ class Span:
 
 
 class Tracer:
-    """Per-process span factory, flight recorder, and JSONL spool.
+    """Per-process span factory and JSONL spool.
 
-    ``spool_dir=None`` keeps spans in memory only; a directory turns on
-    the per-process spool file that the Perfetto merger consumes.
+    Every finished span is appended to this process's spool file under
+    *spool_dir*, which the Perfetto merger consumes.
     """
 
-    def __init__(
-        self,
-        service: str = "repro",
-        spool_dir: Optional[str] = None,
-        ring_size: int = DEFAULT_RING_SIZE,
-    ) -> None:
+    def __init__(self, service: str, spool_dir: str) -> None:
         self.service = str(service)
         self.pid = os.getpid()
-        self.spool_dir = str(spool_dir) if spool_dir else None
-        self.spool_path: Optional[str] = None
-        if self.spool_dir is not None:
-            os.makedirs(self.spool_dir, exist_ok=True)
-            safe = "".join(
-                ch if ch.isalnum() or ch in "-_." else "-"
-                for ch in self.service
-            ) or "repro"
-            self.spool_path = os.path.join(
-                self.spool_dir, "%s-%d%s" % (safe, self.pid,
-                                             SPAN_SPOOL_SUFFIX),
-            )
-        self._ring: deque = deque(maxlen=ring_size)
+        self.spool_dir = str(spool_dir)
+        os.makedirs(self.spool_dir, exist_ok=True)
+        safe = "".join(
+            ch if ch.isalnum() or ch in "-_." else "-"
+            for ch in self.service
+        ) or "repro"
+        self.spool_path = os.path.join(
+            self.spool_dir, "%s-%d%s" % (safe, self.pid, SPAN_SPOOL_SUFFIX),
+        )
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.spool_errors = 0
@@ -283,7 +267,7 @@ class Tracer:
         return self._finish(sp, end=end, status=status)
 
     # ------------------------------------------------------------------ #
-    # Finalization + readback.
+    # Finalization.
     # ------------------------------------------------------------------ #
 
     def _finish(self, span: Span, end: Optional[float], status: str) -> dict:
@@ -304,25 +288,14 @@ class Tracer:
         }
         if span.attrs:
             row["attrs"] = span.attrs
-        with self._lock:
-            self._ring.append(row)
-        if self.spool_path is not None:
-            try:
-                line = json.dumps(row, sort_keys=True)
-                with open(self.spool_path, "a") as handle:
-                    handle.write(line + "\n")
-            except (OSError, TypeError, ValueError):
-                with self._lock:
-                    self.spool_errors += 1
+        try:
+            line = json.dumps(row, sort_keys=True)
+            with open(self.spool_path, "a") as handle:
+                handle.write(line + "\n")
+        except (OSError, TypeError, ValueError):
+            with self._lock:
+                self.spool_errors += 1
         return row
-
-    def finished(self, name: Optional[str] = None) -> List[dict]:
-        """Flight-recorder contents (oldest first), optionally by name."""
-        with self._lock:
-            rows = list(self._ring)
-        if name is None:
-            return rows
-        return [row for row in rows if row["name"] == name]
 
 
 # ---------------------------------------------------------------------- #

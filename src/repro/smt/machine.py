@@ -228,7 +228,7 @@ class SmtMachine:
         now = self.cycle
         target = max_cycles
         for core in active:
-            if (core.iq._ready and core._fence_seq is None
+            if (core.iq.ready and core._fence_seq is None
                     and core._hook_may_issue is None):
                 return now
             limit = core._last_commit_cycle + deadlock_cycles + 1

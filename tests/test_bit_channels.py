@@ -50,22 +50,25 @@ class TestFPUPowerModel:
     def test_wakeup_penalty_after_sleep(self):
         from repro.config import CoreConfig
         from repro.core.fu import FUPool
+        from repro.isa.microops import FU_ID
         from repro.isa.opcodes import FUType
+        fp = FU_ID[FUType.FP]
         pool = FUPool(CoreConfig(fpu_sleep_cycles=100, fpu_wakeup_cycles=15))
         assert pool.fp_wakeup_penalty(0) == 15  # starts asleep
-        assert pool.issue(FUType.FP, 0, 4) == 15
-        assert pool.issue(FUType.FP, 50, 4) == 0  # still warm
+        assert pool.issue_id(fp, 0, 4) == 15
+        assert pool.issue_id(fp, 50, 4) == 0  # still warm
         assert pool.fp_wakeup_penalty(151) == 15  # slept again
 
     def test_awake_query(self):
         from repro.config import CoreConfig
         from repro.core.fu import FUPool
+        from repro.isa.microops import FU_ID
         from repro.isa.opcodes import FUType
         pool = FUPool(CoreConfig(fpu_sleep_cycles=100))
-        assert not pool.fpu_awake(0)
-        pool.issue(FUType.FP, 10, 4)
-        assert pool.fpu_awake(50)
-        assert not pool.fpu_awake(500)
+        assert pool.fp_wakeup_penalty(0) > 0  # asleep
+        pool.issue_id(FU_ID[FUType.FP], 10, 4)
+        assert pool.fp_wakeup_penalty(50) == 0  # awake
+        assert pool.fp_wakeup_penalty(500) > 0
 
     def test_wrong_path_fp_warms_unit(self):
         """The channel substrate: a squashed FADD leaves the FPU awake."""
@@ -85,7 +88,7 @@ class TestFPUPowerModel:
         asm.halt()
         core = OutOfOrderCore(asm.build(), baseline_ooo())
         core.run()
-        assert core.fus.fpu_awake(core.cycle)
+        assert core.fus.fp_wakeup_penalty(core.cycle) == 0
 
 
 @pytest.mark.parametrize("module,channel", [

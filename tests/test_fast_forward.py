@@ -275,7 +275,7 @@ class TestSerializingWait:
         skip_to = core._skip_to
 
         def recording_skip_to(target):
-            ready = sorted(entry.pc for entry in core.iq._ready)
+            ready = sorted(entry.pc for entry in core.iq.ready)
             skips.append((target - core.cycle, ready))
             skip_to(target)
 

@@ -158,13 +158,6 @@ class TestRAS:
         assert ras.pop() == 2
         assert ras.pop() is None
 
-    def test_peek(self):
-        ras = RAS(4)
-        assert ras.peek() is None
-        ras.push(5)
-        assert ras.peek() == 5
-        assert ras.depth == 1
-
     def test_snapshot_restore(self):
         ras = RAS(4)
         ras.push(1)
@@ -191,6 +184,15 @@ def make_fetch(asm_builder, predictor="not-taken"):
     return fetch, btb, ras
 
 
+def fetch_group(fetch, now):
+    """The ops one ``fetch(now)`` appends to the buffer, drained from it
+    the way dispatch would."""
+    count = fetch.fetch(now)
+    ops = [fetch.buffer.popleft() for _ in range(count)]
+    assert not fetch.buffer
+    return ops
+
+
 class TestFetchUnit:
     def _basic_program(self):
         asm = Assembler()
@@ -201,12 +203,12 @@ class TestFetchUnit:
 
     def test_first_fetch_stalls_on_icache_miss(self):
         fetch, _, _ = make_fetch(self._basic_program())
-        assert fetch.fetch(0) == []  # cold i-cache
+        assert fetch_group(fetch, 0) == []  # cold i-cache
 
     def test_fetch_width_after_warm(self):
         fetch, _, _ = make_fetch(self._basic_program())
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert len(ops) == 8
         assert [op.pc for op in ops] == list(range(8))
 
@@ -219,9 +221,9 @@ class TestFetchUnit:
         asm.halt()
         fetch, _, _ = make_fetch(asm)
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert [op.pc for op in ops] == [0, 1]
-        ops = fetch.fetch(201)
+        ops = fetch_group(fetch, 201)
         assert ops[0].pc == 3  # redirected past the skipped nop
 
     def test_halt_stops_fetch(self):
@@ -230,9 +232,9 @@ class TestFetchUnit:
         asm.nop()
         fetch, _, _ = make_fetch(asm)
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert len(ops) == 1
-        assert fetch.fetch(201) == []
+        assert fetch_group(fetch, 201) == []
 
     def test_indirect_without_prediction_stalls(self):
         asm = Assembler()
@@ -240,12 +242,12 @@ class TestFetchUnit:
         asm.halt()
         fetch, _, _ = make_fetch(asm)
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert len(ops) == 1
         assert ops[0].unpredicted
-        assert fetch.fetch(201) == []  # waiting for resolution
+        assert fetch_group(fetch, 201) == []  # waiting for resolution
         fetch.redirect(1, 202)
-        assert fetch.fetch(202)[0].pc == 1
+        assert fetch_group(fetch, 202)[0].pc == 1
 
     def test_indirect_with_btb_prediction(self):
         asm = Assembler()
@@ -255,7 +257,7 @@ class TestFetchUnit:
         fetch, btb, _ = make_fetch(asm)
         btb.update(0, 2)
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert ops[0].btb_hit
         assert ops[0].pred_next_pc == 2
 
@@ -267,13 +269,13 @@ class TestFetchUnit:
         asm.ret()
         fetch, _, ras = make_fetch(asm)
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert ops[0].pred_next_pc == 2  # into func
-        assert ras.depth == 1
-        ops = fetch.fetch(201)
+        assert (ras.pushes, ras.pops) == (1, 0)
+        ops = fetch_group(fetch, 201)
         assert ops[0].instr.info.is_ret
         assert ops[0].pred_next_pc == 1  # back after the call
-        assert ras.depth == 0
+        assert (ras.pushes, ras.pops) == (1, 1)
 
     def test_conditional_prediction_metadata(self):
         asm = Assembler()
@@ -283,6 +285,58 @@ class TestFetchUnit:
         asm.halt()
         fetch, _, _ = make_fetch(asm, predictor="taken")
         fetch.fetch(0)
-        ops = fetch.fetch(200)
+        ops = fetch_group(fetch, 200)
         assert ops[0].pred_taken
         assert ops[0].pred_next_pc == 2
+
+    def test_full_buffer_stops_fetch(self):
+        fetch, _, _ = make_fetch(self._basic_program())
+        fetch.fetch(0)
+        assert fetch.fetch(200) == 8
+        assert fetch.fetch(201) == 8
+        assert len(fetch.buffer) == fetch.capacity == 16
+        assert fetch.fetch(202) == 0
+        assert fetch.next_fetch_cycle(202) is None  # waits on dispatch
+        fetch.buffer.popleft()
+        assert fetch.next_fetch_cycle(202) == 202
+
+
+class TestNextFetchCycle:
+    """The idle-cycle probe's view of fetch: the cycle at which
+    ``fetch`` next acts, or None while it waits on an event."""
+
+    def test_cold_fetch_acts_now_then_waits_for_fill(self):
+        fetch, _, _ = make_fetch(TestFetchUnit()._basic_program())
+        assert fetch.next_fetch_cycle(0) == 0
+        assert fetch.fetch(0) == 0  # starts the L1I miss
+        ready = fetch.next_fetch_cycle(1)
+        assert ready > 1
+        assert fetch.fetch(ready - 1) == 0
+        assert fetch.fetch(ready) == 8
+
+    def test_halt_waits_for_redirect(self):
+        asm = Assembler()
+        asm.halt()
+        fetch, _, _ = make_fetch(asm)
+        fetch.fetch(0)
+        fetch_group(fetch, 200)
+        assert fetch.next_fetch_cycle(201) is None
+        fetch.redirect(0, 205)
+        assert fetch.next_fetch_cycle(201) == 205
+
+    def test_unpredicted_indirect_waits_for_redirect(self):
+        asm = Assembler()
+        asm.jr(R1)
+        asm.halt()
+        fetch, _, _ = make_fetch(asm)
+        fetch.fetch(0)
+        fetch_group(fetch, 200)
+        assert fetch.next_fetch_cycle(201) is None
+
+    def test_past_end_of_program_waits(self):
+        asm = Assembler()
+        asm.nop()
+        fetch, _, _ = make_fetch(asm)
+        fetch.fetch(0)
+        assert [op.pc for op in fetch_group(fetch, 200)] == [0]
+        assert fetch.next_fetch_cycle(201) is None

@@ -45,8 +45,7 @@ class TestVisibilityPolicy:
         rob = ROB(16)
         older = dyn(1, Instr(Opcode.ADD, rd=R1, rs1=R2, rs2=R3))
         target = load(5)
-        rob.push(older)
-        rob.push(target)
+        rob.entries.extend((older, target))
         assert load_is_speculative(target, rob, tracker, True)
         older.completed = True
         assert not load_is_speculative(target, rob, tracker, True)
@@ -58,8 +57,7 @@ class TestVisibilityPolicy:
         older.completed = True
         older.fault = "user load"
         target = load(5)
-        rob.push(older)
-        rob.push(target)
+        rob.entries.extend((older, target))
         assert load_is_speculative(target, rob, tracker, True)
 
     def test_validation_on_l1_miss(self):

@@ -1,5 +1,5 @@
-"""Tests for repro.obs.spans: trace contexts, the flight recorder and
-spool, cross-process propagation, the Perfetto span merger, structured
+"""Tests for repro.obs.spans: trace contexts, the span spool,
+cross-process propagation, the Perfetto span merger, structured
 logging, and the job server's spans."""
 
 import json
@@ -39,6 +39,13 @@ def _detached_tracer():
     uninstall_tracer()
 
 
+def spooled(tracer, name=None):
+    """The spans *tracer* has spooled, optionally only those named
+    *name*."""
+    rows = read_span_spools(tracer.spool_dir)
+    return [row for row in rows if name is None or row["name"] == name]
+
+
 class TestTraceparent:
     def test_roundtrip(self):
         ctx = SpanContext("ab" * 16, "cd" * 8)
@@ -64,11 +71,11 @@ class TestTraceparent:
 
 
 class TestTracer:
-    def test_span_lands_in_ring(self):
-        tracer = Tracer("t")
+    def test_span_lands_in_spool(self, tmp_path):
+        tracer = Tracer("t", spool_dir=str(tmp_path))
         with tracer.span("work", attrs={"k": 1}) as sp:
             assert tracer.current() == sp.context
-        rows = tracer.finished("work")
+        rows = spooled(tracer, "work")
         assert len(rows) == 1
         row = rows[0]
         assert row["status"] == "ok"
@@ -76,27 +83,27 @@ class TestTracer:
         assert row["end_unix"] >= row["start_unix"]
         assert tracer.current() is None
 
-    def test_nested_spans_parent_automatically(self):
-        tracer = Tracer("t")
+    def test_nested_spans_parent_automatically(self, tmp_path):
+        tracer = Tracer("t", spool_dir=str(tmp_path))
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
                 pass
-        rows = {r["name"]: r for r in tracer.finished()}
+        rows = {r["name"]: r for r in spooled(tracer)}
         assert rows["inner"]["parent_id"] == outer.span_id
         assert rows["inner"]["trace_id"] == outer.trace_id
         assert rows["outer"]["parent_id"] is None
         assert inner.trace_id == outer.trace_id
 
-    def test_exception_marks_error_and_propagates(self):
-        tracer = Tracer("t")
+    def test_exception_marks_error_and_propagates(self, tmp_path):
+        tracer = Tracer("t", spool_dir=str(tmp_path))
         with pytest.raises(ValueError):
             with tracer.span("boom"):
                 raise ValueError("x")
-        assert tracer.finished("boom")[0]["status"] == "error"
+        assert spooled(tracer, "boom")[0]["status"] == "error"
         assert tracer.current() is None
 
-    def test_record_is_retroactive(self):
-        tracer = Tracer("t")
+    def test_record_is_retroactive(self, tmp_path):
+        tracer = Tracer("t", spool_dir=str(tmp_path))
         parent = SpanContext("ab" * 16, "cd" * 8)
         row = tracer.record("queue.wait", 100.0, 100.25, parent=parent)
         assert row["start_unix"] == 100.0
@@ -104,13 +111,13 @@ class TestTracer:
         assert row["trace_id"] == parent.trace_id
         assert row["parent_id"] == parent.span_id
 
-    def test_end_clamps_backwards_clock(self):
-        tracer = Tracer("t")
+    def test_end_clamps_backwards_clock(self, tmp_path):
+        tracer = Tracer("t", spool_dir=str(tmp_path))
         row = tracer.record("x", 200.0, 150.0)
         assert row["end_unix"] == row["start_unix"] == 200.0
 
-    def test_string_parent_accepts_traceparent(self):
-        tracer = Tracer("t")
+    def test_string_parent_accepts_traceparent(self, tmp_path):
+        tracer = Tracer("t", spool_dir=str(tmp_path))
         ctx = SpanContext("ab" * 16, "cd" * 8)
         sp = tracer.start_span("child", parent=ctx.traceparent())
         assert sp.trace_id == ctx.trace_id
@@ -120,7 +127,6 @@ class TestTracer:
     def test_spool_file_per_process(self, tmp_path):
         tracer = Tracer("my service!", spool_dir=str(tmp_path))
         tracer.record("x", 1.0, 2.0)
-        assert tracer.spool_path is not None
         assert os.path.basename(tracer.spool_path) == (
             "my-service--%d.spans.jsonl" % os.getpid()
         )
@@ -146,8 +152,8 @@ class TestProcessTracer:
         assert tracer.spool_path.startswith(str(tmp_path))
         assert maybe_tracer("other-hint") is tracer
 
-    def test_install_uninstall(self):
-        tracer = install_tracer(Tracer("explicit"))
+    def test_install_uninstall(self, tmp_path):
+        tracer = install_tracer(Tracer("explicit", spool_dir=str(tmp_path)))
         assert maybe_tracer() is tracer
         uninstall_tracer()
         assert maybe_tracer() is None
@@ -292,24 +298,26 @@ class TestEngineSpans:
             1, 300, 800, 2_500,
         )
 
-    def test_run_jobs_emits_engine_spans_when_attached(self):
-        tracer = install_tracer(Tracer("engine-test"))
+    def test_run_jobs_emits_engine_spans_when_attached(self, tmp_path):
+        tracer = install_tracer(
+            Tracer("engine-test", spool_dir=str(tmp_path))
+        )
         results, failures, stats = run_jobs(
             self._jobs(), jobs=1, cache=None,
         )
         assert not failures
-        names = [r["name"] for r in tracer.finished()]
+        names = [r["name"] for r in spooled(tracer)]
         assert names.count("engine.run") == 1
         assert names.count("engine.execute") == len(results)
-        run_row = tracer.finished("engine.run")[0]
-        execute_row = tracer.finished("engine.execute")[0]
+        run_row = spooled(tracer, "engine.run")[0]
+        execute_row = spooled(tracer, "engine.execute")[0]
         assert execute_row["trace_id"] == run_row["trace_id"]
         assert execute_row["parent_id"] == run_row["span_id"]
         assert run_row["attrs"]["executed"] == len(results)
 
-    def test_detached_run_identical_to_attached(self):
+    def test_detached_run_identical_to_attached(self, tmp_path):
         detached, _, _ = run_jobs(self._jobs(), jobs=1, cache=None)
-        install_tracer(Tracer("engine-test"))
+        install_tracer(Tracer("engine-test", spool_dir=str(tmp_path)))
         attached, _, _ = run_jobs(self._jobs(), jobs=1, cache=None)
         uninstall_tracer()
         for before, after in zip(detached, attached):
@@ -374,9 +382,9 @@ class TestBenchHistory:
 class TestServerObservatory:
     @pytest.fixture
     def server(self, tmp_path):
-        # An untraced server records no spans; install an in-memory
+        # An untraced server records no spans; install a spooling
         # tracer so the tests can read the server's spans back.
-        install_tracer(Tracer("server"))
+        install_tracer(Tracer("server", spool_dir=str(tmp_path / "spans")))
         srv = ReproServer(
             queue_dir=tmp_path / "queue", cache_dir=tmp_path / "cache",
         )
@@ -398,7 +406,7 @@ class TestServerObservatory:
         assert stamped is not None
         assert stamped.trace_id == ctx.trace_id
         assert stamped.span_id != ctx.span_id
-        submit_rows = srv.tracer.finished("submit")
+        submit_rows = spooled(srv.tracer, "submit")
         assert submit_rows[0]["parent_id"] == ctx.span_id
         assert submit_rows[0]["attrs"]["outcome"] == "queued"
 
@@ -406,7 +414,7 @@ class TestServerObservatory:
         srv, client = server
         job = client.submit("fuzz", FUZZ_SPEC)
         client.wait(job.id, timeout=120)
-        rows = {r["name"]: r for r in srv.tracer.finished()}
+        rows = {r["name"]: r for r in spooled(srv.tracer)}
         assert {"submit", "queue.wait", "job.execute"} <= set(rows)
         trace_id = rows["submit"]["trace_id"]
         assert rows["queue.wait"]["trace_id"] == trace_id

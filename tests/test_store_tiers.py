@@ -53,14 +53,14 @@ class TestShardedLayout:
         assert sharded.is_file()
         assert not flat.exists()
 
-    def test_has_probes_without_accounting(self, tmp_path, executed):
+    def test_load_misses_then_hits(self, tmp_path, executed):
         store = ShardedDiskStore(tmp_path)
         job, window = executed[0]
-        assert not store.has(job)
+        assert store.load(job) is None
         store.store(job, window)
-        assert store.has(job)
-        assert store.stats.hits == 0
-        assert store.stats.misses == 0
+        assert store.load(job).to_dict() == window.to_dict()
+        assert store.stats.hits == 1
+        assert store.stats.misses == 1
 
     def test_size_and_clear_count_both_layouts(self, tmp_path, executed):
         store = ShardedDiskStore(tmp_path)
