@@ -1,9 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test attack-smoke bench-smoke fuzz-smoke obs-smoke server-smoke \
-	scale-smoke smt-smoke trace-smoke e2e-selftest bench bench-simspeed \
-	cache-clear
+.PHONY: test attack-smoke bench-smoke fuzz-smoke obs-smoke scale-smoke \
+	smt-smoke trace-smoke e2e-selftest bench bench-simspeed cache-clear
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,14 +43,6 @@ obs-smoke:
 	$(PYTHON) -m repro.cli obs manifest validate
 	$(PYTHON) -m repro.cli obs metrics
 
-# Job-server smoke: boot the HTTP service, submit the same tiny sweep
-# twice (the second must dedup to the completed job), exercise the
-# nda-repro submit client and check the job's submission count and the
-# /healthz queue counts, then restart with a fresh queue and require the
-# warm job to run with zero engine executions (mirrors CI).
-server-smoke:
-	$(PYTHON) benchmarks/server_smoke.py
-
 # Execution-backend smoke: the same sweep through the serial and
 # local-pool backends must be bit-identical, then a checkpointing fuzz
 # campaign is SIGTERM'd mid-run and resumed — zero re-execution of
@@ -60,11 +51,10 @@ server-smoke:
 scale-smoke:
 	$(PYTHON) benchmarks/scale_smoke.py
 
-# Distributed-tracing smoke: a traced server submit and a traced
-# local-pool `bench` driver, both spooling spans into one
-# REPRO_TRACE_DIR; each leg's spans must be causally linked, and the
-# merged Perfetto trace must validate with spans from exactly the
-# server and the CLI (mirrors CI).
+# Span-tracing smoke: a traced local-pool `bench` driver spools spans
+# into a REPRO_TRACE_DIR; cli.bench -> engine.run -> engine.execute must
+# be causally linked, and the merged Perfetto trace must validate with
+# spans from exactly the CLI (mirrors CI).
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
 

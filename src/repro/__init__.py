@@ -19,7 +19,7 @@ Quick start::
     print(insecure.cpi, protected.cpi)
 
 Full sweeps (every figure/table of the paper) go through the parallel
-suite engine::
+suite engine, the same ``run_suite`` that ``nda-repro bench`` calls::
 
     from repro import run_suite
 
@@ -27,7 +27,7 @@ suite engine::
     print(suite.engine.describe())
 """
 
-from repro.api import run_attack, run_window, simulate, submit_suite
+from repro.api import run_attack, run_window, simulate
 from repro.config import (
     CacheConfig,
     ConfigSpec,
@@ -66,11 +66,11 @@ from repro.errors import (
 )
 from repro.isa import Assembler, Opcode, Program, run_reference
 
-# Heavyweight optional surfaces (fuzzer, telemetry, job-server client)
-# are served lazily through repro.api so importing repro stays cheap.
-from repro.api import _FUZZ_EXPORTS, _OBS_EXPORTS, _SERVER_EXPORTS
+# Heavyweight optional surfaces (fuzzer, telemetry) are served lazily
+# through repro.api so importing repro stays cheap.
+from repro.api import _FUZZ_EXPORTS, _OBS_EXPORTS
 
-_LAZY_EXPORTS = _SERVER_EXPORTS + _FUZZ_EXPORTS + _OBS_EXPORTS
+_LAZY_EXPORTS = _FUZZ_EXPORTS + _OBS_EXPORTS
 
 __version__ = "1.0.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "simulate",
     "run_attack",
     "run_window",
-    "submit_suite",
     "CacheConfig",
     "ConfigSpec",
     "CoreConfig",

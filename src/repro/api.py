@@ -1,13 +1,15 @@
 """The one documented simulation surface.
 
-Everything a caller needs lives here, under four run functions with one
-shared keyword vocabulary and a typed client for the job server:
+Everything a caller needs to run one program lives here, under three
+run functions with one shared keyword vocabulary:
 
-* :func:`simulate`     — run one program to completion (OoO or in-order)
-* :func:`run_attack`   — run one attack PoC program (same knobs)
-* :func:`run_window`   — one SMARTS measurement window (same knobs)
-* :func:`submit_suite` — the full paper sweep through the parallel engine
-* :class:`ServerClient` — HTTP client for ``repro.server`` (lazy import)
+* :func:`simulate`   — run one program to completion (OoO or in-order)
+* :func:`run_attack` — run one attack PoC program (same knobs)
+* :func:`run_window` — one SMARTS measurement window (same knobs)
+
+Full paper sweeps go through :func:`repro.harness.experiment.run_suite`
+(exported as ``repro.run_suite``), the same function ``nda-repro bench``
+calls.
 
 The shared keywords mean the same thing everywhere they appear:
 
@@ -171,54 +173,6 @@ def run_window(
     return window
 
 
-def submit_suite(
-    benchmarks=None,
-    configs=None,
-    *,
-    samples: int = 3,
-    warmup: int = 2_000,
-    measure: int = 8_000,
-    instructions: int = 14_000,
-    seed0: int = 0,
-    jobs: Optional[int] = None,
-    cache=False,
-    cache_dir=None,
-    progress=None,
-    collect_trace: bool = False,
-    backend=None,
-    checkpoint=None,
-    resume=None,
-):
-    """Run a full sweep through the parallel suite engine.
-
-    A keyword-only facade over :func:`repro.harness.experiment.run_suite`
-    (which remains available for positional callers): expands
-    ``(benchmark, config, sample)`` jobs, hands them to an execution
-    backend (``backend=`` — ``serial`` or ``local-pool``; bit-identical
-    results either way), and serves repeats from the content-addressed
-    result store on disk.  ``checkpoint``/``resume`` keep and replay a
-    resumable manifest so preempted sweeps restart where they died.
-    Returns a :class:`~repro.harness.experiment.SuiteResult` with
-    per-job engine/cache accounting on ``.engine``.
-
-    For the same sweep as a durable HTTP job instead, submit the spec
-    through :class:`ServerClient`: the server's workers call this same
-    ``run_suite``, so windows already in the result store are served
-    from it there too.
-    """
-    from repro.harness.experiment import DEFAULT_SUITE, run_suite
-
-    return run_suite(
-        benchmarks if benchmarks is not None else DEFAULT_SUITE,
-        configs,
-        samples=samples, warmup=warmup, measure=measure,
-        instructions=instructions, seed0=seed0, jobs=jobs,
-        cache=cache, cache_dir=cache_dir,
-        progress=progress, collect_trace=collect_trace,
-        backend=backend, checkpoint=checkpoint, resume=resume,
-    )
-
-
 #: Fuzzer names served lazily from :mod:`repro.fuzz` (PEP 562).
 _FUZZ_EXPORTS = (
     "LeakWitness",
@@ -248,19 +202,10 @@ _OBS_EXPORTS = (
     "write_manifest",
 )
 
-#: Job-server client names served lazily from :mod:`repro.server.client`.
-_SERVER_EXPORTS = (
-    "JobStatus",
-    "ServerClient",
-    "ServerError",
-)
-
 __all__ = [
     "simulate",
     "run_attack",
     "run_window",
-    "submit_suite",
-    *_SERVER_EXPORTS,
     *_FUZZ_EXPORTS,
     *_SMT_EXPORTS,
     *_OBS_EXPORTS,
@@ -280,10 +225,6 @@ def __getattr__(name: str):
         import repro.obs
 
         return getattr(repro.obs, name)
-    if name in _SERVER_EXPORTS:
-        import repro.server.client
-
-        return getattr(repro.server.client, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 

@@ -17,9 +17,6 @@ Subcommands::
     nda-repro fuzz run --seeds 200 --jobs 8   # differential leak fuzzing
     nda-repro fuzz replay 7 --config strict   # one seed on one config
     nda-repro fuzz minimize 7 --output w.json # ddmin to a reproducer
-    nda-repro serve --workers 2 --tokens tokens.json # HTTP job server
-    nda-repro submit sweep mcf --config strict --wait # job via the server
-    nda-repro submit attack spectre_v1_cache --wait
     nda-repro obs trace spectre_v1 --config strict   # Perfetto export
     nda-repro obs trace merge --dir results/traces/spans  # stitch spools
     nda-repro obs metrics                    # render latest metric snapshot
@@ -31,7 +28,7 @@ windows under ``results/.cache/``; use ``--jobs N`` to size the worker
 pool and ``--no-cache`` to force re-simulation.  ``--backend`` picks the
 execution backend (``serial`` or ``local-pool``), and ``--checkpoint
 FILE`` / ``--resume FILE`` make long campaigns survive preemption (see
-DESIGN.md §3.7).
+DESIGN.md §3.6).
 """
 
 from __future__ import annotations
@@ -322,62 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_min.add_argument("--max-tests", type=int, default=400)
 
-    serve_cmd = sub.add_parser(
-        "serve", help="run the HTTP job server (simulation-as-a-service)"
-    )
-    serve_cmd.add_argument("--host", default="127.0.0.1")
-    serve_cmd.add_argument("--port", type=int, default=8765)
-    serve_cmd.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="durable queue root (default: results/queue)",
-    )
-    serve_cmd.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker threads draining the queue (default: 1)",
-    )
-    serve_cmd.add_argument(
-        "--engine-jobs", type=int, default=1, metavar="N",
-        help="engine worker processes per sweep job (default: 1)",
-    )
-    serve_cmd.add_argument(
-        "--tokens", default=None, metavar="FILE",
-        help="token table JSON; omitting it runs the server open",
-    )
-    serve_cmd.add_argument("--max-retries", type=int, default=2)
-    serve_cmd.add_argument("--no-cache", action="store_true",
-                           help="bypass the content-addressed result cache")
-    serve_cmd.add_argument("--cache-dir", default=None, metavar="DIR")
-
-    submit_cmd = sub.add_parser(
-        "submit", help="submit a job to a running repro server"
-    )
-    submit_cmd.add_argument(
-        "kind", choices=["sweep", "attack", "fuzz"],
-        help="job kind (see DESIGN.md §3.6 for the spec fields)",
-    )
-    submit_cmd.add_argument(
-        "target", nargs="*", default=[],
-        help="attack: the attack name; sweep: benchmark names; "
-             "fuzz: ignored",
-    )
-    submit_cmd.add_argument(
-        "--server", default="http://127.0.0.1:8765", metavar="URL"
-    )
-    submit_cmd.add_argument("--token", default=None)
-    submit_cmd.add_argument(
-        "--config", default=None, metavar="NAME",
-        help="attack: the config to attack; sweep: may repeat via --spec",
-    )
-    submit_cmd.add_argument(
-        "--spec", default=None, metavar="JSON",
-        help="inline JSON merged over the positional shorthand",
-    )
-    submit_cmd.add_argument(
-        "--wait", action="store_true",
-        help="block until the job finishes and print its result envelope",
-    )
-    submit_cmd.add_argument("--timeout", type=float, default=600.0)
-
     obs = sub.add_parser(
         "obs", help="telemetry: Perfetto traces, metrics, run manifests"
     )
@@ -387,14 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one target under the event bus and export a "
              "Chrome/Perfetto trace (open at ui.perfetto.dev); "
-             "`obs trace merge` stitches distributed span spools "
-             "instead",
+             "`obs trace merge` stitches span spools instead",
     )
     obs_trace.add_argument(
         "target", metavar="TARGET",
         help="an attack name (e.g. spectre_v1), a micro-kernel, a "
-             "workload profile, or the word 'merge' to stitch span "
-             "spools from a traced distributed run",
+             "workload profile, or the word 'merge' to stitch the span "
+             "spools of traced runs",
     )
     obs_trace.add_argument(
         "--dir", dest="spool_dir", default=None, metavar="DIR",
@@ -457,18 +397,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 #: Commands that get a root trace span when REPRO_TRACE_DIR is set —
-#: the entry points named by DESIGN.md §3.10's propagation contract.
+#: the entry points named by DESIGN.md §3.9's span taxonomy.
 _TRACED_COMMANDS = frozenset({
     "run", "attack", "matrix", "bench", "bench-simspeed", "figure",
-    "fuzz", "submit",
+    "fuzz",
 })
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     from repro.obs.spans import maybe_tracer
-    # Untraced commands must not claim the process tracer: `serve`
-    # creates its own service-named tracer on first use.
     if args.command not in _TRACED_COMMANDS:
         return _run_command(args)
     tracer = maybe_tracer("cli")
@@ -483,7 +421,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
 
 
+def _input_error(problem) -> int:
+    """Reject a file that cannot be used: one ``error:`` line, exit 2."""
+    print("error: %s" % problem, file=sys.stderr)
+    return 2
+
+
 def _run_command(args) -> int:
+    if getattr(args, "resume", None) is not None:
+        # Read the checkpoint once, before the run starts; the engine
+        # takes the loaded manifest in place of the path.
+        from repro.engine.checkpoint import read_checkpoint
+        try:
+            args.resume = read_checkpoint(args.resume)
+        except ValueError as error:
+            return _input_error(error)
+
     if args.command == "table3":
         print(render_table3())
         return 0
@@ -709,69 +662,6 @@ def _run_command(args) -> int:
               % tracer.mean_wakeup_delay())
         return 0
 
-    if args.command == "serve":
-        from repro.server import DEFAULT_QUEUE_DIR, TokenAuth, serve
-        kwargs = {
-            "queue_dir": args.queue_dir or DEFAULT_QUEUE_DIR,
-            "workers": args.workers,
-            "engine_jobs": args.engine_jobs,
-            "max_retries": args.max_retries,
-            "cache": not args.no_cache,
-            "cache_dir": None if args.no_cache else args.cache_dir,
-        }
-        if args.tokens:
-            kwargs["auth"] = TokenAuth.load(args.tokens)
-        serve(host=args.host, port=args.port, **kwargs)
-        return 0
-
-    if args.command == "submit":
-        import json as json_mod
-
-        from repro.server import ServerClient, ServerError
-        spec: dict = {}
-        if args.kind == "attack" and args.target:
-            spec["attack"] = args.target[0]
-        elif args.kind == "sweep" and args.target:
-            spec["benchmarks"] = list(args.target)
-        if args.config:
-            if args.kind == "attack":
-                spec["config"] = args.config
-            else:
-                spec["configs"] = [args.config]
-        if args.spec:
-            spec.update(json_mod.loads(args.spec))
-        client = ServerClient(args.server, token=args.token)
-        # Forward the CLI's root span so the server's submit/queue/
-        # execute spans land in the same trace.
-        from repro.obs.spans import maybe_tracer
-        tracer = maybe_tracer("cli")
-        current = tracer.current() if tracer is not None else None
-        try:
-            job = client.submit(
-                args.kind, spec,
-                traceparent=current.traceparent() if current else None,
-            )
-            if args.wait:
-                job = client.wait(job.id, timeout=args.timeout)
-                if job.state == "failed":
-                    print("job %s failed: %s" % (job.id[:12], job.error),
-                          file=sys.stderr)
-                    return 1
-                print(json_mod.dumps(client.result(job.id), indent=2,
-                                     sort_keys=True))
-            else:
-                print("job %s %s (queue position %s)"
-                      % (job.id, job.state, job.queue_position))
-        except ServerError as err:
-            print("server error [%d %s]: %s"
-                  % (err.status, err.code, err), file=sys.stderr)
-            return 1
-        except OSError as err:
-            print("cannot reach %s: %s" % (args.server, err),
-                  file=sys.stderr)
-            return 1
-        return 0
-
     if args.command == "figure":
         return _figure(args)
 
@@ -892,12 +782,20 @@ def _obs(args) -> int:
         return 0
 
     if args.obs_command == "metrics":
-        manifest = (
-            load_manifest(args.path) if args.path else latest_manifest()
-        )
+        try:
+            manifest = (
+                load_manifest(args.path) if args.path else latest_manifest()
+            )
+        except ValueError as error:
+            return _input_error(error)
         if manifest is None:
             print("no manifests found (run `nda-repro obs trace ...` first)")
             return 2
+        problems = validate_manifest(manifest)
+        if problems:
+            return _input_error("invalid manifest %s: %s" % (
+                args.path or "(latest)", "; ".join(problems[:5]),
+            ))
         snapshot = manifest.get("metrics")
         if not snapshot:
             print("manifest %s carries no metric snapshot"
@@ -913,7 +811,11 @@ def _obs(args) -> int:
         if args.action == "list":
             paths = list_manifests()
             for path in paths:
-                manifest = load_manifest(path)
+                try:
+                    manifest = load_manifest(path)
+                except ValueError as error:
+                    print("skipped: %s" % error, file=sys.stderr)
+                    continue
                 print("%-9s %-28s %s" % (
                     manifest.get("kind", "?"),
                     manifest.get("label", "?"),
@@ -925,9 +827,12 @@ def _obs(args) -> int:
                     or os.path.join("results", "manifests")
                 ))
             return 0
-        manifest = (
-            load_manifest(args.path) if args.path else latest_manifest()
-        )
+        try:
+            manifest = (
+                load_manifest(args.path) if args.path else latest_manifest()
+            )
+        except ValueError as error:
+            return _input_error(error)
         if manifest is None:
             print("no manifests found")
             return 2
@@ -1017,7 +922,10 @@ def _fuzz(args) -> int:
                    len(witnesses), run.cycles)
             )
         else:
-            entry = fuzz_mod.load_witness_file(args.what)
+            try:
+                entry = fuzz_mod.load_witness_file(args.what)
+            except ValueError as error:
+                return _input_error(error)
             _, witnesses = fuzz_mod.run_with_oracle(
                 entry["program"], spec.config,
                 secret_ranges=entry["secret_ranges"],

@@ -32,7 +32,6 @@ from repro.engine.jobs import (
     execute_job,
     expand_jobs,
 )
-from repro.engine.retry import RetryPolicy
 from repro.engine.scheduler import (
     EngineStats,
     JobFailure,
@@ -65,7 +64,6 @@ __all__ = [
     "ShardedDiskStore",
     "default_cache_dir",
     "job_cache_key",
-    "RetryPolicy",
     "JobResult",
     "SimJob",
     "derive_seed",

@@ -87,20 +87,17 @@ def encode_result(result: JobResult) -> Optional[dict]:
 
 
 def decode_result(job, entry: dict) -> Optional[JobResult]:
-    """Rebuild a completed JobResult from a checkpoint entry."""
+    """Rebuild a completed JobResult from a checkpoint entry; None (the
+    job re-executes) when the entry does not decode."""
     codec = _CODECS.get(entry.get("type", ""))
     if codec is None:
         return None
     try:
         window = codec[1](entry["data"])
-    except (KeyError, TypeError, ValueError):
+        elapsed = float(entry.get("elapsed", 0.0))
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    return JobResult(
-        job=job,
-        window=window,
-        elapsed=float(entry.get("elapsed", 0.0)),
-        resumed=True,
-    )
+    return JobResult(job=job, window=window, elapsed=elapsed, resumed=True)
 
 
 def build_checkpoint(
@@ -164,23 +161,29 @@ def write_checkpoint(path, manifest: dict) -> str:
     return path
 
 
-def load_checkpoint(source) -> Dict[str, dict]:
-    """Completed-entry map from a checkpoint manifest (path or dict).
+def read_checkpoint(source) -> dict:
+    """The checkpoint manifest at *source* (a path or a loaded dict).
 
-    Raises ``ValueError`` on a document that is not a valid checkpoint —
-    resuming from a half-written or foreign file must fail loudly, not
-    silently re-run everything.
+    Raises ``ValueError`` (naming the file) on a document that is not a
+    valid checkpoint — resuming from a half-written or foreign file must
+    fail loudly, not silently re-run everything.
     """
+    from repro.envelope import load_json_object
     from repro.obs.manifest import validate_checkpoint
 
     if isinstance(source, dict):
-        manifest = source
+        manifest, name = source, "document"
     else:
-        with open(os.fspath(source)) as handle:
-            manifest = json.load(handle)
+        manifest, name = load_json_object(source, "checkpoint"), source
     problems = validate_checkpoint(manifest)
     if problems:
         raise ValueError(
-            "not a usable checkpoint: " + "; ".join(problems[:5])
+            "%s is not a usable checkpoint: %s"
+            % (name, "; ".join(problems[:5]))
         )
-    return manifest["extra"]["checkpoint"]["completed"]
+    return manifest
+
+
+def load_checkpoint(source) -> Dict[str, dict]:
+    """Completed-entry map from a checkpoint manifest (path or dict)."""
+    return read_checkpoint(source)["extra"]["checkpoint"]["completed"]

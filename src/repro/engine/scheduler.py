@@ -65,7 +65,6 @@ class EngineStats:
     jobs: int = 0
     executed: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     stores: int = 0
     retries: int = 0
     failures: int = 0
@@ -144,7 +143,7 @@ def run_jobs(
     # Jobs share a program within this sweep only (see SimJob.program).
     forget_program()
     stats = EngineStats(jobs=len(jobs_list))
-    # Distributed tracing (no-op when detached): one engine.run span for
+    # Span tracing (no-op when detached): one engine.run span for
     # the whole call, retroactive per-job queue/execute/cache-hit spans
     # from the same timestamps the job trace uses.  perf_counter times
     # convert to unix through one offset captured here.
@@ -312,7 +311,6 @@ def run_jobs(
             pending.append((index, job))
     if cache is not None:
         stats.cache_hits = cache.stats.hits
-        stats.cache_misses = cache.stats.misses
 
     # Phase 2: hand the misses to an execution backend.
     workers = resolve_workers(jobs, len(pending))

@@ -114,9 +114,6 @@ class ShardedDiskStore:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
 
-    def describe(self) -> str:
-        return "disk:%s" % self.root
-
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
 

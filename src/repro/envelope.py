@@ -1,43 +1,35 @@
 """The versioned result envelope: one JSON shape for every result.
 
-Before this module, three unrelated JSON shapes carried
-:class:`~repro.core.outcome.RunOutcome`-derived results out of the repo:
-the CLI printed ad-hoc dicts, run manifests used their own top-level
-layout, and the fuzz corpus writers stamped a bare integer ``schema``.
-Every result document now opens with the same two fields::
+Every result document the repo writes opens with the same two fields::
 
     {"schema": "repro.result/v1", "kind": "<document kind>", ...}
 
-and is produced by the one serializer here (:func:`make_envelope`).
-``kind`` names the document family (``run``, ``attack``, ``window``,
-``suite``, ``fuzz-witness``, ``job``, ``error``, plus the manifest kinds
-``run``/``trace``/``fuzz-campaign`` — manifests are envelopes too).  The
-body is flat: kind-specific fields sit next to ``schema``/``kind``
-rather than under a nested wrapper, which keeps manifests and corpus
-files human-diffable.
+``kind`` names the document family: ``run`` and ``attack`` (the CLI's
+``--json``, built by :func:`run_envelope` and :func:`attack_envelope`),
+``fuzz-witness`` (corpus files), and the manifest kinds
+``run``/``trace``/``fuzz-campaign``/``checkpoint`` (manifests are
+envelopes too).  :func:`make_envelope` is the one serializer for the
+first three; :mod:`repro.obs.manifest` stamps the same two fields on
+manifests.  The body is flat: kind-specific fields sit next to
+``schema``/``kind`` rather than under a nested wrapper, which keeps
+manifests and corpus files human-diffable.
 
-Consumers dispatch on ``schema`` first (reject unknown majors), then on
-``kind``.  :func:`validate_envelope` enforces the common contract;
-kind-specific validation stays with the kind's owner (e.g.
-:func:`repro.obs.manifest.validate_manifest`).
+Readers open a file through :func:`load_json_object`, which rejects
+anything but a readable JSON object with one ``ValueError`` naming the
+file, then check ``schema`` (reject unknown majors), then ``kind``.
+Each kind's owner keeps its own schema check:
+:func:`repro.fuzz.corpus.load_witness_file` for corpus files and
+:func:`repro.obs.manifest.validate_manifest` for manifests.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import json
 
 #: The one version string every result document opens with.  Bump the
 #: ``/v1`` suffix (and keep a reader for the old one) on incompatible
 #: layout changes.
 RESULT_SCHEMA = "repro.result/v1"
-
-#: Document kinds with a serializer in-repo.  Open set — validate_envelope
-#: accepts unknown kinds so downstream tools can mint their own — but the
-#: CLI/server/manifest/corpus writers stick to these.
-KNOWN_KINDS = (
-    "run", "attack", "window", "suite", "trace", "fuzz-campaign",
-    "fuzz-witness", "job", "error",
-)
 
 
 def make_envelope(kind: str, **body) -> dict:
@@ -59,25 +51,22 @@ def make_envelope(kind: str, **body) -> dict:
     return envelope
 
 
-def validate_envelope(payload) -> List[str]:
-    """Check the common envelope contract; returns problems (empty == ok)."""
+def load_json_object(path, what: str = "file") -> dict:
+    """The JSON object in the file at *path*.
+
+    Raises ``ValueError`` naming the file when it cannot be read, is not
+    JSON, or holds a JSON value other than an object — the one clean
+    rejection every loader of a file on disk gives.
+    """
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, RecursionError, ValueError) as error:
+        raise ValueError("cannot read %s %s: %s" % (what, path, error)) \
+            from None
     if not isinstance(payload, dict):
-        return ["envelope must be a JSON object"]
-    problems = []
-    schema = payload.get("schema")
-    if schema != RESULT_SCHEMA:
-        problems.append(
-            "unknown schema %r (this build reads %r)"
-            % (schema, RESULT_SCHEMA)
-        )
-    kind = payload.get("kind")
-    if not isinstance(kind, str) or not kind:
-        problems.append("missing or non-string 'kind'")
-    return problems
-
-
-def is_envelope(payload) -> bool:
-    return isinstance(payload, dict) and payload.get("schema") == RESULT_SCHEMA
+        raise ValueError("%s %s is not a JSON object" % (what, path))
+    return payload
 
 
 # ---------------------------------------------------------------------- #
@@ -126,12 +115,3 @@ def attack_envelope(attack_outcome, **extra) -> dict:
         body["run"] = outcome_body(run)
     body.update(extra)
     return make_envelope("attack", **body)
-
-
-def error_envelope(code: str, message: str,
-                   detail: Optional[dict] = None) -> dict:
-    """Structured error body (HTTP error responses, CLI failures)."""
-    error = {"code": code, "message": message}
-    if detail:
-        error["detail"] = detail
-    return make_envelope("error", error=error)

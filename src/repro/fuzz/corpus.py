@@ -12,6 +12,8 @@ New files are written as versioned result envelopes
 (``"schema": "repro.result/v1"``, ``"kind": "fuzz-witness"`` — see
 :mod:`repro.envelope`); the loader also accepts the pre-envelope layout
 (``"schema": 1``) so the golden corpus keeps replaying unmodified.
+A file that is not readable JSON, or misses or mistypes a field, is
+rejected with one ``ValueError`` that names it.
 
 Body (shared by both layouts)::
 
@@ -41,9 +43,11 @@ import json
 from pathlib import Path
 from typing import Dict, Tuple
 
-from repro.envelope import RESULT_SCHEMA, make_envelope
+from repro.envelope import RESULT_SCHEMA, load_json_object, make_envelope
+from repro.errors import AssemblyError
 from repro.isa.instruction import Instr, Opcode
 from repro.isa.program import Program
+from repro.isa.registers import is_arch_reg
 
 #: The pre-envelope corpus tag, still accepted on load.
 LEGACY_SCHEMA = 1
@@ -61,13 +65,55 @@ def instr_to_dict(instr: Instr) -> dict:
     }
 
 
+def _check(ok: bool, problem: str) -> None:
+    if not ok:
+        raise ValueError(problem)
+
+
+def _object(value, what: str) -> dict:
+    _check(isinstance(value, dict), "%s must be an object" % what)
+    return value
+
+
+def _int_pairs(value, what: str) -> Tuple[Tuple[int, int], ...]:
+    _check(
+        isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(bound, int) for bound in pair)
+            for pair in value
+        ),
+        "%s must be a list of [lo, hi] integer pairs" % what,
+    )
+    return tuple(tuple(pair) for pair in value)
+
+
+def _int_map(value, what: str) -> Dict[int, int]:
+    """A JSON object with decimal-integer keys and integer values."""
+    _check(
+        isinstance(value, dict) and all(
+            key.isdigit() and isinstance(item, int)
+            for key, item in value.items()
+        ),
+        "%s must map decimal integers to integers" % what,
+    )
+    return {int(key): item for key, item in value.items()}
+
+
 def instr_from_dict(payload: dict) -> Instr:
+    """The instruction in *payload*; ``ValueError`` or
+    :class:`~repro.errors.AssemblyError` if it is malformed."""
+    _object(payload, "an instruction")
+    op = payload.get("op")
+    _check(isinstance(op, str) and op in Opcode.__members__,
+           "unknown opcode %r" % (op,))
+    imm = payload.get("imm", 0)
+    _check(isinstance(imm, int), "imm %r is not an integer" % (imm,))
     return Instr(
-        Opcode[payload["op"]],
+        Opcode[op],
         rd=payload.get("rd"),
         rs1=payload.get("rs1"),
         rs2=payload.get("rs2"),
-        imm=payload.get("imm", 0),
+        imm=imm,
         target=payload.get("target"),
     )
 
@@ -91,19 +137,35 @@ def program_to_dict(program: Program) -> dict:
 
 
 def program_from_dict(payload: dict) -> Program:
+    """The program in *payload*; ``ValueError`` or
+    :class:`~repro.errors.AssemblyError` if it is malformed."""
+    _object(payload, "program")
+    instrs = payload.get("instrs")
+    _check(isinstance(instrs, list), "program.instrs must be a list")
+    data = _object(payload.get("data", {}), "program.data")
+    _check(
+        all(addr.isdigit() and isinstance(blob, str)
+            for addr, blob in data.items()),
+        "program.data must map byte addresses to hex strings",
+    )
+    fault_handler = payload.get("fault_handler")
+    _check(fault_handler is None or isinstance(fault_handler, int),
+           "program.fault_handler must be an integer or null")
+    initial_regs = _int_map(payload.get("initial_regs", {}),
+                            "program.initial_regs")
+    _check(all(is_arch_reg(reg) for reg in initial_regs),
+           "program.initial_regs names a register that does not exist")
+    name = payload.get("name", "corpus")
+    _check(isinstance(name, str), "program.name must be a string")
     return Program(
-        [instr_from_dict(i) for i in payload["instrs"]],
-        data={
-            int(addr): bytes.fromhex(blob)
-            for addr, blob in payload.get("data", {}).items()
-        },
-        privileged=[tuple(r) for r in payload.get("privileged", [])],
-        msrs={int(k): v for k, v in payload.get("msrs", {}).items()},
-        fault_handler=payload.get("fault_handler"),
-        initial_regs={
-            int(k): v for k, v in payload.get("initial_regs", {}).items()
-        },
-        name=payload.get("name", "corpus"),
+        [instr_from_dict(i) for i in instrs],
+        data={int(addr): bytes.fromhex(blob) for addr, blob in data.items()},
+        privileged=_int_pairs(payload.get("privileged", []),
+                              "program.privileged"),
+        msrs=_int_map(payload.get("msrs", {}), "program.msrs"),
+        fault_handler=fault_handler,
+        initial_regs=initial_regs,
+        name=name,
     )
 
 
@@ -134,9 +196,11 @@ def load_witness_file(path) -> dict:
     """Load one corpus entry.
 
     Returns ``{"program": Program, "meta": dict,
-    "secret_ranges": tuple, "tainted_bytes": tuple}``.
+    "secret_ranges": tuple, "tainted_bytes": tuple}``.  Raises
+    ``ValueError`` naming *path* when the file is not readable JSON, not
+    a corpus entry, or misses or mistypes a field.
     """
-    payload = json.loads(Path(path).read_text())
+    payload = load_json_object(path, "corpus file")
     schema = payload.get("schema")
     if schema == RESULT_SCHEMA:
         if payload.get("kind") != "fuzz-witness":
@@ -148,12 +212,20 @@ def load_witness_file(path) -> dict:
         raise ValueError(
             "unsupported corpus schema %r in %s" % (schema, path)
         )
-    oracle = payload.get("oracle", {})
-    return {
-        "program": program_from_dict(payload["program"]),
-        "meta": payload.get("meta", {}),
-        "secret_ranges": tuple(
-            tuple(r) for r in oracle.get("secret_ranges", [])
-        ),
-        "tainted_bytes": tuple(oracle.get("tainted_bytes", [])),
-    }
+    try:
+        oracle = _object(payload.get("oracle", {}), "oracle")
+        tainted = oracle.get("tainted_bytes", [])
+        _check(isinstance(tainted, list)
+               and all(isinstance(addr, int) for addr in tainted),
+               "oracle.tainted_bytes must be a list of integers")
+        return {
+            "program": program_from_dict(payload.get("program")),
+            "meta": _object(payload.get("meta", {}), "meta"),
+            "secret_ranges": _int_pairs(
+                oracle.get("secret_ranges", []), "oracle.secret_ranges"
+            ),
+            "tainted_bytes": tuple(tainted),
+        }
+    except (AssemblyError, ValueError) as error:
+        raise ValueError("malformed corpus file %s: %s" % (path, error)) \
+            from None

@@ -154,9 +154,9 @@ def measure_obs_overhead(
     every observer slot is None), a bus attached with no subscribers
     (every per-event attribute still None), a bus with a periodic
     metrics sampler, and a run under an installed span tracer spooling
-    to a scratch directory (the distributed-tracing attach cost — one
+    to a scratch directory (the span-tracing attach cost — one
     span + one JSONL append per run).  All four must be bit-identical;
-    the overhead contract (DESIGN.md §3.5/§3.10) is ~0% for the first
+    the overhead contract (DESIGN.md §3.5/§3.9) is ~0% for the first
     two and <10% with sampling or tracing enabled.
     """
     import tempfile

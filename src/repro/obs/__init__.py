@@ -15,30 +15,25 @@ One cross-cutting observability stack for the whole simulator:
   occupancy/MLP/deferred-broadcast time series.
 * :mod:`repro.obs.perfetto` — Chrome trace-event (Perfetto) JSON export
   of per-instruction lifecycle spans and engine job spans.
-* :mod:`repro.obs.spans` — distributed trace spans: W3C-traceparent
-  contexts propagated from submit through queue and execution, spooled
-  per process and merged into one Perfetto trace.
-* :mod:`repro.obs.log` — structured JSON-lines logging with
-  ``job_id``/``trace_id`` correlation fields.
+* :mod:`repro.obs.spans` — trace spans for local runs: a traced CLI
+  command's root span, the engine's run and per-job spans below it,
+  spooled per process and merged into one Perfetto trace.
 * :mod:`repro.obs.manifest` — JSON run manifests: a provenance record
   (config hash, seed, scheme, git revision, host, timings, metric
   snapshot) for every run that asks for one, written under
   ``results/manifests/``.
 
 See DESIGN.md §3.5 ("Observability") for the event taxonomy, the
-overhead contract, and the manifest schema; §3.10 covers the span
+overhead contract, and the manifest schema; §3.9 covers the span
 taxonomy and the spool/merger formats.
 """
 
 from repro.obs.bus import EventBus, ensure_bus
-from repro.obs.log import JsonLogger, get_logger
 from repro.obs.spans import (
     Span,
-    SpanContext,
     Tracer,
     install_tracer,
     maybe_tracer,
-    parse_traceparent,
     uninstall_tracer,
 )
 from repro.obs.metrics import (
@@ -78,14 +73,10 @@ __all__ = [
     "metrics_from_campaign",
     "metrics_from_run",
     "MetricsSampler",
-    "JsonLogger",
-    "get_logger",
     "Span",
-    "SpanContext",
     "Tracer",
     "install_tracer",
     "maybe_tracer",
-    "parse_traceparent",
     "uninstall_tracer",
     "counter_trace_events",
     "engine_trace_events",

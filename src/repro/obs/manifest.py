@@ -27,7 +27,7 @@ import subprocess
 import time
 from typing import Dict, List, Optional
 
-from repro.envelope import RESULT_SCHEMA
+from repro.envelope import RESULT_SCHEMA, load_json_object
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA_VERSION = 1
@@ -192,7 +192,9 @@ def build_checkpoint_manifest(
 
 
 def validate_checkpoint(manifest) -> List[str]:
-    """Checkpoint-specific validation on top of :func:`validate_manifest`."""
+    """Checkpoint-specific validation on top of :func:`validate_manifest`;
+    like it, returns a problem list for any JSON value and never
+    raises."""
     problems = validate_manifest(manifest)
     if not isinstance(manifest, dict):
         return problems
@@ -200,7 +202,8 @@ def validate_checkpoint(manifest) -> List[str]:
         problems.append(
             "kind is %r, not 'checkpoint'" % (manifest.get("kind"),)
         )
-    state = (manifest.get("extra") or {}).get("checkpoint")
+    extra = manifest.get("extra")
+    state = extra.get("checkpoint") if isinstance(extra, dict) else None
     if not isinstance(state, dict):
         problems.append("extra.checkpoint must be an object")
         return problems
@@ -224,7 +227,7 @@ def validate_checkpoint(manifest) -> List[str]:
 
 def validate_manifest(manifest) -> List[str]:
     """Check *manifest* against the schema; return a problem list
-    (empty == valid)."""
+    (empty == valid).  Never raises, whatever JSON value it is given."""
     problems: List[str] = []
     if not isinstance(manifest, dict):
         return ["manifest must be a JSON object"]
@@ -292,9 +295,10 @@ def write_manifest(manifest: dict, directory: Optional[str] = None) -> str:
     return path
 
 
-def load_manifest(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+def load_manifest(path) -> dict:
+    """The manifest at *path* (``ValueError`` if it is not a JSON
+    object; :func:`validate_manifest` checks its fields)."""
+    return load_json_object(path, "manifest")
 
 
 def list_manifests(directory: Optional[str] = None) -> List[str]:

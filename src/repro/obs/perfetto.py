@@ -13,15 +13,15 @@ loadable at https://ui.perfetto.dev or ``chrome://tracing``:
   :class:`~repro.obs.sampler.MetricsSampler` time series.
 * :func:`engine_trace_events` — queue-wait and execute spans for suite
   engine jobs (cache hits become instants).
-* :func:`merge_span_spools` — stitches the per-process distributed-trace
-  spools written by :mod:`repro.obs.spans` into one trace: each process
-  becomes a Perfetto process group, parent→child span links become flow
-  arrows, so a CLI submit renders causally connected to the server
-  worker thread that executed it in another process.
+* :func:`merge_span_spools` — stitches the per-process span spools
+  written by :mod:`repro.obs.spans` into one trace: each process becomes
+  a Perfetto process group, and parent→child span links become flow
+  arrows, so a traced CLI command renders causally connected to the
+  engine run and the per-job spans below it.
 
 The convention throughout: **1 simulated cycle = 1 µs** of trace time
 (the format's ``ts``/``dur`` unit), so cycle counts read directly off
-the Perfetto ruler.  Engine and distributed spans use real microseconds.
+the Perfetto ruler.  Engine and trace spans use real microseconds.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.obs.spans import SPAN_SPOOL_SUFFIX
 PIPELINE_PID = 1
 #: pid used for suite-engine tracks.
 ENGINE_PID = 2
-#: first pid used for distributed-span process groups.
+#: first pid used for trace-span process groups.
 SPAN_PID_BASE = 10
 
 _STAGES = (
@@ -289,14 +289,14 @@ def span_trace_events(
     base_pid: int = SPAN_PID_BASE,
     max_lanes: int = 64,
 ) -> List[dict]:
-    """Trace events for distributed spans (:mod:`repro.obs.spans`).
+    """Trace events for spooled spans (:mod:`repro.obs.spans`).
 
     Each emitting process ``(service, pid)`` becomes a Perfetto process
     group; within a group, spans pack greedily into lanes like the
     pipeline view.  Every span whose parent is present in the batch gets
     a flow arrow from the parent slice to its own start, so the
-    submit → queue → execute chain reads as connected arrows across
-    process groups.
+    command → engine.run → engine.execute chain reads as connected
+    arrows, across process groups when a run spans several.
     """
     rows = sorted(
         (

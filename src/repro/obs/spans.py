@@ -1,15 +1,15 @@
-"""Distributed trace spans: W3C-traceparent contexts across processes.
+"""Trace spans for local runs, spooled per process.
 
-Every entry point (``POST /v1/jobs``, CLI ``run``/``attack``/``fuzz``/
-``submit``, :func:`repro.api.simulate`) can open a **span** — a named
-interval with a 128-bit ``trace_id`` shared by everything one request
-caused, a 64-bit ``span_id``, an optional parent link, and free-form
-attributes.  The context crosses process boundaries as a standard
-traceparent string (``00-<trace_id>-<span_id>-01``): a client sends
-it in the ``POST /v1/jobs`` body and the server stores it on the
-durable :class:`~repro.server.queue.JobRecord`, so the worker thread
-that later claims the job tags its spans with the submitting client's
-trace id.
+A traced CLI command opens a root **span** (``cli.<command>``) — a
+named interval with a 128-bit ``trace_id`` shared by everything the
+command caused, a 64-bit ``span_id``, an optional parent link, and
+free-form attributes.  Inside a process a thread-local stack parents
+spans: :meth:`Tracer.span` pushes the new span, so the ``engine.run``
+span that :func:`repro.engine.scheduler.run_jobs` opens, and the
+``fuzz.campaign`` or ``simulate`` spans below it, land on the command's
+trace without any argument passing.  The engine records its per-job
+``engine.queue``/``engine.execute``/``engine.cache.hit`` spans in the
+driver, after the fact, from the timestamps each job result carries.
 
 Each process owns at most one :class:`Tracer`.  Finished spans land in
 a **JSONL spool** — one append-only file per process under the trace
@@ -24,8 +24,8 @@ unset, :func:`maybe_tracer` returns ``None`` and every instrumentation
 site reduces to one ``is None`` test — detached runs are bit-identical
 to the golden files, and the attached overhead is CI-gated next to the
 sampler's (``measure_obs_overhead`` grows a ``tracing`` variant).
-Activation is environment-driven precisely so every process a run
-starts (the job server, a CLI driver, its pool workers) inherits it.
+Activation is environment-driven so every process a run starts (a CLI
+driver and its pool workers) inherits it.
 """
 
 from __future__ import annotations
@@ -42,14 +42,9 @@ SPAN_SCHEMA = 1
 
 #: Environment variable holding the spool directory; set = tracing on.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-#: Optional service-name override for the process tracer.
-TRACE_SERVICE_ENV = "REPRO_TRACE_SERVICE"
 
 #: Filename suffix of per-process span spools (see ``Tracer.spool_path``).
 SPAN_SPOOL_SUFFIX = ".spans.jsonl"
-
-_TRACEPARENT_VERSION = "00"
-_TRACE_FLAGS = "01"
 
 
 def new_trace_id() -> str:
@@ -58,67 +53,6 @@ def new_trace_id() -> str:
 
 def new_span_id() -> str:
     return os.urandom(8).hex()
-
-
-class SpanContext:
-    """An immutable ``(trace_id, span_id)`` pair.
-
-    Serializes to/from the W3C ``traceparent`` header format so the
-    context survives JSON job payloads and durable queue records
-    without a custom wire format.
-    """
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: str, span_id: str) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def traceparent(self) -> str:
-        return "%s-%s-%s-%s" % (
-            _TRACEPARENT_VERSION, self.trace_id, self.span_id, _TRACE_FLAGS,
-        )
-
-    def child(self) -> "SpanContext":
-        """A fresh span id under the same trace."""
-        return SpanContext(self.trace_id, new_span_id())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpanContext)
-            and self.trace_id == other.trace_id
-            and self.span_id == other.span_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id))
-
-    def __repr__(self) -> str:
-        return "SpanContext(%r)" % self.traceparent()
-
-
-def parse_traceparent(header) -> Optional[SpanContext]:
-    """Parse a traceparent string; ``None`` on anything malformed.
-
-    Lenient by design — a bad or missing header means "start a new
-    trace", never an error, so stale records and old clients keep
-    working.
-    """
-    if not isinstance(header, str):
-        return None
-    parts = header.strip().split("-")
-    if len(parts) != 4:
-        return None
-    version, trace_id, span_id = parts[0], parts[1], parts[2]
-    if len(version) != 2 or len(trace_id) != 32 or len(span_id) != 16:
-        return None
-    try:
-        int(version, 16), int(trace_id, 16), int(span_id, 16)
-    except ValueError:
-        return None
-    if trace_id == "0" * 32 or span_id == "0" * 16:
-        return None
-    return SpanContext(trace_id, span_id)
 
 
 class Span:
@@ -147,13 +81,6 @@ class Span:
         self.attrs = attrs if attrs is not None else {}
         self._tracer = tracer
         self._finished = False
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
-
-    def traceparent(self) -> str:
-        return self.context.traceparent()
 
     def end(self, end: Optional[float] = None, status: str = "ok") -> None:
         """Finalize once: append the span to the spool."""
@@ -187,60 +114,48 @@ class Tracer:
         self.spool_errors = 0
 
     # ------------------------------------------------------------------ #
-    # Context resolution.
-    # ------------------------------------------------------------------ #
-
-    def current(self) -> Optional[SpanContext]:
-        """This thread's innermost active span context, if any."""
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
-
-    def _resolve_parent(self, parent) -> Optional[SpanContext]:
-        if parent is None:
-            return self.current()
-        if isinstance(parent, Span):
-            return parent.context
-        if isinstance(parent, SpanContext):
-            return parent
-        if isinstance(parent, str):
-            return parse_traceparent(parent)
-        return None
-
-    # ------------------------------------------------------------------ #
     # Span creation.
     # ------------------------------------------------------------------ #
+
+    def current(self) -> Optional[Span]:
+        """This thread's innermost active span, if any."""
+        stack = getattr(self._tls, "stack", None)
+        return stack[-1] if stack else None
 
     def start_span(
         self,
         name: str,
-        parent=None,
+        parent: Optional[Span] = None,
         attrs: Optional[Dict] = None,
         start: Optional[float] = None,
     ) -> Span:
-        """An unfinished span; *parent* accepts a Span, a SpanContext, a
-        traceparent string, or None (inherits the thread's current)."""
-        ctx = self._resolve_parent(parent)
+        """An unfinished span under *parent*, a Span, or under this
+        thread's current span when *parent* is None."""
+        if parent is None:
+            parent = self.current()
         return Span(
             name=str(name),
-            trace_id=ctx.trace_id if ctx is not None else new_trace_id(),
+            trace_id=parent.trace_id if parent is not None
+            else new_trace_id(),
             span_id=new_span_id(),
-            parent_id=ctx.span_id if ctx is not None else None,
+            parent_id=parent.span_id if parent is not None else None,
             start_unix=time.time() if start is None else float(start),
             tracer=self,
             attrs=dict(attrs) if attrs else {},
         )
 
     @contextmanager
-    def span(self, name: str, parent=None, attrs: Optional[Dict] = None):
-        """Scoped span that becomes this thread's current context, so
-        nested instrumentation (engine inside a server job, windows
+    def span(self, name: str, parent: Optional[Span] = None,
+             attrs: Optional[Dict] = None):
+        """Scoped span that becomes this thread's current span, so
+        nested instrumentation (the engine inside a CLI command, runs
         inside a campaign) parents itself automatically."""
         sp = self.start_span(name, parent=parent, attrs=attrs)
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = []
             self._tls.stack = stack
-        stack.append(sp.context)
+        stack.append(sp)
         try:
             yield sp
         except BaseException:
@@ -255,13 +170,13 @@ class Tracer:
         name: str,
         start: float,
         end: float,
-        parent=None,
+        parent: Optional[Span] = None,
         attrs: Optional[Dict] = None,
         status: str = "ok",
     ) -> dict:
         """A retroactive finished span with explicit unix timestamps —
-        how queue-wait and engine job intervals are reconstructed after
-        the fact."""
+        how the engine reconstructs its per-job intervals after the
+        fact."""
         sp = self.start_span(name, parent=parent, attrs=attrs, start=start)
         sp._finished = True
         return self._finish(sp, end=end, status=status)
@@ -326,17 +241,14 @@ def maybe_tracer(service: Optional[str] = None) -> Optional[Tracer]:
             directory = os.environ.get(TRACE_DIR_ENV)
             if directory:
                 _PROCESS_TRACER = Tracer(
-                    service=(service
-                             or os.environ.get(TRACE_SERVICE_ENV)
-                             or "repro"),
-                    spool_dir=directory,
+                    service=service or "repro", spool_dir=directory,
                 )
             _ENV_CHECKED = True
     return _PROCESS_TRACER
 
 
 def install_tracer(tracer: Tracer) -> Tracer:
-    """Make *tracer* the process tracer (tests, embedded servers)."""
+    """Make *tracer* the process tracer (tests, the overhead probe)."""
     global _PROCESS_TRACER, _ENV_CHECKED
     with _GLOBAL_LOCK:
         _PROCESS_TRACER = tracer

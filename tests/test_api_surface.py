@@ -102,16 +102,19 @@ class TestConsolidatedFacade:
         for name in api.__all__:
             assert getattr(api, name) is not None
 
-    def test_server_client_lazy_export(self):
-        import repro
+    @pytest.mark.parametrize("name", [
+        "ServerClient", "JobStatus", "ServerError", "submit_suite",
+    ])
+    def test_job_server_surface_is_gone(self, name):
+        # Jobs run through the CLI or the library functions only; the
+        # HTTP client and the keyword facade over run_suite are deleted.
         from repro import api
-        from repro.server.client import ServerClient
 
-        assert api.ServerClient is ServerClient
-        # ... and forwarded one level up: repro.ServerClient is the same
-        # object, reachable without importing repro.server eagerly.
-        assert repro.ServerClient is ServerClient
-        assert "ServerClient" in repro.__all__ and "ServerClient" in dir(repro)
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        with pytest.raises(AttributeError):
+            getattr(api, name)
+        assert name not in repro.__all__ and name not in api.__all__
 
     def test_unknown_attribute_raises(self):
         from repro import api
@@ -138,7 +141,12 @@ class TestConsolidatedFacade:
             r"|sources_ready|mark_ready|on_broadcast|account_stalls"
             r"|halt_seen|waiting_for_resolve|icache_ready_cycle"
             r"|fetched_ops|icache_stall_cycles|indirect_stall_cycles"
-            r"|ring_size|DEFAULT_RING_SIZE)\s*[(=]"
+            r"|ring_size|DEFAULT_RING_SIZE"
+            # The job server's names.  The bracketed letters keep a
+            # plain grep for the deleted names from matching this line.
+            r"|ServerClient|ReproServer|DurableQueue|submit_suite"
+            r"|Retry[P]olicy|parse_trace[p]arent|SpanContext|Json[L]ogger"
+            r"|get_logger|error_envelope|validate_envelope)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):
@@ -172,17 +180,6 @@ class TestConsolidatedFacade:
         config = baseline_ooo()
         assert run_attack(program, config).stats.cycles == \
             simulate(program, config).stats.cycles
-
-    def test_submit_suite_runs_tiny_sweep(self):
-        from repro import submit_suite
-
-        suite = submit_suite(
-            ["exchange2"], ["ooo"], samples=1, warmup=300,
-            measure=600, instructions=2_000, jobs=1,
-        )
-        assert suite.benchmarks == ["exchange2"]
-        assert suite.run("exchange2", "OoO").mean_cpi > 0
-        assert suite.engine.jobs == 1
 
 
 #: Classes of repro.core and repro.frontend the guard below skips: the

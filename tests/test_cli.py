@@ -59,6 +59,8 @@ def test_no_command_rejected():
     ["fuzz", "run", "--backend", "worker-protocol"],
     ["obs", "top"],
     ["submit", "sweep", "--priority", "1"],
+    ["serve"],
+    ["submit", "sweep"],
 ])
 def test_retired_flag_rejected(argv, capsys):
     # Independent runs go through the engine on one host only; no

@@ -1,6 +1,5 @@
-"""Tests for repro.obs.spans: trace contexts, the span spool,
-cross-process propagation, the Perfetto span merger, structured
-logging, and the job server's spans."""
+"""Tests for repro.obs.spans: the span stack, the span spool, the
+process tracer, the Perfetto span merger, and the engine's spans."""
 
 import json
 import os
@@ -10,7 +9,6 @@ import pytest
 from repro.config import ConfigSpec, baseline_ooo
 from repro.engine import expand_jobs, run_jobs
 from repro.harness import simspeed
-from repro.obs.log import JsonLogger
 from repro.obs.perfetto import (
     merge_span_spools,
     read_span_spools,
@@ -18,17 +16,11 @@ from repro.obs.perfetto import (
     validate_chrome_trace,
 )
 from repro.obs.spans import (
-    SpanContext,
     Tracer,
     install_tracer,
     maybe_tracer,
-    parse_traceparent,
     uninstall_tracer,
 )
-from repro.server.app import ReproServer
-from repro.server.client import ServerClient
-
-FUZZ_SPEC = {"seeds": 1, "configs": ["ooo"], "max_cycles": 200_000}
 
 
 @pytest.fixture(autouse=True)
@@ -46,35 +38,11 @@ def spooled(tracer, name=None):
     return [row for row in rows if name is None or row["name"] == name]
 
 
-class TestTraceparent:
-    def test_roundtrip(self):
-        ctx = SpanContext("ab" * 16, "cd" * 8)
-        parsed = parse_traceparent(ctx.traceparent())
-        assert parsed == ctx
-        assert parsed.traceparent() == ctx.traceparent()
-
-    def test_child_shares_trace_id(self):
-        ctx = SpanContext("ab" * 16, "cd" * 8)
-        child = ctx.child()
-        assert child.trace_id == ctx.trace_id
-        assert child.span_id != ctx.span_id
-
-    @pytest.mark.parametrize("bad", [
-        None, 7, "", "not-a-traceparent", "00-zz-cd-01",
-        "00-" + "a" * 31 + "-" + "b" * 16 + "-01",   # short trace id
-        "00-" + "0" * 32 + "-" + "b" * 16 + "-01",   # all-zero trace id
-        "00-" + "a" * 32 + "-" + "0" * 16 + "-01",   # all-zero span id
-        "00-" + "a" * 32 + "-" + "b" * 16,           # missing flags
-    ])
-    def test_malformed_is_none_not_error(self, bad):
-        assert parse_traceparent(bad) is None
-
-
 class TestTracer:
     def test_span_lands_in_spool(self, tmp_path):
         tracer = Tracer("t", spool_dir=str(tmp_path))
         with tracer.span("work", attrs={"k": 1}) as sp:
-            assert tracer.current() == sp.context
+            assert tracer.current() is sp
         rows = spooled(tracer, "work")
         assert len(rows) == 1
         row = rows[0]
@@ -104,8 +72,8 @@ class TestTracer:
 
     def test_record_is_retroactive(self, tmp_path):
         tracer = Tracer("t", spool_dir=str(tmp_path))
-        parent = SpanContext("ab" * 16, "cd" * 8)
-        row = tracer.record("queue.wait", 100.0, 100.25, parent=parent)
+        parent = tracer.start_span("engine.run")
+        row = tracer.record("engine.queue", 100.0, 100.25, parent=parent)
         assert row["start_unix"] == 100.0
         assert row["end_unix"] == 100.25
         assert row["trace_id"] == parent.trace_id
@@ -115,14 +83,6 @@ class TestTracer:
         tracer = Tracer("t", spool_dir=str(tmp_path))
         row = tracer.record("x", 200.0, 150.0)
         assert row["end_unix"] == row["start_unix"] == 200.0
-
-    def test_string_parent_accepts_traceparent(self, tmp_path):
-        tracer = Tracer("t", spool_dir=str(tmp_path))
-        ctx = SpanContext("ab" * 16, "cd" * 8)
-        sp = tracer.start_span("child", parent=ctx.traceparent())
-        assert sp.trace_id == ctx.trace_id
-        assert sp.parent_id == ctx.span_id
-        sp.end()
 
     def test_spool_file_per_process(self, tmp_path):
         tracer = Tracer("my service!", spool_dir=str(tmp_path))
@@ -180,13 +140,13 @@ class TestSpanMerger:
     def test_merge_stitches_processes_into_one_valid_trace(self, tmp_path):
         spool_dir = tmp_path / "spans"
         spool_dir.mkdir()
-        self._spool(str(spool_dir), "server", 100, [
-            self._row("submit", 10.0, 10.1, 100, "server", "aa" * 8),
-            self._row("queue.wait", 10.1, 10.4, 100, "server", "bb" * 8,
+        self._spool(str(spool_dir), "cli", 100, [
+            self._row("cli.fuzz", 10.0, 11.1, 100, "cli", "aa" * 8),
+            self._row("engine.run", 10.1, 11.0, 100, "cli", "bb" * 8,
                       parent_id="aa" * 8),
         ])
-        self._spool(str(spool_dir), "worker", 200, [
-            self._row("worker.execute", 10.4, 11.0, 200, "worker",
+        self._spool(str(spool_dir), "repro", 200, [
+            self._row("simulate", 10.4, 11.0, 200, "repro",
                       "cc" * 8, parent_id="aa" * 8),
         ])
         # Junk in the directory must not break the merge.
@@ -195,13 +155,13 @@ class TestSpanMerger:
         summary = merge_span_spools(str(spool_dir), str(out))
         assert summary["spans"] == 3
         assert summary["traces"] == 1
-        assert summary["processes"] == ["server:100", "worker:200"]
+        assert summary["processes"] == ["cli:100", "repro:200"]
         payload = json.loads(out.read_text())
         assert validate_chrome_trace(payload) == []
         events = payload["traceEvents"]
         slices = [e for e in events if e["ph"] == "X"]
         assert {e["name"] for e in slices} == {
-            "submit", "queue.wait", "worker.execute",
+            "cli.fuzz", "engine.run", "simulate",
         }
         # One Perfetto pid per (service, pid) process.
         assert len({e["pid"] for e in slices}) == 2
@@ -231,64 +191,6 @@ class TestSpanMerger:
         out = tmp_path / "merged.json"
         summary = merge_span_spools(str(tmp_path), str(out))
         assert summary["spans"] == 0
-
-
-class TestJsonLogger:
-    def test_emits_sorted_json_lines(self):
-        lines = []
-
-        class Sink:
-            def write(self, text):
-                lines.append(text)
-
-            def flush(self):
-                pass
-
-        log = JsonLogger("svc", stream=Sink())
-        log.info("job.done", job_id="abc", cached=False, skipped=None)
-        payload = json.loads(lines[0])
-        assert payload["event"] == "job.done"
-        assert payload["level"] == "info"
-        assert payload["service"] == "svc"
-        assert payload["job_id"] == "abc"
-        assert "skipped" not in payload  # None fields dropped
-        assert log.emitted == 1 and log.errors == 0
-
-    def test_bind_adds_static_fields(self):
-        lines = []
-
-        class Sink:
-            def write(self, text):
-                lines.append(text)
-
-            def flush(self):
-                pass
-
-        log = JsonLogger("svc", stream=Sink()).bind(worker="w1")
-        log.warning("retry")
-        assert json.loads(lines[0])["worker"] == "w1"
-
-    def test_log_path_appends_file(self, tmp_path):
-        target = tmp_path / "log.jsonl"
-        log = JsonLogger("svc", path=str(target))
-        log.info("a")
-        log.error("b", detail="x")
-        rows = [json.loads(line) for line in
-                target.read_text().splitlines()]
-        assert [r["event"] for r in rows] == ["a", "b"]
-        assert rows[1]["level"] == "error"
-
-    def test_never_raises_on_broken_stream(self):
-        class Broken:
-            def write(self, text):
-                raise OSError("gone")
-
-            def flush(self):
-                raise OSError("gone")
-
-        log = JsonLogger("svc", stream=Broken())
-        log.info("x")  # must not raise
-        assert log.errors == 1
 
 
 class TestEngineSpans:
@@ -377,84 +279,3 @@ class TestBenchHistory:
         path.write_text('{"ok": 1}\nnot json\n[]\n\n{"ok": 2}\n')
         rows = simspeed.load_history(str(path))
         assert [r["ok"] for r in rows] == [1, 2]
-
-
-class TestServerObservatory:
-    @pytest.fixture
-    def server(self, tmp_path):
-        # An untraced server records no spans; install a spooling
-        # tracer so the tests can read the server's spans back.
-        install_tracer(Tracer("server", spool_dir=str(tmp_path / "spans")))
-        srv = ReproServer(
-            queue_dir=tmp_path / "queue", cache_dir=tmp_path / "cache",
-        )
-        host, port = srv.start_background()
-        client = ServerClient("http://%s:%d" % (host, port))
-        yield srv, client
-        srv.close()
-
-    def test_submit_stamps_record_with_server_span(self, server):
-        srv, client = server
-        ctx = SpanContext("ab" * 16, "cd" * 8)
-        job = client.submit(
-            "fuzz", FUZZ_SPEC, traceparent=ctx.traceparent(),
-        )
-        record = srv.queue.get(job.id)
-        stamped = parse_traceparent(record.traceparent)
-        # The record carries the server's submit span, which continues
-        # the client's trace.
-        assert stamped is not None
-        assert stamped.trace_id == ctx.trace_id
-        assert stamped.span_id != ctx.span_id
-        submit_rows = spooled(srv.tracer, "submit")
-        assert submit_rows[0]["parent_id"] == ctx.span_id
-        assert submit_rows[0]["attrs"]["outcome"] == "queued"
-
-    def test_execution_produces_causally_linked_spans(self, server):
-        srv, client = server
-        job = client.submit("fuzz", FUZZ_SPEC)
-        client.wait(job.id, timeout=120)
-        rows = {r["name"]: r for r in spooled(srv.tracer)}
-        assert {"submit", "queue.wait", "job.execute"} <= set(rows)
-        trace_id = rows["submit"]["trace_id"]
-        assert rows["queue.wait"]["trace_id"] == trace_id
-        assert rows["job.execute"]["trace_id"] == trace_id
-        assert rows["job.execute"]["parent_id"] == \
-            rows["submit"]["span_id"]
-        assert rows["job.execute"]["status"] == "ok"
-
-    def test_untraced_server_records_no_spans(self, tmp_path,
-                                              monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-        srv = ReproServer(queue_dir=tmp_path / "queue", cache=False)
-        host, port = srv.start_background()
-        try:
-            client = ServerClient("http://%s:%d" % (host, port))
-            job = client.submit("fuzz", FUZZ_SPEC)
-            assert client.wait(job.id, timeout=120).state == "done"
-        finally:
-            srv.close()
-        assert srv.tracer is None and srv.pool.tracer is None
-        assert srv.queue.get(job.id).traceparent == ""
-
-    def test_server_spools_spans_when_env_set(self, tmp_path,
-                                              monkeypatch):
-        spool_dir = tmp_path / "spans"
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(spool_dir))
-        uninstall_tracer()
-        srv = ReproServer(
-            queue_dir=tmp_path / "queue", cache_dir=tmp_path / "cache",
-        )
-        host, port = srv.start_background()
-        try:
-            client = ServerClient("http://%s:%d" % (host, port))
-            job = client.submit("fuzz", FUZZ_SPEC)
-            client.wait(job.id, timeout=120)
-        finally:
-            srv.close()
-        spooled = read_span_spools(str(spool_dir))
-        assert {"submit", "job.execute"} <= {r["name"] for r in spooled}
-        out = tmp_path / "merged.json"
-        summary = merge_span_spools(str(spool_dir), str(out))
-        assert summary["spans"] >= 3
-        assert validate_chrome_trace(json.loads(out.read_text())) == []

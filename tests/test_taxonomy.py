@@ -1,5 +1,8 @@
 """Unit tests for the Table 1/2 taxonomy and expectation logic."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.attacks.taxonomy import (
@@ -11,6 +14,7 @@ from repro.attacks.taxonomy import (
 from repro.config import (
     NDAPolicyName,
     baseline_ooo,
+    config_registry,
     invisispec_config,
     nda_config,
 )
@@ -108,3 +112,38 @@ class TestExpectedLeak:
         btb = by_name("spectre_v1_btb")
         for policy in NDAPolicyName:
             assert not expected_leak(btb, nda_config(policy))
+
+
+class TestTable1Drift:
+    """The checked-in Table 1 artifact and EXPERIMENTS.md's counts follow
+    the attack list and the config registry, so a registered config
+    cannot go missing from them unnoticed."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_artifact_columns_and_rows_follow_the_registry(self):
+        lines = (self.ROOT / "results" / "table1_matrix.txt") \
+            .read_text().splitlines()
+        header = re.split(r"\s{2,}", lines[1].strip())
+        assert header[0] == "attack (class/channel)"
+        assert header[1:] == [spec.label
+                              for spec in config_registry().values()]
+        attacks = [line.split()[0] for line in lines[3:] if line.strip()]
+        assert attacks == [info.name for info in IMPLEMENTED]
+
+    def test_experiments_counts_follow_the_registry(self):
+        text = (self.ROOT / "EXPERIMENTS.md").read_text()
+        attacks, configs = len(IMPLEMENTED), len(config_registry())
+        words = {"nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
+                 "thirteen": 13}
+        classes, columns = map(int, re.search(
+            r"(\d+) PoC classes × (\d+) configs", text).groups())
+        assert (classes, columns) == (attacks, configs)
+        live = re.search(
+            r"(\w+) attack PoCs run live against all (\w+) configurations",
+            text,
+        ).groups()
+        assert [words[word.lower()] for word in live] == [attacks, configs]
+        cells = int(re.search(r"\((\d+) parametrized cells\)", text)
+                    .group(1))
+        assert cells == attacks * configs
