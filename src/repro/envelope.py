@@ -51,8 +51,8 @@ def make_envelope(kind: str, **body) -> dict:
     return envelope
 
 
-def load_json_object(path, what: str = "file") -> dict:
-    """The JSON object in the file at *path*.
+def load_json_object(path, what: str) -> dict:
+    """The JSON object in the file at *path*, a *what* (for messages).
 
     Raises ``ValueError`` naming the file when it cannot be read, is not
     JSON, or holds a JSON value other than an object — the one clean
