@@ -35,8 +35,7 @@ smt-smoke:
 		--configs ooo strict invisispec-spectre fence-on-branch
 
 # Telemetry smoke: trace a Spectre v1 run under NDA strict, validate
-# the run manifest it recorded, and render its metric snapshot
-# (mirrors CI).
+# the run manifest it recorded, and render its stats block (mirrors CI).
 obs-smoke:
 	$(PYTHON) -m repro.cli obs trace spectre_v1_cache --config strict \
 		--output results/traces/spectre_v1_cache-strict.json

@@ -12,13 +12,16 @@ writes the JSON (schema 4) payload consumed by the CI perf-smoke job::
 
 With ``--baseline``, regressions beyond 25% print WARNING lines but the
 exit code stays 0 (runner wall clocks are too noisy for a hard
-cross-run gate).  The hard gate is ``--obs``: metrics sampling and span
-tracing must each cost under 10% wall clock, and every telemetry
-variant must simulate bit-identically.  ``--profile`` dumps the slowest
-row's cProfile under ``results/profiles/`` for triage.  Unlike the
+cross-run gate); a baseline file that is not a simspeed payload is
+rejected before anything is measured, with one ``error:`` line and
+exit 2.  The hard gate is ``--obs``: metrics sampling and span tracing
+must each cost under 10% wall clock (the median of per-round paired
+ratios, see ``measure_obs_overhead``), and every telemetry variant must
+simulate bit-identically.  ``--profile`` dumps the slowest row's
+cProfile under ``results/profiles/`` for triage.  Unlike the
 ``bench_fig*`` modules this is a standalone script, not a
 pytest-benchmark suite: it times the simulator itself, not the machine
-being simulated.
+being simulated.  It is the benchmark's one entry point.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.envelope import load_json_object
 from repro.harness.simspeed import (
     DEFAULT_CONFIGS,
     DEFAULT_INSTRUCTIONS,
@@ -40,6 +44,38 @@ from repro.harness.simspeed import (
     render_simspeed,
     run_simspeed,
 )
+
+
+def _is_rate(value) -> bool:
+    """A ``cycles_per_sec`` that ``compare_simspeed`` can divide by."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or value.bit_length() <= 1023
+
+
+def read_baseline(path) -> dict:
+    """The simspeed payload in the file at *path*.
+
+    Raises ``ValueError`` naming the file unless it holds a JSON object
+    whose ``results`` is a list of rows with string ``workload`` and
+    ``config`` and a numeric ``cycles_per_sec``: what
+    ``compare_simspeed`` reads.
+    """
+    payload = load_json_object(path, "simspeed baseline")
+    rows = payload.get("results")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict)
+        and isinstance(row.get("workload"), str)
+        and isinstance(row.get("config"), str)
+        and _is_rate(row.get("cycles_per_sec"))
+        for row in rows
+    ):
+        raise ValueError(
+            "simspeed baseline %s is not a simspeed payload: 'results' "
+            "must list rows with string workload/config and numeric "
+            "cycles_per_sec" % path
+        )
+    return payload
 
 
 def _profile_slowest(payload) -> str:
@@ -86,7 +122,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--obs", action="store_true",
         help="also measure telemetry overhead and enforce the DESIGN.md "
-             "§3.5 contract (<10%% with sampling enabled)",
+             "§3.5 contract (<10%% with sampling or tracing enabled)",
     )
     parser.add_argument(
         "--obs-budget", type=float, default=0.10, metavar="FRACTION",
@@ -104,6 +140,13 @@ def main(argv=None) -> int:
              ".jsonl and report drift vs the previous row (warn-only)",
     )
     args = parser.parse_args(argv)
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = read_baseline(args.baseline)
+        except ValueError as error:
+            print("error: %s" % error, file=sys.stderr)
+            return 2
 
     if args.quick:
         args.workloads = ["mcf"]
@@ -153,8 +196,7 @@ def main(argv=None) -> int:
         if failed:
             return 1
 
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
+    if baseline is not None:
         warnings = compare_simspeed(payload, baseline)
         for line in warnings:
             print(line)

@@ -192,12 +192,9 @@ _SMT_EXPORTS = (
 #: Telemetry names served lazily from :mod:`repro.obs`, same pattern.
 _OBS_EXPORTS = (
     "EventBus",
-    "MetricsRegistry",
     "MetricsSampler",
     "build_manifest",
     "ensure_bus",
-    "metrics_from_campaign",
-    "metrics_from_run",
     "smt_trace_events",
     "write_manifest",
 )

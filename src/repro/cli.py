@@ -8,7 +8,6 @@ Subcommands::
     nda-repro matrix --configs ooo strict fence-on-branch   # subset
     nda-repro bench --benchmarks mcf leela --samples 2 --jobs 4
     nda-repro run mcf --config strict --stats
-    nda-repro bench-simspeed --output BENCH_simspeed.json
     nda-repro figure 4|7|8|9a|9b|9c|9d|9e
     nda-repro config ooo             # describe one configuration
     nda-repro config list            # registered schemes + named configs
@@ -19,7 +18,7 @@ Subcommands::
     nda-repro fuzz minimize 7 --output w.json # ddmin to a reproducer
     nda-repro obs trace spectre_v1 --config strict   # Perfetto export
     nda-repro obs trace merge --dir results/traces/spans  # stitch spools
-    nda-repro obs metrics                    # render latest metric snapshot
+    nda-repro obs metrics                    # latest manifest's numbers
     nda-repro obs manifest list              # run provenance records
     nda-repro obs export --benchmarks mcf    # engine job-span trace
 
@@ -28,7 +27,8 @@ windows under ``results/.cache/``; use ``--jobs N`` to size the worker
 pool and ``--no-cache`` to force re-simulation.  ``--backend`` picks the
 execution backend (``serial`` or ``local-pool``), and ``--checkpoint
 FILE`` / ``--resume FILE`` make long campaigns survive preemption (see
-DESIGN.md §3.6).
+DESIGN.md §3.6).  The simulator-speed benchmark is a script,
+``benchmarks/bench_simspeed.py``, not a subcommand.
 """
 
 from __future__ import annotations
@@ -178,45 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print a repro.result/v1 run envelope instead of text",
     )
 
-    simspeed = sub.add_parser(
-        "bench-simspeed",
-        help="benchmark the simulator itself (host kilo-cycles/sec)",
-    )
-    simspeed.add_argument(
-        "--workloads", nargs="*", default=None, choices=sorted(PROFILES),
-        metavar="NAME",
-    )
-    simspeed.add_argument(
-        "--configs", nargs="*", default=None, choices=_CONFIG_NAMES,
-        metavar="NAME",
-    )
-    simspeed.add_argument("--instructions", type=int, default=None)
-    simspeed.add_argument("--repeats", type=int, default=None)
-    simspeed.add_argument("--seed", type=int, default=None)
-    simspeed.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also write the JSON payload here",
-    )
-    simspeed.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="warn (exit 0) on >25%% regressions vs this payload",
-    )
-    simspeed.add_argument(
-        "--obs", action="store_true",
-        help="also measure telemetry-bus overhead (detached vs "
-             "attached-idle vs metrics sampling)",
-    )
-    simspeed.add_argument(
-        "--profile", action="store_true",
-        help="cProfile the slowest row into results/profiles/",
-    )
-    simspeed.add_argument(
-        "--history", action="store_true",
-        help="append a timestamped git-SHA-stamped row to "
-             "results/bench_history.jsonl and compare against the "
-             "previous row (perf trajectory across commits)",
-    )
-
     config_cmd = sub.add_parser(
         "config", help="describe one named configuration, or list them all"
     )
@@ -360,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     obs_metrics = obs_sub.add_parser(
-        "metrics", help="render the metric snapshot stored in a manifest"
+        "metrics",
+        help="render the stats or campaign block stored in a manifest",
     )
     obs_metrics.add_argument(
         "path", nargs="?", default=None,
@@ -399,8 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 #: Commands that get a root trace span when REPRO_TRACE_DIR is set —
 #: the entry points named by DESIGN.md §3.9's span taxonomy.
 _TRACED_COMMANDS = frozenset({
-    "run", "attack", "matrix", "bench", "bench-simspeed", "figure",
-    "fuzz",
+    "run", "attack", "matrix", "bench", "figure", "fuzz",
 })
 
 
@@ -576,57 +537,6 @@ def _run_command(args) -> int:
                     print("  %-28s %s" % (key, value))
         return 0
 
-    if args.command == "bench-simspeed":
-        import json as json_mod
-        from pathlib import Path
-
-        from repro.harness import simspeed as simspeed_mod
-        kwargs = {"verbose": True}
-        if args.workloads:
-            kwargs["workloads"] = args.workloads
-        if args.configs:
-            kwargs["configs"] = args.configs
-        if args.instructions is not None:
-            kwargs["instructions"] = args.instructions
-        if args.repeats is not None:
-            kwargs["repeats"] = args.repeats
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.obs:
-            kwargs["obs"] = True
-        payload = simspeed_mod.run_simspeed(**kwargs)
-        print()
-        print(simspeed_mod.render_simspeed(payload))
-        if args.output:
-            Path(args.output).write_text(
-                json_mod.dumps(payload, indent=2) + "\n"
-            )
-            print("\nwrote %s" % args.output)
-        if args.profile:
-            row = simspeed_mod._slowest_row(payload)
-            if row is not None:
-                path = simspeed_mod.profile_case(
-                    row["workload"], row["config"],
-                    "results/profiles/%s_%s.pstats" % (
-                        row["workload"], row["config"],
-                    ),
-                    instructions=payload["instructions"],
-                    seed=payload["seed"],
-                )
-                print("profiled slowest row to %s" % path)
-        if args.baseline:
-            baseline = json_mod.loads(Path(args.baseline).read_text())
-            for line in simspeed_mod.compare_simspeed(payload, baseline):
-                print(line)
-        if args.history:
-            for line in simspeed_mod.compare_history(payload):
-                print(line)
-            entry = simspeed_mod.append_history(payload)
-            print("history: appended %s (%s) to %s"
-                  % (entry["git_revision"][:12] or "no-git",
-                     entry["recorded"], simspeed_mod.HISTORY_PATH))
-        return 0
-
     if args.command == "bench":
         suite = run_suite(
             benchmarks=args.benchmarks,
@@ -699,7 +609,6 @@ def _obs(args) -> int:
 
     from repro.obs import (
         EventBus,
-        MetricsRegistry,
         MetricsSampler,
         build_manifest,
         counter_trace_events,
@@ -782,29 +691,30 @@ def _obs(args) -> int:
         return 0
 
     if args.obs_command == "metrics":
-        try:
-            manifest = (
-                load_manifest(args.path) if args.path else latest_manifest()
-            )
-        except ValueError as error:
-            return _input_error(error)
-        if manifest is None:
+        from repro.obs.manifest import render_metrics
+
+        paths = [args.path] if args.path else list_manifests()
+        if not paths:
             print("no manifests found (run `nda-repro obs trace ...` first)")
             return 2
+        path = paths[-1]
+        try:
+            manifest = load_manifest(path)
+        except ValueError as error:
+            return _input_error(error)
         problems = validate_manifest(manifest)
         if problems:
             return _input_error("invalid manifest %s: %s" % (
-                args.path or "(latest)", "; ".join(problems[:5]),
+                path, "; ".join(problems[:5]),
             ))
-        snapshot = manifest.get("metrics")
-        if not snapshot:
-            print("manifest %s carries no metric snapshot"
-                  % manifest.get("label", "?"))
-            return 2
-        print("%s %s (%s)" % (manifest.get("kind", "run"),
-                              manifest.get("label", "?"),
-                              manifest.get("git_revision", "?")[:12]))
-        print(MetricsRegistry.restore(snapshot).render())
+        if not (manifest.get("stats") or manifest.get("campaign")):
+            return _input_error(
+                "manifest %s carries no stats or campaign block (written "
+                "before manifests embedded them?)" % path
+            )
+        print("%s %s (%s)" % (manifest["kind"], manifest["label"],
+                              manifest["git_revision"][:12]))
+        print(render_metrics(manifest))
         return 0
 
     if args.obs_command == "manifest":
@@ -893,14 +803,12 @@ def _fuzz(args) -> int:
             smt=args.smt,
         )
         print(campaign.describe())
-        from repro.obs import (
-            build_manifest, metrics_from_campaign, write_manifest,
-        )
+        from repro.obs import build_manifest, write_manifest
         manifest_path = write_manifest(build_manifest(
             config_registry()["ooo"].config,
             kind="fuzz-campaign",
             seed=args.seed0,
-            metrics=metrics_from_campaign(campaign).collect(),
+            campaign=campaign.counts(),
             extra={
                 "seeds": args.seeds,
                 "configs": sorted({

@@ -5,7 +5,9 @@ load whose older store has not yet computed its address *bypasses* the store
 and reads stale memory.  The LSQ records which unresolved stores each load
 bypassed — NDA's Bypass Restriction keeps the load's output unsafe until all
 of them resolve — and squashes the load when a store resolves to an
-overlapping address (the memory dependency unit of §5.2).
+overlapping address (the memory dependency unit of §5.2).  Each
+store-to-load forward is reported on the event bus as ``store_forward``,
+the one LSQ event the fuzzer's taint oracle follows.
 """
 
 from __future__ import annotations
@@ -66,11 +68,7 @@ class LSQ:
         self.forwards = 0
         self.bypasses = 0
         self.violations = 0
-        # Optional callable(load, store) fired on store-to-load
-        # forwarding; used by the fuzzing taint oracle (repro.fuzz).
-        self.taint_hook = None
-        # Optional telemetry EventBus (repro.obs.bus): pure observer,
-        # coexists with the taint hook.
+        # Optional telemetry EventBus (repro.obs.bus).
         self.obs = None
 
     # ------------------------------------------------------------------ #
@@ -124,8 +122,6 @@ class LSQ:
                     return LoadDecision(LoadAction.WAIT)
                 value = _extract(store, load)
                 self.forwards += 1
-                if self.taint_hook is not None:
-                    self.taint_hook(load, store)
                 obs = self.obs
                 if obs is not None and obs.store_forward is not None:
                     obs.store_forward(load, store)

@@ -186,13 +186,9 @@ class OutOfOrderCore:
         self._squashed_this_cycle = False
         self._last_commit_cycle = 0
         # Optional telemetry EventBus (see repro.obs.bus); carries the
-        # pipeline tracer, metrics samplers, and any other subscriber.
+        # pipeline tracer, metrics samplers, the fuzzer's taint oracle,
+        # and any other subscriber.
         self.obs = None
-        # Optional TaintOracle (see repro.fuzz.taint).  Like the event
-        # bus it is a pure observer: every hook below is guarded by an
-        # is-None test, so the hot path and the idle-cycle fast-forward
-        # are unaffected when no oracle is attached.
-        self.taint = None
 
         # Hot-loop invariants hoisted out of the per-cycle phases.
         self._issue_width = core.issue_width
@@ -627,7 +623,6 @@ class OutOfOrderCore:
         (kinds, exec_fns, imms, prf_value, broadcast, rob_entries,
          protection, may_broadcast) = self._wb_tables
         issue_width = self._issue_width
-        taint = self.taint
         obs = self.obs
         obs_complete = obs.instr_complete if obs is not None else None
         obs_defer = obs.instr_defer if obs is not None else None
@@ -637,8 +632,6 @@ class OutOfOrderCore:
                 continue  # an older entry in this batch squashed it
             pc = entry.pc
             kind = kinds[pc]
-            if taint is not None:
-                taint.exec_ctx = entry  # attributes BTB installs to *entry*
             if kind == K_ALU:
                 vals = entry.src_vals
                 a = vals[0] if vals else 0
@@ -666,9 +659,6 @@ class OutOfOrderCore:
             pd = entry.phys_dest
             if pd is not None and entry.result is not None:
                 prf_value[pd] = entry.result
-            if taint is not None:
-                taint.exec_ctx = None
-                taint.on_complete(entry)
             if obs_complete is not None:
                 obs_complete(entry, now)
             if pd is None:
@@ -736,10 +726,10 @@ class OutOfOrderCore:
             elif op_id == _OPID_CALLR:
                 taken, actual = True, vals[0] & U64_MASK
                 entry.result = pc + 1
-                self.btb.update(pc, actual)
+                self._update_btb(entry, actual)
             elif op_id == _OPID_JR:
                 taken, actual = True, vals[0] & U64_MASK
-                self.btb.update(pc, actual)
+                self._update_btb(entry, actual)
             elif op_id == _OPID_RET:
                 taken, actual = True, vals[0] & U64_MASK
             else:
@@ -769,6 +759,12 @@ class OutOfOrderCore:
                 entry.seq, actual, now + self._squash_penalty
             )
             self.fetch_unit.repair_ras(fetched.ras_snapshot)
+
+    def _update_btb(self, entry: DynInstr, target: int) -> None:
+        self.btb.update(entry.pc, target)
+        obs = self.obs
+        if obs is not None and obs.btb_update is not None:
+            obs.btb_update(entry.pc, target, entry)
 
     # ------------------------------------------------------------------ #
     # Store resolution.
@@ -802,20 +798,15 @@ class OutOfOrderCore:
     def _squash_after(self, seq: int, target_pc: int, refetch_cycle: int):
         """Discard every instruction younger than *seq* and refetch."""
         removed = self.rob.squash_younger(seq)
-        taint = self.taint
         for entry in removed:  # youngest first: rollback works in order
             if entry.phys_dest is not None:
                 self.rat.rollback(
                     entry.instr.rd, entry.phys_dest, entry.prev_phys
                 )
             self.protection.on_squash(entry)
-            if taint is not None:
-                taint.on_squash(entry)
         self.iq.remove_squashed()
         self.lsq.remove_squashed()
         self.protection.after_squash()
-        if taint is not None:
-            taint.after_squash(seq)
         self._pending_mem = [
             item for item in self._pending_mem if not item[2].squashed
         ]
@@ -828,10 +819,13 @@ class OutOfOrderCore:
         self.stats.squashed_ops += len(removed)
         self._squashed_this_cycle = True
         obs = self.obs
-        if obs is not None and obs.instr_squash is not None:
+        if obs is not None:
             now = self.cycle
-            for entry in removed:
-                obs.instr_squash(entry, now)
+            if obs.instr_squash is not None:
+                for entry in removed:
+                    obs.instr_squash(entry, now)
+            if obs.squash is not None:
+                obs.squash(seq, now)
 
     # ================================================================== #
     # Load memory phase.
@@ -842,7 +836,6 @@ class OutOfOrderCore:
         # entries are purged eagerly by _squash_after, and dropped here
         # if one squashed within the current cycle).
         pending = self._pending_mem
-        taint = self.taint
         ready: List[DynInstr] = []
         pop = heapq.heappop
         while pending and pending[0][0] <= now:
@@ -878,18 +871,13 @@ class OutOfOrderCore:
                 invisible = (
                     load_invisible is not None and load_invisible(entry)
                 )
-                if taint is not None:
-                    taint.exec_ctx = entry  # attributes d-cache fills
                 result = hierarchy.data_access(
-                    entry.addr, now, fill=not invisible, pc=entry.pc
+                    entry.addr, now, fill=not invisible, pc=entry.pc,
+                    entry=entry,
                 )
                 if invisible:
                     protection.on_invisible_load(entry, result, now)
-                value = self._load_value(entry)
-                if taint is not None:
-                    taint.exec_ctx = None
-                    taint.on_load_executed(entry, from_memory=True)
-                entry.result = value
+                entry.result = self._load_value(entry)
                 push(completions, (now + result.latency, entry.seq, entry))
             elif action is LoadAction.WAIT:
                 push(pending, (next_cycle, entry.seq, entry))
@@ -897,8 +885,6 @@ class OutOfOrderCore:
                 entry.data_obtained = True
                 entry.forwarded_from = decision.forwarded_from
                 entry.bypassed_stores = decision.bypassed_stores or None
-                if taint is not None:
-                    taint.on_load_executed(entry, from_memory=False)
                 entry.result = decision.value
                 push(completions, (next_cycle, entry.seq, entry))
 
@@ -928,7 +914,6 @@ class OutOfOrderCore:
             return
         # Read operands, then queue the memory phase (loads) or the
         # completion (everything else).
-        taint = self.taint
         obs = self.obs
         obs_issue = obs.instr_issue if obs is not None else None
         pending_mem = self._pending_mem
@@ -947,8 +932,6 @@ class OutOfOrderCore:
             else:
                 vals = tuple(prf_value[s] for s in srcs)
             entry.src_vals = vals
-            if taint is not None:
-                taint.on_issue(entry, now)
             if obs_issue is not None:
                 obs_issue(entry, now)
             pc = entry.pc
@@ -1052,7 +1035,6 @@ class OutOfOrderCore:
         width = self._commit_width
         (flags, op_ids, rob_entries, lsq, rat_retire, stats,
          on_commit) = self._commit_tables
-        taint = self.taint
         obs = self.obs
         obs_retire = obs.instr_retire if obs is not None else None
         while committed_now < width and rob_entries:
@@ -1102,8 +1084,6 @@ class OutOfOrderCore:
                 hist[key] = hist.get(key, 0) + 1
             if on_commit is not None:
                 on_commit(head, now)
-            if taint is not None:
-                taint.on_commit(head)
             if obs_retire is not None:
                 obs_retire(head, now)
             committed_now += 1

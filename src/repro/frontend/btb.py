@@ -33,12 +33,6 @@ class BTB(TagArray):
         self.lookups = 0
         self.hits = 0
         self.updates = 0
-        # Optional callable target with on_btb_update(pc, target); used
-        # by the fuzzing taint oracle (repro.fuzz).
-        self.observer = None
-        # Optional telemetry EventBus (repro.obs.bus), fed the same
-        # install/refresh events as btb_update.
-        self.obs = None
 
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for the branch at *pc*, or None on miss."""
@@ -58,14 +52,9 @@ class BTB(TagArray):
         """Install/refresh the mapping ``pc -> target``.
 
         Called at branch execution for every taken or indirect branch,
-        wrong-path included.
+        wrong-path included; the core emits the ``btb_update`` event.
         """
         self.updates += 1
-        if self.observer is not None:
-            self.observer.on_btb_update(pc, target)
-        obs = self.obs
-        if obs is not None and obs.btb_update is not None:
-            obs.btb_update(pc, target)
         targets = self._targets
         index = pc & self._set_mask
         if pc in targets:

@@ -237,10 +237,7 @@ def run_smt_seed(
         shared_channels=SHARED_CHANNELS[pair.sharing],
     )
     oracle.attach(machine.cores[1])
-    try:
-        outcomes = machine.run(max_cycles=max_cycles)
-    finally:
-        oracle.detach()
+    outcomes = machine.run(max_cycles=max_cycles)
     return FuzzRunResult(
         seed=seed,
         config_name=config_name,
@@ -325,6 +322,30 @@ class CampaignResult:
             for witness in result.witnesses:
                 counts[witness.channel] = counts.get(witness.channel, 0) + 1
         return counts
+
+    def counts(self) -> dict:
+        """Runs and leaked runs per config, witnesses per (config,
+        channel), and the counterexample and failure totals: the
+        ``campaign`` block of a fuzz-campaign manifest."""
+        runs: Dict[str, int] = {}
+        leaked: Dict[str, int] = {}
+        witnesses: Dict[str, Dict[str, int]] = {}
+        for result in self.results:
+            name = result.config_name
+            runs[name] = runs.get(name, 0) + 1
+            leaked[name] = leaked.get(name, 0) + int(result.leaked)
+            channels = witnesses.setdefault(name, {})
+            for witness in result.witnesses:
+                channels[witness.channel] = (
+                    channels.get(witness.channel, 0) + 1
+                )
+        return {
+            "runs": runs,
+            "leaked_runs": leaked,
+            "witnesses": witnesses,
+            "counterexamples": len(self.counterexamples),
+            "failures": len(self.failures),
+        }
 
     @property
     def ok(self) -> bool:

@@ -2,12 +2,11 @@
 
 The oracle answers one question about a single simulation: *did secret
 data influence microarchitectural state that survived a squash?*  It is
-a pure observer — attached through four lightweight hook points
-(``core.taint``, ``hierarchy.observer``, ``btb.observer``,
-``lsq.taint_hook``), all of which are ``None`` by default so the
-simulator's hot path and its idle-cycle fast-forward stay bit-identical
-whether or not an oracle is attached.  The oracle never mutates
-simulator state and draws no randomness.
+a pure observer and an ordinary subscriber of the core's event bus
+(:mod:`repro.obs.bus`), like the pipeline tracer: a core without a bus
+runs the simulator's hot path and its idle-cycle fast-forward
+bit-identically, and so does one with the oracle subscribed.  The
+oracle never mutates simulator state and draws no randomness.
 
 Taint sources are configured per run: static *secret address ranges*
 (any load overlapping one returns tainted data, forever) and an initial
@@ -21,7 +20,7 @@ Propagation follows the dynamic dataflow of the pipeline itself:
 * register writes — a completing micro-op taints its physical
   destination iff any physical source was tainted at issue;
 * store-to-load forwarding — a load forwarding from a store whose data
-  register was tainted becomes tainted (``lsq.taint_hook``);
+  register was tainted becomes tainted (``store_forward``);
 * address computation — a load whose *address* operand is tainted is
   itself tainted (double-dereference chains), and its cache fill is a
   transmission;
@@ -34,19 +33,23 @@ A **candidate** is recorded whenever a tainted micro-op touches state
 that squashes do not roll back: a d-cache line fill with a tainted
 address (or on a tainted-steered path), a BTB install with a tainted
 target, an FPU wake-up paid by a tainted FP op, or an i-cache line fill
-while a tainted steer is in flight.  Candidates are *promoted* to
+while a tainted steer is in flight.  The ``data_fill`` and
+``btb_update`` events name the responsible ROB entry; a fill without
+one is architectural and ignored.  Candidates are *promoted* to
 :class:`LeakWitness` records only when the responsible micro-op is
 squashed — i.e. the update was transient yet persists — and are
 discarded when it commits (architectural execution is allowed to touch
-the caches).  See DESIGN.md for the full hook contract and schema.
+the caches).  See DESIGN.md §3.4 for the events consumed and the
+witness schema.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.isa.opcodes import FUType, Opcode
+from repro.obs.bus import ensure_bus
 
 #: Covert-channel classes the oracle can witness, matching the channel
 #: spellings used by :data:`repro.attacks.taxonomy.IMPLEMENTED`.
@@ -112,7 +115,7 @@ class TaintOracle:
 
     Attach with :meth:`attach` *before* ``core.run()``; inspect
     :attr:`witnesses` afterwards.  The oracle is single-use: attach a
-    fresh instance per simulation.
+    fresh instance to a fresh core per simulation.
     """
 
     def __init__(
@@ -145,11 +148,6 @@ class TaintOracle:
         self.max_witnesses = max_witnesses
         self.witnesses: List[LeakWitness] = []
         self.core = None
-        #: Micro-op currently touching the hierarchy/BTB (set by the
-        #: core around ``data_access`` and ``_complete``); fills and BTB
-        #: installs with no context (commit-store write-allocate,
-        #: InvisiSpec expose) are architectural and ignored.
-        self.exec_ctx = None
         self._reg = bytearray()  # physical-register taint bits
         self._recs: Dict[int, _Rec] = {}
         self._steer: Dict[int, int] = {}  # seq -> pc of tainted steers
@@ -161,25 +159,13 @@ class TaintOracle:
     # ------------------------------------------------------------------ #
 
     def attach(self, core) -> "TaintOracle":
-        """Wire the oracle into *core*'s four hook points."""
+        """Subscribe the oracle to *core*'s event bus (made if absent)."""
         if self.core is not None:
             raise ValueError("oracle is already attached")
         self.core = core
         self._reg = bytearray(len(core.prf.value))
-        core.taint = self
-        core.hierarchy.observer = self
-        core.btb.observer = self
-        core.lsq.taint_hook = self.on_forward
+        ensure_bus(core).subscribe(self)
         return self
-
-    def detach(self) -> None:
-        core = self.core
-        if core is not None:
-            core.taint = None
-            core.hierarchy.observer = None
-            core.btb.observer = None
-            core.lsq.taint_hook = None
-        self.core = None
 
     # ------------------------------------------------------------------ #
     # Queries.
@@ -245,11 +231,10 @@ class TaintOracle:
             self.witnesses.extend(witnesses[:room])
 
     # ------------------------------------------------------------------ #
-    # Pipeline hooks (called by OutOfOrderCore when an oracle is
-    # attached; every call site is a no-op when ``core.taint is None``).
+    # Bus events (repro.obs.bus.EVENT_NAMES).
     # ------------------------------------------------------------------ #
 
-    def on_issue(self, entry, now: int) -> None:
+    def instr_issue(self, entry, now: int) -> None:
         """A micro-op left the issue queue with its operands read."""
         reg = self._reg
         rec = _Rec()
@@ -279,28 +264,31 @@ class TaintOracle:
                 else "FPU woken on a tainted-steered path",
             )
 
-    def on_forward(self, load, store) -> None:
+    def store_forward(self, load, store) -> None:
         """LSQ forwarded *store*'s data to *load* (store-to-load)."""
         rec = self._recs.get(load.seq)
         srec = self._recs.get(store.seq)
         if rec is not None and srec is not None and srec.data:
             rec.fwd = True
 
-    def on_load_executed(self, entry, from_memory: bool) -> None:
-        """A load obtained its value (memory or forwarding path)."""
-        rec = self._recs.get(entry.seq)
-        if rec is None:
-            return
-        if rec.addr or rec.fwd:
-            rec.val = True
-        elif from_memory and self._secret_data(entry.addr, entry.mem_size):
-            rec.val = True
+    def instr_complete(self, entry, now: int) -> None:
+        """A micro-op finished executing (result already in the PRF).
 
-    def on_complete(self, entry) -> None:
-        """A micro-op finished executing (result already in the PRF)."""
+        A load's taint is settled here rather than in its memory phase:
+        a load that did not forward read memory, and nothing changes
+        those bytes' taint in between (an older overlapping store that
+        resolves meanwhile squashes the load; a younger one cannot
+        commit first).
+        """
         rec = self._recs.get(entry.seq)
         if rec is None:
             return
+        if entry.is_load:
+            if rec.addr or rec.fwd:
+                rec.val = True
+            elif entry.forwarded_from is None and self._secret_data(
+                    entry.addr, entry.mem_size):
+                rec.val = True
         instr = entry.instr
         if instr.op is Opcode.RDMSR and instr.imm in self.secret_msrs:
             rec.val = True
@@ -314,7 +302,7 @@ class TaintOracle:
                 # target (or direction): a tainted-steered window opens.
                 self._steer[entry.seq] = entry.pc
 
-    def on_squash(self, entry) -> None:
+    def instr_squash(self, entry, now: int) -> None:
         """*entry* was squashed: its candidates were transient — promote."""
         seq = entry.seq
         pending = self._cands.pop(seq, None)
@@ -325,9 +313,10 @@ class TaintOracle:
         if entry.phys_dest is not None:
             self._reg[entry.phys_dest] = 0
 
-    def after_squash(self, boundary_seq: int) -> None:
+    def squash(self, boundary_seq: int, now: int) -> None:
         """All entries younger than *boundary_seq* are gone; i-cache
-        fills attributed to a squashed steer were transient."""
+        fills attributed to a squashed steer were transient.  (Promoted
+        once per squash, after every squashed entry's own candidates.)"""
         if not self._icands:
             return
         keep: List[Tuple[int, LeakWitness]] = []
@@ -338,7 +327,7 @@ class TaintOracle:
                 keep.append((steer_seq, witness))
         self._icands = keep
 
-    def on_commit(self, entry) -> None:
+    def instr_retire(self, entry, now: int) -> None:
         """*entry* retired: its footprint is architectural, not a leak."""
         seq = entry.seq
         self._cands.pop(seq, None)
@@ -362,15 +351,10 @@ class TaintOracle:
         if entry.prev_phys is not None:
             self._reg[entry.prev_phys] = 0
 
-    # ------------------------------------------------------------------ #
-    # Structure observers (hierarchy / BTB).
-    # ------------------------------------------------------------------ #
-
-    def on_data_fill(self, addr: int, now: int) -> None:
-        """The d-side hierarchy filled a line for the current context."""
-        entry = self.exec_ctx
+    def data_fill(self, addr: int, now: int, entry) -> None:
+        """The d-side hierarchy filled a line for load *entry*."""
         if entry is None:
-            return  # architectural fill (commit store, expose, warmup)
+            return  # architectural fill (InvisiSpec expose)
         rec = self._recs.get(entry.seq)
         if rec is None or not (rec.addr or rec.ctl):
             return
@@ -380,7 +364,7 @@ class TaintOracle:
             else "d-cache fill on a tainted-steered path",
         )
 
-    def on_inst_fill(self, addr: int, now: int) -> None:
+    def inst_fill(self, addr: int, now: int) -> None:
         """The i-cache filled a line; attribute it to the youngest
         in-flight tainted steer, if any."""
         if not self._steer:
@@ -399,11 +383,8 @@ class TaintOracle:
         )
         self._icands.append((steer_seq, witness))
 
-    def on_btb_update(self, pc: int, target: int) -> None:
-        """The BTB installed/refreshed ``pc -> target``."""
-        entry = self.exec_ctx
-        if entry is None:
-            return
+    def btb_update(self, pc: int, target: int, entry) -> None:
+        """Branch *entry* installed/refreshed ``pc -> target``."""
         rec = self._recs.get(entry.seq)
         if rec is None or not (rec.val or rec.ctl):
             return
@@ -445,8 +426,5 @@ def run_with_oracle(
         max_witnesses=max_witnesses,
     )
     oracle.attach(core)
-    try:
-        outcome = core.run(max_cycles=max_cycles)
-    finally:
-        oracle.detach()
+    outcome = core.run(max_cycles=max_cycles)
     return outcome, oracle.witnesses

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -43,6 +44,12 @@ DEFAULT_SEED = 7
 
 #: Payload schema (4: one row per (workload, config) pair).
 SCHEMA = 4
+
+#: Interleaved rounds of the telemetry-overhead measurement (at least).
+#: Every round times each variant once; a variant's overhead is the
+#: median, over rounds, of its time divided by the detached time of the
+#: same round, so one noisy round cannot move the estimate.
+OBS_ROUNDS = 25
 
 
 class SimSpeedError(RuntimeError):
@@ -158,6 +165,13 @@ def measure_obs_overhead(
     span + one JSONL append per run).  All four must be bit-identical;
     the overhead contract (DESIGN.md §3.5/§3.9) is ~0% for the first
     two and <10% with sampling or tracing enabled.
+
+    The variants run in at least :data:`OBS_ROUNDS` interleaved rounds,
+    each in a rotated order, so slow host drift — thermal, cache,
+    scheduler — biases every variant alike.  Each overhead is a paired
+    estimate: the median over rounds of the variant's time divided by
+    the detached time of the same round.  The ``wall_seconds_*`` fields
+    are per-variant medians.
     """
     import tempfile
 
@@ -170,21 +184,22 @@ def measure_obs_overhead(
             "core" % config_name
         )
     program = spec_program(workload, instructions=instructions, seed=seed)
-    # Variants are interleaved within each repeat (not run as sequential
-    # blocks) so slow host drift — thermal, cache, scheduler — biases all
-    # variants equally instead of whichever block ran last.
     variants = {
         "detached": (False, 0, False),
         "attached-idle": (True, 0, False),
         "sampling": (True, sample_interval, False),
         "tracing": (False, 0, True),
     }
-    best: Dict[str, float] = {}
-    outcomes: Dict[str, object] = {}
+    names = list(variants)
+    times: Dict[str, List[float]] = {name: [] for name in names}
+    base = None
     samples = 0
+    rounds = max(repeats, OBS_ROUNDS)
     with tempfile.TemporaryDirectory() as spool_dir:
-        for _ in range(max(repeats, 3)):
-            for name, (attach_bus, interval, traced) in variants.items():
+        for index in range(rounds):
+            shift = index % len(names)
+            for name in names[shift:] + names[:shift]:
+                attach_bus, interval, traced = variants[name]
                 tracer = None
                 if traced:
                     tracer = Tracer("simspeed", spool_dir=spool_dir)
@@ -197,42 +212,40 @@ def measure_obs_overhead(
                 finally:
                     if traced:
                         uninstall_tracer()
-                if name not in best or elapsed < best[name]:
-                    best[name] = elapsed
-                    outcomes[name] = result
-                    if name == "sampling":
-                        samples = rows
-    wall_off = best["detached"]
-    wall_idle = best["attached-idle"]
-    wall_sampled = best["sampling"]
-    wall_traced = best["tracing"]
-    base = outcomes["detached"]
-    for variant in ("attached-idle", "sampling", "tracing"):
-        _check_identical(
-            "telemetry variant %r on %s/%s" % (
-                variant, workload, config_name,
-            ),
-            outcomes[variant], base,
-        )
+                times[name].append(elapsed)
+                if base is None:
+                    base = result
+                else:
+                    _check_identical(
+                        "telemetry variant %r on %s/%s" % (
+                            name, workload, config_name,
+                        ),
+                        result, base,
+                    )
+                if name == "sampling":
+                    samples = rows
+
+    def overhead(name: str) -> float:
+        return statistics.median(
+            elapsed / detached
+            for elapsed, detached in zip(times[name], times["detached"])
+        ) - 1.0
+
+    wall = {name: statistics.median(times[name]) for name in names}
     return {
         "workload": workload,
         "config": config_name,
         "cycles": base.stats.cycles,
         "sample_interval": sample_interval,
         "samples": samples,
-        "wall_seconds_detached": wall_off,
-        "wall_seconds_attached_idle": wall_idle,
-        "wall_seconds_sampling": wall_sampled,
-        "wall_seconds_tracing": wall_traced,
-        "overhead_attached_idle": (
-            wall_idle / wall_off - 1.0 if wall_off > 0 else 0.0
-        ),
-        "overhead_sampling": (
-            wall_sampled / wall_off - 1.0 if wall_off > 0 else 0.0
-        ),
-        "overhead_tracing": (
-            wall_traced / wall_off - 1.0 if wall_off > 0 else 0.0
-        ),
+        "rounds": rounds,
+        "wall_seconds_detached": wall["detached"],
+        "wall_seconds_attached_idle": wall["attached-idle"],
+        "wall_seconds_sampling": wall["sampling"],
+        "wall_seconds_tracing": wall["tracing"],
+        "overhead_attached_idle": overhead("attached-idle"),
+        "overhead_sampling": overhead("sampling"),
+        "overhead_tracing": overhead("tracing"),
     }
 
 
@@ -375,10 +388,11 @@ def render_simspeed(payload: Dict[str, object]) -> str:
     obs = payload.get("obs")
     if obs:
         lines.append(
-            "telemetry overhead (%s/%s, interval %d): "
-            "%+.1f%% attached-idle, %+.1f%% sampling (%d samples), "
-            "%+.1f%% tracing" % (
+            "telemetry overhead (%s/%s, interval %d, median of %d paired "
+            "rounds): %+.1f%% attached-idle, %+.1f%% sampling "
+            "(%d samples), %+.1f%% tracing" % (
                 obs["workload"], obs["config"], obs["sample_interval"],
+                obs["rounds"],
                 obs["overhead_attached_idle"] * 100.0,
                 obs["overhead_sampling"] * 100.0,
                 obs["samples"],

@@ -48,7 +48,9 @@ class MemoryHierarchy:
     The instruction and data paths have private L1s and share the L2.  All
     fills — including wrong-path ones — persist across squash; that
     asymmetry between architectural and micro-architectural state is the
-    substrate of every attack in the paper.
+    substrate of every attack in the paper, and the ``data_fill`` /
+    ``inst_fill`` bus events are how observers (the tracer, the fuzzer's
+    taint oracle) see it.
     """
 
     def __init__(self, config: MemConfig, replacement: Optional[str] = None,
@@ -70,14 +72,9 @@ class MemoryHierarchy:
         # Completion cycles of in-flight off-chip misses (MLP + MSHR model).
         self._offchip: List[int] = []
         self.offchip_misses = 0
-        # Optional fill observer with on_data_fill(addr, now) and
-        # on_inst_fill(addr, now); used by the fuzzing taint oracle
-        # (repro.fuzz).  Fired only on demand-miss fills, never on
-        # prefetches or invisible probes.
-        self.observer = None
-        # Optional telemetry EventBus (repro.obs.bus): same demand-fill
-        # events, delivered as data_fill/inst_fill.  Coexists with the
-        # taint observer above.
+        # Optional telemetry EventBus (repro.obs.bus): data_fill and
+        # inst_fill fire on demand-miss fills only, never on prefetches
+        # or invisible probes.
         self.obs = None
 
     # ------------------------------------------------------------------ #
@@ -137,7 +134,7 @@ class MemoryHierarchy:
 
     def data_access(
         self, addr: int, now: int, fill: bool = True, translate: bool = True,
-        pc: int = -1,
+        pc: int = -1, entry=None,
     ) -> AccessResult:
         """Timed data-side access to *addr* at cycle *now*.
 
@@ -146,7 +143,10 @@ class MemoryHierarchy:
         replacement state only when filling is allowed, so an invisible
         access leaves zero footprint.  *pc* trains the prefetcher (for
         every access, wrong-path ones included — the squash does not
-        revert prefetcher state).
+        revert prefetcher state).  *entry* is the out-of-order load on
+        whose behalf the access runs; the ``data_fill`` event carries
+        it, and ``None`` marks an architectural fill (an InvisiSpec
+        expose, the in-order core).
         """
         if pc >= 0 and fill:
             for target in self.prefetcher.observe(pc, addr):
@@ -158,11 +158,9 @@ class MemoryHierarchy:
         if fill:
             l1_hit = self.l1d.access(addr, fill=True)
             if not l1_hit:
-                if self.observer is not None:
-                    self.observer.on_data_fill(addr, now)
                 obs = self.obs
                 if obs is not None and obs.data_fill is not None:
-                    obs.data_fill(addr, now)
+                    obs.data_fill(addr, now, entry)
         else:
             l1_hit = self.l1d.probe(addr)
             # count it for stats without disturbing state
@@ -209,8 +207,6 @@ class MemoryHierarchy:
         if self.l1i.access(addr, fill=True):
             return AccessResult(self.config.l1i.round_trip_cycles,
                                 True, False, False)
-        if self.observer is not None:
-            self.observer.on_inst_fill(addr, now)
         obs = self.obs
         if obs is not None and obs.inst_fill is not None:
             obs.inst_fill(addr, now)

@@ -2,15 +2,13 @@
 
 One cross-cutting observability stack for the whole simulator:
 
-* :class:`EventBus` — a structured event bus attached to the cores, LSQ,
-  memory hierarchy, and BTB through the same no-op-when-None observer
-  slots the taint oracle uses.  Detached (the default), every hook is a
-  single ``is None`` test and simulation is bit-identical to a build
-  without the bus; attached, subscribers receive typed pipeline events.
-* :class:`MetricsRegistry` — counters, gauges, and histograms with
-  labels, unifying :class:`~repro.stats.counters.PipelineStats` and
-  fuzz campaign witness counts behind one ``collect()`` snapshot that
-  round-trips through JSON.
+* :class:`EventBus` — a structured event bus attached to the cores, the
+  LSQ and the memory hierarchy through no-op-when-None observer slots:
+  the one instrumentation path, shared by the pipeline tracer, the
+  metrics sampler and the fuzzer's taint oracle.  Detached (the
+  default), every hook is a single ``is None`` test and simulation is
+  bit-identical to a build without the bus; attached, subscribers
+  receive typed pipeline events.
 * :class:`MetricsSampler` — a periodic in-simulation sampler producing
   occupancy/MLP/deferred-broadcast time series.
 * :mod:`repro.obs.perfetto` — Chrome trace-event (Perfetto) JSON export
@@ -19,9 +17,9 @@ One cross-cutting observability stack for the whole simulator:
   command's root span, the engine's run and per-job spans below it,
   spooled per process and merged into one Perfetto trace.
 * :mod:`repro.obs.manifest` — JSON run manifests: a provenance record
-  (config hash, seed, scheme, git revision, host, timings, metric
-  snapshot) for every run that asks for one, written under
-  ``results/manifests/``.
+  (config hash, seed, scheme, git revision, host, timings, and the
+  run's ``PipelineStats`` or the campaign's counts) for every run that
+  asks for one, written under ``results/manifests/``.
 
 See DESIGN.md §3.5 ("Observability") for the event taxonomy, the
 overhead contract, and the manifest schema; §3.9 covers the span
@@ -35,11 +33,6 @@ from repro.obs.spans import (
     install_tracer,
     maybe_tracer,
     uninstall_tracer,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    metrics_from_campaign,
-    metrics_from_run,
 )
 from repro.obs.sampler import MetricsSampler
 from repro.obs.perfetto import (
@@ -69,9 +62,6 @@ from repro.obs.manifest import (
 __all__ = [
     "EventBus",
     "ensure_bus",
-    "MetricsRegistry",
-    "metrics_from_campaign",
-    "metrics_from_run",
     "MetricsSampler",
     "Span",
     "Tracer",

@@ -1,8 +1,9 @@
 """The structured event bus.
 
-The bus is the single object the simulator's observer slots point at.
-Every emit site in the pipeline follows the same two-level guard the
-taint oracle established (PR 4):
+The bus is the single object the simulator's observer slots point at,
+and the one instrumentation path: the pipeline tracer, the metrics
+sampler and the fuzzer's taint oracle are all subscribers.  Every emit
+site in the pipeline follows the same two-level guard:
 
     obs = self.obs
     if obs is not None and obs.instr_retire is not None:
@@ -41,18 +42,19 @@ EVENT_NAMES = (
     "instr_defer",      # (entry, now)   broadcast deferred (NDA / ports)
     "instr_retire",     # (entry, now)   architecturally committed
     "instr_squash",     # (entry, now)   discarded on the wrong path
+    "squash",           # (seq, now)     squash done: all younger gone
+    "btb_update",       # (pc, target, entry)  branch entry wrote the BTB
     # in-order core lifecycle ------------------------------------------ #
     "inorder_step",     # (pc, instr, start_cycle, end_cycle)
     # protection schemes ----------------------------------------------- #
     "load_validate",    # (entry, now, latency)  InvisiSpec validation
     "load_expose",      # (entry, now)           InvisiSpec exposure
     # memory hierarchy ------------------------------------------------- #
-    "data_fill",        # (addr, now)    demand miss filled a d-side line
+    "data_fill",        # (addr, now, entry)  demand miss filled a d-side
+                        # line for load entry (None: architectural fill)
     "inst_fill",        # (addr, now)    demand miss filled an i-side line
     # load/store queue ------------------------------------------------- #
     "store_forward",    # (load, store)  store-to-load forwarding
-    # frontend --------------------------------------------------------- #
-    "btb_update",       # (pc, target)   BTB install/refresh
 )
 
 
@@ -124,8 +126,8 @@ class EventBus:
     def attach(self, core) -> "EventBus":
         """Occupy the observer slots of *core* and its subsystems.
 
-        Works for both core classes: the out-of-order core exposes
-        LSQ/BTB slots, the in-order core only the hierarchy's.
+        Works for both core classes: the out-of-order core exposes an
+        LSQ slot, the in-order core only the hierarchy's.
         """
         self._core = core
         core.obs = self
@@ -135,9 +137,6 @@ class EventBus:
         lsq = getattr(core, "lsq", None)
         if lsq is not None:
             lsq.obs = self
-        btb = getattr(core, "btb", None)
-        if btb is not None:
-            btb.obs = self
         return self
 
     def detach(self) -> None:
@@ -147,7 +146,7 @@ class EventBus:
             return
         if getattr(core, "obs", None) is self:
             core.obs = None
-        for sub in ("hierarchy", "lsq", "btb"):
+        for sub in ("hierarchy", "lsq"):
             owner = getattr(core, sub, None)
             if owner is not None and getattr(owner, "obs", None) is self:
                 owner.obs = None

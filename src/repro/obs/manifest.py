@@ -2,11 +2,13 @@
 
 A manifest answers "what exactly produced this number?" months later:
 the full configuration and its cache hash, the workload and seed, the
-git revision and host that ran it, wall-clock timings, and a metrics
-snapshot (:meth:`MetricsRegistry.collect`).  Manifests are plain JSON
-files under ``results/manifests/`` (override with the
-``REPRO_MANIFEST_DIR`` environment variable) and are listed/inspected
-with ``nda-repro obs manifest``.
+git revision and host that ran it, wall-clock timings, and the numbers
+themselves: a run's ``stats`` block (``PipelineStats.to_dict()``) or a
+fuzz campaign's ``campaign`` block (``CampaignResult.counts()``).
+Manifests are plain JSON files under ``results/manifests/`` (override
+with the ``REPRO_MANIFEST_DIR`` environment variable), are
+listed/inspected with ``nda-repro obs manifest`` and render with
+``nda-repro obs metrics``.
 
 Writing is **opt-in**: the thousands of ``simulate()`` calls the test
 suite makes must not spray files, so only callers that pass
@@ -28,6 +30,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.envelope import RESULT_SCHEMA, load_json_object
+from repro.stats.counters import PipelineStats
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA_VERSION = 1
@@ -52,9 +55,50 @@ _SCHEMA = (
     ("git_revision", str, True),
     ("host", dict, True),
     ("timings", dict, True),
+    ("stats", dict, False),
+    ("campaign", dict, False),
+    # The metric snapshot manifests carried before the stats block:
+    # still valid, never read.
     ("metrics", dict, False),
     ("extra", dict, False),
 )
+
+#: Shape of every field a ``stats`` or ``campaign`` block may hold:
+#: ``None`` a number, 0 an integer, and n > 0 an object whose values
+#: have shape n - 1.  The stats shapes are read off PipelineStats, so
+#: the block and the counters cannot drift apart.
+_BLOCK_SHAPES = {
+    "stats": {
+        name: (1 if isinstance(value, dict)
+               else None if isinstance(value, float) else 0)
+        for name, value in PipelineStats().to_dict().items()
+    },
+    "campaign": {
+        "runs": 1,  # per config
+        "leaked_runs": 1,  # per config
+        "witnesses": 2,  # per config, per channel
+        "counterexamples": 0,
+        "failures": 0,
+    },
+}
+_SHAPE_NAMES = {
+    None: "a number",
+    0: "an integer",
+    1: "an object of integers",
+    2: "an object of objects of integers",
+}
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(value, bool):
+        return False
+    if shape is None:
+        return isinstance(value, (int, float))
+    if shape == 0:
+        return isinstance(value, int)
+    return isinstance(value, dict) and all(
+        _fits(item, shape - 1) for item in value.values()
+    )
 
 
 def manifest_dir(directory: Optional[str] = None) -> str:
@@ -94,16 +138,14 @@ def build_manifest(
     workload: str = "",
     seed: Optional[int] = None,
     stats=None,
-    metrics: Optional[dict] = None,
+    campaign: Optional[dict] = None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Assemble a manifest for one run of *config*.
 
-    ``stats`` is an optional :class:`PipelineStats`; its wall-clock
-    fields populate ``timings`` and, when ``metrics`` is not given, its
-    counters become the metric snapshot.  ``metrics`` accepts an
-    already-collected :meth:`MetricsRegistry.collect` payload (or a
-    registry, which is collected here).
+    ``stats`` is an optional :class:`PipelineStats`: it becomes the
+    ``stats`` block, and its wall-clock fields populate ``timings``.
+    ``campaign`` is a fuzz campaign's ``CampaignResult.counts()``.
     """
     timings: Dict[str, float] = {}
     if stats is not None:
@@ -112,14 +154,6 @@ def build_manifest(
             "kilo_cycles_per_sec": stats.kilo_cycles_per_sec,
             "cycles": stats.cycles,
         }
-        if metrics is None:
-            from repro.obs.metrics import metrics_from_run
-            labels = {"scheme": config.scheme}
-            if workload:
-                labels["workload"] = workload
-            metrics = metrics_from_run(stats, **labels).collect()
-    if metrics is not None and hasattr(metrics, "collect"):
-        metrics = metrics.collect()
     manifest = {
         "schema": RESULT_SCHEMA,
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -135,8 +169,10 @@ def build_manifest(
         "host": host_info(),
         "timings": timings,
     }
-    if metrics is not None:
-        manifest["metrics"] = metrics
+    if stats is not None:
+        manifest["stats"] = stats.to_dict()
+    if campaign is not None:
+        manifest["campaign"] = campaign
     if extra:
         manifest["extra"] = extra
     return manifest
@@ -255,10 +291,17 @@ def validate_manifest(manifest) -> List[str]:
         for key in ("hostname", "platform", "python"):
             if not isinstance(host.get(key), str):
                 problems.append("host.%s must be a string" % key)
-    metrics = manifest.get("metrics")
-    if isinstance(metrics, dict) and not isinstance(
-            metrics.get("metrics"), list):
-        problems.append("metrics snapshot missing its 'metrics' list")
+    for block, shapes in _BLOCK_SHAPES.items():
+        fields = manifest.get(block)
+        if not isinstance(fields, dict):
+            continue  # absent, or already reported above
+        for key, value in fields.items():
+            if key not in shapes:
+                problems.append("unknown %s field %r" % (block, key))
+            elif not _fits(value, shapes[key]):
+                problems.append("%s.%s must be %s" % (
+                    block, key, _SHAPE_NAMES[shapes[key]],
+                ))
     unknown = set(manifest) - {field for field, _, _ in _SCHEMA}
     for field in sorted(unknown):
         problems.append("unknown field %r" % field)
@@ -299,6 +342,27 @@ def load_manifest(path) -> dict:
     """The manifest at *path* (``ValueError`` if it is not a JSON
     object; :func:`validate_manifest` checks its fields)."""
     return load_json_object(path, "manifest")
+
+
+def render_metrics(manifest: dict) -> str:
+    """The ``stats`` and ``campaign`` blocks of a valid manifest as one
+    table, a row per number (``nda-repro obs metrics``)."""
+    from repro.stats.report import render_table
+
+    rows: List[tuple] = []
+
+    def walk(name: str, value) -> None:
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk("%s.%s" % (name, key), item)
+        elif isinstance(value, float) and not value.is_integer():
+            rows.append((name, "%.3f" % value))
+        else:
+            rows.append((name, str(int(value))))
+
+    for block in _BLOCK_SHAPES:
+        walk(block, manifest.get(block) or {})
+    return render_table(("metric", "value"), rows)
 
 
 def list_manifests(directory: Optional[str] = None) -> List[str]:

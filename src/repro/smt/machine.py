@@ -114,9 +114,9 @@ class SmtMachine:
     config:
         A two-context :class:`SimConfig` (``num_contexts=2``).
 
-    Each context's core reads the shared BTB, RAS, and hierarchy — and
-    their observer slots — afresh on every access, which is what lets
-    :meth:`_enter` re-route the shared observers between contexts.
+    Each context's core reads the shared hierarchy — and its observer
+    slot — afresh on every access, which is what lets :meth:`_enter`
+    re-route the shared hierarchy's events between contexts.
     """
 
     def __init__(
@@ -176,10 +176,10 @@ class SmtMachine:
         #: cycle, skipped ones included — the arbiter's interleaving,
         #: pinned by determinism tests and equal with fast_forward off.
         self._interleave = hashlib.sha256()
-        # Shared-slot routing (SMT mode only): the shared hierarchy/BTB
-        # have one observer slot each, so per-context observers (taint
-        # oracles, event buses) are swapped in around each context's
-        # phases.  Bound lazily at run() so observers attached after
+        # Shared-slot routing (SMT mode only): the shared hierarchy has
+        # one observer slot, so each context's event bus (carrying its
+        # taint oracle, tracer, ...) is swapped in around that context's
+        # phases.  Bound lazily at run() so buses attached after
         # construction are seen.
         self._route = False
 
@@ -191,20 +191,12 @@ class SmtMachine:
         if self.config.sharing != "smt":
             self._route = False
             return
-        self._taints = [getattr(c, "taint", None) for c in self.cores]
-        self._buses = [getattr(c, "obs", None) for c in self.cores]
-        self._route = any(
-            slot is not None for slot in self._taints + self._buses
-        )
+        self._buses = [c.obs for c in self.cores]
+        self._route = any(bus is not None for bus in self._buses)
 
     def _enter(self, index: int) -> None:
-        """Route the shared structures' observer slots to context *index*."""
-        core = self.cores[index]
-        hierarchy, btb = core.hierarchy, core.btb
-        hierarchy.observer = self._taints[index]
-        btb.observer = self._taints[index]
-        hierarchy.obs = self._buses[index]
-        btb.obs = self._buses[index]
+        """Route the shared hierarchy's observer slot to context *index*."""
+        self.cores[index].hierarchy.obs = self._buses[index]
 
     # ------------------------------------------------------------------ #
     # The lockstep run loop.

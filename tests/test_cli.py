@@ -51,6 +51,7 @@ def test_no_command_rejected():
 @pytest.mark.parametrize("argv", [
     ["fuzz", "run", "--windows", "2"],
     ["bench-simspeed", "--windows", "2"],
+    ["bench-simspeed"],
     ["worker", "--connect", "127.0.0.1:1"],
     ["bench", "--remote-cache", "http://127.0.0.1:1"],
     ["bench", "--bind", "127.0.0.1:0"],

@@ -1,14 +1,15 @@
 """Taint-oracle unit tests: propagation, squash-clearing, transparency.
 
 The oracle is pure observation, so the strongest property here is the
-last one: with no oracle attached, every hooked component must produce
-*bit-identical* statistics to a core that never had the hooks — the
-same contract the idle-cycle fast-forward upholds.
+last one: a core with the oracle subscribed to its event bus must
+produce *bit-identical* statistics to a core without one — the same
+contract the idle-cycle fast-forward upholds — and sharing the bus with
+the pipeline tracer changes neither subscriber's view.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -16,9 +17,16 @@ from repro.api import simulate
 from repro.attacks.common import PROBE_BASE, SCRATCH_BASE
 from repro.config import config_registry
 from repro.core.ooo import OutOfOrderCore
+from repro.debug import PipelineTracer
 from repro.fuzz import TaintOracle, generate, run_with_oracle
+from repro.fuzz.campaign import fuzz_configs
+from repro.fuzz.generator import generate_smt
+from repro.fuzz.taint import SHARED_CHANNELS
 from repro.isa.assembler import Assembler
 from repro.isa.registers import R5, R6, R10, R11, R12, R20, R21
+from repro.obs import EventBus
+from repro.obs.bus import EVENT_NAMES
+from repro.smt import SmtMachine
 
 WALL_FIELDS = {"sim_wall_seconds", "kilo_cycles_per_sec"}
 
@@ -163,17 +171,20 @@ class TestTransparency:
         observed = observed_core.run()
         assert stats_dict(plain) == stats_dict(observed)
 
-    def test_detach_restores_hooks(self):
+    def test_attach_subscribes_to_the_core_bus(self):
         fp = generate(0)
         core = OutOfOrderCore(fp.program, config_registry()["ooo"].config)
-        oracle = TaintOracle()
-        oracle.attach(core)
-        assert core.taint is oracle
-        oracle.detach()
-        assert core.taint is None
-        assert core.hierarchy.observer is None
-        assert core.btb.observer is None
-        assert core.lsq.taint_hook is None
+        oracle = TaintOracle().attach(core)
+        bus = core.obs
+        assert isinstance(bus, EventBus)
+        assert core.hierarchy.obs is bus and core.lsq.obs is bus
+        handled = [name for name in EVENT_NAMES
+                   if getattr(bus, name) is not None]
+        assert handled and all(
+            getattr(bus, name) == getattr(oracle, name) for name in handled
+        )
+        with pytest.raises(ValueError):
+            oracle.attach(core)
 
     def test_run_with_oracle_leaves_no_hooks_behind(self):
         fp = generate(2)
@@ -184,3 +195,94 @@ class TestTransparency:
         )
         assert outcome.stats.cycles > 0
         assert witnesses
+
+
+def _subscribe(core, oracle, tracer: bool, tracer_first: bool):
+    """Subscribe *oracle* (a TaintOracle, or None) and, if *tracer*, a
+    PipelineTracer to *core*'s one bus, the tracer first if asked."""
+    traced = None
+    if tracer and tracer_first:
+        traced = PipelineTracer.attach(core, limit=100_000)
+    if oracle is not None:
+        oracle.attach(core)
+    if tracer and not tracer_first:
+        traced = PipelineTracer.attach(core, limit=100_000)
+    return oracle, traced
+
+
+def _fuzz_run(fp, config, oracle: bool, tracer: bool, tracer_first: bool):
+    """One generated program on a fresh core."""
+    core = OutOfOrderCore(fp.program, config)
+    oracle, tracer = _subscribe(
+        core,
+        TaintOracle(secret_ranges=fp.secret_ranges,
+                    tainted_bytes=fp.tainted_bytes) if oracle else None,
+        tracer, tracer_first,
+    )
+    outcome = core.run(max_cycles=400_000)
+    return stats_dict(outcome), oracle, tracer
+
+
+def _smt_run(pair, config_name, oracle: bool, tracer: bool,
+             tracer_first: bool):
+    """One generated attacker/victim pair; the victim context carries the
+    observers, as in a two-context campaign."""
+    config = replace(
+        config_registry()[config_name].config,
+        num_contexts=2, sharing=pair.sharing,
+    ).validate()
+    machine = SmtMachine([pair.attacker, pair.victim.program], config)
+    oracle, tracer = _subscribe(
+        machine.cores[1],
+        TaintOracle(
+            secret_ranges=pair.victim.secret_ranges,
+            tainted_bytes=pair.victim.tainted_bytes,
+            ctx=1,
+            shared_channels=SHARED_CHANNELS[pair.sharing],
+        ) if oracle else None,
+        tracer, tracer_first,
+    )
+    outcomes = machine.run(max_cycles=400_000)
+    stats = ([stats_dict(outcome) for outcome in outcomes],
+             machine.interleave_digest())
+    return stats, oracle, tracer
+
+
+class TestSharedBus:
+    """The oracle and telemetry ride one bus: in a run with both, the
+    oracle sees what it sees alone, the tracer records what it records
+    alone, and the simulation is the one with neither attached."""
+
+    def _check(self, run, subject) -> int:
+        witnesses = 0
+        for index, item in enumerate(subject):
+            tracer_first = bool(index % 2)
+            plain, _, _ = run(item, False, False, tracer_first)
+            stats, alone, _ = run(item, True, False, tracer_first)
+            assert stats == plain
+            stats, _, traced = run(item, False, True, tracer_first)
+            assert stats == plain
+            stats, oracle, tracer = run(item, True, True, tracer_first)
+            assert stats == plain
+            assert oracle.witnesses == alone.witnesses
+            assert tracer.records == traced.records
+            witnesses += len(alone.witnesses)
+        return witnesses
+
+    @pytest.mark.parametrize("config_name", fuzz_configs())
+    def test_generated_programs(self, config_name):
+        config = config_registry()[config_name].config
+        witnesses = self._check(
+            lambda fp, *flags: _fuzz_run(fp, config, *flags),
+            [generate(seed) for seed in range(5)],
+        )
+        # The unprotected core leaks, so the witness check is not vacuous.
+        assert witnesses > 0 or config_name != "ooo"
+
+    @pytest.mark.parametrize("config_name", fuzz_configs())
+    def test_generated_smt_pairs(self, config_name):
+        witnesses = self._check(
+            lambda pair, *flags: _smt_run(pair, config_name, *flags),
+            [generate_smt(seed) for seed in range(3)],
+        )
+        assert witnesses > 0 or config_name != "ooo"

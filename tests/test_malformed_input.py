@@ -1,15 +1,19 @@
 """Malformed files on disk get a clean rejection, never a traceback.
 
 Files are the only outside input the repo reads: fuzz corpus entries,
-run manifests and checkpoint manifests.  Each loader either returns a
-usable document or raises one ``ValueError`` that names the file; the
-validators return a problem list for any JSON value.  The CLI turns
-that ``ValueError`` into one ``error:`` line on stderr and exit 2.
+run manifests, checkpoint manifests and simulator-speed baselines.  Each
+loader either returns a usable document or raises one ``ValueError``
+that names the file; the validators return a problem list for any JSON
+value.  The CLI and the simspeed script turn that ``ValueError`` into
+one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import importlib.util
+import io
 import json
 from functools import lru_cache, reduce
 from operator import getitem
@@ -37,6 +41,10 @@ CORPUS_FILE = (
     Path(__file__).parent / "golden" / "fuzz_corpus"
     / "btb-indirect-table.json"
 )
+BENCH_SIMSPEED = (
+    Path(__file__).resolve().parent.parent / "benchmarks"
+    / "bench_simspeed.py"
+)
 
 #: Any JSON value: what a file on disk may hold.
 JSON_VALUES = st.recursive(
@@ -51,7 +59,9 @@ EXAMPLES = settings(max_examples=150, deadline=None)
 
 
 def _manifest() -> dict:
-    return build_manifest(baseline_ooo(), workload="mcf")
+    stats = PipelineStats(cycles=20, committed=10, sim_wall_seconds=0.5,
+                          dispatch_to_issue_hist={0: 3, 4: 1})
+    return build_manifest(baseline_ooo(), workload="mcf", stats=stats)
 
 
 @lru_cache(maxsize=None)
@@ -86,15 +96,18 @@ def _paths(doc, prefix=()):
 
 
 @st.composite
-def near_valid(draw, kind):
-    """A valid document with one value replaced, or one key dropped.
+def near_valid(draw, kind, under=()):
+    """A valid document with one value replaced, or one key dropped;
+    the value at path *under*, or one inside it.
 
     The depth is drawn first, so a top-level field is as likely a
     target as one of the many instruction fields deep inside.
     """
     doc = copy.deepcopy(valid(kind))
-    paths = list(_paths(doc))
-    depth = draw(st.integers(0, max(len(path) for path in paths)))
+    paths = [path for path in _paths(doc)
+             if path[:len(under)] == under]
+    depth = draw(st.integers(len(under),
+                             max(len(path) for path in paths)))
     path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
     value = draw(JSON_VALUES)
     if not path:
@@ -235,13 +248,26 @@ def bad_file(tmp_path, monkeypatch):
     return make
 
 
-def _rejected(argv, capsys) -> str:
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+def _error_line(err: str) -> str:
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     return lines[0]
+
+
+def _rejected(argv, capsys) -> str:
+    assert main(argv) == 2
+    return _error_line(capsys.readouterr().err)
+
+
+def _obs_metrics(path: Path):
+    """``obs metrics PATH``: its exit code and stderr (no fixture, so
+    Hypothesis can call it once per example)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["obs", "metrics", str(path)])
+    return code, err.getvalue()
 
 
 class TestCliRejectsMalformedFiles:
@@ -274,6 +300,25 @@ class TestCliRejectsMalformedFiles:
         path = bad_file("list")
         assert path in _rejected(["obs", "metrics", path], capsys)
 
+    @EXAMPLES
+    @given(doc=near_valid("manifest", under=("stats",)))
+    def test_obs_metrics_on_a_damaged_stats_block(self, scratch, doc):
+        # The stats block, or one value in it, replaced or dropped: the
+        # block renders, or the file is rejected by name.
+        code, err = _obs_metrics(_write(scratch, doc))
+        if code != 0:
+            assert code == 2
+            assert str(scratch) in _error_line(err)
+
+    def test_obs_metrics_on_a_manifest_from_before_the_stats_block(
+            self, tmp_path, capsys):
+        doc = dict(valid("manifest"),
+                   metrics={"schema": 1, "metrics": [{"name": "x"}]})
+        del doc["stats"]
+        path = _write(tmp_path / "old.json", doc)
+        assert validate_manifest(doc) == []
+        assert str(path) in _rejected(["obs", "metrics", str(path)], capsys)
+
     def test_obs_metrics_on_an_invalid_manifest(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"metrics": {"metrics": []},
@@ -300,3 +345,52 @@ class TestCliRejectsMalformedFiles:
         assert good in captured.out
         assert "zz-list.json" in captured.err
         assert "Traceback" not in captured.err
+
+
+def _bench_simspeed():
+    spec = importlib.util.spec_from_file_location(
+        "bench_simspeed", BENCH_SIMSPEED,
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Baselines that are not simspeed payloads, one per way a row can fail.
+BAD_BASELINES = {
+    "list": [1],
+    "no-results": {"schema": 4},
+    "results-not-a-list": {"results": {"mcf": 1}},
+    "row-not-an-object": {"results": [1]},
+    "workload-not-a-string": {"results": [
+        {"workload": 1, "config": "ooo", "cycles_per_sec": 1.0}]},
+    "config-missing": {"results": [
+        {"workload": "mcf", "cycles_per_sec": 1.0}]},
+    "rate-not-a-number": {"results": [
+        {"workload": "mcf", "config": "ooo", "cycles_per_sec": "fast"}]},
+    "rate-beyond-a-float": {"results": [
+        {"workload": "mcf", "config": "ooo", "cycles_per_sec": 10 ** 400}]},
+}
+
+
+class TestSimspeedBaseline:
+    @pytest.mark.parametrize("name", sorted(BAD_BASELINES))
+    def test_rejected_before_measuring(self, tmp_path, capsys, name):
+        baseline = _write(tmp_path / "baseline.json", BAD_BASELINES[name])
+        output = tmp_path / "out.json"
+        code = _bench_simspeed().main([
+            "--quick", "--baseline", str(baseline), "--output", str(output),
+        ])
+        assert code == 2
+        assert str(baseline) in _error_line(capsys.readouterr().err)
+        assert not output.exists()  # nothing was measured
+
+    def test_damaged_bytes_rejected(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"results": [')
+        assert _bench_simspeed().main(["--baseline", str(baseline)]) == 2
+        assert str(baseline) in _error_line(capsys.readouterr().err)
+
+    def test_checked_in_baseline_is_read(self):
+        path = BENCH_SIMSPEED.parent.parent / "BENCH_simspeed.json"
+        assert _bench_simspeed().read_baseline(path)["results"]

@@ -153,13 +153,11 @@ class TestBusMechanics:
         assert core.obs is bus
         assert core.hierarchy.obs is bus
         assert core.lsq.obs is bus
-        assert core.btb.obs is bus
         assert bus.core is core
         bus.detach()
         assert core.obs is None
         assert core.hierarchy.obs is None
         assert core.lsq.obs is None
-        assert core.btb.obs is None
         assert bus.core is None
 
     def test_detach_leaves_foreign_bus_alone(self, ooo_config):
@@ -265,6 +263,91 @@ class TestEventDelivery:
         counts, _ = self._count_events(ooo_config, program)
         assert counts["btb_update"] > 0
         assert counts["store_forward"] >= 0
+
+    def test_data_fill_names_the_load(self, ooo_config):
+        fills = []
+
+        class Recorder:
+            def data_fill(self, addr, now, entry):
+                fills.append((addr, entry))
+
+        program = spec_program("mcf", instructions=700, seed=5)
+        core = OutOfOrderCore(program, ooo_config)
+        ensure_bus(core).subscribe(Recorder())
+        core.run()
+        assert fills
+        for addr, entry in fills:
+            assert entry is not None and entry.is_load
+            assert entry.addr == addr
+
+    def test_architectural_fills_name_no_entry(self):
+        from repro.config import config_registry
+
+        # An InvisiSpec expose refills the line at the visibility point
+        # on no load's behalf; the in-order core has no ROB entries.
+        fills = []
+
+        class Recorder:
+            def data_fill(self, addr, now, entry):
+                fills.append(entry)
+
+        program = spec_program("mcf", instructions=700, seed=5)
+        spec = config_registry()["invisispec-spectre"]
+        core = OutOfOrderCore(program, spec.config)
+        ensure_bus(core).subscribe(Recorder())
+        core.run()
+        assert None in fills
+        assert any(entry is not None for entry in fills)
+        del fills[:]
+        core = InOrderCore(program, None)
+        ensure_bus(core).subscribe(Recorder())
+        core.run()
+        assert fills and set(fills) == {None}
+
+    def test_btb_update_names_the_branch(self, ooo_config):
+        from repro.isa.opcodes import Opcode
+
+        updates = []
+
+        class Recorder:
+            def btb_update(self, pc, target, entry):
+                updates.append((pc, entry))
+
+        program = spec_program("leela", instructions=1_500, seed=4)
+        core = OutOfOrderCore(program, ooo_config)
+        ensure_bus(core).subscribe(Recorder())
+        core.run()
+        assert len(updates) == core.btb.updates > 0
+        for pc, entry in updates:
+            assert entry.pc == pc
+            assert entry.instr.op in (Opcode.JR, Opcode.CALLR)
+
+    def test_squash_follows_its_entries(self, ooo_config):
+        events = []
+
+        class Recorder:
+            def instr_squash(self, entry, now):
+                events.append(("entry", entry.seq, now))
+
+            def squash(self, seq, now):
+                events.append(("squash", seq, now))
+
+        program = spec_program("leela", instructions=1_500, seed=4)
+        core = OutOfOrderCore(program, ooo_config)
+        ensure_bus(core).subscribe(Recorder())
+        outcome = core.run()
+        boundaries = [event for event in events if event[0] == "squash"]
+        assert len(boundaries) == outcome.stats.squashes > 0
+        assert events[-1][0] == "squash"
+        pending = []
+        for kind, seq, now in events:
+            if kind == "entry":
+                pending.append((seq, now))
+                continue
+            # Every entry squashed since the last boundary is younger
+            # than this one, and was reported in the same cycle.
+            assert all(s > seq and n == now for s, n in pending)
+            pending = []
 
     def test_inorder_step_events(self):
         program = spec_program("mcf", instructions=300, seed=5)

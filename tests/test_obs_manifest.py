@@ -11,16 +11,15 @@ from repro.cli import main
 from repro.config import baseline_ooo, config_registry
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
-    MetricsRegistry,
     build_manifest,
     latest_manifest,
     list_manifests,
     load_manifest,
     manifest_dir,
-    metrics_from_run,
     validate_manifest,
     write_manifest,
 )
+from repro.stats.counters import PipelineStats
 from repro.workloads.generator import spec_program
 
 
@@ -52,14 +51,33 @@ class TestBuildAndValidate:
         assert manifest["timings"]["cycles"] == outcome.stats.cycles
         assert manifest["workload"] == "mcf"
         assert manifest["seed"] == 9
-        names = {m["name"] for m in manifest["metrics"]["metrics"]}
-        assert "sim_cycles" in names and "sim_cpi" in names
+        assert manifest["stats"] == outcome.stats.to_dict()
+        assert "campaign" not in manifest
 
-    def test_registry_passed_directly_is_collected(self):
-        registry = MetricsRegistry()
-        registry.counter("x").labels().inc(1)
-        manifest = build_manifest(baseline_ooo(), metrics=registry)
-        assert manifest["metrics"]["metrics"][0]["name"] == "x"
+    def test_validation_types_the_blocks(self):
+        manifest = build_manifest(
+            baseline_ooo(), stats=PipelineStats(cycles=20, committed=10),
+            campaign={"runs": {"ooo": 1}, "leaked_runs": {"ooo": 0},
+                      "witnesses": {"ooo": {}}, "counterexamples": 0,
+                      "failures": 0},
+        )
+        assert validate_manifest(manifest) == []
+        for block, key, value in (
+            ("stats", "cycles", "20"),
+            ("stats", "cycles", True),
+            ("stats", "cycle_class", {"commit": 1.5}),
+            ("stats", "sim_wall_seconds", None),
+            ("stats", "mystery", 1),
+            ("campaign", "witnesses", {"ooo": 3}),
+            ("campaign", "failures", []),
+        ):
+            broken = json.loads(json.dumps(manifest))
+            broken[block][key] = value
+            problems = validate_manifest(broken)
+            assert any(block + "." + key in p or repr(key) in p
+                       for p in problems), (block, key, problems)
+        partial = dict(manifest, stats={"cycles": 20})
+        assert validate_manifest(partial) == []
 
     def test_validation_catches_problems(self):
         manifest = build_manifest(baseline_ooo())
@@ -83,15 +101,14 @@ class TestWriteLoadList:
         assert str(manifests_in) in path
         assert load_manifest(path) == json.loads(json.dumps(manifest))
 
-    def test_metrics_survive_the_manifest(self, manifests_in):
-        """MetricsRegistry.collect() -> manifest -> restore() is exact."""
+    def test_stats_survive_the_manifest(self, manifests_in):
+        """PipelineStats -> manifest file -> from_dict() is exact."""
         outcome = _outcome()
-        registry = metrics_from_run(outcome.stats, scheme="ooo")
         path = write_manifest(build_manifest(
-            baseline_ooo(), metrics=registry.collect(),
+            baseline_ooo(), stats=outcome.stats,
         ))
-        restored = MetricsRegistry.restore(load_manifest(path)["metrics"])
-        assert restored.collect() == registry.collect()
+        restored = PipelineStats.from_dict(load_manifest(path)["stats"])
+        assert restored == outcome.stats
 
     def test_list_and_latest(self, manifests_in):
         assert list_manifests() == []
@@ -158,8 +175,9 @@ class TestObsCli:
         self._trace(tmp_path, capsys)
         assert main(["obs", "metrics"]) == 0
         out = capsys.readouterr().out
-        assert "sim_cycles" in out
-        assert "sim_deferred_broadcasts" in out
+        assert "stats.cycles" in out
+        assert "stats.deferred_broadcasts" in out
+        assert "stats.cycle_class.commit" in out
 
     def test_obs_metrics_without_manifests(self, manifests_in, capsys):
         assert main(["obs", "metrics"]) == 2
@@ -214,5 +232,9 @@ class TestFuzzManifest:
         manifest = latest_manifest()
         assert manifest["kind"] == "fuzz-campaign"
         assert manifest["extra"]["seeds"] == 2
-        names = {m["name"] for m in manifest["metrics"]["metrics"]}
-        assert "fuzz_runs" in names
+        counts = manifest["campaign"]
+        assert counts["runs"] == {"ooo": 2}
+        assert 0 <= counts["leaked_runs"]["ooo"] <= 2
+        assert counts["counterexamples"] == counts["failures"] == 0
+        assert main(["obs", "metrics"]) == 0
+        assert "campaign.runs.ooo" in capsys.readouterr().out

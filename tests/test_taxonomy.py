@@ -147,3 +147,67 @@ class TestTable1Drift:
         cells = int(re.search(r"\((\d+) parametrized cells\)", text)
                     .group(1))
         assert cells == attacks * configs
+
+
+class TestTable2Drift:
+    """EXPERIMENTS.md's Table 2 rows and the cost ordering it claims
+    follow the checked-in results/table2.txt."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    ORDER = ["permissive", "permissive+br", "strict", "strict+br",
+             "restricted loads", "full protection", "in-order"]
+
+    def _artifact(self):
+        """mechanism -> (overhead %, paper % or None)."""
+        lines = (self.ROOT / "results" / "table2.txt").read_text() \
+            .splitlines()
+        assert re.split(r"\s{2,}", lines[1].strip())[:3] == [
+            "mechanism", "overhead", "paper"]
+        rows = {}
+        for line in lines[3:]:
+            name, overhead, paper = re.split(r"\s{2,}", line.strip())[:3]
+            rows[name] = (float(overhead.rstrip("%")),
+                          None if paper == "-" else float(paper.rstrip("%")))
+        return rows
+
+    def _section(self) -> str:
+        text = (self.ROOT / "EXPERIMENTS.md").read_text()
+        start = text.index("## Table 2")
+        return text[start:text.index("\n## ", start + 1)]
+
+    def _doc_rows(self):
+        """mechanism -> (paper cell, measured cell)."""
+        rows = {}
+        for line in self._section().splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) == 4 and cells[1].endswith(("%", ")")):
+                rows[cells[0]] = (cells[1], cells[2])
+        return rows
+
+    @staticmethod
+    def _number(cell: str, unit: str) -> str:
+        return re.search(r"([\d.]+)" + unit, cell).group(1)
+
+    def test_every_row_matches_the_artifact(self):
+        artifact, doc = self._artifact(), self._doc_rows()
+        assert sorted(doc) == sorted(artifact)
+        for name, (paper_cell, measured_cell) in doc.items():
+            overhead, paper = artifact[name]
+            assert float(self._number(measured_cell, "%")) == overhead, name
+            if paper is not None:
+                assert float(self._number(paper_cell, "%")) == paper, name
+        # In-Order's slowdown factor, to the digits the doc shows.
+        factor = self._number(doc["In-Order"][1], "×")
+        digits = len(factor.partition(".")[2])
+        overhead = artifact["In-Order"][0]
+        assert float(factor) == round(1 + overhead / 100, digits)
+
+    def test_claimed_cost_ordering_holds(self):
+        claim = re.search(r"Security-ordering of costs — (.+?) —",
+                          self._section(), re.S).group(1)
+        order = [name.strip().lower() for name in claim.split("<")]
+        assert order == self.ORDER
+        overheads = {name.lower(): overhead
+                     for name, (overhead, _) in self._artifact().items()}
+        costs = [overheads[name] for name in order]
+        assert costs == sorted(costs) and len(set(costs)) == len(costs)
