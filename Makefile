@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test attack-smoke bench-smoke fuzz-smoke obs-smoke scale-smoke \
-	smt-smoke trace-smoke e2e-selftest bench bench-simspeed cache-clear
+	smt-smoke trace-smoke e2e-selftest perf-smoke bench cache-clear
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -64,13 +64,11 @@ trace-smoke:
 e2e-selftest:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# Simulator-speed benchmark: host kilo-cycles/sec with the idle-cycle
-# fast-forward on vs off, plus telemetry-bus overhead; refreshes the
-# checked-in BENCH_simspeed.json and appends a git-SHA-stamped row to
-# results/bench_history.jsonl (perf trajectory across commits).
-bench-simspeed:
-	$(PYTHON) benchmarks/bench_simspeed.py --obs --history \
-		--output BENCH_simspeed.json
+# Telemetry overhead gate: metrics sampling and span tracing must each
+# cost under 10% wall clock (median of 25 paired rounds on mcf/strict),
+# and every telemetry variant must simulate bit-identically (mirrors CI).
+perf-smoke:
+	$(PYTHON) benchmarks/obs_overhead.py
 
 # Full figure/table regeneration (writes under results/).
 bench:

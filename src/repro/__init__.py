@@ -34,9 +34,7 @@ from repro.config import (
     CoreConfig,
     MemConfig,
     NDAPolicyName,
-    ProtectionScheme,
     SimConfig,
-    all_figure7_configs,
     baseline_ooo,
     config_registry,
     invisispec_config,
@@ -83,9 +81,7 @@ __all__ = [
     "CoreConfig",
     "MemConfig",
     "NDAPolicyName",
-    "ProtectionScheme",
     "SimConfig",
-    "all_figure7_configs",
     "baseline_ooo",
     "config_registry",
     "invisispec_config",

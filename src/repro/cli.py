@@ -20,15 +20,14 @@ Subcommands::
     nda-repro obs trace merge --dir results/traces/spans  # stitch spools
     nda-repro obs metrics                    # latest manifest's numbers
     nda-repro obs manifest list              # run provenance records
-    nda-repro obs export --benchmarks mcf    # engine job-span trace
 
 Sweeps (``bench``/``figure``) run on the parallel suite engine and cache
 windows under ``results/.cache/``; use ``--jobs N`` to size the worker
 pool and ``--no-cache`` to force re-simulation.  ``--backend`` picks the
 execution backend (``serial`` or ``local-pool``), and ``--checkpoint
 FILE`` / ``--resume FILE`` make long campaigns survive preemption (see
-DESIGN.md §3.6).  The simulator-speed benchmark is a script,
-``benchmarks/bench_simspeed.py``, not a subcommand.
+DESIGN.md §3.6).  Engine jobs are traced through spans: run a sweep
+with ``REPRO_TRACE_DIR=D`` set, then ``obs trace merge --dir D``.
 """
 
 from __future__ import annotations
@@ -338,23 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="manifest file (default: the latest one)",
     )
 
-    obs_export = obs_sub.add_parser(
-        "export",
-        help="run a small sweep with job-span collection and export the "
-             "engine-level Perfetto trace",
-    )
-    obs_export.add_argument(
-        "--benchmarks", nargs="*", default=["mcf"], choices=sorted(PROFILES)
-    )
-    obs_export.add_argument("--samples", type=int, default=1)
-    obs_export.add_argument("--warmup", type=int, default=500)
-    obs_export.add_argument("--measure", type=int, default=2000)
-    obs_export.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="trace path (default results/traces/engine.json)",
-    )
-    _add_engine_args(obs_export)
-
     return parser
 
 
@@ -612,7 +594,6 @@ def _obs(args) -> int:
         MetricsSampler,
         build_manifest,
         counter_trace_events,
-        engine_trace_events,
         latest_manifest,
         lifecycle_trace_events,
         list_manifests,
@@ -755,26 +736,6 @@ def _obs(args) -> int:
                 print("INVALID: %s" % problem)
             return 1
         print("valid manifest (schema %s)" % manifest["schema_version"])
-        return 0
-
-    if args.obs_command == "export":
-        suite = run_suite(
-            benchmarks=args.benchmarks,
-            samples=args.samples,
-            warmup=args.warmup,
-            measure=args.measure,
-            collect_trace=True,
-            **_engine_kwargs(args),
-        )
-        output = args.output or os.path.join(
-            "results", "traces", "engine.json"
-        )
-        write_chrome_trace(
-            output, engine_trace_events(suite.engine.job_trace),
-            metadata={"engine": suite.engine.describe()},
-        )
-        print("engine: %s" % suite.engine.describe())
-        print("trace:  %s  (open at https://ui.perfetto.dev)" % output)
         return 0
 
     return 2

@@ -13,24 +13,9 @@ import enum
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ConfigError
-
-
-class ProtectionScheme(enum.Enum):
-    """Legacy enum for the original four scheme selections.
-
-    Deprecated: schemes are now identified by their registry name string
-    (see :mod:`repro.schemes`) plus a per-scheme parameter block.
-    ``SimConfig`` still accepts these enum members (and the legacy name
-    strings) and coerces them, so old call sites keep working.
-    """
-
-    NONE = "ooo"
-    NDA = "nda"
-    INVISISPEC_SPECTRE = "invisispec-spectre"
-    INVISISPEC_FUTURE = "invisispec-future"
 
 
 #: Legacy scheme spellings -> (registry name, parameter overrides).
@@ -207,9 +192,8 @@ class SimConfig:
     "nda", "invisispec", "fence-on-branch", or any scheme registered via
     :func:`repro.schemes.register_scheme`); ``scheme_params`` is the
     scheme's parameter dataclass (defaulted from the registry when
-    omitted).  Legacy :class:`ProtectionScheme` members and the old name
-    strings ("ooo", "invisispec-spectre", ...) are coerced on
-    construction.
+    omitted).  The registry's legacy names ("ooo", "invisispec-spectre",
+    "invisispec-future") are coerced on construction.
     """
 
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -234,10 +218,9 @@ class SimConfig:
     sharing: str = "smt"
 
     def __post_init__(self) -> None:
-        scheme = self.scheme
-        if isinstance(scheme, ProtectionScheme):
-            scheme = scheme.value
-        scheme, overrides = _LEGACY_SCHEMES.get(scheme, (scheme, None))
+        scheme, overrides = _LEGACY_SCHEMES.get(
+            self.scheme, (self.scheme, None)
+        )
         params = self.scheme_params
         if params is None:
             from repro.schemes.registry import scheme_info
@@ -417,9 +400,8 @@ def scheme_config(name: str, **params) -> SimConfig:
 class ConfigSpec:
     """One named entry of the configuration sweep.
 
-    Replaces the old ``(label, config, in_order)`` tuple; ``name`` is the
-    CLI/registry key (kebab-case), ``label`` the paper's legend text.
-    Iteration and indexing keep legacy tuple-unpacking call sites working.
+    ``name`` is the CLI/registry key (kebab-case), ``label`` the paper's
+    legend text.
     """
 
     label: str
@@ -427,34 +409,18 @@ class ConfigSpec:
     in_order: bool = False
     name: str = ""
 
-    def __iter__(self) -> Iterator:
-        # Legacy order: (label, config, in_order).
-        yield self.label
-        yield self.config
-        yield self.in_order
-
-    def __getitem__(self, index):
-        return (self.label, self.config, self.in_order)[index]
-
-    def __len__(self) -> int:
-        return 3
-
     @classmethod
     def coerce(cls, spec) -> "ConfigSpec":
-        """Accept a ConfigSpec, a registry name ("ooo", "strict", ...),
-        or a legacy (label, config, in_order) tuple."""
+        """Accept a ConfigSpec or a registry name ("ooo", "strict", ...)."""
         if isinstance(spec, cls):
             return spec
-        if isinstance(spec, str):
-            registry = config_registry()
-            if spec not in registry:
-                raise ConfigError(
-                    "unknown config name %r; known: %s"
-                    % (spec, ", ".join(sorted(registry)))
-                )
-            return registry[spec]
-        label, config, in_order = spec
-        return cls(label=label, config=config, in_order=bool(in_order))
+        registry = config_registry()
+        if not isinstance(spec, str) or spec not in registry:
+            raise ConfigError(
+                "unknown config name %r; known: %s"
+                % (spec, ", ".join(sorted(registry)))
+            )
+        return registry[spec]
 
 
 def config_registry() -> "Dict[str, ConfigSpec]":
@@ -491,20 +457,6 @@ def config_registry() -> "Dict[str, ConfigSpec]":
             # scheme; the legend slots it between NDA and InvisiSpec.
             add("in-order", baseline_ooo(), in_order=True, label="In-Order")
     return registry
-
-
-def all_figure7_configs() -> "List[Tuple[str, SimConfig]]":
-    """The (label, config) pairs evaluated in Fig. 7-style sweeps.
-
-    The in-order baseline is created by the harness (it uses a different
-    core class), so this list covers every registered scheme variant on
-    the OoO pipeline; label "In-Order" is appended by callers.
-    """
-    return [
-        (spec.label, spec.config)
-        for spec in config_registry().values()
-        if not spec.in_order
-    ]
 
 
 def with_nda_delay(config: SimConfig, delay: int) -> SimConfig:

@@ -75,10 +75,6 @@ class EngineStats:
     job_seconds: Dict[Tuple[str, str, int], float] = field(
         default_factory=dict
     )
-    # Per-job spans (submit/start/end on perf_counter's clock) gathered
-    # only when run_jobs(collect_trace=True); feeds the Perfetto export
-    # (repro.obs.perfetto.engine_trace_events).
-    job_trace: List[dict] = field(default_factory=list)
     #: Which execution backend placed the work (stats label).
     backend: str = "serial"
     #: Results replayed from a checkpoint manifest (--resume).
@@ -124,7 +120,6 @@ def run_jobs(
     cache: Optional[ShardedDiskStore] = None,
     progress: Optional[ProgressFn] = None,
     executor_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
-    collect_trace: bool = False,
     backend: Optional[Union[str, ExecutionBackend]] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
@@ -134,9 +129,8 @@ def run_jobs(
     """Execute every job; returns (results, failures, stats).
 
     ``results`` preserves the order of ``jobs_list`` (failed jobs are
-    omitted and listed in ``failures`` instead).  ``collect_trace``
-    records a per-job span table into ``stats.job_trace``.  ``backend``
-    selects placement (see :mod:`repro.engine.backends`); ``checkpoint``
+    omitted and listed in ``failures`` instead).  ``backend`` selects
+    placement (see :mod:`repro.engine.backends`); ``checkpoint``
     keeps a resumable manifest at that path, and ``resume`` replays one.
     """
     start_wall = time.perf_counter()
@@ -145,7 +139,7 @@ def run_jobs(
     stats = EngineStats(jobs=len(jobs_list))
     # Span tracing (no-op when detached): one engine.run span for
     # the whole call, retroactive per-job queue/execute/cache-hit spans
-    # from the same timestamps the job trace uses.  perf_counter times
+    # from each job's submit, start and end times.  perf_counter times
     # convert to unix through one offset captured here.
     tracer = maybe_tracer()
     run_span = None
@@ -200,17 +194,6 @@ def run_jobs(
             done_count += 1
             stats.sim_seconds += result.elapsed
             stats.job_seconds[result.job.coordinates] = result.elapsed
-            if collect_trace:
-                now = time.perf_counter()
-                submit = submit_times.get(index, start_wall)
-                stats.job_trace.append({
-                    "name": result.job.describe(),
-                    "submit": submit,
-                    "start": result.t_start or submit,
-                    "end": result.t_end or now,
-                    "from_cache": result.from_cache,
-                    "retried": result.retried,
-                })
             if tracer is not None:
                 now = time.perf_counter()
                 submit = submit_times.get(index, start_wall) + unix_offset

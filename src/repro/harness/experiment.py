@@ -175,7 +175,6 @@ def run_suite(
     cache: Union[bool, ShardedDiskStore, None] = False,
     cache_dir=None,
     progress: Optional[ProgressFn] = None,
-    collect_trace: bool = False,
     backend=None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
@@ -219,7 +218,6 @@ def run_suite(
     )
     job_results, failures, engine_stats = run_jobs(
         job_list, jobs=jobs, cache=result_cache, progress=progress,
-        collect_trace=collect_trace,
         backend=backend,
         checkpoint=checkpoint, checkpoint_interval=checkpoint_interval,
         checkpoint_label="suite", resume=resume,

@@ -12,7 +12,8 @@ One cross-cutting observability stack for the whole simulator:
 * :class:`MetricsSampler` — a periodic in-simulation sampler producing
   occupancy/MLP/deferred-broadcast time series.
 * :mod:`repro.obs.perfetto` — Chrome trace-event (Perfetto) JSON export
-  of per-instruction lifecycle spans and engine job spans.
+  of per-instruction lifecycle spans, sampler counter tracks and merged
+  span spools.
 * :mod:`repro.obs.spans` — trace spans for local runs: a traced CLI
   command's root span, the engine's run and per-job spans below it,
   spooled per process and merged into one Perfetto trace.
@@ -37,7 +38,6 @@ from repro.obs.spans import (
 from repro.obs.sampler import MetricsSampler
 from repro.obs.perfetto import (
     counter_trace_events,
-    engine_trace_events,
     lifecycle_trace_events,
     merge_span_spools,
     read_span_spools,
@@ -69,7 +69,6 @@ __all__ = [
     "maybe_tracer",
     "uninstall_tracer",
     "counter_trace_events",
-    "engine_trace_events",
     "lifecycle_trace_events",
     "merge_span_spools",
     "read_span_spools",

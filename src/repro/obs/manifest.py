@@ -109,8 +109,8 @@ def manifest_dir(directory: Optional[str] = None) -> str:
     return os.environ.get("REPRO_MANIFEST_DIR") or DEFAULT_DIR
 
 
-def git_revision(default: str = "unknown") -> str:
-    """Current git commit hash, or *default* outside a work tree."""
+def git_revision() -> str:
+    """Current git commit hash, or ``"unknown"`` outside a work tree."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -118,9 +118,9 @@ def git_revision(default: str = "unknown") -> str:
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
     except (OSError, subprocess.SubprocessError):
-        return default
+        return "unknown"
     rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else default
+    return rev if out.returncode == 0 and rev else "unknown"
 
 
 def host_info() -> Dict[str, str]:

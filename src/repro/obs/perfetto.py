@@ -11,8 +11,6 @@ loadable at https://ui.perfetto.dev or ``chrome://tracing``:
   slice to its InvisiSpec validate/expose point.
 * :func:`counter_trace_events` — Perfetto counter tracks from a
   :class:`~repro.obs.sampler.MetricsSampler` time series.
-* :func:`engine_trace_events` — queue-wait and execute spans for suite
-  engine jobs (cache hits become instants).
 * :func:`merge_span_spools` — stitches the per-process span spools
   written by :mod:`repro.obs.spans` into one trace: each process becomes
   a Perfetto process group, and parent→child span links become flow
@@ -21,7 +19,7 @@ loadable at https://ui.perfetto.dev or ``chrome://tracing``:
 
 The convention throughout: **1 simulated cycle = 1 µs** of trace time
 (the format's ``ts``/``dur`` unit), so cycle counts read directly off
-the Perfetto ruler.  Engine and trace spans use real microseconds.
+the Perfetto ruler.  Trace spans use real microseconds.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from repro.obs.spans import SPAN_SPOOL_SUFFIX
 
 #: pid used for simulated-pipeline tracks.
 PIPELINE_PID = 1
-#: pid used for suite-engine tracks.
-ENGINE_PID = 2
 #: first pid used for trace-span process groups.
 SPAN_PID_BASE = 10
 
@@ -196,52 +192,6 @@ def counter_trace_events(sampler, pid: int = PIPELINE_PID) -> List[dict]:
                 "ph": "C", "pid": pid, "name": track, "ts": ts,
                 "args": {column: row[column] for column in columns},
             })
-    return events
-
-
-def engine_trace_events(job_trace: Iterable[dict],
-                        pid: int = ENGINE_PID) -> List[dict]:
-    """Queue-wait / execute spans for suite-engine jobs.
-
-    *job_trace* rows come from ``EngineStats.job_trace`` (see
-    :mod:`repro.engine.scheduler`): dicts with ``name``, ``submit``,
-    ``start``, ``end`` (seconds on a shared monotonic clock),
-    ``from_cache`` and ``retried`` flags.
-    """
-    events: List[dict] = []
-    rows = sorted(job_trace, key=lambda row: row["submit"])
-    if not rows:
-        return events
-    origin = rows[0]["submit"]
-
-    def usec(seconds: float) -> int:
-        return int(round((seconds - origin) * 1e6))
-
-    for tid, row in enumerate(rows):
-        args = {"job": row["name"], "retried": bool(row.get("retried"))}
-        if row.get("from_cache"):
-            events.append({
-                "ph": "i", "pid": pid, "tid": tid, "s": "t",
-                "name": "cache hit " + row["name"], "cat": "engine,cache",
-                "ts": usec(row["end"]), "args": args,
-            })
-            continue
-        if row["start"] > row["submit"]:
-            events.append({
-                "ph": "X", "pid": pid, "tid": tid,
-                "name": "queued " + row["name"], "cat": "engine,queue",
-                "ts": usec(row["submit"]),
-                "dur": max(usec(row["start"]) - usec(row["submit"]), 1),
-                "args": args,
-            })
-        events.append({
-            "ph": "X", "pid": pid, "tid": tid,
-            "name": "execute " + row["name"], "cat": "engine,execute",
-            "ts": usec(row["start"]),
-            "dur": max(usec(row["end"]) - usec(row["start"]), 1),
-            "args": args,
-        })
-    events.extend(_process_meta(pid, "suite engine"))
     return events
 
 

@@ -150,7 +150,12 @@ class TestConsolidatedFacade:
             # The taint oracle's own observer slots and the metrics
             # registry, both retired for the event bus.
             r"|taint_[h]ook|exec_[c]tx|on_load_[e]xecuted|Metrics[R]egistry"
-            r"|metrics_from_[r]un|metrics_from_[c]ampaign)\s*[(=]"
+            r"|metrics_from_[r]un|metrics_from_[c]ampaign"
+            # The simulator-speed harness, the engine's job trace and the
+            # legacy config spellings.
+            r"|run_[s]imspeed|compare_[s]imspeed|append_[h]istory"
+            r"|engine_[t]race_events|collect_[t]race|Protection[S]cheme"
+            r"|all_figure7_[c]onfigs)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):

@@ -59,6 +59,7 @@ def test_no_command_rejected():
     ["bench", "--backend", "worker-protocol"],
     ["fuzz", "run", "--backend", "worker-protocol"],
     ["obs", "top"],
+    ["obs", "export"],
     ["submit", "sweep", "--priority", "1"],
     ["serve"],
     ["submit", "sweep"],

@@ -9,10 +9,8 @@ from repro.config import (
     CoreConfig,
     MemConfig,
     NDAPolicyName,
-    ProtectionScheme,
-    SimConfig,
-    all_figure7_configs,
     baseline_ooo,
+    config_registry,
     invisispec_config,
     nda_config,
     with_nda_delay,
@@ -86,11 +84,6 @@ class TestSimConfig:
         assert config.scheme == "nda"
         assert config.nda_policy is NDAPolicyName.STRICT
 
-    def test_legacy_enum_scheme_coerced(self):
-        config = SimConfig(scheme=ProtectionScheme.NDA)
-        assert config.scheme == "nda"
-        assert config.nda_policy is NDAPolicyName.PERMISSIVE
-
     def test_core_overrides(self):
         config = nda_config(NDAPolicyName.STRICT, rob_entries=64)
         assert config.core.rob_entries == 64
@@ -101,7 +94,8 @@ class TestSimConfig:
         assert config.nda_policy is NDAPolicyName.PERMISSIVE
 
     def test_figure7_configs_complete(self):
-        labels = [label for label, _ in all_figure7_configs()]
+        labels = [spec.label for spec in config_registry().values()
+                  if not spec.in_order]
         assert labels == [
             "OoO", "Permissive", "Permissive+BR", "Strict", "Strict+BR",
             "Restricted Loads", "Full Protection", "InvisiSpec-Spectre",

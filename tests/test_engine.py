@@ -23,7 +23,7 @@ from repro.engine import (
     resolve_workers,
     run_jobs,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.harness.experiment import figure7_config_specs, run_suite
 from repro.stats.counters import PipelineStats
 from repro.stats.sampling import run_window
@@ -159,14 +159,6 @@ class TestParallelEqualsSerial:
             assert run.aggregate().to_dict() == other.aggregate().to_dict()
         assert parallel.engine.workers == 2
         assert parallel.engine.executed == parallel.engine.jobs
-
-    def test_legacy_tuple_specs_still_accepted(self):
-        suite = run_suite(
-            benchmarks=["exchange2"],
-            configs=[("OoO", baseline_ooo(), False)],
-            samples=1, warmup=300, measure=800, instructions=2_500,
-        )
-        assert suite.run("exchange2", "OoO").mean_cpi > 0
 
     def test_resolve_workers_caps_and_floors(self):
         assert resolve_workers(1, 100) == 1
@@ -336,14 +328,13 @@ class TestConfigRegistry:
         assert [spec.label for spec in registry.values()] == \
             [spec.label for spec in figure7_config_specs()]
 
-    def test_spec_supports_legacy_unpacking(self):
+    def test_coerce_takes_only_specs_and_names(self):
         spec = config_registry()["strict"]
-        label, config, in_order = spec
-        assert (label, in_order) == ("Strict", False)
-        assert spec[0] == label and len(spec) == 3
-        assert ConfigSpec.coerce((label, config, in_order)) == ConfigSpec(
-            label=label, config=config, in_order=in_order
-        )
+        assert ConfigSpec.coerce(spec) is spec
+        assert ConfigSpec.coerce("strict") == spec
+        for bad in ("nope", ("Strict", spec.config, False), ["strict"]):
+            with pytest.raises(ConfigError):
+                ConfigSpec.coerce(bad)
 
     def test_cache_key_is_stable_and_discriminating(self):
         a, b = baseline_ooo(), baseline_ooo()

@@ -67,25 +67,18 @@ def mcf_program():
     return spec_program("mcf", instructions=1500, seed=3)
 
 
-@pytest.fixture(scope="module")
-def leela_program():
-    return spec_program("leela", instructions=1500, seed=3)
+@pytest.fixture(scope="module", params=["mcf", "leela", "exchange2"])
+def workload_program(request):
+    """A DRAM-bound, a branchy and a high-ILP workload."""
+    return spec_program(request.param, instructions=1500, seed=3)
 
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("config_name", OOO_CONFIGS)
-    def test_mcf_bit_identical(self, config_name, mcf_program):
+    def test_workload_bit_identical(self, config_name, workload_program):
         config = config_registry()[config_name].config
-        fast = simulate(mcf_program, config, fast_forward=True)
-        slow = simulate(mcf_program, config, fast_forward=False)
-        assert stats_dict(fast) == stats_dict(slow)
-        assert fast.state.regs == slow.state.regs
-
-    @pytest.mark.parametrize("config_name", OOO_CONFIGS)
-    def test_leela_bit_identical(self, config_name, leela_program):
-        config = config_registry()[config_name].config
-        fast = simulate(leela_program, config, fast_forward=True)
-        slow = simulate(leela_program, config, fast_forward=False)
+        fast = simulate(workload_program, config, fast_forward=True)
+        slow = simulate(workload_program, config, fast_forward=False)
         assert stats_dict(fast) == stats_dict(slow)
         assert fast.state.regs == slow.state.regs
 
@@ -135,9 +128,8 @@ class TestRunToCommitResume:
 
     @pytest.mark.parametrize("config_name", ["ooo", "fence-on-branch"])
     @pytest.mark.parametrize("workload", ["mcf", "leela"])
-    def test_sliced_equals_single_call(self, workload, config_name,
-                                       request):
-        program = request.getfixturevalue(workload + "_program")
+    def test_sliced_equals_single_call(self, workload, config_name):
+        program = spec_program(workload, instructions=1500, seed=3)
         config = config_registry()[config_name].config
         sliced = OutOfOrderCore(program, config, fast_forward=True)
         pauses = 0

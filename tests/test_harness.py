@@ -159,8 +159,6 @@ class TestTables:
         assert len(specs) == 11
         assert specs[7].label == IN_ORDER_LABEL
         assert specs[7].in_order
-        # Legacy positional access keeps working during the deprecation.
-        assert specs[7][0] == IN_ORDER_LABEL
 
     def test_render_table1_from_synthetic_rows(self):
         rows = [

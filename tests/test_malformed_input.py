@@ -1,18 +1,16 @@
 """Malformed files on disk get a clean rejection, never a traceback.
 
 Files are the only outside input the repo reads: fuzz corpus entries,
-run manifests, checkpoint manifests and simulator-speed baselines.  Each
-loader either returns a usable document or raises one ``ValueError``
-that names the file; the validators return a problem list for any JSON
-value.  The CLI and the simspeed script turn that ``ValueError`` into
-one ``error:`` line on stderr and exit 2.
+run manifests and checkpoint manifests.  Each loader either returns a
+usable document or raises one ``ValueError`` that names the file; the
+validators return a problem list for any JSON value.  The CLI turns
+that ``ValueError`` into one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 from functools import lru_cache, reduce
@@ -40,10 +38,6 @@ from repro.stats.counters import PipelineStats
 CORPUS_FILE = (
     Path(__file__).parent / "golden" / "fuzz_corpus"
     / "btb-indirect-table.json"
-)
-BENCH_SIMSPEED = (
-    Path(__file__).resolve().parent.parent / "benchmarks"
-    / "bench_simspeed.py"
 )
 
 #: Any JSON value: what a file on disk may hold.
@@ -345,52 +339,3 @@ class TestCliRejectsMalformedFiles:
         assert good in captured.out
         assert "zz-list.json" in captured.err
         assert "Traceback" not in captured.err
-
-
-def _bench_simspeed():
-    spec = importlib.util.spec_from_file_location(
-        "bench_simspeed", BENCH_SIMSPEED,
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-#: Baselines that are not simspeed payloads, one per way a row can fail.
-BAD_BASELINES = {
-    "list": [1],
-    "no-results": {"schema": 4},
-    "results-not-a-list": {"results": {"mcf": 1}},
-    "row-not-an-object": {"results": [1]},
-    "workload-not-a-string": {"results": [
-        {"workload": 1, "config": "ooo", "cycles_per_sec": 1.0}]},
-    "config-missing": {"results": [
-        {"workload": "mcf", "cycles_per_sec": 1.0}]},
-    "rate-not-a-number": {"results": [
-        {"workload": "mcf", "config": "ooo", "cycles_per_sec": "fast"}]},
-    "rate-beyond-a-float": {"results": [
-        {"workload": "mcf", "config": "ooo", "cycles_per_sec": 10 ** 400}]},
-}
-
-
-class TestSimspeedBaseline:
-    @pytest.mark.parametrize("name", sorted(BAD_BASELINES))
-    def test_rejected_before_measuring(self, tmp_path, capsys, name):
-        baseline = _write(tmp_path / "baseline.json", BAD_BASELINES[name])
-        output = tmp_path / "out.json"
-        code = _bench_simspeed().main([
-            "--quick", "--baseline", str(baseline), "--output", str(output),
-        ])
-        assert code == 2
-        assert str(baseline) in _error_line(capsys.readouterr().err)
-        assert not output.exists()  # nothing was measured
-
-    def test_damaged_bytes_rejected(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"results": [')
-        assert _bench_simspeed().main(["--baseline", str(baseline)]) == 2
-        assert str(baseline) in _error_line(capsys.readouterr().err)
-
-    def test_checked_in_baseline_is_read(self):
-        path = BENCH_SIMSPEED.parent.parent / "BENCH_simspeed.json"
-        assert _bench_simspeed().read_baseline(path)["results"]

@@ -207,20 +207,6 @@ class TestObsCli:
         with pytest.raises(SystemExit):
             main(["obs", "trace", "rowhammer"])
 
-    def test_obs_export_engine_trace(self, manifests_in, tmp_path, capsys):
-        code = main([
-            "obs", "export", "--benchmarks", "exchange2",
-            "--samples", "1", "--warmup", "300", "--measure", "600",
-            "--jobs", "1", "--no-cache",
-            "--output", str(tmp_path / "engine.json"),
-        ])
-        assert code == 0
-        payload = json.loads((tmp_path / "engine.json").read_text())
-        from repro.obs import validate_chrome_trace
-        assert validate_chrome_trace(payload) == []
-        names = {e["name"] for e in payload["traceEvents"]}
-        assert any(name.startswith("execute") for name in names)
-
 
 class TestFuzzManifest:
     def test_fuzz_run_writes_campaign_manifest(self, manifests_in, capsys):

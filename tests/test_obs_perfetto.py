@@ -20,13 +20,12 @@ from repro.obs import (
     EventBus,
     MetricsSampler,
     counter_trace_events,
-    engine_trace_events,
     lifecycle_trace_events,
     smt_trace_events,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.perfetto import ENGINE_PID, PIPELINE_PID
+from repro.obs.perfetto import PIPELINE_PID
 from repro.workloads.generator import spec_program
 
 
@@ -138,43 +137,6 @@ class TestLifecycleEvents:
         meta = [e for e in events if e["ph"] == "M"]
         assert meta and meta[0]["pid"] == PIPELINE_PID
         assert meta[0]["args"]["name"] == "simulated pipeline"
-
-
-class TestEngineEvents:
-    def _job_trace(self, tmp_path, cache=None):
-        from repro.harness import run_suite
-
-        return run_suite(
-            benchmarks=["exchange2"],
-            configs=[config_registry()["ooo"]],
-            samples=2, warmup=300, measure=600, instructions=2_000,
-            jobs=1, cache=cache, collect_trace=True,
-        )
-
-    def test_execute_spans_per_job(self, tmp_path):
-        suite = self._job_trace(tmp_path)
-        rows = suite.engine.job_trace
-        assert len(rows) == 2
-        events = engine_trace_events(rows)
-        assert validate_chrome_trace(events) == []
-        executes = [e for e in events if e.get("cat", "") == "engine,execute"]
-        assert len(executes) == 2
-        assert all(e["pid"] == ENGINE_PID for e in executes)
-        assert all(e["dur"] >= 1 for e in executes)
-
-    def test_cache_hits_become_instants(self, tmp_path):
-        from repro.engine.store import ShardedDiskStore
-
-        cache = ShardedDiskStore(tmp_path)
-        self._job_trace(tmp_path, cache=cache)
-        suite = self._job_trace(tmp_path, cache=cache)
-        events = engine_trace_events(suite.engine.job_trace)
-        hits = [e for e in events if e.get("cat", "") == "engine,cache"]
-        assert len(hits) == 2
-        assert all(e["ph"] == "i" for e in hits)
-
-    def test_empty_trace_is_empty(self):
-        assert engine_trace_events([]) == []
 
 
 class TestSmtCrossAttackTrace:

@@ -1,14 +1,19 @@
 """Tests for repro.obs.spans: the span stack, the span spool, the
-process tracer, the Perfetto span merger, and the engine's spans."""
+process tracer, the Perfetto span merger, the engine's spans, and the
+telemetry-overhead gate (``benchmarks/obs_overhead.py``)."""
 
+import importlib.util
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.config import ConfigSpec, baseline_ooo
 from repro.engine import expand_jobs, run_jobs
-from repro.harness import simspeed
+from repro.engine.store import ShardedDiskStore
 from repro.obs.perfetto import (
     merge_span_spools,
     read_span_spools,
@@ -194,10 +199,10 @@ class TestSpanMerger:
 
 
 class TestEngineSpans:
-    def _jobs(self):
+    def _jobs(self, samples=1):
         return expand_jobs(
             ["exchange2"], [ConfigSpec("OoO", baseline_ooo())],
-            1, 300, 800, 2_500,
+            samples, 300, 800, 2_500,
         )
 
     def test_run_jobs_emits_engine_spans_when_attached(self, tmp_path):
@@ -225,57 +230,69 @@ class TestEngineSpans:
         for before, after in zip(detached, attached):
             assert before.window.to_dict() == after.window.to_dict()
 
-
-class TestObsOverheadTracing:
-    def test_tracing_variant_bit_identical_and_measured(self):
-        overhead = simspeed.measure_obs_overhead(
-            workload="exchange2", config_name="strict",
-            instructions=800, repeats=1,
+    def test_warm_rerun_spools_one_cache_hit_per_job(self, tmp_path):
+        cache = ShardedDiskStore(tmp_path / "cache")
+        run_jobs(self._jobs(samples=2), jobs=1, cache=cache)
+        tracer = install_tracer(
+            Tracer("engine-test", spool_dir=str(tmp_path / "spans"))
         )
-        # _check_identical inside would have raised on divergence.
-        assert "wall_seconds_tracing" in overhead
-        assert "overhead_tracing" in overhead
-        assert overhead["wall_seconds_tracing"] > 0
-        # The install is scoped: nothing leaks into this process.
-        assert maybe_tracer() is None
+        results, _, stats = run_jobs(
+            self._jobs(samples=2), jobs=1, cache=cache,
+        )
+        assert stats.cache_hits == len(results) == 2
+        run_row = spooled(tracer, "engine.run")[0]
+        hits = spooled(tracer, "engine.cache.hit")
+        assert len(hits) == len(results)
+        assert all(row["parent_id"] == run_row["span_id"] for row in hits)
+        assert spooled(tracer, "engine.execute") == []
+        assert spooled(tracer, "engine.queue") == []
+
+    def test_merged_traced_bench_is_a_valid_trace(self, tmp_path,
+                                                  monkeypatch, capsys):
+        spool_dir = tmp_path / "spans"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(spool_dir))
+        uninstall_tracer()  # force a fresh env check
+        assert main([
+            "bench", "--benchmarks", "exchange2", "--samples", "1",
+            "--warmup", "300", "--measure", "800", "--jobs", "1",
+            "--no-cache",
+        ]) == 0
+        executed = int(re.search(
+            r"(\d+) executed", capsys.readouterr().out).group(1))
+        out = tmp_path / "merged.json"
+        assert main([
+            "obs", "trace", "merge", "--dir", str(spool_dir),
+            "--output", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        assert validate_chrome_trace(payload) == []
+        slices = [e["name"] for e in payload["traceEvents"]
+                  if e["ph"] == "X"]
+        assert slices.count("cli.bench") == 1
+        assert slices.count("engine.run") == 1
+        assert slices.count("engine.execute") == executed > 0
 
 
-class TestBenchHistory:
-    PAYLOAD = {
-        "schema": 4, "instructions": 100, "seed": 7,
-        "results": [
-            {"workload": "mcf", "config": "ooo",
-             "cycles_per_sec": 1_000_000.0},
-        ],
+def _obs_overhead_gate():
+    path = (Path(__file__).resolve().parent.parent / "benchmarks"
+            / "obs_overhead.py")
+    spec = importlib.util.spec_from_file_location("obs_overhead", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_obs_overhead_gate_times_every_variant():
+    gate = _obs_overhead_gate()
+    # measure() raises OverheadError if any variant simulates differently
+    # from the detached run.
+    result = gate.measure(workload="exchange2", instructions=800, rounds=1)
+    assert result["rounds"] == 1 and result["cycles"] > 0
+    assert result["samples"] > 0
+    assert set(result["wall_seconds"]) == {
+        "detached", "attached-idle", "sampling", "tracing",
     }
-
-    def test_append_then_compare(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        entry = simspeed.append_history(self.PAYLOAD, path=path)
-        assert entry["cycles_per_sec"] == {"mcf/ooo": 1_000_000.0}
-        assert "recorded" in entry and "git_revision" in entry
-        slower = json.loads(json.dumps(self.PAYLOAD))
-        slower["results"][0]["cycles_per_sec"] = 500_000.0
-        lines = simspeed.compare_history(slower, path=path)
-        assert any("WARNING" in line and "50% slower" in line
-                   for line in lines)
-        steady = simspeed.compare_history(self.PAYLOAD, path=path)
-        assert any("within" in line for line in steady)
-
-    def test_compare_skips_rows_of_another_schema(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        simspeed.append_history(dict(self.PAYLOAD, schema=2), path=path)
-        lines = simspeed.compare_history(self.PAYLOAD, path=path)
-        assert len(lines) == 1 and "schema" in lines[0]
-
-    def test_compare_without_history_seeds(self, tmp_path):
-        lines = simspeed.compare_history(
-            self.PAYLOAD, path=str(tmp_path / "none.jsonl"),
-        )
-        assert any("no prior rows" in line for line in lines)
-
-    def test_load_history_skips_garbage(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n[]\n\n{"ok": 2}\n')
-        rows = simspeed.load_history(str(path))
-        assert [r["ok"] for r in rows] == [1, 2]
+    assert all(seconds > 0 for seconds in result["wall_seconds"].values())
+    assert set(result["overhead"]) == {"attached-idle", "sampling", "tracing"}
+    # The tracing variant's install is scoped to its run.
+    assert maybe_tracer() is None

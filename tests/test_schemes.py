@@ -174,19 +174,6 @@ def test_scheme_config_legacy_aliases():
     assert future.scheme_params.future is True
 
 
-def test_legacy_protection_scheme_enum_still_accepted():
-    from repro.config import ProtectionScheme
-
-    config = SimConfig(scheme=ProtectionScheme.NDA)
-    assert config.scheme == "nda"
-    assert config.nda_policy is NDAPolicyName.PERMISSIVE
-    ooo = SimConfig(scheme=ProtectionScheme.NONE)
-    assert ooo.scheme == "none"
-    future = SimConfig(scheme=ProtectionScheme.INVISISPEC_FUTURE)
-    assert future.scheme == "invisispec"
-    assert future.scheme_params.future is True
-
-
 def test_scheme_params_type_checked_by_validate():
     from repro.schemes import NDAParams
 
