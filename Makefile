@@ -42,15 +42,15 @@ obs-smoke:
 	$(PYTHON) -m repro.cli obs manifest validate
 	$(PYTHON) -m repro.cli obs metrics
 
-# Execution-backend smoke: the same sweep through the serial and
-# local-pool backends must be bit-identical, then a checkpointing fuzz
+# Job-placement smoke: the same sweep with --jobs 1 (in-process) and
+# --jobs 2 (fork pool) must be bit-identical, then a checkpointing fuzz
 # campaign is SIGTERM'd mid-run and resumed — zero re-execution of
 # completed jobs, identical witness corpus (mirrors CI; checkpoint
 # artifacts land under results/scale-smoke/).
 scale-smoke:
 	$(PYTHON) benchmarks/scale_smoke.py
 
-# Span-tracing smoke: a traced local-pool `bench` driver spools spans
+# Span-tracing smoke: a traced `bench --jobs 2` run spools spans
 # into a REPRO_TRACE_DIR; cli.bench -> engine.run -> engine.execute must
 # be causally linked, and the merged Perfetto trace must validate with
 # spans from exactly the CLI (mirrors CI).

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""CI smoke for the execution backends (``make scale-smoke``).
+"""CI smoke for job placement and checkpointing (``make scale-smoke``).
 
 One tiny sweep, two ways, one answer:
 
-1. **Bit-identity.** Run the same job set through the ``serial`` and
-   ``local-pool`` backends and require every measurement window of the
-   pool run to be byte-identical to the serial reference.
+1. **Bit-identity.** Run the same job set with ``jobs=1`` (in this
+   process) and ``jobs=2`` (on the fork pool) and require every
+   measurement window of the pool run to be byte-identical to the
+   serial reference.
 2. **Kill/resume.** Launch a checkpointing fuzz campaign as a
    subprocess, SIGTERM it mid-run, validate the checkpoint manifest it
    left behind, then resume it — completed jobs must replay without
@@ -53,18 +54,19 @@ def windows(results):
 
 def check_bit_identity() -> None:
     jobs = sweep_jobs()
-    reference, failures, serial_stats = run_jobs(jobs, backend="serial")
+    reference, failures, serial_stats = run_jobs(jobs, jobs=1)
     assert not failures, failures
-    print("serial:          %s" % serial_stats.describe())
+    print("jobs=1:          %s" % serial_stats.describe())
 
-    results, failures, stats = run_jobs(jobs, backend="local-pool", jobs=2)
+    results, failures, stats = run_jobs(jobs, jobs=2)
     assert not failures, failures
-    print("local-pool:      %s" % stats.describe())
-    assert not stats.degraded, "local-pool degraded to serial"
+    print("jobs=2:          %s" % stats.describe())
+    assert stats.workers == 2, "jobs=2 did not run on the pool"
+    assert not stats.degraded, "the pool degraded to serial"
     got, want = windows(results), windows(reference)
     diff = [coords for coords in want if got[coords] != want[coords]]
-    assert not diff, "local-pool diverged from serial on %s" % diff
-    print("bit-identity: local-pool matches the serial reference")
+    assert not diff, "the pool diverged from serial on %s" % diff
+    print("bit-identity: jobs=2 matches the jobs=1 reference")
 
 
 def check_kill_resume() -> None:

@@ -3,8 +3,8 @@
 
 Runs real processes that share one ``REPRO_TRACE_DIR`` spool directory:
 
-1. **Driver.** Run a traced ``nda-repro bench`` on the local-pool
-   backend.  The CLI process must spool one ``cli.bench`` root, one
+1. **Bench.** Run a traced ``nda-repro bench --jobs 2`` on the fork
+   pool.  The CLI process must spool one ``cli.bench`` root, one
    ``engine.run`` child, and one ``engine.execute`` span per executed
    job, all on that root's trace.
 2. **Merge.** ``nda-repro obs trace merge`` stitches every spool into
@@ -41,7 +41,7 @@ def cli(*argv: str, env=None, timeout: float = 120.0):
 def _driver_leg(spool: str, env) -> None:
     out = cli("bench", "--benchmarks", "exchange2", "--samples", "2",
               "--warmup", "500", "--measure", "2000",
-              "--jobs", "2", "--backend", "local-pool", "--no-cache",
+              "--jobs", "2", "--no-cache",
               env=env, timeout=300)
     assert out.returncode == 0, out.stderr or out.stdout
     engine_line = next(

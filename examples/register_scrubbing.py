@@ -24,7 +24,7 @@ from repro.attacks.common import (
     run_attack,
 )
 from repro.isa.assembler import Assembler
-from repro.isa.registers import R0, R10, R11, R12, R13, R20, R21
+from repro.isa.registers import R10, R11, R12, R13, R20, R21
 
 SECRET_ADDR = 0x60000
 SIZE_ADDR = 0x61000

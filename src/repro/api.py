@@ -76,7 +76,6 @@ def simulate(
     *,
     in_order: bool = False,
     max_cycles: Optional[int] = None,
-    direction_predictor: str = "tournament",
     fast_forward: bool = True,
     manifest: bool = False,
 ) -> RunOutcome:
@@ -88,7 +87,9 @@ def simulate(
     >>> baseline = simulate(program, in_order=True)
 
     ``in_order=True`` selects the serial timing core (the paper's
-    TimingSimpleCPU analog), which ignores ``direction_predictor``.
+    TimingSimpleCPU analog).  The out-of-order core is Table 3's
+    machine: a tournament direction predictor, LRU caches filled on
+    demand only, and loads that always bypass unresolved stores.
     See the module docstring for the shared keyword contract.
     """
     if in_order:
@@ -96,10 +97,7 @@ def simulate(
             program, config
         )
     else:
-        core = make_core(
-            program, config, direction_predictor=direction_predictor,
-            fast_forward=fast_forward,
-        )
+        core = make_core(program, config, fast_forward=fast_forward)
     from repro.obs.spans import maybe_tracer
     tracer = maybe_tracer()
     if tracer is None:

@@ -21,7 +21,7 @@ Channel layout notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.core.inorder import InOrderCore
@@ -247,14 +247,6 @@ def emit_probe_flush(asm: Assembler, guesses: List[int]) -> None:
     for guess in guesses:
         asm.li(R20, PROBE_BASE + guess * PROBE_STRIDE)
         asm.clflush(R20, 0)
-    asm.fence()
-
-
-def emit_probe_warm(asm: Assembler, guesses: List[int]) -> None:
-    """Touch every probe line (used to pre-fill TLB/page structures)."""
-    for guess in guesses:
-        asm.li(R20, PROBE_BASE + guess * PROBE_STRIDE)
-        asm.load(R21, R20, 0)
     asm.fence()
 
 

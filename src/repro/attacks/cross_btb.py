@@ -57,7 +57,6 @@ from repro.isa.registers import (
     R9,
     R10,
     R11,
-    R12,
     R13,
     R15,
     R16,
@@ -85,10 +84,6 @@ PAD_BASE = 96  # i-cache-line aligned; 8 pads of 2 instrs fill one line
 PAD_STRIDE = 2
 N_TARGETS = 8  # 3-bit channel: target index = secret & 7
 N_ROUNDS = N_TARGETS + 1  # round 0 is an untimed cold-structure warm-up
-
-
-def _target_pc(index: int) -> int:
-    return PAD_BASE + index * PAD_STRIDE
 
 
 def build_programs(secret: int = 5) -> Tuple[Program, Program]:

@@ -33,7 +33,7 @@ from repro.attacks.common import (
 from repro.config import SimConfig
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
-from repro.isa.registers import R0, R10, R11, R12, R13, R20, R21
+from repro.isa.registers import R10, R11, R12, R13, R20, R21
 
 _MAP = victim_map("gpr_steering")
 SECRET_ADDR = _MAP["secret"]

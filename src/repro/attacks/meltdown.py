@@ -32,7 +32,7 @@ from repro.attacks.common import (
 from repro.config import SimConfig
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
-from repro.isa.registers import R0, R9, R10, R12, R13, R20, R21, R26
+from repro.isa.registers import R0, R9, R10, R12, R13, R20, R21
 
 _MAP = victim_map("meltdown")
 KERNEL_BASE = _MAP["kernel"]

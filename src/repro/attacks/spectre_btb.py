@@ -37,7 +37,7 @@ from repro.config import SimConfig
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
 from repro.isa.registers import (
-    LR, R0, R10, R11, R14, R20, R21, R22, R23, R24, R26,
+    LR, R10, R11, R14, R20, R21, R22, R23, R24, R26,
 )
 
 _MAP = victim_map("spectre_v1_btb")

@@ -30,7 +30,7 @@ from repro.config import SimConfig
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
 from repro.isa.registers import (
-    R0, R10, R11, R15, R20, R21, R22, R23, R24, R26,
+    R10, R11, R20, R21, R22, R23, R24, R26,
 )
 
 _MAP = victim_map("spectre_icache")

@@ -32,7 +32,7 @@ from repro.attacks.common import (
 from repro.config import SimConfig
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
-from repro.isa.registers import LR, R10, R11, R12, R13, R20, R21, R24, R28
+from repro.isa.registers import LR, R10, R11, R12, R13, R20, R21, R24
 
 _MAP = victim_map("spectre_v2")
 ARRAY_BASE = _MAP["array"]

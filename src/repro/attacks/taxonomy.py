@@ -11,7 +11,7 @@ prints the live matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.attacks import (
     cross_btb,

@@ -23,11 +23,11 @@ Subcommands::
 
 Sweeps (``bench``/``figure``) run on the parallel suite engine and cache
 windows under ``results/.cache/``; use ``--jobs N`` to size the worker
-pool and ``--no-cache`` to force re-simulation.  ``--backend`` picks the
-execution backend (``serial`` or ``local-pool``), and ``--checkpoint
-FILE`` / ``--resume FILE`` make long campaigns survive preemption (see
-DESIGN.md §3.6).  Engine jobs are traced through spans: run a sweep
-with ``REPRO_TRACE_DIR=D`` set, then ``obs trace merge --dir D``.
+pool (``--jobs 1`` runs every job in this process) and ``--no-cache``
+to force re-simulation.  ``--checkpoint FILE`` / ``--resume FILE`` make
+long campaigns survive preemption (see DESIGN.md §3.6).  Engine jobs
+are traced through spans: run a sweep with ``REPRO_TRACE_DIR=D`` set,
+then ``obs trace merge --dir D``.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "or $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--backend", default=None, choices=["serial", "local-pool"],
-        help="execution backend (default: local-pool when --jobs > 1)",
-    )
-    parser.add_argument(
         "--checkpoint", default=None, metavar="FILE",
         help="periodically write a resumable checkpoint manifest here",
     )
@@ -94,7 +90,6 @@ def _engine_kwargs(args) -> dict:
         "jobs": args.jobs,
         "cache": not args.no_cache,
         "cache_dir": None if args.no_cache else args.cache_dir,
-        "backend": getattr(args, "backend", None),
         "checkpoint": getattr(args, "checkpoint", None),
         "resume": getattr(args, "resume", None),
     }
@@ -235,10 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: cpu count)",
     )
     fuzz_run.add_argument("--max-cycles", type=int, default=400_000)
-    fuzz_run.add_argument(
-        "--backend", default=None, choices=["serial", "local-pool"],
-        help="execution backend (default: local-pool when --jobs > 1)",
-    )
     fuzz_run.add_argument(
         "--checkpoint", default=None, metavar="FILE",
         help="periodically write a resumable checkpoint manifest here",
@@ -758,7 +749,6 @@ def _fuzz(args) -> int:
             jobs=args.jobs,
             progress=progress,
             max_cycles=args.max_cycles,
-            backend=args.backend,
             checkpoint=args.checkpoint,
             resume=args.resume,
             smt=args.smt,
@@ -865,7 +855,6 @@ def _figure(args) -> int:
             benchmarks=benchmarks,
             jobs=engine_kwargs["jobs"],
             cache=cache,
-            backend=engine_kwargs["backend"],
             checkpoint=engine_kwargs["checkpoint"],
             resume=engine_kwargs["resume"],
         )))

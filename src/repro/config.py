@@ -80,13 +80,6 @@ class MemConfig:
     )
     dram_cycles: int = 100  # 50 ns at 2 GHz
     mshrs: int = 16  # outstanding off-chip misses
-    # Optional data prefetcher ("none" | "nextline" | "stride").  The
-    # paper's Table 3 machine has none; prefetchers are modeled because
-    # section 2 lists them among speculation-trained structures.
-    prefetcher: str = "none"
-    prefetch_degree: int = 2
-    # Cache replacement policy ("lru" | "plru" | "random").
-    replacement: str = "lru"
 
     def validate(self) -> None:
         self.l1i.validate("l1i")
@@ -96,12 +89,6 @@ class MemConfig:
             raise ConfigError("dram_cycles must be positive")
         if self.mshrs < 1:
             raise ConfigError("mshrs must be positive")
-        if self.prefetcher not in ("none", "nextline", "stride"):
-            raise ConfigError("unknown prefetcher %r" % self.prefetcher)
-        if self.prefetch_degree < 1:
-            raise ConfigError("prefetch_degree must be positive")
-        if self.replacement not in ("lru", "plru", "random"):
-            raise ConfigError("unknown replacement policy %r" % self.replacement)
 
 
 @dataclass(frozen=True)
@@ -139,10 +126,6 @@ class CoreConfig:
     # wakes the unit and the squash does not put it back to sleep.
     fpu_sleep_cycles: int = 200
     fpu_wakeup_cycles: int = 20
-    # Memory dependence predictor ("none" | "waittable").  The paper's
-    # baseline always speculatively bypasses (section 4.1), which is what
-    # Spectre v4 exploits.
-    memdep: str = "none"
 
     def validate(self) -> None:
         positive = [
@@ -180,8 +163,6 @@ class CoreConfig:
             raise ConfigError("fpu_sleep_cycles must be positive")
         if self.fpu_wakeup_cycles < 0:
             raise ConfigError("fpu_wakeup_cycles cannot be negative")
-        if self.memdep not in ("none", "waittable"):
-            raise ConfigError("unknown memdep predictor %r" % self.memdep)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ def make_core(
     program,
     config: Optional[SimConfig] = None,
     *,
-    direction_predictor: str = "tournament",
     fast_forward: bool = True,
 ) -> OutOfOrderCore:
     """Construct a single-context :class:`OutOfOrderCore`.
@@ -33,10 +32,7 @@ def make_core(
             "make_core() builds single-context cores; two-context configs "
             "run through repro.smt.SmtMachine"
         )
-    return OutOfOrderCore(
-        program, config, direction_predictor=direction_predictor,
-        fast_forward=fast_forward,
-    )
+    return OutOfOrderCore(program, config, fast_forward=fast_forward)
 
 
 __all__ = [

@@ -153,8 +153,7 @@ class InOrderCore:
             self._charge(1, CycleClass.COMMIT)
         elif info.is_load:
             addr = (regs[instr.srcs[0]] + instr.imm) & U64_MASK
-            result = self.hierarchy.data_access(addr, self.cycle,
-                                                pc=self.pc)
+            result = self.hierarchy.data_access(addr, self.cycle)
             self._charge(result.latency - 1, CycleClass.MEMORY_STALL)
             self._charge(1, CycleClass.COMMIT)
             if not self.config.privileged_mode and \

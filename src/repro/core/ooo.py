@@ -43,13 +43,12 @@ from repro.config import SimConfig
 from repro.core.fu import FUPool
 from repro.core.issue_queue import IssueQueue
 from repro.core.lsq import LSQ, LoadAction
-from repro.core.memdep import make_memdep
 from repro.core.outcome import RunOutcome
 from repro.core.rename import PhysRegFile, RenameTable
 from repro.core.rob import ROB, DynInstr
 from repro.errors import DeadlockError, SimulationError
 from repro.frontend.btb import BTB
-from repro.frontend.direction import make_direction_predictor
+from repro.frontend.direction import Tournament
 from repro.frontend.fetch import FetchedOp, FetchUnit
 from repro.frontend.ras import RAS
 from repro.isa.microops import (
@@ -104,9 +103,8 @@ class OutOfOrderCore:
         self,
         program: Program,
         config: Optional[SimConfig] = None,
-        direction_predictor: str = "tournament",
-        fast_forward: bool = True,
         *,
+        fast_forward: bool = True,
         ctx: int = 0,
         shared: Optional["SharedState"] = None,
     ):
@@ -139,9 +137,7 @@ class OutOfOrderCore:
         if shared is not None and shared.direction is not None:
             self.direction = shared.direction
         else:
-            self.direction = make_direction_predictor(
-                direction_predictor, core.bp_tables_bits
-            )
+            self.direction = Tournament(core.bp_tables_bits)
         self.fetch_unit = FetchUnit(
             program, self.hierarchy, self.direction, self.btb, self.ras,
             core.fetch_width,
@@ -159,7 +155,6 @@ class OutOfOrderCore:
         self.fus = FUPool(core)
         self.iq = IssueQueue(core.iq_entries, self.prf, self.fus, u)
         self.lsq = LSQ(core.lq_entries, core.sq_entries)
-        self.memdep = make_memdep(core.memdep)
 
         self.cycle = 0
         self.halted = False
@@ -781,7 +776,6 @@ class OutOfOrderCore:
         victim = self.lsq.check_violation(entry)
         if victim is not None:
             self.stats.memory_violations += 1
-            self.memdep.record_violation(victim.pc)
             self._squash_after(
                 victim.seq - 1,
                 victim.pc,
@@ -848,7 +842,6 @@ class OutOfOrderCore:
         dcache_used = 0
         push = heapq.heappush
         lsq = self.lsq
-        memdep = self.memdep
         protection = self.protection
         load_invisible = self._hook_load_invisible
         hierarchy = self.hierarchy
@@ -858,10 +851,6 @@ class OutOfOrderCore:
             decision = lsq.decide_load(entry)
             action = decision.action
             if action is LoadAction.MEMORY:
-                if decision.bypassed_stores and memdep.should_wait(entry.pc):
-                    # The dependence predictor vetoes the bypass.
-                    push(pending, (next_cycle, entry.seq, entry))
-                    continue
                 if dcache_used >= dcache_ports:
                     push(pending, (next_cycle, entry.seq, entry))
                     continue
@@ -872,8 +861,7 @@ class OutOfOrderCore:
                     load_invisible is not None and load_invisible(entry)
                 )
                 result = hierarchy.data_access(
-                    entry.addr, now, fill=not invisible, pc=entry.pc,
-                    entry=entry,
+                    entry.addr, now, fill=not invisible, entry=entry,
                 )
                 if invisible:
                     protection.on_invisible_load(entry, result, now)

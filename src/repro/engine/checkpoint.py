@@ -10,16 +10,17 @@ replays so tests can assert zero re-execution.
 
 Keys are content-addressed: a :class:`~repro.engine.jobs.SimJob` reuses
 its cache key (:func:`~repro.engine.store.job_cache_key`); any other
-job type (e.g. ``FuzzJob``) is keyed by a SHA-256 over its dataclass
-fields, its type name, and the code version.  A checkpoint therefore
+job (a frozen dataclass, e.g. ``FuzzJob``) is keyed by a SHA-256 over
+its fields, its type name, and the code version.  A checkpoint therefore
 only ever resumes the *same* job set under the *same* code — any drift
 changes the keys and the stale entries are simply ignored.
 
-Result payloads go through a small codec registry keyed by type name
-(:func:`register_result_codec`); ``PipelineStats`` registers here,
-``FuzzRunResult`` registers on ``repro.fuzz.campaign`` import.  A
-result type without a codec is skipped — it stays pending in the
-manifest and is re-executed on resume, which is always safe.
+Each job class names its result class in ``result_type`` (a class
+attribute, not a field, so it never enters a key): ``SimJob`` names
+``PipelineStats``, the fuzz jobs ``FuzzRunResult``.  Both round-trip
+through ``to_dict``/``from_dict``.  An entry whose type is not the
+job's result class does not decode; the job stays pending and is
+re-executed on resume, which is always safe.
 """
 
 from __future__ import annotations
@@ -27,61 +28,34 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, is_dataclass
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import asdict
+from typing import Dict, Optional
 
 from repro.engine.jobs import JobResult, SimJob
 from repro.engine.store import _code_version, job_cache_key
-from repro.stats.counters import PipelineStats
-
-#: type name -> (encode(result) -> jsonable, decode(jsonable) -> result)
-_CODECS: Dict[str, Tuple[Callable, Callable]] = {}
-
-
-def register_result_codec(
-    type_name: str,
-    encode: Callable,
-    decode: Callable,
-) -> None:
-    """Teach the checkpoint layer to round-trip one result type."""
-    _CODECS[type_name] = (encode, decode)
-
-
-register_result_codec(
-    "PipelineStats",
-    lambda window: window.to_dict(),
-    PipelineStats.from_dict,
-)
 
 
 def job_key(job) -> str:
-    """Stable content key for any engine job (SimJob or duck-typed)."""
+    """Stable content key for an engine job (a frozen dataclass)."""
     if isinstance(job, SimJob):
         return job_cache_key(job)
-    if is_dataclass(job):
-        fields = asdict(job)
-    else:  # duck-typed job: best effort over its public attributes
-        fields = {
-            name: value for name, value in sorted(vars(job).items())
-            if not name.startswith("_")
-        }
     payload = json.dumps({
         "code": _code_version(),
         "type": type(job).__name__,
-        "fields": fields,
+        "fields": asdict(job),
     }, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def encode_result(result: JobResult) -> Optional[dict]:
-    """Checkpoint entry for one completed job, or None if uncodable."""
-    type_name = type(result.window).__name__
-    codec = _CODECS.get(type_name)
-    if codec is None:
+    """Checkpoint entry for one completed job, or None if its result is
+    not the job's ``result_type``."""
+    window = result.window
+    if type(window) is not result.job.result_type:
         return None
     return {
-        "type": type_name,
-        "data": codec[0](result.window),
+        "type": type(window).__name__,
+        "data": window.to_dict(),
         "elapsed": result.elapsed,
     }
 
@@ -89,11 +63,11 @@ def encode_result(result: JobResult) -> Optional[dict]:
 def decode_result(job, entry: dict) -> Optional[JobResult]:
     """Rebuild a completed JobResult from a checkpoint entry; None (the
     job re-executes) when the entry does not decode."""
-    codec = _CODECS.get(entry.get("type", ""))
-    if codec is None:
+    result_type = job.result_type
+    if entry.get("type") != result_type.__name__:
         return None
     try:
-        window = codec[1](entry["data"])
+        window = result_type.from_dict(entry["data"])
         elapsed = float(entry.get("elapsed", 0.0))
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
@@ -113,7 +87,7 @@ def build_checkpoint(
 
     ``slots`` is the driver's in-order result list (None = pending).
     Completed entries carry their encoded result so resume never needs
-    the cache; results without a codec stay listed as pending.
+    the cache; results that do not encode stay listed as pending.
     """
     from repro.obs.manifest import build_checkpoint_manifest
 

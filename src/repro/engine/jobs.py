@@ -62,6 +62,9 @@ def forget_program() -> None:
 class SimJob:
     """One independent measurement window of a sweep (picklable)."""
 
+    #: What :meth:`execute` returns (checkpoints decode entries to it).
+    result_type = PipelineStats
+
     benchmark: str
     label: str
     config: SimConfig

@@ -1,16 +1,15 @@
-"""Job driver: cache, checkpoint, and account; backends place the work.
+"""Run engine jobs: resume, cache, place, account and checkpoint.
 
-``run_jobs`` owns everything about a sweep that does *not* depend on
-where jobs execute:
+``run_jobs`` turns a job list into results:
 
 * **resume** (phase 0) — completed results replayed out of a checkpoint
   manifest (``resume=``) never execute again;
 * **cache** (phase 1) — jobs whose window the result store already holds
   are served from it;
-* **placement** (phase 2) — the remainder goes to one
-  :class:`~repro.engine.backends.ExecutionBackend` (``backend=`` by name
-  or instance; default: ``local-pool`` when more than one worker
-  resolves, else ``serial``);
+* **placement** (phase 2) — the remainder runs in the calling
+  process when one worker resolves (``jobs=1``, ``backend="serial"``,
+  or no ``fork``), and on a fork-based ``ProcessPoolExecutor`` of that
+  many workers otherwise;
 * **accounting** — results return in submission order regardless of
   completion order, failures are collected rather than raised, stats
   cover cache/resume/retry behavior;
@@ -18,11 +17,14 @@ where jobs execute:
   resumable manifest every ``checkpoint_interval`` completions (and at
   the end), so a SIGTERM'd campaign restarts from where it died.
 
-The driver's completion callbacks are serialized behind one lock and
-drop duplicate completions, so a job is never accounted twice whichever
-thread reports it.  The failure contract: a job that dies on a worker is
-retried once serially in the driver; a job that also fails serially
-becomes a :class:`JobFailure`.
+Both placements produce bit-identical windows for the same job set
+(pinned by ``tests/golden/backend_equivalence.json``): every job derives
+its results purely from its own fields.  The completion callbacks are
+serialized behind one lock and drop duplicate completions, so a job is
+never accounted twice.  The failure contract: a job that dies on a
+worker is retried once serially in this process; a job that also fails
+serially becomes a :class:`JobFailure`; if the pool itself breaks,
+everything still unaccounted for runs serially (``degraded``).
 """
 
 from __future__ import annotations
@@ -31,17 +33,10 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.backends import (
-    BackendContext,
-    ExecutionBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    make_backend,
-)
 from repro.engine.jobs import JobResult, SimJob, execute_job, forget_program
 from repro.engine.store import ShardedDiskStore
 from repro.obs.spans import maybe_tracer
@@ -75,10 +70,13 @@ class EngineStats:
     job_seconds: Dict[Tuple[str, str, int], float] = field(
         default_factory=dict
     )
-    #: Which execution backend placed the work (stats label).
-    backend: str = "serial"
     #: Results replayed from a checkpoint manifest (--resume).
     resumed: int = 0
+
+    @property
+    def backend(self) -> str:
+        """Placement label (checkpoint manifests carry it)."""
+        return "local-pool" if self.workers > 1 else "serial"
 
     def describe(self) -> str:
         parts = [
@@ -88,8 +86,6 @@ class EngineStats:
             "%d workers" % self.workers,
             "%.2fs wall" % self.wall_seconds,
         ]
-        if self.backend != "local-pool" and self.workers > 1:
-            parts.insert(4, "via %s" % self.backend)
         if self.resumed:
             parts.append("%d resumed" % self.resumed)
         if self.retries:
@@ -120,7 +116,7 @@ def run_jobs(
     cache: Optional[ShardedDiskStore] = None,
     progress: Optional[ProgressFn] = None,
     executor_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
-    backend: Optional[Union[str, ExecutionBackend]] = None,
+    backend: Optional[str] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     checkpoint_label: str = "engine",
@@ -129,10 +125,16 @@ def run_jobs(
     """Execute every job; returns (results, failures, stats).
 
     ``results`` preserves the order of ``jobs_list`` (failed jobs are
-    omitted and listed in ``failures`` instead).  ``backend`` selects
-    placement (see :mod:`repro.engine.backends`); ``checkpoint``
-    keeps a resumable manifest at that path, and ``resume`` replays one.
+    omitted and listed in ``failures`` instead).  ``backend="serial"``
+    runs every job in this process; ``"local-pool"`` or ``None`` sizes
+    the pool from ``jobs``.  ``checkpoint`` keeps a resumable manifest
+    at that path, and ``resume`` replays one.
     """
+    if backend not in (None, "serial", "local-pool"):
+        raise ValueError(
+            "unknown backend %r (expected 'serial' or 'local-pool')"
+            % (backend,)
+        )
     start_wall = time.perf_counter()
     # Jobs share a program within this sweep only (see SimJob.program).
     forget_program()
@@ -295,32 +297,46 @@ def run_jobs(
     if cache is not None:
         stats.cache_hits = cache.stats.hits
 
-    # Phase 2: hand the misses to an execution backend.
-    workers = resolve_workers(jobs, len(pending))
-    if backend is None:
-        backend_obj: ExecutionBackend = (
-            LocalPoolBackend() if workers > 1 else SerialBackend()
-        )
-    elif isinstance(backend, str):
-        backend_obj = make_backend(backend)
-    else:
-        backend_obj = backend
-    if isinstance(backend_obj, SerialBackend):
-        workers = 1
+    # Phase 2: run the misses in this process, or on a fork pool.
+    workers = 1 if backend == "serial" else \
+        resolve_workers(jobs, len(pending))
     stats.workers = workers
-    stats.backend = backend_obj.name
-
-    if pending:
-        context = BackendContext(
-            stats=stats,
-            finish=finish,
-            fail=fail,
-            run_serially=run_serially,
-            mark_submitted=mark_submitted,
-            workers=workers,
-            executor_factory=executor_factory,
-        )
-        backend_obj.run(pending, context)
+    if workers == 1:
+        for index, job in pending:
+            run_serially(index, job, False)
+    else:
+        remaining = list(pending)
+        try:
+            factory = executor_factory or ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            with factory(max_workers=workers, mp_context=context) as pool:
+                future_to_job = {}
+                for index, job in pending:
+                    mark_submitted(index)
+                    future_to_job[pool.submit(execute_job, job)] = (
+                        index, job
+                    )
+                not_done = set(future_to_job)
+                while not_done:
+                    finished, not_done = wait(
+                        not_done, return_when=FIRST_COMPLETED
+                    )
+                    for future in finished:
+                        index, job = future_to_job[future]
+                        remaining.remove((index, job))
+                        if future.exception() is not None:
+                            # Worker died or the job raised: one serial
+                            # retry in this process, then give up on it.
+                            run_serially(index, job, True)
+                        else:
+                            finish(index, future.result())
+        except BaseException:
+            # The pool itself broke (fork refused, transport error,
+            # keyboard interrupt inside shutdown...): degrade to serial
+            # for everything still unaccounted for.
+            stats.degraded = True
+            for index, job in remaining:
+                run_serially(index, job, True)
 
     with lock:
         maybe_checkpoint(force=True)

@@ -9,12 +9,9 @@ sampling, or code version changes the key and transparently invalidates
 the entry.
 
 :class:`ShardedDiskStore` keeps the entries as JSON files under
-``results/.cache/<kk>/<key>.json``.  Entries left behind by the
-pre-shard flat layout (``results/.cache/<key>.json``) are migrated
-lazily on first touch, so an old cache keeps its warmth.  Set
-``REPRO_CACHE_DIR`` to relocate it; delete the directory (or run
-``nda-repro cache clear``) to drop it; ``nda-repro cache gc
---older-than N`` expires stale entries.
+``results/.cache/<kk>/<key>.json``.  Set ``REPRO_CACHE_DIR`` to
+relocate it; delete the directory (or run ``nda-repro cache clear``) to
+drop it; ``nda-repro cache gc --older-than N`` expires stale entries.
 """
 
 from __future__ import annotations
@@ -117,35 +114,13 @@ class ShardedDiskStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
 
-    def _flat_path(self, key: str) -> Path:
-        """Where the pre-shard flat layout kept this key."""
-        return self.root / (key + ".json")
-
-    def _locate(self, key: str) -> Optional[Path]:
-        """Find *key* on disk, lazily migrating flat-layout entries."""
-        path = self._path(key)
-        if path.is_file():
-            return path
-        flat = self._flat_path(key)
-        if flat.is_file():
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(flat, path)
-                return path
-            except OSError:
-                return flat  # couldn't move; serve it where it lies
-        return None
-
     def load(self, job: SimJob) -> Optional[PipelineStats]:
         """Return the cached window for *job*, or None on a miss.
 
         Unreadable or corrupt entries count as misses (and are removed),
         so a damaged cache degrades to re-simulation, never to an error.
         """
-        path = self._locate(job_cache_key(job))
-        if path is None:
-            self.stats.misses += 1
-            return None
+        path = self._path(job_cache_key(job))
         try:
             payload = json.loads(path.read_text())
             window = PipelineStats.from_dict(payload["window"])
@@ -183,7 +158,9 @@ class ShardedDiskStore:
     # ------------------------------------------------------------------ #
 
     def _iter_entries(self):
-        """Yield entry paths; directories vanishing mid-walk are skipped."""
+        """Yield every entry (``*.json``) and every leftover of an
+        interrupted :meth:`store` (``*.tmp.<pid>``); directories
+        vanishing mid-walk are skipped."""
         stack = [self.root]
         while stack:
             directory = stack.pop()
@@ -195,20 +172,22 @@ class ShardedDiskStore:
                 try:
                     if entry.is_dir(follow_symlinks=False):
                         stack.append(Path(entry.path))
-                    elif entry.name.endswith(".json"):
+                    elif entry.name.endswith(".json") or \
+                            ".tmp." in entry.name:
                         yield Path(entry.path)
                 except OSError:
                     continue  # entry removed under us
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
+        """Delete every cache entry and write leftover; returns the
+        number of entries removed."""
         removed = 0
         for path in sorted(self._iter_entries()):
             try:
                 path.unlink()
-                removed += 1
             except OSError:
-                pass  # a concurrent clear/gc got there first
+                continue  # a concurrent clear/gc got there first
+            removed += path.suffix == ".json"
         try:
             shards = list(self.root.iterdir())
         except OSError:
@@ -223,25 +202,28 @@ class ShardedDiskStore:
 
     def size(self) -> int:
         """Number of entries currently on disk."""
-        return sum(1 for _ in self._iter_entries())
+        return sum(
+            1 for path in self._iter_entries() if path.suffix == ".json"
+        )
 
     def gc(self, older_than_days: float, now: Optional[float] = None) -> int:
-        """Expire entries older than *older_than_days*; returns removals.
+        """Expire entries and write leftovers older than
+        *older_than_days*; returns the number of entries removed.
 
-        Age is the file's mtime — a window re-stored (or re-touched by a
-        flat-layout migration) counts as fresh.  Empty shard directories
-        left behind are pruned.
+        Age is the file's mtime — a window re-stored counts as fresh.
+        Empty shard directories left behind are pruned.
         """
         cutoff = (now if now is not None else time.time()) \
             - older_than_days * 86_400.0
         removed = 0
         for path in sorted(self._iter_entries()):
             try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    removed += 1
+                if path.stat().st_mtime >= cutoff:
+                    continue
+                path.unlink()
             except OSError:
                 continue  # vanished or unreadable mid-scan: skip
+            removed += path.suffix == ".json"
         try:
             shards = list(self.root.iterdir())
         except OSError:

@@ -28,13 +28,5 @@ class SimulationError(ReproError):
     """
 
 
-class MemoryError_(ReproError):
-    """An access fell outside the simulated memory map."""
-
-
 class DeadlockError(SimulationError):
     """The pipeline made no forward progress for too many cycles."""
-
-
-class ProgramExit(ReproError):
-    """Internal signal used by the reference evaluator when HALT commits."""

@@ -8,7 +8,6 @@ from repro.frontend.direction import (
     DirectionPredictor,
     GShare,
     Tournament,
-    make_direction_predictor,
 )
 from repro.frontend.fetch import INSTR_BYTES, FetchedOp, FetchUnit
 from repro.frontend.ras import RAS
@@ -21,7 +20,6 @@ __all__ = [
     "DirectionPredictor",
     "GShare",
     "Tournament",
-    "make_direction_predictor",
     "INSTR_BYTES",
     "FetchedOp",
     "FetchUnit",

@@ -112,20 +112,3 @@ class Tournament(DirectionPredictor):
             self.chooser[index] = max(0, self.chooser[index] - 1)
         self.bimodal.update(pc, taken)
         self.gshare.update(pc, taken)
-
-
-def make_direction_predictor(
-    name: str, index_bits: int = 12
-) -> DirectionPredictor:
-    """Factory keyed by predictor name."""
-    if name == "bimodal":
-        return Bimodal(index_bits)
-    if name == "gshare":
-        return GShare(index_bits)
-    if name == "tournament":
-        return Tournament(index_bits)
-    if name == "taken":
-        return AlwaysTaken()
-    if name == "not-taken":
-        return AlwaysNotTaken()
-    raise ValueError("unknown direction predictor %r" % name)

@@ -150,6 +150,8 @@ class FuzzRunResult:
 class FuzzJob:
     """One fuzz execution for the engine scheduler (picklable)."""
 
+    result_type = FuzzRunResult
+
     seed: int
     config_name: str
     template: str
@@ -182,6 +184,8 @@ class FuzzJob:
 @dataclass(frozen=True)
 class SmtFuzzJob:
     """One two-context fuzz execution for the engine scheduler."""
+
+    result_type = FuzzRunResult
 
     seed: int
     config_name: str
@@ -403,7 +407,7 @@ def run_campaign(
     jobs: Optional[int] = None,
     progress=None,
     max_cycles: int = 400_000,
-    backend=None,
+    backend: Optional[str] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     resume=None,
@@ -458,7 +462,6 @@ def run_campaign(
             for name in names
         ]
     def _execute():
-        _register_checkpoint_codec()
         return run_jobs(
             fuzz_jobs, jobs=jobs, cache=None, progress=progress,
             backend=backend,
@@ -498,19 +501,3 @@ def run_campaign(
             (failure.job.describe(), failure.error)
         )
     return campaign
-
-
-def _register_checkpoint_codec() -> None:
-    """Teach checkpoint manifests to round-trip FuzzRunResult payloads.
-
-    Deferred to campaign start (rather than module import) so loading
-    this module for witness replay stays engine-free; any resume path
-    necessarily goes through :func:`run_campaign` first.
-    """
-    from repro.engine.checkpoint import register_result_codec
-
-    register_result_codec(
-        "FuzzRunResult",
-        lambda result: result.to_dict(),
-        FuzzRunResult.from_dict,
-    )

@@ -45,7 +45,7 @@ from repro.isa.assembler import Assembler
 from repro.isa.program import Program
 from repro.isa.registers import (
     F0, F1, F2, LR,
-    R0, R10, R11, R12, R13, R14, R15, R16, R17, R18, R19,
+    R10, R11, R12, R13, R14, R15, R16, R17, R18, R19,
     R20, R21, R22, R23,
 )
 

@@ -45,6 +45,7 @@ witness schema.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -162,7 +163,8 @@ class TaintOracle:
         """Subscribe the oracle to *core*'s event bus (made if absent)."""
         if self.core is not None:
             raise ValueError("oracle is already attached")
-        self.core = core
+        # A weak proxy: the core holds the oracle through its bus.
+        self.core = weakref.proxy(core)
         self._reg = bytearray(len(core.prf.value))
         ensure_bus(core).subscribe(self)
         return self
@@ -174,12 +176,6 @@ class TaintOracle:
     def channels(self) -> Set[str]:
         """Covert-channel classes with at least one witness."""
         return {w.channel for w in self.witnesses}
-
-    def by_channel(self) -> Dict[str, List[LeakWitness]]:
-        out: Dict[str, List[LeakWitness]] = {}
-        for w in self.witnesses:
-            out.setdefault(w.channel, []).append(w)
-        return out
 
     # ------------------------------------------------------------------ #
     # Taint helpers.
@@ -403,7 +399,6 @@ def run_with_oracle(
     tainted_bytes: Iterable[int] = (),
     secret_msrs: Iterable[int] = (),
     max_cycles: int = 400_000,
-    direction_predictor: str = "tournament",
     fast_forward: bool = True,
     max_witnesses: int = 256,
 ):
@@ -414,11 +409,7 @@ def run_with_oracle(
     """
     from repro.core import make_core
 
-    core = make_core(
-        program, config,
-        direction_predictor=direction_predictor,
-        fast_forward=fast_forward,
-    )
+    core = make_core(program, config, fast_forward=fast_forward)
     oracle = TaintOracle(
         secret_ranges=secret_ranges,
         tainted_bytes=tainted_bytes,

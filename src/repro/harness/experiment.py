@@ -175,7 +175,7 @@ def run_suite(
     cache: Union[bool, ShardedDiskStore, None] = False,
     cache_dir=None,
     progress: Optional[ProgressFn] = None,
-    backend=None,
+    backend: Optional[str] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     resume=None,
@@ -192,9 +192,9 @@ def run_suite(
     * ``cache`` — ``True`` (or a :class:`ShardedDiskStore`) serves
       repeated jobs from the on-disk store under ``results/.cache/``;
       ``cache_dir`` overrides the location.
-    * ``backend`` — execution backend name or instance (see
-      :mod:`repro.engine.backends`); results are bit-identical across
-      backends.
+    * ``backend`` — ``"serial"`` runs every job in this process
+      whatever ``jobs`` says; ``"local-pool"`` or ``None`` sizes the
+      pool from ``jobs``.
     * ``checkpoint``/``resume`` — keep / replay a resumable manifest of
       completed jobs (preempted sweeps restart from where they died).
     * ``progress`` — per-job callback ``(done, total, job_result)``.

@@ -7,7 +7,6 @@ prints and EXPERIMENTS.md quotes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.attacks import spectre_btb, spectre_v1
@@ -21,13 +20,12 @@ from repro.config import (
     with_nda_delay,
 )
 from repro.harness.experiment import (
-    BASELINE_LABEL,
     IN_ORDER_LABEL,
     SuiteResult,
     run_suite,
 )
 from repro.stats.counters import CycleClass
-from repro.stats.report import render_series, render_table
+from repro.stats.report import render_table
 from repro.workloads.profiles import DEFAULT_SUITE
 
 # ---------------------------------------------------------------------- #
@@ -252,13 +250,12 @@ def figure9e(
     instructions: int = 12_000,
     jobs: Optional[int] = None,
     cache=False,
-    backend=None,
     checkpoint=None,
     resume=None,
 ) -> Dict[str, float]:
     """Permissive-policy CPI (normalized to OoO) vs. extra wake-up delay.
 
-    ``backend``/``checkpoint``/``resume`` pass straight through to the
+    ``jobs``/``checkpoint``/``resume`` pass straight through to the
     engine (see :func:`repro.harness.experiment.run_suite`), so the
     delay sweep runs on a process pool and survives preemption like any
     other campaign.
@@ -278,7 +275,6 @@ def figure9e(
         instructions=instructions,
         jobs=jobs,
         cache=cache,
-        backend=backend,
         checkpoint=checkpoint,
         resume=resume,
     )

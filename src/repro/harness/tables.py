@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.attacks.taxonomy import IMPLEMENTED, AttackInfo, expected_leak
+from repro.attacks.taxonomy import IMPLEMENTED, expected_leak
 from repro.config import ConfigSpec, SimConfig, baseline_ooo
 from repro.harness.experiment import (
     BASELINE_LABEL,
-    IN_ORDER_LABEL,
     SuiteResult,
     figure7_config_specs,
 )
-from repro.nda.policy import policy_for
 from repro.stats.report import render_table
 
 

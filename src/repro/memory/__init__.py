@@ -3,18 +3,7 @@
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.memory import MainMemory, PAGE_SIZE, U64_MASK
-from repro.memory.prefetcher import (
-    NextLinePrefetcher,
-    NullPrefetcher,
-    StridePrefetcher,
-    make_prefetcher,
-)
-from repro.memory.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from repro.memory.replacement import LRUPolicy
 from repro.memory.tlb import TLB
 
 __all__ = [
@@ -23,15 +12,8 @@ __all__ = [
     "AccessResult",
     "MemoryHierarchy",
     "MainMemory",
-    "NextLinePrefetcher",
-    "NullPrefetcher",
-    "StridePrefetcher",
-    "make_prefetcher",
     "PAGE_SIZE",
     "U64_MASK",
     "LRUPolicy",
-    "RandomPolicy",
-    "TreePLRUPolicy",
-    "make_policy",
     "TLB",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.config import CacheConfig
-from repro.memory.replacement import ReplacementPolicy, make_policy
+from repro.memory.replacement import LRUPolicy
 
 
 class CacheStats:
@@ -38,15 +38,13 @@ class CacheStats:
 
 
 class TagArray:
-    """Set, way and replacement bookkeeping for a set-associative array.
+    """Set, way and LRU bookkeeping for a set-associative array.
 
     Keys are non-negative ints (line addresses for :class:`Cache`, branch
     PCs for :class:`~repro.frontend.btb.BTB`); key *k* lives in set
     ``k & (num_sets - 1)``.  A set's key -> way map, way -> key list and
-    replacement policy are created on the set's first insert, so an
-    untouched set costs nothing and a lookup there is a miss that
-    allocates nothing.  A ``random`` policy is seeded with its set index,
-    as if every set had been built up front.
+    LRU state are created on the set's first insert, so an untouched set
+    costs nothing and a lookup there is a miss that allocates nothing.
 
     Subclasses read ``_ways``/``_repl`` inline on their hit paths and
     leave inserting, evicting, invalidating and clearing to the methods
@@ -55,40 +53,32 @@ class TagArray:
     Args:
         num_sets: number of sets (a power of two).
         assoc: ways per set.
-        policy: replacement policy name (``lru``, ``plru`` or ``random``).
     """
 
-    def __init__(self, num_sets: int, assoc: int, policy: str = "lru"):
-        # Built once and dropped, so that a bad policy name or an
-        # associativity the policy cannot handle fails here rather than
-        # at the first fill.
-        make_policy(policy, assoc)
+    def __init__(self, num_sets: int, assoc: int):
         self.num_sets = num_sets
         self.assoc = assoc
-        self._policy = policy
         self._set_mask = num_sets - 1
         self._clear()
 
     def _clear(self) -> None:
         """Return every set to its never-touched state."""
         # Per set index, each None until the set's first insert: key ->
-        # way, way -> key (None marks a free way), replacement policy.
+        # way, way -> key (None marks a free way), LRU state.
         self._ways: List[Optional[Dict[int, int]]] = [None] * self.num_sets
         self._keys: List[Optional[List[Optional[int]]]] = (
             [None] * self.num_sets
         )
-        self._repl: List[Optional[ReplacementPolicy]] = [None] * self.num_sets
+        self._repl: List[Optional[LRUPolicy]] = [None] * self.num_sets
 
     def _insert(self, index: int, key: int) -> Optional[int]:
         """Install absent *key* in set *index*, in the lowest free way or
-        else the policy's victim.  Returns the evicted key, or None."""
+        else the LRU victim.  Returns the evicted key, or None."""
         ways = self._ways[index]
         if ways is None:
             ways = self._ways[index] = {}
             keys = self._keys[index] = [None] * self.assoc
-            repl = self._repl[index] = make_policy(
-                self._policy, self.assoc, seed=index
-            )
+            repl = self._repl[index] = LRUPolicy(self.assoc)
         else:
             keys = self._keys[index]
             repl = self._repl[index]
@@ -118,23 +108,19 @@ class TagArray:
 
 
 class Cache(TagArray):
-    """One level of set-associative cache (tags only).
+    """One level of set-associative LRU cache (tags only).
 
     Args:
         config: geometry and latency.
         name: label for stats/debugging.
-        policy: replacement policy name (``lru`` by default).
     """
 
-    def __init__(self, config: CacheConfig, name: str, policy: str = "lru"):
-        super().__init__(config.num_sets, config.assoc, policy)
+    def __init__(self, config: CacheConfig, name: str):
+        super().__init__(config.num_sets, config.assoc)
         self.config = config
         self.name = name
         self._line_shift = config.line_bytes.bit_length() - 1
         self.stats = CacheStats()
-
-    def line_addr(self, addr: int) -> int:
-        return addr >> self._line_shift
 
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no stats, no LRU update)."""

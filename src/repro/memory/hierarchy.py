@@ -6,6 +6,8 @@ Latency model (paper Table 3, round-trip latencies):
 * L1 miss, L2 hit: 40 cycles.
 * L2 miss: 40 + 100 (50 ns DRAM at 2 GHz) = 140 cycles.
 
+Every cache is LRU and is filled on demand only, as in Table 3.
+
 Off-chip misses occupy MSHRs; when all MSHRs are busy a new miss queues
 behind the earliest completion.  The hierarchy records the completion time
 of every outstanding off-chip miss so the statistics module can compute the
@@ -20,7 +22,6 @@ from typing import List, Optional, Tuple
 
 from repro.config import MemConfig
 from repro.memory.cache import Cache
-from repro.memory.prefetcher import make_prefetcher
 from repro.memory.tlb import TLB
 
 
@@ -53,28 +54,22 @@ class MemoryHierarchy:
     taint oracle) see it.
     """
 
-    def __init__(self, config: MemConfig, replacement: Optional[str] = None,
-                 l2: Optional[Cache] = None):
+    def __init__(self, config: MemConfig, l2: Optional[Cache] = None):
         config.validate()
-        replacement = replacement or config.replacement
         self.config = config
-        self.l1i = Cache(config.l1i, "l1i", replacement)
-        self.l1d = Cache(config.l1d, "l1d", replacement)
+        self.l1i = Cache(config.l1i, "l1i")
+        self.l1d = Cache(config.l1d, "l1d")
         # An externally supplied L2 makes this hierarchy one slice of a
         # multi-core machine (repro.smt "l2" sharing): the L1s stay
         # private while every hierarchy fills/probes the same L2 object.
-        self.l2 = l2 if l2 is not None else Cache(config.l2, "l2", replacement)
+        self.l2 = l2 if l2 is not None else Cache(config.l2, "l2")
         self.dtlb = TLB()
-        self.prefetcher = make_prefetcher(
-            config.prefetcher, config.l1d.line_bytes, config.prefetch_degree
-        )
-        self.prefetch_fills = 0
         # Completion cycles of in-flight off-chip misses (MLP + MSHR model).
         self._offchip: List[int] = []
         self.offchip_misses = 0
         # Optional telemetry EventBus (repro.obs.bus): data_fill and
-        # inst_fill fire on demand-miss fills only, never on prefetches
-        # or invisible probes.
+        # inst_fill fire on demand-miss fills only, never on invisible
+        # probes.
         self.obs = None
 
     # ------------------------------------------------------------------ #
@@ -134,26 +129,18 @@ class MemoryHierarchy:
 
     def data_access(
         self, addr: int, now: int, fill: bool = True, translate: bool = True,
-        pc: int = -1, entry=None,
+        entry=None,
     ) -> AccessResult:
         """Timed data-side access to *addr* at cycle *now*.
 
         With ``fill=False`` the caches are probed but never modified on a
         miss (InvisiSpec's invisible speculative load); hits still update
         replacement state only when filling is allowed, so an invisible
-        access leaves zero footprint.  *pc* trains the prefetcher (for
-        every access, wrong-path ones included — the squash does not
-        revert prefetcher state).  *entry* is the out-of-order load on
+        access leaves zero footprint.  *entry* is the out-of-order load on
         whose behalf the access runs; the ``data_fill`` event carries
         it, and ``None`` marks an architectural fill (an InvisiSpec
         expose, the in-order core).
         """
-        if pc >= 0 and fill:
-            for target in self.prefetcher.observe(pc, addr):
-                if not self.l1d.probe(target):
-                    self.l1d.fill(target)
-                    self.l2.fill(target)
-                    self.prefetch_fills += 1
         latency = self.dtlb.access(addr) if translate else 0
         if fill:
             l1_hit = self.l1d.access(addr, fill=True)
@@ -222,9 +209,4 @@ class MemoryHierarchy:
         """Pre-install data lines (used by attack setup and tests)."""
         for addr in addresses:
             self.l1d.fill(addr)
-            self.l2.fill(addr)
-
-    def warm_inst(self, addresses) -> None:
-        for addr in addresses:
-            self.l1i.fill(addr)
             self.l2.fill(addr)

@@ -1,132 +1,41 @@
-"""Cache replacement policies.
+"""Cache replacement: true LRU, the paper's Table 3 policy.
 
 The covert channels the paper studies (d-cache, and by analogy the BTB)
 work because speculative fills change which lines survive in a set.  The
-policies here therefore expose exactly the operations the tag arrays need:
+policy therefore exposes exactly the operations the tag arrays need:
 record a touch, pick a victim, and forget an invalidated way.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
+from typing import List
 
 
-class ReplacementPolicy:
-    """Interface for per-set replacement state."""
+class LRUPolicy:
+    """Per-set least-recently-used ordering."""
 
     def __init__(self, assoc: int):
         self.assoc = assoc
-
-    def touch(self, way: int) -> None:
-        """Way *way* was accessed (hit or fresh fill)."""
-        raise NotImplementedError
-
-    def victim(self) -> int:
-        """Pick the way to evict from a full set."""
-        raise NotImplementedError
-
-    def forget(self, way: int) -> None:
-        """Way *way* was invalidated."""
-        raise NotImplementedError
-
-
-class LRUPolicy(ReplacementPolicy):
-    """True least-recently-used ordering."""
-
-    def __init__(self, assoc: int):
-        super().__init__(assoc)
         # Most-recent at the end.  Ways not present are "least recent".
         self._order: List[int] = []
 
     def touch(self, way: int) -> None:
+        """Way *way* was accessed (hit or fresh fill)."""
         if way in self._order:
             self._order.remove(way)
         self._order.append(way)
 
     def victim(self) -> int:
+        """Pick the way to evict from a full set."""
         if self._order:
             return self._order[0]
         return 0
 
     def forget(self, way: int) -> None:
+        """Way *way* was invalidated."""
         if way in self._order:
             self._order.remove(way)
 
     def recency_order(self) -> List[int]:
         """Ways, least-recent first (exposed for tests and channel PoCs)."""
         return list(self._order)
-
-
-class TreePLRUPolicy(ReplacementPolicy):
-    """Tree pseudo-LRU, the common hardware approximation.
-
-    Requires power-of-two associativity; used by tests to show NDA is
-    independent of the replacement policy.
-    """
-
-    def __init__(self, assoc: int):
-        if assoc & (assoc - 1):
-            raise ValueError("tree PLRU needs power-of-two associativity")
-        super().__init__(assoc)
-        self._bits = [False] * max(assoc - 1, 1)
-
-    def touch(self, way: int) -> None:
-        node = 0
-        span = self.assoc
-        while span > 1:
-            span //= 2
-            go_right = way % (span * 2) >= span
-            self._bits[node] = not go_right  # point away from touched half
-            node = 2 * node + (2 if go_right else 1)
-
-    def victim(self) -> int:
-        node = 0
-        way = 0
-        span = self.assoc
-        while span > 1:
-            span //= 2
-            if self._bits[node]:
-                way += span
-                node = 2 * node + 2
-            else:
-                node = 2 * node + 1
-        return way
-
-    def forget(self, way: int) -> None:
-        # Steer the tree toward the invalidated way so it is refilled first.
-        node = 0
-        span = self.assoc
-        while span > 1:
-            span //= 2
-            go_right = way % (span * 2) >= span
-            self._bits[node] = go_right
-            node = 2 * node + (2 if go_right else 1)
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Seeded random replacement (deterministic across runs)."""
-
-    def __init__(self, assoc: int, seed: int = 0):
-        super().__init__(assoc)
-        self._rng = random.Random(seed)
-
-    def touch(self, way: int) -> None:
-        pass
-
-    def victim(self) -> int:
-        return self._rng.randrange(self.assoc)
-
-    def forget(self, way: int) -> None:
-        pass
-
-
-def make_policy(name: str, assoc: int, seed: int = 0) -> ReplacementPolicy:
-    """Factory keyed by policy name: ``lru``, ``plru``, or ``random``."""
-    if name == "lru":
-        return LRUPolicy(assoc)
-    if name == "plru":
-        return TreePLRUPolicy(assoc)
-    if name == "random":
-        return RandomPolicy(assoc, seed)
-    raise ValueError("unknown replacement policy %r" % name)

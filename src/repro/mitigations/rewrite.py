@@ -15,7 +15,7 @@ would break unless the caller opts in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.errors import AssemblyError
 from repro.isa.instruction import Instr

@@ -28,6 +28,7 @@ with the bus attached is part of the contract and is pinned by tests.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 #: Every event the bus can carry, with the payload each site sends.
@@ -76,7 +77,9 @@ class EventBus:
         #: sampler is registered, so the per-cycle check in ``step()``
         #: never fires.
         self.sample_due: float = float("inf")
-        self._core = None
+        # Weak, so that the core (which holds the bus) is freed by
+        # reference counting.
+        self._core: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------ #
     # Subscription.
@@ -129,7 +132,7 @@ class EventBus:
         Works for both core classes: the out-of-order core exposes an
         LSQ slot, the in-order core only the hierarchy's.
         """
-        self._core = core
+        self._core = weakref.ref(core)
         core.obs = self
         hierarchy = getattr(core, "hierarchy", None)
         if hierarchy is not None:
@@ -141,7 +144,7 @@ class EventBus:
 
     def detach(self) -> None:
         """Release every slot taken by :meth:`attach`."""
-        core = self._core
+        core = self.core
         if core is None:
             return
         if getattr(core, "obs", None) is self:
@@ -155,7 +158,7 @@ class EventBus:
     @property
     def core(self):
         """The core this bus is attached to (None when detached)."""
-        return self._core
+        return self._core() if self._core is not None else None
 
 
 def _fan_out(handlers):

@@ -32,7 +32,7 @@ from repro.core.ooo import OutOfOrderCore
 from repro.core.outcome import RunOutcome
 from repro.errors import ConfigError
 from repro.frontend.btb import BTB
-from repro.frontend.direction import make_direction_predictor
+from repro.frontend.direction import Tournament
 from repro.frontend.ras import RAS
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
@@ -123,7 +123,7 @@ class SmtMachine:
         self,
         programs: Sequence[Program],
         config: Optional[SimConfig] = None,
-        direction_predictor: str = "tournament",
+        *,
         fast_forward: bool = True,
     ):
         config = (config or SimConfig(num_contexts=2)).validate()
@@ -149,9 +149,7 @@ class SmtMachine:
                 hierarchy=MemoryHierarchy(config.mem),
                 btb=BTB(base_core.btb_entries, base_core.btb_assoc),
                 ras=RAS(base_core.ras_entries),
-                direction=make_direction_predictor(
-                    direction_predictor, base_core.bp_tables_bits
-                ),
+                direction=Tournament(base_core.bp_tables_bits),
             )
             shareds = [shared] * len(programs)
         else:  # "l2": private cores + L1s over one L2
@@ -165,7 +163,6 @@ class SmtMachine:
         self.cores: List[OutOfOrderCore] = [
             OutOfOrderCore(
                 program, ctx_cfg,
-                direction_predictor=direction_predictor,
                 fast_forward=fast_forward,
                 ctx=index, shared=shareds[index],
             )

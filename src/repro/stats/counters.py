@@ -8,7 +8,7 @@ counters: CPI (Fig. 7), the four-way cycle breakdown (Fig. 9a), MLP and ILP
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import Dict
 
 
 class CycleClass:

@@ -7,7 +7,7 @@ compared against EXPERIMENTS.md side by side.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 
 def render_table(

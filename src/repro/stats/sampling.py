@@ -12,7 +12,7 @@ during them) and measures the next ``measure`` instructions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 from repro.config import SimConfig

@@ -21,14 +21,13 @@ from __future__ import annotations
 import random
 import struct
 import zlib
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.isa.assembler import Assembler
-from repro.isa.opcodes import ALU_IMM_OPS, ALU_OPS, FP_OPS, Opcode
+from repro.isa.opcodes import ALU_IMM_OPS, ALU_OPS, FP_OPS
 from repro.isa.program import Program
 from repro.isa.registers import (
-    F0, R0, R1, R2, R3, R4, R5, R6, R7, R25, R26, R27, R28, R29,
-    NUM_INT_REGS,
+    F0, R0, R1, R2, R3, R4, R5, R6, R7, R25, R27, R28, R29,
 )
 from repro.workloads.profiles import BenchmarkProfile, profile as get_profile
 

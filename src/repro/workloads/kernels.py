@@ -11,7 +11,7 @@ import random
 
 from repro.isa.assembler import Assembler
 from repro.isa.program import Program
-from repro.isa.registers import R0, R1, R2, R3, R4, R5, R6, R7, R8
+from repro.isa.registers import R0, R1, R2, R3, R4, R5, R6, R7
 
 
 def pointer_chase(

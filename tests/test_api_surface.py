@@ -155,7 +155,17 @@ class TestConsolidatedFacade:
             # legacy config spellings.
             r"|run_[s]imspeed|compare_[s]imspeed|append_[h]istory"
             r"|engine_[t]race_events|collect_[t]race|Protection[S]cheme"
-            r"|all_figure7_[c]onfigs)\s*[(=]"
+            r"|all_figure7_[c]onfigs"
+            # The name-keyed alternatives behind job placement,
+            # prefetching, replacement, memory-dependence prediction and
+            # the direction predictor, and the checkpoint codec registry.
+            r"|make_[b]ackend|available_[b]ackends|B[A]CKENDS"
+            r"|Execution[B]ackend|Backend[C]ontext|Serial[B]ackend"
+            r"|LocalPool[B]ackend|make_[p]refetcher|Stride[P]refetcher"
+            r"|NextLine[P]refetcher|Null[P]refetcher|make_[m]emdep"
+            r"|Wait[T]able|Always[B]ypass|make_[p]olicy|TreePLRU[P]olicy"
+            r"|Random[P]olicy|Replacement[P]olicy"
+            r"|make_direction_[p]redictor|register_result_[c]odec)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):

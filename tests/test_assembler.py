@@ -6,7 +6,7 @@ from repro.errors import AssemblyError
 from repro.isa.assembler import Assembler, assemble
 from repro.isa.instruction import Instr
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import R0, R1, R2, R3
+from repro.isa.registers import R0, R1, R2
 
 
 def test_forward_label_resolution():

@@ -1,7 +1,5 @@
 """Detailed per-attack behaviour beyond the pass/fail matrix."""
 
-import pytest
-
 from repro.attacks import (
     lazyfp,
     meltdown,
@@ -11,8 +9,6 @@ from repro.attacks import (
     ssb,
 )
 from repro.attacks.common import (
-    PROBE_BASE,
-    PROBE_STRIDE,
     AttackOutcome,
     default_guesses,
 )

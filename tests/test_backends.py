@@ -1,8 +1,8 @@
-"""Execution backends: registry and bit-identity.
+"""Job placement: serial and fork-pool runs are bit-identical.
 
-``tests/golden/backend_equivalence.json`` pins the serial backend's
-windows for a tiny sweep; every backend must reproduce them exactly —
-placement may never change results.
+``tests/golden/backend_equivalence.json`` pins the serial run's windows
+for a tiny sweep; the fork pool must reproduce them exactly — placement
+may never change results.
 
 Regenerating (only after an *intentional* timing change)::
 
@@ -36,13 +36,6 @@ import pytest
 
 from repro.config import ConfigSpec, NDAPolicyName, baseline_ooo, nda_config
 from repro.engine import expand_jobs, run_jobs
-from repro.engine.backends import (
-    BACKENDS,
-    LocalPoolBackend,
-    SerialBackend,
-    available_backends,
-    make_backend,
-)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / \
     "backend_equivalence.json"
@@ -67,19 +60,8 @@ def windows_by_coords(results):
     }
 
 
-class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert available_backends() == ["local-pool", "serial"]
-        assert BACKENDS["serial"] is SerialBackend
-        assert BACKENDS["local-pool"] is LocalPoolBackend
-
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="local-pool"):
-            make_backend("slurm")
-
-
 class TestBitIdentity:
-    """Every backend reproduces the golden (serial) windows exactly."""
+    """Both placements reproduce the golden (serial) windows exactly."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -103,3 +85,19 @@ class TestBitIdentity:
         results, stats = self.run_backend("local-pool", jobs=2)
         assert stats.backend == "local-pool"
         assert windows_by_coords(results) == golden
+
+    def test_serial_overrides_jobs(self):
+        # ``backend="serial"`` is one worker whatever ``jobs`` says.
+        def no_pool(**kwargs):
+            raise AssertionError("a serial run must not build a pool")
+
+        results, failures, stats = run_jobs(
+            tiny_jobs()[:2], jobs=4, backend="serial",
+            executor_factory=no_pool,
+        )
+        assert not failures and len(results) == 2
+        assert (stats.workers, stats.backend) == (1, "serial")
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="local-pool"):
+            run_jobs(tiny_jobs(), backend="slurm")

@@ -1,4 +1,4 @@
-"""Unit tests for the tag-array caches and replacement policies."""
+"""Unit tests for the tag-array caches and their LRU replacement."""
 
 import random
 
@@ -6,22 +6,17 @@ import pytest
 
 from repro.config import CacheConfig
 from repro.memory.cache import Cache
-from repro.memory.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from repro.memory.replacement import LRUPolicy
 
 
-def small_cache(assoc=2, sets=4, line=64, policy="lru") -> Cache:
+def small_cache(assoc=2, sets=4, line=64) -> Cache:
     config = CacheConfig(
         size_bytes=assoc * sets * line,
         line_bytes=line,
         assoc=assoc,
         round_trip_cycles=4,
     )
-    return Cache(config, "test", policy)
+    return Cache(config, "test")
 
 
 class TestCacheBasics:
@@ -79,13 +74,12 @@ class TestCacheBasics:
         cache.flush_all()
         assert cache.resident_lines() == 0
 
-    @pytest.mark.parametrize("policy", ["lru", "plru", "random"])
-    def test_flush_all_restores_fresh_state(self, policy):
-        """A flushed cache keeps its policy and replays like a new one."""
+    def test_flush_all_restores_fresh_state(self):
+        """A flushed cache replays like a new one."""
         rng = random.Random(7)
         addrs = [rng.randrange(64) * 64 for _ in range(400)]
-        fresh = small_cache(assoc=4, policy=policy)
-        flushed = small_cache(assoc=4, policy=policy)
+        fresh = small_cache(assoc=4)
+        flushed = small_cache(assoc=4)
         for addr in addrs:
             flushed.access(addr)
         flushed.flush_all()
@@ -138,50 +132,3 @@ class TestReplacementPolicies:
         policy.touch(1)
         policy.forget(0)
         assert policy.recency_order() == [1]
-
-    def test_plru_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUPolicy(3)
-
-    def test_plru_victim_avoids_recent(self):
-        policy = TreePLRUPolicy(4)
-        policy.touch(2)
-        assert policy.victim() != 2
-
-    def test_plru_cycles_through_ways(self):
-        policy = TreePLRUPolicy(4)
-        seen = set()
-        for _ in range(8):
-            victim = policy.victim()
-            seen.add(victim)
-            policy.touch(victim)
-        assert seen == {0, 1, 2, 3}
-
-    def test_random_deterministic_per_seed(self):
-        a = RandomPolicy(8, seed=3)
-        b = RandomPolicy(8, seed=3)
-        assert [a.victim() for _ in range(10)] == \
-            [b.victim() for _ in range(10)]
-
-    def test_factory(self):
-        assert isinstance(make_policy("lru", 4), LRUPolicy)
-        assert isinstance(make_policy("plru", 4), TreePLRUPolicy)
-        assert isinstance(make_policy("random", 4), RandomPolicy)
-        with pytest.raises(ValueError):
-            make_policy("mru", 4)
-
-    def test_cache_works_with_plru(self):
-        cache = small_cache(policy="plru")
-        cache.access(0x1000)
-        assert cache.access(0x1000)
-
-    def test_cache_works_with_random(self):
-        cache = small_cache(policy="random")
-        cache.access(0x1000)
-        assert cache.access(0x1000)
-
-    def test_cache_rejects_bad_policy_at_construction(self):
-        with pytest.raises(ValueError):
-            small_cache(policy="mru")
-        with pytest.raises(ValueError):
-            small_cache(assoc=3, policy="plru")

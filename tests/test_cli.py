@@ -58,6 +58,8 @@ def test_no_command_rejected():
     ["bench", "--no-spawn"],
     ["bench", "--backend", "worker-protocol"],
     ["fuzz", "run", "--backend", "worker-protocol"],
+    ["bench", "--backend", "serial"],
+    ["fuzz", "run", "--backend", "serial"],
     ["obs", "top"],
     ["obs", "export"],
     ["submit", "sweep", "--priority", "1"],

@@ -1,7 +1,5 @@
 """Tests for simulation configuration validation and factories."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.config import (

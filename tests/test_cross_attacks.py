@@ -14,8 +14,6 @@ counterexamples, and generation is deterministic per seed.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.attacks import cross_btb

@@ -5,7 +5,6 @@ guards the public API surface they exercise.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

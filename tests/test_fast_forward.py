@@ -282,11 +282,17 @@ class TestSerializingWait:
         assert len(stepped) <= 6, stepped
 
 
+#: The cores behind ``_model_for``'s models: a model holds its core
+#: weakly, so the core must be kept alive here.
+_idle_cores = []
+
+
 def _model_for(config_name: str) -> ProtectionModel:
     """A protection model attached to a fresh (idle) core."""
     asm = Assembler()
     asm.halt()
     core = OutOfOrderCore(asm.build(), config_registry()[config_name].config)
+    _idle_cores.append(core)
     return core.protection
 
 

@@ -10,12 +10,11 @@ from repro.frontend.direction import (
     Bimodal,
     GShare,
     Tournament,
-    make_direction_predictor,
 )
 from repro.frontend.fetch import FetchUnit
 from repro.frontend.ras import RAS
 from repro.isa.assembler import Assembler
-from repro.isa.registers import R0, R1, R2
+from repro.isa.registers import R1, R2
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -70,17 +69,6 @@ class TestTournament:
         for _ in range(8):
             predictor.update(0x30, False)
         assert not predictor.predict(0x30)
-
-    def test_factory(self):
-        assert isinstance(make_direction_predictor("bimodal"), Bimodal)
-        assert isinstance(make_direction_predictor("gshare"), GShare)
-        assert isinstance(make_direction_predictor("tournament"), Tournament)
-        assert isinstance(make_direction_predictor("taken"), AlwaysTaken)
-        assert isinstance(
-            make_direction_predictor("not-taken"), AlwaysNotTaken
-        )
-        with pytest.raises(ValueError):
-            make_direction_predictor("oracle")
 
 
 class TestBTB:
@@ -173,13 +161,13 @@ class TestRAS:
             RAS(0)
 
 
-def make_fetch(asm_builder, predictor="not-taken"):
-    program = asm_builder.build()
+def make_fetch(asm, predictor=None):
+    program = asm.build()
     hierarchy = MemoryHierarchy(MemConfig())
     btb = BTB(64, 4)
     ras = RAS(4)
     fetch = FetchUnit(
-        program, hierarchy, make_direction_predictor(predictor), btb, ras, 8
+        program, hierarchy, predictor or AlwaysNotTaken(), btb, ras, 8
     )
     return fetch, btb, ras
 
@@ -283,7 +271,7 @@ class TestFetchUnit:
         asm.nop()
         asm.label("skip")
         asm.halt()
-        fetch, _, _ = make_fetch(asm, predictor="taken")
+        fetch, _, _ = make_fetch(asm, predictor=AlwaysTaken())
         fetch.fetch(0)
         ops = fetch_group(fetch, 200)
         assert ops[0].pred_taken

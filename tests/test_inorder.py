@@ -6,7 +6,7 @@ from repro.config import baseline_ooo
 from repro.api import simulate
 from repro.core.inorder import InOrderCore
 from repro.isa.assembler import Assembler
-from repro.isa.registers import R0, R1, R2, R3, R4
+from repro.isa.registers import R0, R1, R2, R3
 
 
 def test_basic_arithmetic():

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AssemblyError
 from repro.isa.instruction import Instr
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import LR, R0, R1, R2, R3
+from repro.isa.registers import LR, R1, R2, R3
 
 
 class TestConstruction:

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.config import baseline_ooo
+from repro.config import ConfigSpec, baseline_ooo
+from repro.engine import expand_jobs
 from repro.engine.checkpoint import decode_result, load_checkpoint
 from repro.fuzz.corpus import load_witness_file
 from repro.isa.program import Program
@@ -76,6 +77,14 @@ def valid(kind: str) -> dict:
         label="suite", backend="serial", total=2,
         completed={"k1": entry}, pending=["k2"],
     )
+
+
+@lru_cache(maxsize=None)
+def _sim_job():
+    """The job a checkpoint entry decodes for (never executed)."""
+    return expand_jobs(
+        ["exchange2"], [ConfigSpec("OoO", baseline_ooo())], 1, 300, 800, 2500
+    )[0]
 
 
 def _paths(doc, prefix=()):
@@ -158,8 +167,9 @@ def _load_manifest(path):
 
 def _load_checkpoint(path):
     completed = load_checkpoint(path)
+    job = _sim_job()
     for entry in completed.values():
-        decode_result(None, entry)
+        decode_result(job, entry)
 
 
 LOADERS = {

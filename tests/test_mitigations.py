@@ -1,7 +1,5 @@
 """Tests for the software mitigation passes (§3.2 comparison points)."""
 
-from dataclasses import replace as config_replace
-
 import pytest
 
 from repro.attacks import gpr_steering, meltdown, spectre_v1, ssb

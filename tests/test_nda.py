@@ -1,10 +1,7 @@
 """NDA unit and behavioural tests: policies, safety tracking, broadcast."""
 
-import pytest
-
-from repro.config import CoreConfig, NDAPolicyName, baseline_ooo, nda_config
+from repro.config import NDAPolicyName, baseline_ooo, nda_config
 from repro.api import simulate
-from repro.core.ooo import OutOfOrderCore
 from repro.core.rob import DynInstr
 from repro.frontend.fetch import FetchedOp
 from repro.isa.assembler import Assembler

@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import simulate
 from repro.cli import main
-from repro.config import baseline_ooo, config_registry
+from repro.config import baseline_ooo
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
     build_manifest,

@@ -1,11 +1,8 @@
 """Behavioural tests for the out-of-order core."""
 
-import pytest
-
 from repro.config import baseline_ooo
 from repro.api import simulate
 from repro.core.ooo import OutOfOrderCore
-from repro.errors import DeadlockError
 from repro.isa.assembler import Assembler
 from repro.isa.registers import R0, R1, R2, R3, R4, R5, R6
 

@@ -1,7 +1,5 @@
 """Consistency tests for the opcode metadata table."""
 
-import pytest
-
 from repro.isa.opcodes import (
     ALU_IMM_OPS,
     ALU_OPS,

@@ -6,7 +6,6 @@ reference evaluator, the insecure OoO core, every NDA policy, both
 InvisiSpec variants, and the in-order core.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

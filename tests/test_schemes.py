@@ -8,7 +8,6 @@ collide in the result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -27,7 +26,6 @@ from repro.errors import ConfigError
 from repro.schemes import (
     NoParams,
     ProtectionModel,
-    SchemeParams,
     describe_schemes,
     register_scheme,
     registered_schemes,

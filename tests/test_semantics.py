@@ -1,10 +1,8 @@
 """Tests for architectural semantics and the reference machine."""
 
-import pytest
-
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import F0, F1, F2, LR, R0, R1, R2, R3, R4, R5
+from repro.isa.registers import R0, R1, R2, R3, R4, R5
 from repro.isa.semantics import (
     ReferenceMachine,
     branch_taken,

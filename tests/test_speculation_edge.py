@@ -1,13 +1,13 @@
 """Edge cases of speculative execution: nested squashes, wrong-path
 serializing ops, fences in branch shadows, deep misprediction chains."""
 
-import pytest
-
 from repro.config import NDAPolicyName, baseline_ooo, nda_config
 from repro.api import simulate
 from repro.core.ooo import OutOfOrderCore
+from repro.frontend.direction import Bimodal
 from repro.isa.assembler import Assembler
 from repro.isa.registers import R0, R1, R2, R3, R4, R5, R6, R7
+from repro.smt import SharedState
 
 
 def slow_nonzero(asm, dest, scratch):
@@ -96,8 +96,9 @@ def test_mispredict_chain_every_iteration():
     asm.subi(R1, R1, 1)
     asm.bne(R1, R0, "loop")
     asm.halt()
-    outcome = simulate(asm.build(), baseline_ooo(),
-                          direction_predictor="bimodal")
+    outcome = OutOfOrderCore(
+        asm.build(), baseline_ooo(), shared=SharedState(direction=Bimodal()),
+    ).run()
     assert outcome.reg(R2) == 50
     assert outcome.reg(R5) == 50
     assert outcome.stats.branch_mispredicts > 10

@@ -36,23 +36,6 @@ class TestShardedLayout:
         assert path.is_file()
         assert store.load(job).to_dict() == window.to_dict()
 
-    def test_flat_layout_entry_migrates_on_first_touch(
-        self, tmp_path, executed,
-    ):
-        store = ShardedDiskStore(tmp_path)
-        job, window = executed[0]
-        store.store(job, window)
-        key = job_cache_key(job)
-        sharded = tmp_path / key[:2] / (key + ".json")
-        flat = tmp_path / (key + ".json")
-        # Rewind to the pre-shard layout by hand...
-        os.replace(sharded, flat)
-        sharded.parent.rmdir()
-        # ... and the first load both hits and migrates.
-        assert store.load(job) is not None
-        assert sharded.is_file()
-        assert not flat.exists()
-
     def test_load_misses_then_hits(self, tmp_path, executed):
         store = ShardedDiskStore(tmp_path)
         job, window = executed[0]

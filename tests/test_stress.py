@@ -1,8 +1,8 @@
-"""Stress tests: constrained resources, alternate predictors and policies.
+"""Stress tests: constrained resources and alternate direction predictors.
 
 Every structural stall path (tiny ROB/IQ/LSQ, exhausted rename registers,
-single-wide machines) and every front-end/cache policy variant must still
-commit exactly the reference architectural state.
+single-wide machines) and every direction predictor must still commit
+exactly the reference architectural state.
 """
 
 from dataclasses import replace
@@ -11,8 +11,16 @@ import pytest
 
 from repro.config import CoreConfig, MemConfig, SimConfig, baseline_ooo
 from repro.core.ooo import OutOfOrderCore
+from repro.frontend.direction import (
+    AlwaysNotTaken,
+    AlwaysTaken,
+    Bimodal,
+    GShare,
+    Tournament,
+)
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.isa.semantics import run_reference
+from repro.smt import SharedState
 from repro.workloads.generator import spec_program
 from repro.workloads.kernels import (
     mispredict_heavy,
@@ -71,25 +79,23 @@ class TestResourcePressure:
         ))
 
 
-@pytest.mark.parametrize("predictor", ["bimodal", "gshare", "tournament",
-                                       "taken", "not-taken"])
+PREDICTORS = {
+    "bimodal": Bimodal,
+    "gshare": GShare,
+    "tournament": Tournament,
+    "taken": AlwaysTaken,
+    "not-taken": AlwaysNotTaken,
+}
+
+
+@pytest.mark.parametrize("predictor", list(PREDICTORS))
 def test_direction_predictor_variants(predictor):
     program = mispredict_heavy(300)
     reference = run_reference(program, max_steps=2_000_000)
     outcome = OutOfOrderCore(
-        program, baseline_ooo(), direction_predictor=predictor
+        program, baseline_ooo(),
+        shared=SharedState(direction=PREDICTORS[predictor]()),
     ).run()
-    assert outcome.state.regs == reference.regs
-
-
-@pytest.mark.parametrize("policy", ["lru", "plru", "random"])
-def test_replacement_policy_variants(policy):
-    program = spec_program("leela", 1_500, seed=4)
-    reference = run_reference(program, max_steps=2_000_000)
-    config = replace(
-        baseline_ooo(), mem=MemConfig(replacement=policy)
-    ).validate()
-    outcome = OutOfOrderCore(program, config).run()
     assert outcome.state.regs == reference.regs
 
 

@@ -5,9 +5,9 @@ The model tests below replay seeded random operation sequences against
 small eager references that build every set up front (the per-set
 layout the lazy array replaced) and compare every return value, every
 counter, the resident lines and each set's LRU recency order.  The
-goldens use only the default LRU geometry, so these are what pin
-``plru``, ``random`` and the BTB.  The allocation guard keeps per-set
-state from being built up front again.
+goldens use only the default geometry, so these are what pin small
+geometries and the BTB.  The allocation guard keeps per-set state from
+being built up front again.
 """
 
 import gc
@@ -21,19 +21,17 @@ from repro.frontend.btb import BTB
 from repro.fuzz.generator import generate
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.replacement import LRUPolicy, make_policy
+from repro.memory.replacement import LRUPolicy
 
 SEEDS = range(6)
-POLICIES = ("lru", "plru", "random")
 
 
 class EagerCache:
-    """Reference: every set's tag maps and policy built at construction."""
+    """Reference: every set's tag maps and LRU built at construction."""
 
-    def __init__(self, num_sets, assoc, line_bytes, policy):
+    def __init__(self, num_sets, assoc, line_bytes):
         self.num_sets = num_sets
         self.assoc = assoc
-        self.policy = policy
         self.line_shift = line_bytes.bit_length() - 1
         self.hits = self.misses = self.fills = self.invalidations = 0
         self.flush_all()
@@ -41,10 +39,7 @@ class EagerCache:
     def flush_all(self):
         self.tags = [{} for _ in range(self.num_sets)]  # way -> tag
         self.ways = [{} for _ in range(self.num_sets)]  # tag -> way
-        self.repl = [
-            make_policy(self.policy, self.assoc, seed=index)
-            for index in range(self.num_sets)
-        ]
+        self.repl = [LRUPolicy(self.assoc) for _ in range(self.num_sets)]
 
     def _split(self, addr):
         line = addr >> self.line_shift
@@ -165,18 +160,17 @@ def recency_orders(repl_per_set):
 
 
 class TestCacheModel:
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_ops_match_model(self, seed, policy):
-        rng = random.Random("cache/%s/%d" % (policy, seed))
+    def test_random_ops_match_model(self, seed):
+        rng = random.Random("cache/lru/%d" % seed)
         num_sets = rng.choice((1, 2, 4, 8))
         assoc = rng.choice((1, 2, 4))
         line_bytes = rng.choice((16, 64))
         cache = Cache(
             CacheConfig(num_sets * assoc * line_bytes, line_bytes, assoc, 4),
-            "model", policy,
+            "model",
         )
-        model = EagerCache(num_sets, assoc, line_bytes, policy)
+        model = EagerCache(num_sets, assoc, line_bytes)
         # About three lines per way, so sets overflow and evict often.
         lines = rng.sample(range(1 << 12), 3 * num_sets * assoc)
         for _ in range(400):
@@ -204,9 +198,7 @@ class TestCacheModel:
             assert cache.resident_lines() == model.resident_lines()
             assert [cache.probe(line * line_bytes) for line in lines] == \
                 [model.probe(line * line_bytes) for line in lines]
-            if policy == "lru":
-                assert recency_orders(cache._repl) == \
-                    recency_orders(model.repl)
+            assert recency_orders(cache._repl) == recency_orders(model.repl)
 
 
 class TestBTBModel:

@@ -4,8 +4,6 @@ import math
 import re
 from pathlib import Path
 
-import pytest
-
 from repro.attacks.taxonomy import (
     IMPLEMENTED,
     TABLE1_COVERAGE,
@@ -214,16 +212,10 @@ class TestTable2Drift:
         assert costs == sorted(costs) and len(set(costs)) == len(costs)
 
 
-class TestFigureDrift:
-    """EXPERIMENTS.md's figure numbers and headline rows follow the
-    checked-in results/*.txt."""
+class _ExperimentsDoc:
+    """Readers for EXPERIMENTS.md's sections and results/*.txt tables."""
 
     ROOT = Path(__file__).resolve().parent.parent
-    NDA = ["Permissive", "Permissive+BR", "Strict", "Strict+BR",
-           "Restricted Loads", "Full Protection"]
-    #: EXPERIMENTS.md's short names for the artifacts' row labels.
-    SHORT = {"Full": "Full Protection", "IS-Spectre": "InvisiSpec-Spectre",
-             "IS-Future": "InvisiSpec-Future"}
 
     def _raw_section(self, heading: str) -> str:
         text = (self.ROOT / "EXPERIMENTS.md").read_text()
@@ -262,6 +254,17 @@ class TestFigureDrift:
         return [[cell.strip() for cell in line.strip("|").split("|")]
                 for line in self._raw_section(heading).splitlines()
                 if line.startswith("|") and not line.startswith("|--")]
+
+
+class TestFigureDrift(_ExperimentsDoc):
+    """EXPERIMENTS.md's figure numbers and headline rows follow the
+    checked-in results/*.txt."""
+
+    NDA = ["Permissive", "Permissive+BR", "Strict", "Strict+BR",
+           "Restricted Loads", "Full Protection"]
+    #: EXPERIMENTS.md's short names for the artifacts' row labels.
+    SHORT = {"Full": "Full Protection", "IS-Spectre": "InvisiSpec-Spectre",
+             "IS-Future": "InvisiSpec-Future"}
 
     def _series(self, name: str) -> dict:
         """channel -> {guess: cycles} of a Fig. 4/8 artifact."""
@@ -397,3 +400,57 @@ class TestFigureDrift:
                 ("Full protection vs. in-order", "Full Protection")):
             factor = float(table[name]["vs In-Order"].rstrip("x"))
             assert rows[claim][1] == "%.1f× faster" % factor, claim
+
+
+class TestAblationAndMitigationDrift(_ExperimentsDoc):
+    """EXPERIMENTS.md's ablation and §3.2 numbers follow
+    results/ablations.txt and results/software_mitigations.txt."""
+
+    def _overheads(self) -> dict:
+        """kernel -> {config: overhead in %} of the ablation table."""
+        return {
+            kernel: {name: int(re.search(r"\(\+?(-?\d+)%\)", cell).group(1))
+                     for name, cell in row.items()}
+            for kernel, row in self._table("ablations.txt").items()
+        }
+
+    def test_ablation_claims(self):
+        doc = self._section("Ablations")
+        overheads = self._overheads()
+        strict, branch_free = map(int, re.search(
+            r"strict propagation costs \+(\d+)% on the mispredict-heavy "
+            r"kernel and ~(\d+)% on branch-free chains", doc).groups())
+        assert overheads["mispredict_heavy"]["Strict"] == strict
+        for kernel in ("dependence_chain", "wide_alu"):
+            assert overheads[kernel]["Strict"] == branch_free, kernel
+        assert "pointer chasing and streaming are policy-insensitive" in doc
+        for kernel in ("pointer_chase", "streaming"):
+            assert set(overheads[kernel].values()) == {0}, kernel
+        assert "load restriction preserves streaming MLP" in doc
+        assert overheads["streaming"]["Restricted Loads"] == 0
+
+    def test_software_mitigation_costs(self):
+        doc = self._section("§3.2")
+        table = self._table("software_mitigations.txt")
+        mean = table.pop("MEAN")
+        lfence = [int(row["lfence pass"].rstrip("%"))
+                  for row in table.values()]
+        match = re.search(
+            r"costs \*\*(\d+)% on average\*\* \((\d+)–(\d+)% per "
+            r"benchmark.+? NDA permissive's (\d+)%", doc)
+        average, low, high, nda = match.groups()
+        assert average + "%" == mean["lfence pass"]
+        assert (int(low), int(high)) == (min(lfence), max(lfence))
+        assert nda + "%" == mean["NDA permissive"]
+
+    def test_hardened_binaries_against_the_attacks(self):
+        text = (self.ROOT / "results" / "software_mitigations.txt").read_text()
+        verdicts = dict(re.findall(
+            r"^\s+(\w+ (?:blocked|still leaks)):\s+(True|False)", text,
+            re.M,
+        ))
+        assert verdicts == {"spectre_v1 blocked": "True",
+                            "ssb still leaks": "True",
+                            "meltdown still leaks": "True"}
+        doc = self._section("§3.2")
+        assert "still leak under SSB (no branch to fence) and Meltdown" in doc

@@ -1,12 +1,8 @@
 """Tests for the pipeline tracer."""
 
-import pytest
-
 from repro.config import NDAPolicyName, baseline_ooo, nda_config
 from repro.core.ooo import OutOfOrderCore
 from repro.debug import PipelineTracer, TraceRecord
-from repro.isa.assembler import Assembler
-from repro.isa.registers import R0, R1, R2, R3, R4
 from repro.workloads.kernels import dependence_chain, mispredict_heavy
 
 

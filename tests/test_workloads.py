@@ -74,7 +74,6 @@ class TestGenerator:
         # (breaking the result cache and cross-run reproducibility).
         # The string sub-seeding ("<seed>/data") hashes with SHA-512,
         # which is process-independent.
-        import hashlib
         import os
         import subprocess
         import sys
