@@ -43,10 +43,9 @@ obs-smoke:
 	$(PYTHON) -m repro.cli obs metrics
 
 # Job-placement smoke: the same sweep with --jobs 1 (in-process) and
-# --jobs 2 (fork pool) must be bit-identical, then a checkpointing fuzz
-# campaign is SIGTERM'd mid-run and resumed — zero re-execution of
-# completed jobs, identical witness corpus (mirrors CI; checkpoint
-# artifacts land under results/scale-smoke/).
+# --jobs 2 (fork pool) must be bit-identical (mirrors CI).  Resuming a
+# killed campaign from the result store is tier-1's
+# tests/test_checkpoint.py::TestPreemptedCampaign.
 scale-smoke:
 	$(PYTHON) benchmarks/scale_smoke.py
 

@@ -9,6 +9,7 @@ from benchmarks.common import (
     bench_measure,
     bench_samples,
 )
+from repro.engine.store import ShardedDiskStore
 from repro.harness import run_suite
 
 
@@ -23,7 +24,7 @@ def suite():
         measure=measure,
         instructions=measure + measure // 2 + 2_000,
         jobs=bench_jobs(),
-        cache=bench_cache(),
+        cache=ShardedDiskStore() if bench_cache() else None,
     )
     print("\nsuite engine: %s" % result.engine.describe())
     return result

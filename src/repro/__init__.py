@@ -21,13 +21,13 @@ Quick start::
 Full sweeps (every figure/table of the paper) go through the parallel
 suite engine, the same ``run_suite`` that ``nda-repro bench`` calls::
 
-    from repro import run_suite
+    from repro import ShardedDiskStore, run_suite
 
-    suite = run_suite(jobs=8, cache=True)   # fan out + on-disk cache
+    suite = run_suite(jobs=8, cache=ShardedDiskStore())  # fan out + store
     print(suite.engine.describe())
 """
 
-from repro.api import run_attack, run_window, simulate
+from repro.api import run_window, simulate
 from repro.config import (
     CacheConfig,
     ConfigSpec,
@@ -74,7 +74,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "simulate",
-    "run_attack",
     "run_window",
     "CacheConfig",
     "ConfigSpec",

@@ -1,10 +1,9 @@
 """The one documented simulation surface.
 
-Everything a caller needs to run one program lives here, under three
+Everything a caller needs to run one program lives here, under two
 run functions with one shared keyword vocabulary:
 
 * :func:`simulate`   — run one program to completion (OoO or in-order)
-* :func:`run_attack` — run one attack PoC program (same knobs)
 * :func:`run_window` — one SMARTS measurement window (same knobs)
 
 Full paper sweeps go through :func:`repro.harness.experiment.run_suite`
@@ -21,8 +20,8 @@ The shared keywords mean the same thing everywhere they appear:
     for the same instruction count).
 ``fast_forward``
     Toggle the OoO core's bit-identical idle-cycle fast-forward.
-    Results are unchanged either way; ``False`` exists for equivalence
-    tests and the simulator-speed benchmark.
+    Results are unchanged either way; ``False`` is the reference that
+    the equivalence tests compare against.
 ``manifest``
     Write a JSON provenance record for the run under
     ``results/manifests/`` (or ``REPRO_MANIFEST_DIR``).  Opt-in so bulk
@@ -115,32 +114,6 @@ def simulate(
     return outcome
 
 
-def run_attack(
-    program: Program,
-    config: Optional[SimConfig] = None,
-    *,
-    in_order: bool = False,
-    max_cycles: Optional[int] = None,
-    fast_forward: bool = True,
-    manifest: bool = False,
-) -> RunOutcome:
-    """Execute an attack proof-of-concept program on the chosen core.
-
-    Identical to :func:`simulate` minus the direction-predictor knob
-    (attacks pin their own predictor state); the host-side harnesses in
-    :mod:`repro.attacks` read the covert-channel timings out of the
-    returned outcome's final memory.
-    """
-    outcome = simulate(
-        program, config, in_order=in_order,
-        max_cycles=max_cycles, fast_forward=fast_forward,
-    )
-    if manifest:
-        cfg = config if config is not None else SimConfig()
-        _write_run_manifest(cfg, program.name or "", outcome.stats)
-    return outcome
-
-
 def run_window(
     program: Program,
     config: SimConfig,
@@ -199,7 +172,6 @@ _OBS_EXPORTS = (
 
 __all__ = [
     "simulate",
-    "run_attack",
     "run_window",
     *_FUZZ_EXPORTS,
     *_SMT_EXPORTS,

@@ -12,8 +12,9 @@ Subcommands::
     nda-repro config ooo             # describe one configuration
     nda-repro config list            # registered schemes + named configs
     nda-repro cache info|clear       # inspect/drop the result cache
-    nda-repro cache gc --older-than 14      # prune stale cached windows
+    nda-repro cache gc --older-than 14      # prune stale cache entries
     nda-repro fuzz run --seeds 200 --jobs 8   # differential leak fuzzing
+    nda-repro fuzz run --seeds 5000 --cache-dir D   # resumable campaign
     nda-repro fuzz replay 7 --config strict   # one seed on one config
     nda-repro fuzz minimize 7 --output w.json # ddmin to a reproducer
     nda-repro obs trace spectre_v1 --config strict   # Perfetto export
@@ -24,10 +25,11 @@ Subcommands::
 Sweeps (``bench``/``figure``) run on the parallel suite engine and cache
 windows under ``results/.cache/``; use ``--jobs N`` to size the worker
 pool (``--jobs 1`` runs every job in this process) and ``--no-cache``
-to force re-simulation.  ``--checkpoint FILE`` / ``--resume FILE`` make
-long campaigns survive preemption (see DESIGN.md §3.6).  Engine jobs
-are traced through spans: run a sweep with ``REPRO_TRACE_DIR=D`` set,
-then ``obs trace merge --dir D``.
+to force re-simulation.  A killed sweep resumes by being rerun: every
+window stored before the kill is served from the cache, and a fuzz
+campaign given ``--cache-dir DIR`` resumes the same way (see DESIGN.md
+§3.6).  Engine jobs are traced through spans: run a sweep with
+``REPRO_TRACE_DIR=D`` set, then ``obs trace merge --dir D``.
 """
 
 from __future__ import annotations
@@ -74,24 +76,12 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="result cache location (default: results/.cache, "
              "or $REPRO_CACHE_DIR)",
     )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="periodically write a resumable checkpoint manifest here",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="FILE",
-        help="replay completed jobs from a checkpoint manifest before "
-             "executing the remainder",
-    )
 
 
 def _engine_kwargs(args) -> dict:
     return {
         "jobs": args.jobs,
-        "cache": not args.no_cache,
-        "cache_dir": None if args.no_cache else args.cache_dir,
-        "checkpoint": getattr(args, "checkpoint", None),
-        "resume": getattr(args, "resume", None),
+        "cache": None if args.no_cache else ShardedDiskStore(args.cache_dir),
     }
 
 
@@ -184,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument("--cache-dir", default=None, metavar="DIR")
     cache_cmd.add_argument(
         "--older-than", type=float, default=None, metavar="DAYS",
-        help="gc: drop cached windows last touched more than DAYS "
+        help="gc: drop entries last touched more than DAYS "
              "days ago (required for gc)",
     )
 
@@ -231,12 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_run.add_argument("--max-cycles", type=int, default=400_000)
     fuzz_run.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="periodically write a resumable checkpoint manifest here",
-    )
-    fuzz_run.add_argument(
-        "--resume", default=None, metavar="FILE",
-        help="replay completed seeds from a checkpoint manifest",
+        "--cache-dir", default=None, metavar="DIR",
+        help="store every run in this result store and serve runs it "
+             "already holds, so a killed campaign resumes when rerun "
+             "(default: store nothing)",
     )
     fuzz_run.add_argument(
         "--smt", action="store_true",
@@ -362,15 +350,6 @@ def _input_error(problem) -> int:
 
 
 def _run_command(args) -> int:
-    if getattr(args, "resume", None) is not None:
-        # Read the checkpoint once, before the run starts; the engine
-        # takes the loaded manifest in place of the path.
-        from repro.engine.checkpoint import read_checkpoint
-        try:
-            args.resume = read_checkpoint(args.resume)
-        except ValueError as error:
-            return _input_error(error)
-
     if args.command == "table3":
         print(render_table3())
         return 0
@@ -395,13 +374,13 @@ def _run_command(args) -> int:
         cache = ShardedDiskStore(args.cache_dir)
         if args.action == "clear":
             removed = cache.clear()
-            print("removed %d cached windows from %s" % (removed, cache.root))
+            print("removed %d entries from %s" % (removed, cache.root))
         elif args.action == "gc":
             if args.older_than is None:
                 print("cache gc requires --older-than DAYS", file=sys.stderr)
                 return 2
             removed = cache.gc(args.older_than)
-            print("gc removed %d cached windows older than %g days from %s"
+            print("gc removed %d entries older than %g days from %s"
                   % (removed, args.older_than, cache.root))
         else:
             print("cache dir: %s" % cache.root)
@@ -749,8 +728,8 @@ def _fuzz(args) -> int:
             jobs=args.jobs,
             progress=progress,
             max_cycles=args.max_cycles,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
+            cache=ShardedDiskStore(args.cache_dir) if args.cache_dir
+            else None,
             smt=args.smt,
         )
         print(campaign.describe())
@@ -845,22 +824,13 @@ def _figure(args) -> int:
     if args.which == "8":
         print(render_figure8(figure8()))
         return 0
-    engine_kwargs = _engine_kwargs(args)
     if args.which == "9e":
-        cache = (
-            ShardedDiskStore(engine_kwargs["cache_dir"])
-            if engine_kwargs["cache"] else False
-        )
         print(render_figure9e(figure9e(
-            benchmarks=benchmarks,
-            jobs=engine_kwargs["jobs"],
-            cache=cache,
-            checkpoint=engine_kwargs["checkpoint"],
-            resume=engine_kwargs["resume"],
+            benchmarks=benchmarks, **_engine_kwargs(args)
         )))
         return 0
     suite = run_suite(
-        benchmarks=benchmarks, samples=args.samples, **engine_kwargs
+        benchmarks=benchmarks, samples=args.samples, **_engine_kwargs(args)
     )
     print("engine: %s" % suite.engine.describe())
     if args.which == "7":

@@ -3,20 +3,13 @@
 The engine turns a sweep (benchmarks x samples x configurations) into
 independent, deterministic jobs, serves repeats from a content-addressed
 result store on disk, and runs the rest in the calling process (one
-worker) or on a fork pool on this host (more).  Long runs checkpoint their
-progress into a resumable manifest (``checkpoint=``/``resume=``).  See
+worker) or on a fork pool on this host (more).  Every executed result is
+stored as it completes, so a killed run resumes by being rerun against
+the same store.  See
 ``repro.harness.experiment.run_suite`` for the high-level entry point
 that reassembles the jobs into a :class:`SuiteResult`.
 """
 
-from repro.engine.checkpoint import (
-    build_checkpoint,
-    decode_result,
-    encode_result,
-    job_key,
-    load_checkpoint,
-    write_checkpoint,
-)
 from repro.engine.jobs import (
     JobResult,
     SimJob,
@@ -39,12 +32,6 @@ from repro.engine.store import (
 )
 
 __all__ = [
-    "build_checkpoint",
-    "decode_result",
-    "encode_result",
-    "job_key",
-    "load_checkpoint",
-    "write_checkpoint",
     "CACHE_SCHEMA",
     "CacheStats",
     "ShardedDiskStore",

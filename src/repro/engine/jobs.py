@@ -62,7 +62,8 @@ def forget_program() -> None:
 class SimJob:
     """One independent measurement window of a sweep (picklable)."""
 
-    #: What :meth:`execute` returns (checkpoints decode entries to it).
+    #: What :meth:`execute` returns (the result store decodes entries
+    #: to it).
     result_type = PipelineStats
 
     benchmark: str
@@ -147,9 +148,6 @@ class JobResult:
     elapsed: float = 0.0
     from_cache: bool = False
     retried: bool = False
-    #: Replayed out of a checkpoint manifest (--resume) — like a cache
-    #: hit, the window was not recomputed by this run.
-    resumed: bool = False
     # Execution span on time.perf_counter()'s clock — CLOCK_MONOTONIC on
     # Linux, so comparable across forked workers.  Zero for cache hits.
     t_start: float = 0.0

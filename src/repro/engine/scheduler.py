@@ -1,21 +1,19 @@
-"""Run engine jobs: resume, cache, place, account and checkpoint.
+"""Run engine jobs: serve from the store, place, account, store.
 
 ``run_jobs`` turns a job list into results:
 
-* **resume** (phase 0) — completed results replayed out of a checkpoint
-  manifest (``resume=``) never execute again;
-* **cache** (phase 1) — jobs whose window the result store already holds
-  are served from it;
+* **store** (phase 1) — jobs whose result the result store already
+  holds are served from it;
 * **placement** (phase 2) — the remainder runs in the calling
   process when one worker resolves (``jobs=1``, ``backend="serial"``,
   or no ``fork``), and on a fork-based ``ProcessPoolExecutor`` of that
   many workers otherwise;
 * **accounting** — results return in submission order regardless of
   completion order, failures are collected rather than raised, stats
-  cover cache/resume/retry behavior;
-* **checkpointing** — with ``checkpoint=<path>`` the driver rewrites a
-  resumable manifest every ``checkpoint_interval`` completions (and at
-  the end), so a SIGTERM'd campaign restarts from where it died.
+  cover store hits and retries;
+* **persistence** — each executed result goes into the store the
+  moment it completes, so a killed run resumes by being rerun against
+  the same store: only the jobs that had not finished execute.
 
 Both placements produce bit-identical windows for the same job set
 (pinned by ``tests/golden/backend_equivalence.json``): every job derives
@@ -70,13 +68,6 @@ class EngineStats:
     job_seconds: Dict[Tuple[str, str, int], float] = field(
         default_factory=dict
     )
-    #: Results replayed from a checkpoint manifest (--resume).
-    resumed: int = 0
-
-    @property
-    def backend(self) -> str:
-        """Placement label (checkpoint manifests carry it)."""
-        return "local-pool" if self.workers > 1 else "serial"
 
     def describe(self) -> str:
         parts = [
@@ -86,8 +77,6 @@ class EngineStats:
             "%d workers" % self.workers,
             "%.2fs wall" % self.wall_seconds,
         ]
-        if self.resumed:
-            parts.append("%d resumed" % self.resumed)
         if self.retries:
             parts.append("%d retried" % self.retries)
         if self.failures:
@@ -117,18 +106,14 @@ def run_jobs(
     progress: Optional[ProgressFn] = None,
     executor_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
     backend: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_interval: int = 25,
-    checkpoint_label: str = "engine",
-    resume: Optional[Union[str, dict]] = None,
 ) -> Tuple[List[JobResult], List[JobFailure], EngineStats]:
     """Execute every job; returns (results, failures, stats).
 
     ``results`` preserves the order of ``jobs_list`` (failed jobs are
     omitted and listed in ``failures`` instead).  ``backend="serial"``
     runs every job in this process; ``"local-pool"`` or ``None`` sizes
-    the pool from ``jobs``.  ``checkpoint`` keeps a resumable manifest
-    at that path, and ``resume`` replays one.
+    the pool from ``jobs``.  With ``cache`` every job the store holds is
+    served from it and every executed result is stored.
     """
     if backend not in (None, "serial", "local-pool"):
         raise ValueError(
@@ -139,6 +124,7 @@ def run_jobs(
     # Jobs share a program within this sweep only (see SimJob.program).
     forget_program()
     stats = EngineStats(jobs=len(jobs_list))
+    stores_before = cache.stats.stores if cache is not None else 0
     # Span tracing (no-op when detached): one engine.run span for
     # the whole call, retroactive per-job queue/execute/cache-hit spans
     # from each job's submit, start and end times.  perf_counter times
@@ -157,34 +143,6 @@ def run_jobs(
     submit_times: Dict[int, float] = {}
     lock = threading.RLock()
     accounted: set = set()
-
-    # Job keys are only needed by the checkpoint layer; hashing every
-    # job is wasted work for plain runs.
-    keys: Optional[List[str]] = None
-    if checkpoint is not None or resume is not None:
-        from repro.engine import checkpoint as ckpt
-
-        keys = [ckpt.job_key(job) for job in jobs_list]
-    since_checkpoint = 0
-
-    def maybe_checkpoint(force: bool = False) -> None:
-        # Caller holds `lock`.
-        nonlocal since_checkpoint
-        if checkpoint is None:
-            return
-        since_checkpoint += 1
-        if not force and since_checkpoint < max(1, checkpoint_interval):
-            return
-        since_checkpoint = 0
-        manifest = ckpt.build_checkpoint(
-            jobs_list, keys, slots,
-            label=checkpoint_label, backend=stats.backend,
-            failures=failures,
-        )
-        try:
-            ckpt.write_checkpoint(checkpoint, manifest)
-        except OSError:
-            pass  # checkpointing must never kill the run it protects
 
     def finish(index: int, result: JobResult) -> None:
         nonlocal done_count
@@ -212,9 +170,7 @@ def run_jobs(
                 else:
                     if result.retried:
                         attrs["retried"] = True
-                    if result.resumed:
-                        attrs["resumed"] = True
-                    elif t_start > submit:
+                    if t_start > submit:
                         tracer.record(
                             "engine.queue", submit, t_start,
                             parent=run_span, attrs=attrs,
@@ -223,13 +179,10 @@ def run_jobs(
                         "engine.execute", t_start, t_end,
                         parent=run_span, attrs=attrs,
                     )
-            if result.resumed:
-                stats.resumed += 1
-            elif not result.from_cache:
+            if not result.from_cache:
                 stats.executed += 1
                 if cache is not None:
                     cache.store(result.job, result.window)
-            maybe_checkpoint()
             if progress is not None:
                 progress(done_count, len(jobs_list), result)
 
@@ -250,7 +203,6 @@ def run_jobs(
                     parent=run_span, status="error",
                     attrs={"job": job.describe(), "error": repr(error)},
                 )
-            maybe_checkpoint()
             if progress is not None:
                 progress(done_count, len(jobs_list), None)
 
@@ -271,31 +223,15 @@ def run_jobs(
         result.retried = retried
         finish(index, result)
 
-    # Phase 0: replay completed results out of a checkpoint manifest.
-    todo: List[Tuple[int, SimJob]] = list(enumerate(jobs_list))
-    if resume is not None:
-        completed = ckpt.load_checkpoint(resume)
-        still_todo = []
-        for index, job in todo:
-            entry = completed.get(keys[index])
-            replay = ckpt.decode_result(job, entry) \
-                if entry is not None else None
-            if replay is not None:
-                finish(index, replay)
-            else:
-                still_todo.append((index, job))
-        todo = still_todo
-
     # Phase 1: serve whatever the result store already has.
     pending: List[Tuple[int, SimJob]] = []
-    for index, job in todo:
+    for index, job in enumerate(jobs_list):
         window = cache.load(job) if cache is not None else None
         if window is not None:
+            stats.cache_hits += 1
             finish(index, JobResult(job=job, window=window, from_cache=True))
         else:
             pending.append((index, job))
-    if cache is not None:
-        stats.cache_hits = cache.stats.hits
 
     # Phase 2: run the misses in this process, or on a fork pool.
     workers = 1 if backend == "serial" else \
@@ -338,19 +274,15 @@ def run_jobs(
             for index, job in remaining:
                 run_serially(index, job, True)
 
-    with lock:
-        maybe_checkpoint(force=True)
     if cache is not None:
-        stats.stores = cache.stats.stores
+        stats.stores = cache.stats.stores - stores_before
     stats.wall_seconds = time.perf_counter() - start_wall
     results = [slot for slot in slots if slot is not None]
     if run_span is not None:
         run_span.attrs.update({
-            "backend": stats.backend,
             "workers": stats.workers,
             "executed": stats.executed,
             "cache_hits": stats.cache_hits,
-            "resumed": stats.resumed,
             "failures": stats.failures,
         })
         run_span.end(status="error" if failures else "ok")

@@ -1,12 +1,25 @@
-"""The result store: content-addressed window storage on disk.
+"""The result store: content-addressed job results on disk.
 
-Every job's measurement window is stored as JSON keyed by a SHA-256 over
-the complete job identity (:func:`job_cache_key`): machine configuration
-(:meth:`repro.config.SimConfig.cache_key`), workload spec, sampling
-parameters, and the code version.  Jobs are deterministic, so a key hit
-replaces a simulation outright; any change to configuration, workload,
-sampling, or code version changes the key and transparently invalidates
-the entry.
+Every engine job's result is stored as JSON keyed by a SHA-256 over the
+complete job identity (:func:`job_key`).  A sweep window
+(:class:`~repro.engine.jobs.SimJob`) keys on :func:`job_cache_key`:
+machine configuration (:meth:`repro.config.SimConfig.cache_key`),
+workload spec, sampling parameters, and the code version.  Any other
+job (a frozen dataclass, e.g. ``FuzzJob``) keys on its type name, its
+fields and the code version.  Jobs are deterministic, so a key hit
+replaces an execution outright; any change to configuration, workload,
+sampling, or code version changes the key and transparently
+invalidates the entry.  A killed sweep or campaign therefore resumes by
+being rerun against the same store: every job stored before the kill is
+a hit, and only the rest executes.
+
+Each job class names its result class in ``result_type`` (a class
+attribute, not a field, so it never enters a key): ``SimJob`` names
+``PipelineStats``, the fuzz jobs ``FuzzRunResult``.  An entry is
+``{key, job, code, type, data}``; :meth:`ShardedDiskStore.load` decodes
+``data`` with the job's ``result_type.from_dict`` only when ``type``
+names that class.  Anything else — another type, a torn or ill-typed
+entry — is a miss, and the entry is removed.
 
 :class:`ShardedDiskStore` keeps the entries as JSON files under
 ``results/.cache/<kk>/<key>.json``.  Set ``REPRO_CACHE_DIR`` to
@@ -20,14 +33,13 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 from repro.engine.jobs import SimJob
-from repro.stats.counters import PipelineStats
 
-#: Bump to invalidate every cached window after a change to the simulator
+#: Bump to invalidate every stored result after a change to the simulator
 #: that alters results without changing any SimConfig field.
 #: Schema 2: scheme registry refactor (string scheme names + per-scheme
 #: parameter blocks folded into SimConfig.cache_key()).
@@ -66,6 +78,18 @@ def job_cache_key(job: SimJob) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def job_key(job) -> str:
+    """Stable content key for an engine job (a frozen dataclass)."""
+    if isinstance(job, SimJob):
+        return job_cache_key(job)
+    payload = json.dumps({
+        "code": _code_version(),
+        "type": type(job).__name__,
+        "fields": asdict(job),
+    }, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one engine run."""
@@ -85,21 +109,8 @@ class CacheStats:
         )
 
 
-def _entry_payload(job: SimJob, key: str, window: PipelineStats) -> dict:
-    """The JSON document stored per window."""
-    return {
-        "key": key,
-        "benchmark": job.benchmark,
-        "label": job.label,
-        "sample_index": job.sample_index,
-        "seed": job.seed,
-        "code": _code_version(),
-        "window": window.to_dict(),
-    }
-
-
 class ShardedDiskStore:
-    """JSON result store keyed by :func:`job_cache_key`, sharded on disk.
+    """JSON result store keyed by :func:`job_key`, sharded on disk.
 
     Layout: ``<root>/<key[:2]>/<key>.json``.  Walks, counts, and deletes
     tolerate concurrent writers — a file or shard directory vanishing
@@ -114,20 +125,25 @@ class ShardedDiskStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
 
-    def load(self, job: SimJob) -> Optional[PipelineStats]:
-        """Return the cached window for *job*, or None on a miss.
+    def load(self, job):
+        """Return the stored result for *job*, or None on a miss.
 
-        Unreadable or corrupt entries count as misses (and are removed),
-        so a damaged cache degrades to re-simulation, never to an error.
+        An entry that does not decode to the job's ``result_type`` —
+        unreadable, torn, ill-typed, or holding another type — counts as
+        a miss and is removed, so a damaged store degrades to
+        re-execution, never to an error or a wrong result.
         """
-        path = self._path(job_cache_key(job))
+        path = self._path(job_key(job))
+        result_type = job.result_type
         try:
             payload = json.loads(path.read_text())
-            window = PipelineStats.from_dict(payload["window"])
+            if payload["type"] != result_type.__name__:
+                raise ValueError("entry holds a %r" % (payload["type"],))
+            result = result_type.from_dict(payload["data"])
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, RecursionError, ValueError, KeyError, TypeError):
             self.stats.misses += 1
             self.stats.errors += 1
             try:
@@ -136,18 +152,24 @@ class ShardedDiskStore:
                 pass
             return None
         self.stats.hits += 1
-        return window
+        return result
 
-    def store(self, job: SimJob, window: PipelineStats) -> None:
-        """Persist one window (atomic write; failures are non-fatal)."""
-        key = job_cache_key(job)
+    def store(self, job, window) -> None:
+        """Persist one job's result (atomic write; failures are
+        non-fatal)."""
+        key = job_key(job)
         path = self._path(key)
+        entry = {
+            "key": key,
+            "job": job.describe(),
+            "code": _code_version(),
+            "type": type(window).__name__,
+            "data": window.to_dict(),
+        }
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(".tmp.%d" % os.getpid())
-            tmp.write_text(
-                json.dumps(_entry_payload(job, key, window), sort_keys=True)
-            )
+            tmp.write_text(json.dumps(entry, sort_keys=True))
             os.replace(tmp, path)
             self.stats.stores += 1
         except OSError:

@@ -7,12 +7,12 @@ Every result document the repo writes opens with the same two fields::
 ``kind`` names the document family: ``run`` and ``attack`` (the CLI's
 ``--json``, built by :func:`run_envelope` and :func:`attack_envelope`),
 ``fuzz-witness`` (corpus files), and the manifest kinds
-``run``/``trace``/``fuzz-campaign``/``checkpoint`` (manifests are
-envelopes too).  :func:`make_envelope` is the one serializer for the
-first three; :mod:`repro.obs.manifest` stamps the same two fields on
-manifests.  The body is flat: kind-specific fields sit next to
-``schema``/``kind`` rather than under a nested wrapper, which keeps
-manifests and corpus files human-diffable.
+``run``/``trace``/``fuzz-campaign`` (manifests are envelopes too).
+:func:`make_envelope` is the one serializer for the first three;
+:mod:`repro.obs.manifest` stamps the same two fields on manifests.
+The body is flat: kind-specific fields sit next to ``schema``/``kind``
+rather than under a nested wrapper, which keeps manifests and corpus
+files human-diffable.
 
 Readers open a file through :func:`load_json_object`, which rejects
 anything but a readable JSON object with one ``ValueError`` naming the

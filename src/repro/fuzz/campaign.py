@@ -15,9 +15,11 @@ unclaimed channels are expected signal (e.g. InvisiSpec leaking through
 the BTB) and are kept for the per-channel coverage report.
 
 Campaigns run through the suite engine's parallel scheduler
-(:func:`repro.engine.run_jobs`) with the result cache disabled — fuzz
-jobs are cheap (hundreds of instructions) and novelty-seeking, so disk
-caching would only add I/O.
+(:func:`repro.engine.run_jobs`).  By default nothing is stored — fuzz
+jobs are cheap (hundreds of instructions), so disk I/O would only add
+cost.  A long campaign given a result store (``cache=``) stores every
+run as it completes, and rerunning it against the same store executes
+only the runs that had not finished.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class FuzzRunResult:
         return tuple(sorted({w.channel for w in self.witnesses}))
 
     def to_dict(self) -> dict:
-        """JSON form (checkpoint manifests round-trip through this)."""
+        """JSON form (the result store round-trips through this)."""
         return {
             "seed": self.seed,
             "config_name": self.config_name,
@@ -133,17 +135,40 @@ class FuzzRunResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FuzzRunResult":
-        return cls(
-            seed=int(payload["seed"]),
-            config_name=payload["config_name"],
-            template=payload["template"],
-            channel=payload["channel"],
-            analog=payload["analog"],
-            witnesses=tuple(
-                LeakWitness(**w) for w in payload["witnesses"]
-            ),
-            cycles=int(payload["cycles"]),
+        """Inverse of :meth:`to_dict`.  Raises ``ValueError`` unless every
+        field, and every field of every witness, is present with its
+        declared type (no int field takes a bool)."""
+        run = _typed(payload, _RUN_FIELDS, "fuzz run")
+        run["witnesses"] = tuple(
+            LeakWitness(**_typed(witness, _WITNESS_FIELDS, "witness"))
+            for witness in run["witnesses"]
         )
+        return cls(**run)
+
+
+#: Declared field types of a stored run and of each of its witnesses.
+_RUN_FIELDS = {
+    "seed": int, "config_name": str, "template": str, "channel": str,
+    "analog": str, "witnesses": list, "cycles": int,
+}
+_WITNESS_FIELDS = {
+    "channel": str, "seq": int, "pc": int, "addr": int, "cycle": int,
+    "detail": str,
+}
+
+
+def _typed(payload, types: Dict[str, type], what: str) -> dict:
+    """The fields of *payload* named in *types*; ``ValueError`` unless
+    *payload* is an object holding each with its type (never a bool)."""
+    if not isinstance(payload, dict):
+        raise ValueError("%s must be an object" % what)
+    for name, kind in types.items():
+        value = payload.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                "%s field %r must be %s" % (what, name, kind.__name__)
+            )
+    return {name: payload[name] for name in types}
 
 
 @dataclass(frozen=True)
@@ -309,8 +334,8 @@ class CampaignResult:
     counterexamples: List[Counterexample] = field(default_factory=list)
     #: seeds whose simulation raised, with the failure reason
     failures: List[Tuple[str, str]] = field(default_factory=list)
-    #: scheduler accounting for the run (EngineStats; backend, resumed,
-    #: executed counts — preemption tests assert on these)
+    #: scheduler accounting for the run (EngineStats; executed and
+    #: cache-hit counts — preemption tests assert on these)
     engine: object = None
 
     def baseline_channel_counts(self) -> Dict[str, int]:
@@ -408,9 +433,7 @@ def run_campaign(
     progress=None,
     max_cycles: int = 400_000,
     backend: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_interval: int = 25,
-    resume=None,
+    cache=None,
     smt: bool = False,
 ) -> CampaignResult:
     """Run the differential campaign: ``seeds x configs`` fuzz runs.
@@ -423,11 +446,13 @@ def run_campaign(
     Executes through the suite engine's parallel scheduler (fork-based
     workers, deterministic results, serial fallback on worker failure);
     ``jobs`` has the same meaning as the engine's ``--jobs`` and
-    ``backend``/``checkpoint``/``resume`` as ``run_jobs``'s.  With
-    ``checkpoint`` a preempted campaign leaves a resumable manifest
-    behind; rerunning the same seeds/configs with ``resume`` replays the
-    completed runs and executes only the remainder, converging on the
-    identical witness corpus (fuzz jobs are deterministic).
+    ``backend``/``cache`` as ``run_jobs``'s.  With a result store as
+    ``cache`` a killed campaign leaves every finished run behind;
+    rerunning the same seeds/configs against that store serves them
+    from it and executes only the remainder, converging on the
+    identical witness corpus (fuzz jobs are deterministic).  The store's
+    key carries the package version, not the source, so give a campaign
+    a store only while the code under test stays unchanged.
     """
     from repro.engine import run_jobs  # deferred: engine pulls in pools
 
@@ -463,10 +488,8 @@ def run_campaign(
         ]
     def _execute():
         return run_jobs(
-            fuzz_jobs, jobs=jobs, cache=None, progress=progress,
+            fuzz_jobs, jobs=jobs, cache=cache, progress=progress,
             backend=backend,
-            checkpoint=checkpoint, checkpoint_interval=checkpoint_interval,
-            checkpoint_label="fuzz", resume=resume,
         )
 
     from repro.obs.spans import maybe_tracer

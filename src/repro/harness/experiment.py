@@ -9,7 +9,7 @@ are all views over a single :class:`SuiteResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ConfigSpec, config_registry
 from repro.engine.jobs import expand_jobs
@@ -172,13 +172,9 @@ def run_suite(
     seed0: int = 0,
     verbose: bool = False,
     jobs: Optional[int] = None,
-    cache: Union[bool, ShardedDiskStore, None] = False,
-    cache_dir=None,
+    cache: Optional[ShardedDiskStore] = None,
     progress: Optional[ProgressFn] = None,
     backend: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_interval: int = 25,
-    resume=None,
 ) -> SuiteResult:
     """Run the full sweep and return every sampled run.
 
@@ -189,14 +185,13 @@ def run_suite(
 
     * ``jobs`` — worker processes (default ``os.cpu_count()``; ``jobs=1``
       runs serially in-process).  Results are identical either way.
-    * ``cache`` — ``True`` (or a :class:`ShardedDiskStore`) serves
-      repeated jobs from the on-disk store under ``results/.cache/``;
-      ``cache_dir`` overrides the location.
+    * ``cache`` — a :class:`ShardedDiskStore` serves repeated jobs from
+      disk and stores every executed window, so a killed sweep rerun
+      against the same store executes only what had not finished;
+      ``None`` stores nothing.
     * ``backend`` — ``"serial"`` runs every job in this process
       whatever ``jobs`` says; ``"local-pool"`` or ``None`` sizes the
       pool from ``jobs``.
-    * ``checkpoint``/``resume`` — keep / replay a resumable manifest of
-      completed jobs (preempted sweeps restart from where they died).
     * ``progress`` — per-job callback ``(done, total, job_result)``.
 
     Job/cache/timing accounting lands on ``result.engine``.
@@ -205,22 +200,12 @@ def run_suite(
         [ConfigSpec.coerce(spec) for spec in configs]
         if configs is not None else figure7_config_specs()
     )
-    result_cache: Optional[ShardedDiskStore]
-    if isinstance(cache, ShardedDiskStore):
-        result_cache = cache
-    elif cache or cache_dir is not None:
-        result_cache = ShardedDiskStore(cache_dir)
-    else:
-        result_cache = None
-
     job_list = expand_jobs(
         benchmarks, specs, samples, warmup, measure, instructions, seed0
     )
     job_results, failures, engine_stats = run_jobs(
-        job_list, jobs=jobs, cache=result_cache, progress=progress,
+        job_list, jobs=jobs, cache=cache, progress=progress,
         backend=backend,
-        checkpoint=checkpoint, checkpoint_interval=checkpoint_interval,
-        checkpoint_label="suite", resume=resume,
     )
     if failures:
         raise SimulationError(

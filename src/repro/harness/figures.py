@@ -249,16 +249,14 @@ def figure9e(
     measure: int = 6_000,
     instructions: int = 12_000,
     jobs: Optional[int] = None,
-    cache=False,
-    checkpoint=None,
-    resume=None,
+    cache=None,
 ) -> Dict[str, float]:
     """Permissive-policy CPI (normalized to OoO) vs. extra wake-up delay.
 
-    ``jobs``/``checkpoint``/``resume`` pass straight through to the
-    engine (see :func:`repro.harness.experiment.run_suite`), so the
-    delay sweep runs on a process pool and survives preemption like any
-    other campaign.
+    ``jobs``/``cache`` pass straight through to the engine (see
+    :func:`repro.harness.experiment.run_suite`), so the delay sweep runs
+    on a process pool and a killed run resumes from the store like any
+    other sweep.
     """
     specs = [ConfigSpec("OoO", baseline_ooo())]
     for delay in delays:
@@ -275,8 +273,6 @@ def figure9e(
         instructions=instructions,
         jobs=jobs,
         cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
     )
     return {
         label: suite.mean_normalized_cpi(label)

@@ -48,9 +48,7 @@ from repro.obs.perfetto import (
 )
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
-    build_checkpoint_manifest,
     build_manifest,
-    validate_checkpoint,
     latest_manifest,
     list_manifests,
     load_manifest,
@@ -77,9 +75,7 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "MANIFEST_SCHEMA_VERSION",
-    "build_checkpoint_manifest",
     "build_manifest",
-    "validate_checkpoint",
     "latest_manifest",
     "list_manifests",
     "load_manifest",

@@ -178,89 +178,6 @@ def build_manifest(
     return manifest
 
 
-def build_checkpoint_manifest(
-    *,
-    label: str,
-    backend: str,
-    total: int,
-    completed: Dict[str, dict],
-    pending: List[str],
-    failed: Optional[Dict[str, str]] = None,
-) -> dict:
-    """Assemble a resumable ``kind="checkpoint"`` manifest.
-
-    Checkpoints reuse the run-manifest envelope (same provenance fields,
-    same validator) but describe a *job set* rather than one config:
-    ``config`` is empty, ``config_hash`` is a digest over the sorted job
-    keys (so two checkpoints of the same sweep share an identity), and
-    the progress state lives under ``extra["checkpoint"]`` —
-    ``{total, backend, completed: {key: entry}, pending: [key],
-    failed: {key: error}}``, where each completed entry is the
-    engine codec's ``{type, data, elapsed}`` record
-    (:mod:`repro.engine.checkpoint`).
-    """
-    import hashlib
-
-    keys = sorted(list(completed) + list(pending))
-    identity = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
-    return {
-        "schema": RESULT_SCHEMA,
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "checkpoint",
-        "label": label,
-        "created_unix": time.time(),
-        "config": {},  # a checkpoint spans configs; identity is the keys
-        "config_hash": identity,
-        "scheme": "mixed",
-        "git_revision": git_revision(),
-        "host": host_info(),
-        "timings": {},
-        "extra": {
-            "checkpoint": {
-                "total": int(total),
-                "backend": backend,
-                "completed": dict(completed),
-                "pending": list(pending),
-                "failed": dict(failed or {}),
-            },
-        },
-    }
-
-
-def validate_checkpoint(manifest) -> List[str]:
-    """Checkpoint-specific validation on top of :func:`validate_manifest`;
-    like it, returns a problem list for any JSON value and never
-    raises."""
-    problems = validate_manifest(manifest)
-    if not isinstance(manifest, dict):
-        return problems
-    if manifest.get("kind") != "checkpoint":
-        problems.append(
-            "kind is %r, not 'checkpoint'" % (manifest.get("kind"),)
-        )
-    extra = manifest.get("extra")
-    state = extra.get("checkpoint") if isinstance(extra, dict) else None
-    if not isinstance(state, dict):
-        problems.append("extra.checkpoint must be an object")
-        return problems
-    if not isinstance(state.get("total"), int):
-        problems.append("extra.checkpoint.total must be an int")
-    completed = state.get("completed")
-    if not isinstance(completed, dict):
-        problems.append("extra.checkpoint.completed must be an object")
-    else:
-        for key, entry in completed.items():
-            if not (isinstance(entry, dict) and isinstance(
-                    entry.get("type"), str) and "data" in entry):
-                problems.append(
-                    "completed[%r] is not a {type, data} entry" % (key,)
-                )
-                break
-    if not isinstance(state.get("pending"), list):
-        problems.append("extra.checkpoint.pending must be a list")
-    return problems
-
-
 def validate_manifest(manifest) -> List[str]:
     """Check *manifest* against the schema; return a problem list
     (empty == valid).  Never raises, whatever JSON value it is given."""

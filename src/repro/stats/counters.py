@@ -11,6 +11,10 @@ from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CycleClass:
     """Labels for the Fig. 9a breakdown."""
 
@@ -164,21 +168,38 @@ class PipelineStats:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "PipelineStats":
-        """Inverse of :meth:`to_dict`; integer dict keys are restored."""
+        """Inverse of :meth:`to_dict`; integer dict keys are restored.
+
+        Raises ``ValueError`` unless every field is present with its
+        declared type: an int field holds an int, a float field an int
+        or a float, a dict field an object of ints, and none a bool.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError("stats must be an object")
         stats = cls()
         for info in fields(cls):
-            if info.name not in payload:
-                continue
-            value = payload[info.name]
-            if isinstance(value, dict):
-                restored = {}
-                for key, item in value.items():
-                    if isinstance(key, str) and key.lstrip("-").isdigit():
-                        key = int(key)
-                    restored[key] = item
-                setattr(stats, info.name, restored)
-            else:
-                setattr(stats, info.name, value)
+            value = payload.get(info.name)
+            default = getattr(stats, info.name)
+            if isinstance(default, dict):
+                if not isinstance(value, dict) or not all(
+                        _is_int(item) for item in value.values()):
+                    raise ValueError(
+                        "stats field %r must be an object of integers"
+                        % info.name
+                    )
+                value = {
+                    int(key) if isinstance(key, str)
+                    and key.lstrip("-").isdigit() else key: item
+                    for key, item in value.items()
+                }
+            elif not (_is_int(value) or isinstance(default, float)
+                      and isinstance(value, float)):
+                raise ValueError("stats field %r must be %s" % (
+                    info.name,
+                    "a number" if isinstance(default, float)
+                    else "an integer",
+                ))
+            setattr(stats, info.name, value)
         return stats
 
     def summary(self) -> Dict[str, float]:

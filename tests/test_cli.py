@@ -60,6 +60,10 @@ def test_no_command_rejected():
     ["fuzz", "run", "--backend", "worker-protocol"],
     ["bench", "--backend", "serial"],
     ["fuzz", "run", "--backend", "serial"],
+    ["bench", "--checkpoint", "ck.json"],
+    ["figure", "7", "--resume", "ck.json"],
+    ["fuzz", "run", "--checkpoint", "ck.json"],
+    ["fuzz", "run", "--resume", "ck.json"],
     ["obs", "top"],
     ["obs", "export"],
     ["submit", "sweep", "--priority", "1"],
@@ -109,6 +113,25 @@ def test_bench_no_cache_flag(capsys):
     ])
     assert code == 0
     assert "0 cache hits" in capsys.readouterr().out
+
+
+def test_fuzz_run_resumes_from_its_cache_dir(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+    store = str(tmp_path / "store")
+    args = ["fuzz", "run", "--seeds", "4", "--configs", "strict",
+            "--jobs", "1", "--cache-dir", store]
+    assert main(args) == 0
+    first = capsys.readouterr().out.split("manifest:")[0]
+
+    def no_execution(job):
+        raise AssertionError("a stored run executed again")
+
+    # The rerun serves all four runs from the store: nothing executes.
+    monkeypatch.setattr("repro.engine.scheduler.execute_job", no_execution)
+    assert main(args) == 0
+    assert capsys.readouterr().out.split("manifest:")[0] == first
+    assert main(["cache", "info", "--cache-dir", store]) == 0
+    assert "entries:   4" in capsys.readouterr().out
 
 
 def test_config_describe(capsys):

@@ -212,12 +212,9 @@ class TestResultCache:
         assert cache.size() == 0
 
     def test_warm_suite_executes_zero_jobs(self, tmp_path):
-        kwargs = dict(
-            benchmarks=["exchange2"], configs=tiny_specs(),
-            cache=True, cache_dir=tmp_path, **TINY
-        )
-        cold = run_suite(jobs=2, **kwargs)
-        warm = run_suite(jobs=2, **kwargs)
+        kwargs = dict(benchmarks=["exchange2"], configs=tiny_specs(), **TINY)
+        cold = run_suite(jobs=2, cache=ShardedDiskStore(tmp_path), **kwargs)
+        warm = run_suite(jobs=2, cache=ShardedDiskStore(tmp_path), **kwargs)
         assert cold.engine.executed == cold.engine.jobs
         assert warm.engine.executed == 0
         assert warm.engine.cache_hits == warm.engine.jobs
@@ -227,7 +224,7 @@ class TestResultCache:
     def test_config_change_invalidates(self, tmp_path):
         base = dict(
             benchmarks=["exchange2"], samples=1, warmup=300, measure=800,
-            instructions=2_500, cache=True, cache_dir=tmp_path,
+            instructions=2_500, cache=ShardedDiskStore(tmp_path),
         )
         run_suite(configs=[ConfigSpec("X", baseline_ooo())], **base)
         changed = run_suite(

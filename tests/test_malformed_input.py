@@ -1,10 +1,11 @@
 """Malformed files on disk get a clean rejection, never a traceback.
 
 Files are the only outside input the repo reads: fuzz corpus entries,
-run manifests and checkpoint manifests.  Each loader either returns a
+run manifests and result-store entries.  Each loader either returns a
 usable document or raises one ``ValueError`` that names the file; the
-validators return a problem list for any JSON value.  The CLI turns
-that ``ValueError`` into one ``error:`` line on stderr and exit 2.
+validator returns a problem list for any JSON value; a damaged store
+entry is a miss.  The CLI turns that ``ValueError`` into one
+``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import contextlib
 import copy
 import io
 import json
+import tempfile
+from dataclasses import fields
 from functools import lru_cache, reduce
 from operator import getitem
 from pathlib import Path
@@ -24,14 +27,14 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.config import ConfigSpec, baseline_ooo
 from repro.engine import expand_jobs
-from repro.engine.checkpoint import decode_result, load_checkpoint
+from repro.engine.store import ShardedDiskStore, job_key
+from repro.fuzz.campaign import FuzzJob, FuzzRunResult
 from repro.fuzz.corpus import load_witness_file
+from repro.fuzz.taint import LeakWitness
 from repro.isa.program import Program
 from repro.obs.manifest import (
-    build_checkpoint_manifest,
     build_manifest,
     load_manifest,
-    validate_checkpoint,
     validate_manifest,
 )
 from repro.stats.counters import PipelineStats
@@ -60,6 +63,43 @@ def _manifest() -> dict:
 
 
 @lru_cache(maxsize=None)
+def _sim_job():
+    """The job a window entry is stored for (never executed)."""
+    return expand_jobs(
+        ["exchange2"], [ConfigSpec("OoO", baseline_ooo())], 1, 300, 800, 2500
+    )[0]
+
+
+#: Per result-store entry kind: the job it is stored for, and the valid
+#: result it holds.
+STORE_ENTRIES = {
+    "window-entry": (_sim_job, PipelineStats(
+        cycles=20, committed=10, sim_wall_seconds=0.5,
+        dispatch_to_issue_hist={0: 3, 4: 1},
+    )),
+    "fuzz-entry": (
+        lambda: FuzzJob(seed=1, config_name="ooo", template="t"),
+        FuzzRunResult(
+            seed=1, config_name="ooo", template="t", channel="d-cache",
+            analog="a", cycles=10, witnesses=(LeakWitness(
+                channel="d-cache", seq=7, pc=0x40, addr=0x1000, cycle=12,
+                detail="fill",
+            ),),
+        ),
+    ),
+}
+
+
+def _store_entry(kind: str) -> dict:
+    """The entry the store itself writes for a *kind* result."""
+    job, result = STORE_ENTRIES[kind]
+    with tempfile.TemporaryDirectory() as root:
+        store = ShardedDiskStore(root)
+        store.store(job(), result)
+        return json.loads(store._path(job_key(job())).read_text())
+
+
+@lru_cache(maxsize=None)
 def valid(kind: str) -> dict:
     """One valid document of *kind*, built on first use (not at import:
     a manifest records the git revision through a subprocess).  Callers
@@ -68,23 +108,7 @@ def valid(kind: str) -> dict:
         return json.loads(CORPUS_FILE.read_text())
     if kind == "manifest":
         return _manifest()
-    entry = {
-        "type": "PipelineStats",
-        "data": PipelineStats(cycles=20, committed=10).to_dict(),
-        "elapsed": 0.5,
-    }
-    return build_checkpoint_manifest(
-        label="suite", backend="serial", total=2,
-        completed={"k1": entry}, pending=["k2"],
-    )
-
-
-@lru_cache(maxsize=None)
-def _sim_job():
-    """The job a checkpoint entry decodes for (never executed)."""
-    return expand_jobs(
-        ["exchange2"], [ConfigSpec("OoO", baseline_ooo())], 1, 300, 800, 2500
-    )[0]
+    return _store_entry(kind)
 
 
 def _paths(doc, prefix=()):
@@ -165,17 +189,9 @@ def _load_manifest(path):
     assert isinstance(load_manifest(path), dict)
 
 
-def _load_checkpoint(path):
-    completed = load_checkpoint(path)
-    job = _sim_job()
-    for entry in completed.values():
-        decode_result(job, entry)
-
-
 LOADERS = {
     "witness": _load_witness,
     "manifest": _load_manifest,
-    "checkpoint": _load_checkpoint,
 }
 
 
@@ -197,14 +213,6 @@ class TestLoadersRejectWithValueError:
             assert str(scratch) in str(error)
 
     @EXAMPLES
-    @given(doc=documents("checkpoint"))
-    def test_checkpoint_file(self, scratch, doc):
-        try:
-            _load_checkpoint(_write(scratch, doc))
-        except ValueError as error:
-            assert str(scratch) in str(error)
-
-    @EXAMPLES
     @given(data=st.data())
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_damaged_bytes(self, scratch, kind, data):
@@ -220,14 +228,68 @@ class TestValidatorsNeverRaise:
     def test_validate_manifest(self, doc):
         assert isinstance(validate_manifest(doc), list)
 
-    @EXAMPLES
-    @given(doc=documents("checkpoint"))
-    def test_validate_checkpoint(self, doc):
-        assert isinstance(validate_checkpoint(doc), list)
 
-    def test_checkpoint_with_list_extra(self):
-        problems = validate_checkpoint({"kind": "checkpoint", "extra": [1]})
-        assert "extra.checkpoint must be an object" in problems
+def _typed_like(result, reference) -> None:
+    """*result* holds, field by field, what *reference* holds: the same
+    types (an int may stand for a float), dicts of ints, and witnesses
+    typed like the reference's."""
+    assert type(result) is type(reference)
+    for info in fields(reference):
+        got, want = getattr(result, info.name), getattr(reference, info.name)
+        if isinstance(want, float):
+            assert type(got) in (int, float), info.name
+        else:
+            assert type(got) is type(want), info.name
+        if isinstance(want, dict):
+            assert all(type(item) is int for item in got.values())
+        if isinstance(want, tuple):
+            for witness in got:
+                _typed_like(witness, want[0])
+
+
+@pytest.fixture(scope="module")
+def store_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("store")
+
+
+def _load_entry(root, kind, doc):
+    """Write *doc* at the entry path of *kind*'s job and load it: the
+    result, and whether the entry is still on disk."""
+    job = STORE_ENTRIES[kind][0]()
+    store = ShardedDiskStore(root)
+    path = store._path(job_key(job))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write(path, doc)
+    return store.load(job), path.exists(), store.stats
+
+
+class TestDamagedStoreEntriesMiss:
+    @pytest.mark.parametrize("data", [
+        [1], {"cycles": "abc"}, {"cycles": 5, "committed": None},
+    ], ids=["list", "string-cycles", "null-committed"])
+    def test_ill_typed_window_is_a_miss(self, tmp_path, data):
+        doc = dict(valid("window-entry"), data=data)
+        result, kept, stats = _load_entry(tmp_path, "window-entry", doc)
+        assert result is None and not kept
+        assert (stats.misses, stats.errors) == (1, 1)
+
+    def test_deeply_nested_entry_is_a_miss(self, tmp_path):
+        # Too deep for the JSON decoder, which raises RecursionError.
+        result, kept, _ = _load_entry(tmp_path, "window-entry",
+                                      b"[" * 100_000)
+        assert result is None and not kept
+
+    @EXAMPLES
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", sorted(STORE_ENTRIES))
+    def test_load_misses_or_returns_a_typed_result(self, store_root, kind,
+                                                   data):
+        doc = data.draw(documents(kind) | damaged_bytes(kind))
+        result, kept, _ = _load_entry(store_root, kind, doc)
+        if result is None:
+            assert not kept  # a miss on a damaged entry removes it
+        else:
+            _typed_like(result, STORE_ENTRIES[kind][1])
 
 
 #: One malformed file per way the CLI used to die on one.
@@ -279,26 +341,6 @@ class TestCliRejectsMalformedFiles:
     def test_fuzz_replay(self, bad_file, capsys, name):
         path = bad_file(name)
         assert path in _rejected(["fuzz", "replay", path], capsys)
-
-    @pytest.mark.parametrize("name", ["list", "truncated"])
-    @pytest.mark.parametrize("argv", [
-        ["fuzz", "run", "--seeds", "1", "--configs", "ooo", "--jobs", "1"],
-        ["bench", "--benchmarks", "exchange2", "--samples", "1",
-         "--warmup", "100", "--measure", "200", "--jobs", "1",
-         "--no-cache"],
-    ], ids=["fuzz-run", "bench"])
-    def test_resume_is_read_before_the_run(self, bad_file, capsys, name,
-                                           argv):
-        path = bad_file(name)
-        assert path in _rejected(argv + ["--resume", path], capsys)
-
-    def test_resume_from_a_foreign_document(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"kind": "run"}))
-        line = _rejected(
-            ["fuzz", "run", "--seeds", "1", "--resume", str(path)], capsys,
-        )
-        assert "not a usable checkpoint" in line
 
     def test_obs_metrics(self, bad_file, capsys):
         path = bad_file("list")
