@@ -34,13 +34,12 @@ smt-smoke:
 	$(PYTHON) -m repro.cli matrix --cross --guesses 16 \
 		--configs ooo strict invisispec-spectre fence-on-branch
 
-# Telemetry smoke: trace a Spectre v1 run under NDA strict, validate
-# the run manifest it recorded, and render its stats block (mirrors CI).
+# Telemetry smoke: trace a Spectre v1 run under NDA strict through the
+# event bus and export it as a Perfetto trace, which is validated before
+# it is written (mirrors CI).
 obs-smoke:
 	$(PYTHON) -m repro.cli obs trace spectre_v1_cache --config strict \
 		--output results/traces/spectre_v1_cache-strict.json
-	$(PYTHON) -m repro.cli obs manifest validate
-	$(PYTHON) -m repro.cli obs metrics
 
 # Job-placement smoke: the same sweep with --jobs 1 (in-process) and
 # --jobs 2 (fork pool) must be bit-identical (mirrors CI).  Resuming a

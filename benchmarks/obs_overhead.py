@@ -31,7 +31,8 @@ import time
 
 from repro.config import config_registry
 from repro.core import make_core
-from repro.obs import EventBus, MetricsSampler
+from repro.obs.bus import EventBus
+from repro.obs.sampler import MetricsSampler
 from repro.obs.spans import Tracer, install_tracer, uninstall_tracer
 from repro.workloads.generator import spec_program
 

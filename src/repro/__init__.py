@@ -27,7 +27,7 @@ suite engine, the same ``run_suite`` that ``nda-repro bench`` calls::
     print(suite.engine.describe())
 """
 
-from repro.api import run_window, simulate
+from repro.api import simulate
 from repro.config import (
     CacheConfig,
     ConfigSpec,
@@ -63,12 +63,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.isa import Assembler, Opcode, Program, run_reference
-
-# Heavyweight optional surfaces (fuzzer, telemetry) are served lazily
-# through repro.api so importing repro stays cheap.
-from repro.api import _FUZZ_EXPORTS, _OBS_EXPORTS
-
-_LAZY_EXPORTS = _FUZZ_EXPORTS + _OBS_EXPORTS
+from repro.stats.sampling import run_window
 
 __version__ = "1.0.0"
 
@@ -107,17 +102,4 @@ __all__ = [
     "Program",
     "run_reference",
     "__version__",
-    *_LAZY_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        import repro.api
-
-        return getattr(repro.api, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -19,8 +19,6 @@ Subcommands::
     nda-repro fuzz minimize 7 --output w.json # ddmin to a reproducer
     nda-repro obs trace spectre_v1 --config strict   # Perfetto export
     nda-repro obs trace merge --dir results/traces/spans  # stitch spools
-    nda-repro obs metrics                    # latest manifest's numbers
-    nda-repro obs manifest list              # run provenance records
 
 Sweeps (``bench``/``figure``) run on the parallel suite engine and cache
 windows under ``results/.cache/``; use ``--jobs N`` to size the worker
@@ -107,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument("--secret", type=int, default=42)
     attack.add_argument("--guesses", type=int, default=64)
-    attack.add_argument(
-        "--contexts", type=int, default=None, choices=(1, 2),
-        help="hardware contexts (cross-context attacks imply 2)",
-    )
     attack.add_argument(
         "--json", action="store_true",
         help="print a repro.result/v1 attack envelope instead of text",
@@ -259,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_min.add_argument("--max-tests", type=int, default=400)
 
     obs = sub.add_parser(
-        "obs", help="telemetry: Perfetto traces, metrics, run manifests"
+        "obs", help="telemetry: Perfetto traces and span-spool merging"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
@@ -296,24 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_trace.add_argument(
         "--output", default=None, metavar="FILE",
         help="trace path (default results/traces/<target>-<config>.json)",
-    )
-
-    obs_metrics = obs_sub.add_parser(
-        "metrics",
-        help="render the stats or campaign block stored in a manifest",
-    )
-    obs_metrics.add_argument(
-        "path", nargs="?", default=None,
-        help="manifest file (default: the latest one)",
-    )
-
-    obs_manifest = obs_sub.add_parser(
-        "manifest", help="list, show, or validate run manifests"
-    )
-    obs_manifest.add_argument("action", choices=["list", "show", "validate"])
-    obs_manifest.add_argument(
-        "path", nargs="?", default=None,
-        help="manifest file (default: the latest one)",
     )
 
     return parser
@@ -396,12 +372,6 @@ def _run_command(args) -> int:
         from repro.attacks.common import default_guesses
         guesses = default_guesses(args.secret, args.guesses)
         if cross_info is not None:
-            if args.contexts == 1:
-                sys.stderr.write(
-                    "error: %s is a cross-context attack; it needs "
-                    "--contexts 2\n" % args.name
-                )
-                return 2
             if in_order:
                 sys.stderr.write(
                     "error: cross-context attacks pair two out-of-order "
@@ -413,14 +383,6 @@ def _run_command(args) -> int:
                 in_order=in_order,
             )
         else:
-            if args.contexts == 2:
-                sys.stderr.write(
-                    "error: %s is a single-context attack; drop "
-                    "--contexts 2 (cross-context PoCs: %s)\n"
-                    % (args.name,
-                       ", ".join(i.name for i in CROSS_IMPLEMENTED))
-                )
-                return 2
             outcome = next(
                 i for i in IMPLEMENTED if i.name == args.name
             ).module.run(
@@ -556,25 +518,10 @@ def _obs_trace_program(args):
 
 
 def _obs(args) -> int:
-    import json as json_mod
     import os
 
-    from repro.obs import (
-        EventBus,
-        MetricsSampler,
-        build_manifest,
-        counter_trace_events,
-        latest_manifest,
-        lifecycle_trace_events,
-        list_manifests,
-        load_manifest,
-        validate_manifest,
-        write_chrome_trace,
-        write_manifest,
-    )
-
-    if args.obs_command == "trace" and args.target == "merge":
-        from repro.obs import merge_span_spools
+    if args.target == "merge":
+        from repro.obs.perfetto import merge_span_spools
         directory = (
             args.spool_dir
             or os.environ.get("REPRO_TRACE_DIR")
@@ -596,119 +543,51 @@ def _obs(args) -> int:
               % summary["path"])
         return 0
 
-    if args.obs_command == "trace":
-        from repro.core.inorder import InOrderCore
-        from repro.core import make_core
-        from repro.debug import PipelineTracer
+    from repro.core.inorder import InOrderCore
+    from repro.core import make_core
+    from repro.debug import PipelineTracer
+    from repro.obs.bus import EventBus
+    from repro.obs.perfetto import (
+        counter_trace_events,
+        lifecycle_trace_events,
+        write_chrome_trace,
+    )
+    from repro.obs.sampler import MetricsSampler
 
-        program = _obs_trace_program(args)
-        spec = config_registry()[args.config]
-        core = (
-            InOrderCore(program, spec.config) if spec.in_order
-            else make_core(program, spec.config)
-        )
-        bus = EventBus().attach(core)
-        tracer = PipelineTracer(limit=args.limit)
-        bus.subscribe(tracer)
-        sampler = bus.add_sampler(MetricsSampler(args.sample_interval))
-        outcome = core.run()
+    program = _obs_trace_program(args)
+    spec = config_registry()[args.config]
+    core = (
+        InOrderCore(program, spec.config) if spec.in_order
+        else make_core(program, spec.config)
+    )
+    bus = EventBus().attach(core)
+    tracer = PipelineTracer(limit=args.limit)
+    bus.subscribe(tracer)
+    sampler = bus.add_sampler(MetricsSampler(args.sample_interval))
+    outcome = core.run()
 
-        events = lifecycle_trace_events(tracer.records)
-        events += counter_trace_events(sampler)
-        output = args.output or os.path.join(
-            "results", "traces",
-            "%s-%s.json" % (args.target, args.config),
-        )
-        write_chrome_trace(output, events, metadata={
-            "target": args.target,
-            "config": args.config,
-            "scheme": spec.config.scheme,
-            "cycles": outcome.stats.cycles,
-        })
-        manifest_path = write_manifest(build_manifest(
-            spec.config, kind="trace", workload=args.target,
-            seed=args.seed, stats=outcome.stats,
-        ))
-        deferred = sum(
-            1 for r in tracer.records
-            if not r.squashed and r.wakeup_delay > 1
-        )
-        print("traced %s on %s: %d instructions, %d samples, "
-              "%d deferred wake-ups"
-              % (args.target, args.config, len(tracer.records),
-                 len(sampler.rows), deferred))
-        print("trace:    %s  (open at https://ui.perfetto.dev)" % output)
-        print("manifest: %s" % manifest_path)
-        return 0
-
-    if args.obs_command == "metrics":
-        from repro.obs.manifest import render_metrics
-
-        paths = [args.path] if args.path else list_manifests()
-        if not paths:
-            print("no manifests found (run `nda-repro obs trace ...` first)")
-            return 2
-        path = paths[-1]
-        try:
-            manifest = load_manifest(path)
-        except ValueError as error:
-            return _input_error(error)
-        problems = validate_manifest(manifest)
-        if problems:
-            return _input_error("invalid manifest %s: %s" % (
-                path, "; ".join(problems[:5]),
-            ))
-        if not (manifest.get("stats") or manifest.get("campaign")):
-            return _input_error(
-                "manifest %s carries no stats or campaign block (written "
-                "before manifests embedded them?)" % path
-            )
-        print("%s %s (%s)" % (manifest["kind"], manifest["label"],
-                              manifest["git_revision"][:12]))
-        print(render_metrics(manifest))
-        return 0
-
-    if args.obs_command == "manifest":
-        if args.action == "list":
-            paths = list_manifests()
-            for path in paths:
-                try:
-                    manifest = load_manifest(path)
-                except ValueError as error:
-                    print("skipped: %s" % error, file=sys.stderr)
-                    continue
-                print("%-9s %-28s %s" % (
-                    manifest.get("kind", "?"),
-                    manifest.get("label", "?"),
-                    path,
-                ))
-            if not paths:
-                print("no manifests under %s" % (
-                    os.environ.get("REPRO_MANIFEST_DIR")
-                    or os.path.join("results", "manifests")
-                ))
-            return 0
-        try:
-            manifest = (
-                load_manifest(args.path) if args.path else latest_manifest()
-            )
-        except ValueError as error:
-            return _input_error(error)
-        if manifest is None:
-            print("no manifests found")
-            return 2
-        if args.action == "show":
-            print(json_mod.dumps(manifest, indent=2, sort_keys=True))
-            return 0
-        problems = validate_manifest(manifest)
-        if problems:
-            for problem in problems:
-                print("INVALID: %s" % problem)
-            return 1
-        print("valid manifest (schema %s)" % manifest["schema_version"])
-        return 0
-
-    return 2
+    events = lifecycle_trace_events(tracer.records)
+    events += counter_trace_events(sampler)
+    output = args.output or os.path.join(
+        "results", "traces",
+        "%s-%s.json" % (args.target, args.config),
+    )
+    write_chrome_trace(output, events, metadata={
+        "target": args.target,
+        "config": args.config,
+        "scheme": spec.config.scheme,
+        "cycles": outcome.stats.cycles,
+    })
+    deferred = sum(
+        1 for r in tracer.records
+        if not r.squashed and r.wakeup_delay > 1
+    )
+    print("traced %s on %s: %d instructions, %d samples, "
+          "%d deferred wake-ups"
+          % (args.target, args.config, len(tracer.records),
+             len(sampler.rows), deferred))
+    print("trace: %s  (open at https://ui.perfetto.dev)" % output)
+    return 0
 
 
 def _fuzz(args) -> int:
@@ -733,20 +612,6 @@ def _fuzz(args) -> int:
             smt=args.smt,
         )
         print(campaign.describe())
-        from repro.obs import build_manifest, write_manifest
-        manifest_path = write_manifest(build_manifest(
-            config_registry()["ooo"].config,
-            kind="fuzz-campaign",
-            seed=args.seed0,
-            campaign=campaign.counts(),
-            extra={
-                "seeds": args.seeds,
-                "configs": sorted({
-                    r.config_name for r in campaign.results
-                }),
-            },
-        ))
-        print("manifest: %s" % manifest_path)
         return 0 if campaign.ok else 1
 
     if args.fuzz_command == "replay":

@@ -59,23 +59,20 @@ class TraceRecord:
 class PipelineTracer:
     """Collects TraceRecords from a core via the telemetry event bus."""
 
-    def __init__(self, limit: int = 1_000, include_squashed: bool = True):
+    def __init__(self, limit: int = 1_000):
         self.limit = limit
-        self.include_squashed = include_squashed
         self.records: List[TraceRecord] = []
         self._validates: Dict[int, int] = {}
         self._exposes: Dict[int, int] = {}
         self._inorder_seq = 0
 
     @classmethod
-    def attach(
-        cls, core, limit: int = 1_000, include_squashed: bool = True,
-    ) -> "PipelineTracer":
+    def attach(cls, core, limit: int = 1_000) -> "PipelineTracer":
         """Subscribe a new tracer on *core*'s event bus (attaching a bus
         first if the core has none).  Works for both core classes."""
         from repro.obs.bus import ensure_bus
 
-        tracer = cls(limit=limit, include_squashed=include_squashed)
+        tracer = cls(limit=limit)
         ensure_bus(core).subscribe(tracer)
         return tracer
 
@@ -85,11 +82,7 @@ class PipelineTracer:
         self._record(entry, now, squashed=False)
 
     def instr_squash(self, entry: DynInstr, now: int) -> None:
-        if self.include_squashed:
-            self._record(entry, now, squashed=True)
-        else:
-            self._validates.pop(entry.seq, None)
-            self._exposes.pop(entry.seq, None)
+        self._record(entry, now, squashed=True)
 
     def load_validate(self, entry: DynInstr, now: int, latency: int) -> None:
         self._validates[entry.seq] = now
@@ -179,17 +172,5 @@ class PipelineTracer:
             marker = "x" if record.squashed else " "
             lines.append(
                 "%5d%s |%s| %s" % (record.seq, marker, row, record.disasm)
-            )
-        return "\n".join(lines)
-
-    def to_tsv(self) -> str:
-        """Machine-readable dump (one line per instruction)."""
-        lines = ["seq\tpc\tfetch\tdispatch\tissue\tcomplete\tbroadcast"
-                 "\tretire\tsquashed\tdisasm"]
-        for r in self.records:
-            lines.append(
-                "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s"
-                % (r.seq, r.pc, r.fetch, r.dispatch, r.issue, r.complete,
-                   r.broadcast, r.retire, int(r.squashed), r.disasm)
             )
         return "\n".join(lines)

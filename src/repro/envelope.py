@@ -5,21 +5,17 @@ Every result document the repo writes opens with the same two fields::
     {"schema": "repro.result/v1", "kind": "<document kind>", ...}
 
 ``kind`` names the document family: ``run`` and ``attack`` (the CLI's
-``--json``, built by :func:`run_envelope` and :func:`attack_envelope`),
-``fuzz-witness`` (corpus files), and the manifest kinds
-``run``/``trace``/``fuzz-campaign`` (manifests are envelopes too).
-:func:`make_envelope` is the one serializer for the first three;
-:mod:`repro.obs.manifest` stamps the same two fields on manifests.
-The body is flat: kind-specific fields sit next to ``schema``/``kind``
-rather than under a nested wrapper, which keeps manifests and corpus
-files human-diffable.
+``--json``, built by :func:`run_envelope` and :func:`attack_envelope`)
+and ``fuzz-witness`` (corpus files).  :func:`make_envelope` is the one
+serializer for all three.  The body is flat: kind-specific fields sit
+next to ``schema``/``kind`` rather than under a nested wrapper, which
+keeps corpus files human-diffable.
 
 Readers open a file through :func:`load_json_object`, which rejects
 anything but a readable JSON object with one ``ValueError`` naming the
 file, then check ``schema`` (reject unknown majors), then ``kind``.
-Each kind's owner keeps its own schema check:
-:func:`repro.fuzz.corpus.load_witness_file` for corpus files and
-:func:`repro.obs.manifest.validate_manifest` for manifests.
+Its one caller is :func:`repro.fuzz.corpus.load_witness_file`, which
+keeps the schema check for corpus files.
 """
 
 from __future__ import annotations

@@ -352,30 +352,6 @@ class CampaignResult:
                 counts[witness.channel] = counts.get(witness.channel, 0) + 1
         return counts
 
-    def counts(self) -> dict:
-        """Runs and leaked runs per config, witnesses per (config,
-        channel), and the counterexample and failure totals: the
-        ``campaign`` block of a fuzz-campaign manifest."""
-        runs: Dict[str, int] = {}
-        leaked: Dict[str, int] = {}
-        witnesses: Dict[str, Dict[str, int]] = {}
-        for result in self.results:
-            name = result.config_name
-            runs[name] = runs.get(name, 0) + 1
-            leaked[name] = leaked.get(name, 0) + int(result.leaked)
-            channels = witnesses.setdefault(name, {})
-            for witness in result.witnesses:
-                channels[witness.channel] = (
-                    channels.get(witness.channel, 0) + 1
-                )
-        return {
-            "runs": runs,
-            "leaked_runs": leaked,
-            "witnesses": witnesses,
-            "counterexamples": len(self.counterexamples),
-            "failures": len(self.failures),
-        }
-
     @property
     def ok(self) -> bool:
         return not self.counterexamples and not self.failures

@@ -56,21 +56,21 @@ def table1_matrix(
     return rows
 
 
-def render_table1(rows: List[dict]) -> str:
-    configs = []
-    for row in rows:
-        if row["config"] not in configs:
-            configs.append(row["config"])
-    attacks = []
-    for row in rows:
-        if row["attack"] not in attacks:
-            attacks.append(row["attack"])
+def _render_matrix(rows: List[dict], tag: str, field: str,
+                   title: str) -> str:
+    """One row per attack, one column per config: LEAK or safe, with
+    ``!?`` where the outcome diverges from the expectation.  The attack
+    column shows *field* of the attack's first row, cut to 7 characters
+    (the access class; sharing names are shorter), under the heading
+    ``attack (<tag>/channel)``."""
+    configs = list(dict.fromkeys(row["config"] for row in rows))
+    attacks = list(dict.fromkeys(row["attack"] for row in rows))
     cell = {(r["attack"], r["config"]): r for r in rows}
-    headers = ["attack (class/channel)"] + configs
+    headers = ["attack (%s/channel)" % tag] + configs
     table_rows = []
     for attack in attacks:
         sample = next(r for r in rows if r["attack"] == attack)
-        row = ["%s (%s/%s)" % (attack, sample["access_class"][:7],
+        row = ["%s (%s/%s)" % (attack, sample[field][:7],
                                sample["channel"])]
         for config in configs:
             entry = cell[(attack, config)]
@@ -79,8 +79,12 @@ def render_table1(rows: List[dict]) -> str:
                 mark += "!?"
             row.append(mark)
         table_rows.append(row)
-    return render_table(
-        headers, table_rows,
+    return render_table(headers, table_rows, title=title)
+
+
+def render_table1(rows: List[dict]) -> str:
+    return _render_matrix(
+        rows, "class", "access_class",
         title="Table 1/2 security matrix (LEAK = secret recovered; "
               "'!?' marks divergence from the paper's expectation)",
     )
@@ -127,30 +131,8 @@ def cross_matrix(
 
 
 def render_cross_matrix(rows: List[dict]) -> str:
-    configs = []
-    for row in rows:
-        if row["config"] not in configs:
-            configs.append(row["config"])
-    attacks = []
-    for row in rows:
-        if row["attack"] not in attacks:
-            attacks.append(row["attack"])
-    cell = {(r["attack"], r["config"]): r for r in rows}
-    headers = ["attack (sharing/channel)"] + configs
-    table_rows = []
-    for attack in attacks:
-        sample = next(r for r in rows if r["attack"] == attack)
-        row = ["%s (%s/%s)" % (attack, sample["sharing"],
-                               sample["channel"])]
-        for config in configs:
-            entry = cell[(attack, config)]
-            mark = "LEAK" if entry["leaked"] else "safe"
-            if entry["leaked"] != entry["expected"]:
-                mark += "!?"
-            row.append(mark)
-        table_rows.append(row)
-    return render_table(
-        headers, table_rows,
+    return _render_matrix(
+        rows, "sharing", "sharing",
         title="Cross-context security matrix (two co-resident contexts; "
               "'!?' marks divergence from the expected claim)",
     )

@@ -13,26 +13,13 @@ landed inside the span collapse to a single one at the landing cycle.
 That is lossless for occupancy (the sampled state is frozen across a
 quiescent span by definition) and keeps the fast-forward bit-identical.
 
-Sample rows are plain dicts so the series embeds directly in manifests
-and converts to Perfetto counter tracks
-(:func:`repro.obs.perfetto.counter_trace_events`).
+Sample rows are plain dicts, one key per column, and convert to
+Perfetto counter tracks (:func:`repro.obs.perfetto.counter_trace_events`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
-
-#: Columns of every sample row, in emission order.
-SAMPLE_COLUMNS = (
-    "cycle",
-    "rob",             # reorder-buffer occupancy
-    "iq",              # issue-queue occupancy
-    "lq",              # load-queue occupancy
-    "sq",              # store-queue occupancy
-    "outstanding_misses",      # off-chip misses in flight
-    "deferred_broadcasts",     # NDA defers since previous sample
-    "port_conflicts",          # port-conflict defers since previous sample
-)
 
 
 class MetricsSampler:
@@ -83,15 +70,6 @@ class MetricsSampler:
             })
         self._prev_deferred = deferred
         self._prev_conflicts = conflicts
-
-    def series(self, column: str) -> List[int]:
-        """One column of the time series, by name."""
-        if column not in SAMPLE_COLUMNS:
-            raise KeyError(
-                "unknown sample column %r (have: %s)"
-                % (column, ", ".join(SAMPLE_COLUMNS))
-            )
-        return [row[column] for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)

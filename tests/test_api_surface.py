@@ -88,10 +88,8 @@ class TestConsolidatedFacade:
     def test_run_functions_share_keyword_vocabulary(self):
         import inspect
 
-        from repro import api
-
-        shared = {"in_order", "max_cycles", "fast_forward", "manifest"}
-        for func in (api.simulate, api.run_window):
+        shared = {"in_order", "max_cycles", "fast_forward"}
+        for func in (repro.simulate, repro.run_window):
             params = set(inspect.signature(func).parameters)
             missing = shared - params
             assert not missing, "%s lacks %s" % (func.__name__, missing)
@@ -170,7 +168,12 @@ class TestConsolidatedFacade:
             # store.
             r"|build_[c]heckpoint|write_[c]heckpoint|read_[c]heckpoint"
             r"|load_[c]heckpoint|validate_[c]heckpoint|encode_[r]esult"
-            r"|decode_[r]esult|checkpoint_[i]nterval)\s*[(=]"
+            r"|decode_[r]esult|checkpoint_[i]nterval"
+            # Run manifests, retired: a run's numbers live in the
+            # command's output or the result store.
+            r"|build_[m]anifest|write_[m]anifest|load_[m]anifest"
+            r"|validate_[m]anifest|list_[m]anifests|latest_[m]anifest"
+            r"|render_[m]etrics)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):
@@ -184,17 +187,6 @@ class TestConsolidatedFacade:
                     if pattern.search(line):
                         offenders.append("%s:%d" % (path, lineno))
         assert not offenders, "retired shims still present: %s" % offenders
-
-    def test_window_facade_matches_sampling_layer(self):
-        from repro import baseline_ooo, run_window
-        from repro.stats.sampling import run_window as raw_run_window
-        from repro.workloads import spec_program
-
-        program = spec_program("exchange2", 3_000, seed=1)
-        config = baseline_ooo()
-        facade = run_window(program, config, 500, 1_000)
-        raw = raw_run_window(program, config, 500, 1_000)
-        assert facade.to_dict() == raw.to_dict()
 
 
 #: Classes of repro.core and repro.frontend the guard below skips: the
@@ -235,6 +227,43 @@ def test_pipeline_structures_expose_only_what_src_uses():
     assert public
     unused = ["%s %s.%s" % row for row in public if row[2] not in referenced]
     assert not unused, "no caller in src/: %s" % unused
+
+
+def test_git_revision_for_benchmark_history_rows():
+    """``benchmarks/e2e/run.py`` stamps its history rows through this
+    import."""
+    import re
+
+    from repro.obs.manifest import git_revision
+
+    revision = git_revision()
+    assert revision == "unknown" or re.fullmatch(r"[0-9a-f]{40}", revision)
+
+
+def test_benchmark_process_loads_only_bus_and_spans():
+    """A benchmark pass imports the pipelines it times and no telemetry
+    beyond the event bus and the span tracer: ``repro.obs`` re-exports
+    nothing."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(repro.__file__).resolve().parent.parent.parent
+    probe = (
+        "import sys, pipelines; print(' '.join(sorted(m for m in ("
+        "'repro.obs.bus', 'repro.obs.spans', 'repro.obs.perfetto', "
+        "'repro.obs.sampler', 'repro.obs.manifest', 'platform') "
+        "if m in sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "benchmarks" / "e2e")]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=str(root),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["repro.obs.bus", "repro.obs.spans"]
 
 
 def test_quickstart_docstring_example_runs():

@@ -69,10 +69,15 @@ def test_no_command_rejected():
     ["submit", "sweep", "--priority", "1"],
     ["serve"],
     ["submit", "sweep"],
+    ["attack", "cross_btb", "--contexts", "2"],
+    ["obs", "metrics"],
+    ["obs", "manifest", "list"],
 ])
 def test_retired_flag_rejected(argv, capsys):
     # Independent runs go through the engine on one host only; no
-    # subcommand, flag or backend name picks another path.
+    # subcommand, flag or backend name picks another path.  A run's
+    # numbers live in the command's output or the result store, so no
+    # command reads or writes run manifests.
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -116,12 +121,11 @@ def test_bench_no_cache_flag(capsys):
 
 
 def test_fuzz_run_resumes_from_its_cache_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
     store = str(tmp_path / "store")
     args = ["fuzz", "run", "--seeds", "4", "--configs", "strict",
             "--jobs", "1", "--cache-dir", store]
     assert main(args) == 0
-    first = capsys.readouterr().out.split("manifest:")[0]
+    first = capsys.readouterr().out
 
     def no_execution(job):
         raise AssertionError("a stored run executed again")
@@ -129,9 +133,18 @@ def test_fuzz_run_resumes_from_its_cache_dir(capsys, tmp_path, monkeypatch):
     # The rerun serves all four runs from the store: nothing executes.
     monkeypatch.setattr("repro.engine.scheduler.execute_job", no_execution)
     assert main(args) == 0
-    assert capsys.readouterr().out.split("manifest:")[0] == first
+    assert capsys.readouterr().out == first
     assert main(["cache", "info", "--cache-dir", store]) == 0
     assert "entries:   4" in capsys.readouterr().out
+
+
+def test_fuzz_run_without_cache_dir_writes_no_file(capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "run", "--seeds", "2", "--configs", "ooo",
+                 "--jobs", "1"]) == 0
+    assert "campaign: 2 seeds x 1 configs" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_describe(capsys):

@@ -81,29 +81,6 @@ class TestAttackEnvelope:
         assert len(env["guesses"]) == len(env["timings"])
 
 
-class TestManifestIsEnvelope:
-    def test_build_manifest_carries_result_schema(self):
-        from repro.obs.manifest import build_manifest, validate_manifest
-
-        manifest = build_manifest(baseline_ooo(), workload="mcf")
-        assert manifest["schema"] == RESULT_SCHEMA
-        assert validate_manifest(manifest) == []
-
-    def test_legacy_manifest_without_schema_still_validates(self):
-        from repro.obs.manifest import build_manifest, validate_manifest
-
-        manifest = build_manifest(baseline_ooo())
-        del manifest["schema"]
-        assert validate_manifest(manifest) == []
-
-    def test_alien_schema_rejected(self):
-        from repro.obs.manifest import build_manifest, validate_manifest
-
-        manifest = build_manifest(baseline_ooo())
-        manifest["schema"] = "someone.else/v9"
-        assert validate_manifest(manifest) != []
-
-
 class TestCorpusIsEnvelope:
     def _program(self):
         from repro.isa.assembler import Assembler

@@ -24,7 +24,7 @@ from repro.fuzz.generator import generate_smt
 from repro.fuzz.taint import SHARED_CHANNELS
 from repro.isa.assembler import Assembler
 from repro.isa.registers import R5, R6, R10, R11, R12, R20, R21
-from repro.obs import EventBus
+from repro.obs.bus import EventBus
 from repro.obs.bus import EVENT_NAMES
 from repro.smt import SmtMachine
 

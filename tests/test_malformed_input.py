@@ -1,18 +1,15 @@
 """Malformed files on disk get a clean rejection, never a traceback.
 
-Files are the only outside input the repo reads: fuzz corpus entries,
-run manifests and result-store entries.  Each loader either returns a
-usable document or raises one ``ValueError`` that names the file; the
-validator returns a problem list for any JSON value; a damaged store
-entry is a miss.  The CLI turns that ``ValueError`` into one
+Files are the only outside input the repo reads: fuzz corpus entries
+and result-store entries.  The corpus loader either returns a usable
+document or raises one ``ValueError`` that names the file; a damaged
+store entry is a miss.  The CLI turns that ``ValueError`` into one
 ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import io
 import json
 import tempfile
 from dataclasses import fields
@@ -32,11 +29,6 @@ from repro.fuzz.campaign import FuzzJob, FuzzRunResult
 from repro.fuzz.corpus import load_witness_file
 from repro.fuzz.taint import LeakWitness
 from repro.isa.program import Program
-from repro.obs.manifest import (
-    build_manifest,
-    load_manifest,
-    validate_manifest,
-)
 from repro.stats.counters import PipelineStats
 
 CORPUS_FILE = (
@@ -54,12 +46,6 @@ JSON_VALUES = st.recursive(
 )
 
 EXAMPLES = settings(max_examples=150, deadline=None)
-
-
-def _manifest() -> dict:
-    stats = PipelineStats(cycles=20, committed=10, sim_wall_seconds=0.5,
-                          dispatch_to_issue_hist={0: 3, 4: 1})
-    return build_manifest(baseline_ooo(), workload="mcf", stats=stats)
 
 
 @lru_cache(maxsize=None)
@@ -101,13 +87,10 @@ def _store_entry(kind: str) -> dict:
 
 @lru_cache(maxsize=None)
 def valid(kind: str) -> dict:
-    """One valid document of *kind*, built on first use (not at import:
-    a manifest records the git revision through a subprocess).  Callers
-    copy it before changing it."""
+    """One valid document of *kind*, built on first use.  Callers copy
+    it before changing it."""
     if kind == "witness":
         return json.loads(CORPUS_FILE.read_text())
-    if kind == "manifest":
-        return _manifest()
     return _store_entry(kind)
 
 
@@ -123,18 +106,15 @@ def _paths(doc, prefix=()):
 
 
 @st.composite
-def near_valid(draw, kind, under=()):
-    """A valid document with one value replaced, or one key dropped;
-    the value at path *under*, or one inside it.
+def near_valid(draw, kind):
+    """A valid document with one value replaced, or one key dropped.
 
     The depth is drawn first, so a top-level field is as likely a
     target as one of the many instruction fields deep inside.
     """
     doc = copy.deepcopy(valid(kind))
-    paths = [path for path in _paths(doc)
-             if path[:len(under)] == under]
-    depth = draw(st.integers(len(under),
-                             max(len(path) for path in paths)))
+    paths = list(_paths(doc))
+    depth = draw(st.integers(0, max(len(path) for path in paths)))
     path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
     value = draw(JSON_VALUES)
     if not path:
@@ -185,13 +165,8 @@ def _load_witness(path):
     assert isinstance(entry["meta"], dict)
 
 
-def _load_manifest(path):
-    assert isinstance(load_manifest(path), dict)
-
-
 LOADERS = {
     "witness": _load_witness,
-    "manifest": _load_manifest,
 }
 
 
@@ -205,14 +180,6 @@ class TestLoadersRejectWithValueError:
             assert str(scratch) in str(error)
 
     @EXAMPLES
-    @given(doc=documents("manifest"))
-    def test_manifest_file(self, scratch, doc):
-        try:
-            _load_manifest(_write(scratch, doc))
-        except ValueError as error:
-            assert str(scratch) in str(error)
-
-    @EXAMPLES
     @given(data=st.data())
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_damaged_bytes(self, scratch, kind, data):
@@ -220,13 +187,6 @@ class TestLoadersRejectWithValueError:
             LOADERS[kind](_write(scratch, data.draw(damaged_bytes(kind))))
         except ValueError as error:
             assert str(scratch) in str(error)
-
-
-class TestValidatorsNeverRaise:
-    @EXAMPLES
-    @given(doc=documents("manifest"))
-    def test_validate_manifest(self, doc):
-        assert isinstance(validate_manifest(doc), list)
 
 
 def _typed_like(result, reference) -> None:
@@ -303,9 +263,7 @@ BAD_FILES = {
 
 
 @pytest.fixture
-def bad_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
-
+def bad_file(tmp_path):
     def make(name):
         path = tmp_path / (name + ".json")
         path.write_text(BAD_FILES[name])
@@ -326,68 +284,8 @@ def _rejected(argv, capsys) -> str:
     return _error_line(capsys.readouterr().err)
 
 
-def _obs_metrics(path: Path):
-    """``obs metrics PATH``: its exit code and stderr (no fixture, so
-    Hypothesis can call it once per example)."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        code = main(["obs", "metrics", str(path)])
-    return code, err.getvalue()
-
-
 class TestCliRejectsMalformedFiles:
     @pytest.mark.parametrize("name", sorted(BAD_FILES))
     def test_fuzz_replay(self, bad_file, capsys, name):
         path = bad_file(name)
         assert path in _rejected(["fuzz", "replay", path], capsys)
-
-    def test_obs_metrics(self, bad_file, capsys):
-        path = bad_file("list")
-        assert path in _rejected(["obs", "metrics", path], capsys)
-
-    @EXAMPLES
-    @given(doc=near_valid("manifest", under=("stats",)))
-    def test_obs_metrics_on_a_damaged_stats_block(self, scratch, doc):
-        # The stats block, or one value in it, replaced or dropped: the
-        # block renders, or the file is rejected by name.
-        code, err = _obs_metrics(_write(scratch, doc))
-        if code != 0:
-            assert code == 2
-            assert str(scratch) in _error_line(err)
-
-    def test_obs_metrics_on_a_manifest_from_before_the_stats_block(
-            self, tmp_path, capsys):
-        doc = dict(valid("manifest"),
-                   metrics={"schema": 1, "metrics": [{"name": "x"}]})
-        del doc["stats"]
-        path = _write(tmp_path / "old.json", doc)
-        assert validate_manifest(doc) == []
-        assert str(path) in _rejected(["obs", "metrics", str(path)], capsys)
-
-    def test_obs_metrics_on_an_invalid_manifest(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"metrics": {"metrics": []},
-                                    "git_revision": 7}))
-        assert "invalid manifest" in _rejected(
-            ["obs", "metrics", str(path)], capsys,
-        )
-
-    @pytest.mark.parametrize("action", ["show", "validate"])
-    def test_obs_manifest(self, bad_file, capsys, action):
-        path = bad_file("truncated")
-        assert path in _rejected(["obs", "manifest", action, path], capsys)
-
-    def test_obs_manifest_list_skips_unreadable(self, tmp_path, monkeypatch,
-                                                capsys):
-        from repro.obs.manifest import write_manifest
-
-        directory = tmp_path / "manifests"
-        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(directory))
-        good = write_manifest(_manifest())
-        (directory / "zz-list.json").write_text("[1]")
-        assert main(["obs", "manifest", "list"]) == 0
-        captured = capsys.readouterr()
-        assert good in captured.out
-        assert "zz-list.json" in captured.err
-        assert "Traceback" not in captured.err

@@ -14,8 +14,8 @@ import pytest
 from repro.core.inorder import InOrderCore
 from repro.core.ooo import OutOfOrderCore
 from repro.debug import PipelineTracer
-from repro.obs import EventBus, MetricsSampler, ensure_bus
-from repro.obs.bus import EVENT_NAMES
+from repro.obs.bus import EVENT_NAMES, EventBus, ensure_bus
+from repro.obs.sampler import MetricsSampler
 from repro.workloads.generator import spec_program
 
 from .conftest import ALL_CONFIG_SPECS, OOO_CONFIG_SPECS, config_ids
@@ -184,13 +184,15 @@ class TestBusMechanics:
         bus = EventBus().attach(core)
         sampler = bus.add_sampler(MetricsSampler(interval=50))
         outcome = core.run()
-        assert len(sampler) > 0
-        cycles = sampler.series("cycle")
+        assert len(sampler) == len(sampler.rows) > 0
+        cycles = [row["cycle"] for row in sampler.rows]
         assert cycles == sorted(cycles)
         assert cycles[-1] <= outcome.stats.cycles
-        assert max(sampler.series("rob")) > 0
-        with pytest.raises(KeyError):
-            sampler.series("no_such_column")
+        assert max(row["rob"] for row in sampler.rows) > 0
+        assert {tuple(row) for row in sampler.rows} == {(
+            "cycle", "rob", "iq", "lq", "sq", "outstanding_misses",
+            "deferred_broadcasts", "port_conflicts",
+        )}
 
     def test_sampler_limit_caps_rows(self, ooo_config):
         program = spec_program("mcf", instructions=700, seed=3)
@@ -380,11 +382,14 @@ class TestInOrderTracer:
         text = tracer.render(width=span)
         assert "F" in text and "R" in text
 
-    def test_tracer_render_matches_tsv_rows(self):
+    def test_tracer_render_matches_records(self):
         program = spec_program("mcf", instructions=300, seed=5)
         core = InOrderCore(program, None)
         tracer = PipelineTracer.attach(core, limit=50)
         core.run()
-        tsv = tracer.to_tsv().splitlines()
-        assert len(tsv) == 1 + len(tracer.records)
-        assert tsv[0].startswith("seq\t")
+        lines = tracer.render().splitlines()
+        assert len(lines) == 1 + len(tracer.records) == 51
+        assert lines[0].startswith("cycle offset from ")
+        for line, record in zip(lines[1:], tracer.records):
+            assert line.startswith("%5d  |" % record.seq)
+            assert line.endswith(record.disasm)

@@ -9,24 +9,29 @@ broadcasts.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.attacks.taxonomy import IMPLEMENTED
+from repro.cli import main
 from repro.config import config_registry
 from repro.core.ooo import OutOfOrderCore
 from repro.debug import PipelineTracer
-from repro.obs import (
-    EventBus,
-    MetricsSampler,
+from repro.obs.bus import EventBus
+from repro.obs.perfetto import (
+    PIPELINE_PID,
     counter_trace_events,
     lifecycle_trace_events,
     smt_trace_events,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.perfetto import PIPELINE_PID
+from repro.obs.sampler import MetricsSampler
 from repro.workloads.generator import spec_program
+
+DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
 
 
 def _traced_run(config, program, sample_interval=200):
@@ -205,6 +210,32 @@ class TestSmtCrossAttackTrace:
             and e.get("name") == "process_name"
         }
         assert names == {"context 0 pipeline", "context 1 pipeline"}
+
+
+class TestObsCli:
+    def test_obs_trace_writes_only_the_trace(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "obs", "trace", "spectre_v1_cache", "--config", "strict",
+            "--output", "trace.json",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "deferred wake-ups" in out
+        assert "ui.perfetto.dev" in out
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        assert validate_chrome_trace(payload) == []
+        # DESIGN.md §3.5 states how many defer slices this trace shows.
+        defers = [e for e in payload["traceEvents"]
+                  if "defer" in e.get("cat", "")]
+        claim = re.search(r"(\d+) defer slices", DESIGN.read_text())
+        assert claim and int(claim.group(1)) == len(defers)
+
+    def test_obs_trace_unknown_target(self):
+        with pytest.raises(SystemExit):
+            main(["obs", "trace", "rowhammer"])
 
 
 class TestValidation:

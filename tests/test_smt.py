@@ -47,7 +47,7 @@ from repro.debug.trace import TraceRecord
 from repro.errors import ConfigError
 from repro.fuzz import fuzz_configs, run_smt_seed
 from repro.fuzz.generator import generate_smt
-from repro.obs import smt_trace_events
+from repro.obs.perfetto import smt_trace_events
 from repro.smt import SmtMachine, run_pair
 from repro.workloads import spec_program
 

@@ -43,13 +43,6 @@ class TestRecording:
         _, tracer = traced_run(dependence_chain(200), limit=25)
         assert len(tracer.records) == 25
 
-    def test_exclude_squashed(self):
-        program = mispredict_heavy(100)
-        core = OutOfOrderCore(program, baseline_ooo())
-        tracer = PipelineTracer.attach(core, include_squashed=False)
-        core.run()
-        assert not any(r.squashed for r in tracer.records)
-
 
 class TestWakeupDelay:
     def test_baseline_has_no_deferral(self):
@@ -82,13 +75,6 @@ class TestRendering:
     def test_render_marks_squashed(self):
         _, tracer = traced_run(mispredict_heavy(80))
         assert "x |" in tracer.render()
-
-    def test_tsv_dump(self):
-        _, tracer = traced_run(dependence_chain(10))
-        tsv = tracer.to_tsv()
-        lines = tsv.splitlines()
-        assert lines[0].startswith("seq\tpc")
-        assert len(lines) == len(tracer.records) + 1
 
 
 def test_cli_trace(capsys):
