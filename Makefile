@@ -48,10 +48,10 @@ obs-smoke:
 scale-smoke:
 	$(PYTHON) benchmarks/scale_smoke.py
 
-# Span-tracing smoke: a traced `bench --jobs 2` run spools spans
-# into a REPRO_TRACE_DIR; cli.bench -> engine.run -> engine.execute must
-# be causally linked, and the merged Perfetto trace must validate with
-# spans from exactly the CLI (mirrors CI).
+# Span-tracing smoke: a traced `bench --jobs 2` run must leave exactly
+# one Perfetto trace, cli.bench-<pid>.json, in its REPRO_TRACE_DIR; it
+# must validate, nest engine.run in cli.bench, and put one
+# engine.execute per executed job on a worker's lane (mirrors CI).
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
 

@@ -7,8 +7,8 @@ and seed 7, in four variants:
 * **detached**: no bus, every observer slot None;
 * **attached-idle**: an ``EventBus`` with no subscribers;
 * **sampling**: a bus with a ``MetricsSampler`` every 1,000 cycles;
-* **tracing**: one run span under an installed span tracer that spools
-  to a scratch directory.
+* **tracing**: one run span under an installed span tracer, written as
+  a trace to a scratch directory when it ends.
 
 Every variant must simulate bit-identically: a run whose cycles or
 committed count differ from the detached run raises ``OverheadError``.
@@ -37,6 +37,8 @@ from repro.obs.spans import Tracer, install_tracer, uninstall_tracer
 from repro.workloads.generator import spec_program
 
 VARIANTS = ("detached", "attached-idle", "sampling", "tracing")
+#: The registry configuration every variant simulates under.
+CONFIG = "strict"
 #: Interleaved rounds of the gate.
 ROUNDS = 25
 #: Period of the sampling variant's metrics sampler, in cycles.
@@ -49,11 +51,11 @@ class OverheadError(RuntimeError):
     """A telemetry variant simulated differently from the detached run."""
 
 
-def _timed_run(program, config, variant: str, spool_dir: str):
+def _timed_run(program, config, variant: str, trace_dir: str):
     """``(seconds, outcome, samples)`` of one core run in *variant*."""
     tracer = None
     if variant == "tracing":
-        tracer = install_tracer(Tracer("obs-overhead", spool_dir=spool_dir))
+        tracer = install_tracer(Tracer(trace_dir))
     try:
         core = make_core(program, config)
         sampler = None
@@ -78,17 +80,17 @@ def _timed_run(program, config, variant: str, spool_dir: str):
 def measure(workload: str = "mcf", instructions: int = 3_000,
             rounds: int = ROUNDS) -> dict:
     """Median wall seconds and paired overhead of every variant."""
-    config = config_registry()["strict"].config
+    config = config_registry()[CONFIG].config
     program = spec_program(workload, instructions=instructions, seed=7)
     times = {name: [] for name in VARIANTS}
     base = None
     samples = 0
-    with tempfile.TemporaryDirectory() as spool_dir:
+    with tempfile.TemporaryDirectory() as trace_dir:
         for index in range(rounds):
             shift = index % len(VARIANTS)
             for name in VARIANTS[shift:] + VARIANTS[:shift]:
                 elapsed, result, rows = _timed_run(
-                    program, config, name, spool_dir,
+                    program, config, name, trace_dir,
                 )
                 times[name].append(elapsed)
                 samples = max(samples, rows)
@@ -98,9 +100,9 @@ def measure(workload: str = "mcf", instructions: int = 3_000,
                 elif (result.stats.cycles, result.stats.committed) != (
                         base.cycles, base.committed):
                     raise OverheadError(
-                        "%s/strict under %r: %d cycles, %d committed; "
+                        "%s/%s under %r: %d cycles, %d committed; "
                         "detached: %d, %d" % (
-                            workload, name, result.stats.cycles,
+                            workload, CONFIG, name, result.stats.cycles,
                             result.stats.committed, base.cycles,
                             base.committed))
     return {
@@ -124,9 +126,9 @@ def measure(workload: str = "mcf", instructions: int = 3_000,
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     result = measure()
-    print("telemetry overhead on %s/strict (%d cycles, median of %d "
+    print("telemetry overhead on %s/%s (%d cycles, median of %d "
           "paired rounds, %d samples at interval %d):" % (
-              result["workload"], result["cycles"], result["rounds"],
+              result["workload"], CONFIG, result["cycles"], result["rounds"],
               result["samples"], SAMPLE_INTERVAL))
     for name in VARIANTS:
         overhead = result["overhead"].get(name)

@@ -39,7 +39,6 @@ from repro.config import (
     config_registry,
     invisispec_config,
     nda_config,
-    scheme_config,
     with_nda_delay,
 )
 from repro.schemes import (
@@ -80,7 +79,6 @@ __all__ = [
     "config_registry",
     "invisispec_config",
     "nda_config",
-    "scheme_config",
     "with_nda_delay",
     "ProtectionModel",
     "SchemeParams",

@@ -18,7 +18,6 @@ Subcommands::
     nda-repro fuzz replay 7 --config strict   # one seed on one config
     nda-repro fuzz minimize 7 --output w.json # ddmin to a reproducer
     nda-repro obs trace spectre_v1 --config strict   # Perfetto export
-    nda-repro obs trace merge --dir results/traces/spans  # stitch spools
 
 Sweeps (``bench``/``figure``) run on the parallel suite engine and cache
 windows under ``results/.cache/``; use ``--jobs N`` to size the worker
@@ -26,8 +25,8 @@ pool (``--jobs 1`` runs every job in this process) and ``--no-cache``
 to force re-simulation.  A killed sweep resumes by being rerun: every
 window stored before the kill is served from the cache, and a fuzz
 campaign given ``--cache-dir DIR`` resumes the same way (see DESIGN.md
-§3.6).  Engine jobs are traced through spans: run a sweep with
-``REPRO_TRACE_DIR=D`` set, then ``obs trace merge --dir D``.
+§3.6).  With ``REPRO_TRACE_DIR=D`` set, a traced command writes its
+spans as one Perfetto trace, ``D/cli.<command>-<pid>.json``.
 """
 
 from __future__ import annotations
@@ -252,27 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_min.add_argument("--max-tests", type=int, default=400)
 
-    obs = sub.add_parser(
-        "obs", help="telemetry: Perfetto traces and span-spool merging"
-    )
+    obs = sub.add_parser("obs", help="telemetry: Perfetto traces")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     obs_trace = obs_sub.add_parser(
         "trace",
         help="run one target under the event bus and export a "
-             "Chrome/Perfetto trace (open at ui.perfetto.dev); "
-             "`obs trace merge` stitches span spools instead",
+             "Chrome/Perfetto trace (open at ui.perfetto.dev)",
     )
     obs_trace.add_argument(
         "target", metavar="TARGET",
-        help="an attack name (e.g. spectre_v1), a micro-kernel, a "
-             "workload profile, or the word 'merge' to stitch the span "
-             "spools of traced runs",
-    )
-    obs_trace.add_argument(
-        "--dir", dest="spool_dir", default=None, metavar="DIR",
-        help="merge only: span spool directory (default: "
-             "$REPRO_TRACE_DIR, else results/traces/spans)",
+        help="an attack name (e.g. spectre_v1), a micro-kernel or a "
+             "workload profile",
     )
     obs_trace.add_argument(
         "--config", default="strict", choices=_CONFIG_NAMES,
@@ -307,7 +297,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.obs.spans import maybe_tracer
     if args.command not in _TRACED_COMMANDS:
         return _run_command(args)
-    tracer = maybe_tracer("cli")
+    tracer = maybe_tracer()
     if tracer is None:
         return _run_command(args)
     with tracer.span(
@@ -519,29 +509,6 @@ def _obs_trace_program(args):
 
 def _obs(args) -> int:
     import os
-
-    if args.target == "merge":
-        from repro.obs.perfetto import merge_span_spools
-        directory = (
-            args.spool_dir
-            or os.environ.get("REPRO_TRACE_DIR")
-            or os.path.join("results", "traces", "spans")
-        )
-        output = args.output or os.path.join(
-            "results", "traces", "merged.json"
-        )
-        summary = merge_span_spools(directory, output)
-        if not summary["spans"]:
-            print("no span spools under %s (run the campaign with "
-                  "REPRO_TRACE_DIR=%s first)" % (directory, directory))
-            return 2
-        print("merged %d spans across %d traces from %d processes (%s)"
-              % (summary["spans"], summary["traces"],
-                 len(summary["processes"]),
-                 ", ".join(summary["processes"])))
-        print("trace: %s  (open at https://ui.perfetto.dev)"
-              % summary["path"])
-        return 0
 
     from repro.core.inorder import InOrderCore
     from repro.core import make_core

@@ -18,14 +18,6 @@ from typing import Dict, Optional
 from repro.errors import ConfigError
 
 
-#: Legacy scheme spellings -> (registry name, parameter overrides).
-_LEGACY_SCHEMES = {
-    "ooo": ("none", None),
-    "invisispec-spectre": ("invisispec", {"future": False}),
-    "invisispec-future": ("invisispec", {"future": True}),
-}
-
-
 class NDAPolicyName(enum.Enum):
     """The six NDA propagation policies (Table 2 rows 1-6)."""
 
@@ -173,8 +165,7 @@ class SimConfig:
     "nda", "invisispec", "fence-on-branch", or any scheme registered via
     :func:`repro.schemes.register_scheme`); ``scheme_params`` is the
     scheme's parameter dataclass (defaulted from the registry when
-    omitted).  The registry's legacy names ("ooo", "invisispec-spectre",
-    "invisispec-future") are coerced on construction.
+    omitted).
     """
 
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -199,18 +190,12 @@ class SimConfig:
     sharing: str = "smt"
 
     def __post_init__(self) -> None:
-        scheme, overrides = _LEGACY_SCHEMES.get(
-            self.scheme, (self.scheme, None)
-        )
-        params = self.scheme_params
-        if params is None:
+        if self.scheme_params is None:
             from repro.schemes.registry import scheme_info
 
-            params = scheme_info(scheme).params(**(overrides or {}))
-        elif overrides:
-            params = replace(params, **overrides)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "scheme_params", params)
+            object.__setattr__(
+                self, "scheme_params", scheme_info(self.scheme).params()
+            )
 
     @property
     def nda_policy(self) -> Optional[NDAPolicyName]:
@@ -353,27 +338,6 @@ def invisispec_config(future: bool = False) -> SimConfig:
     return SimConfig(
         scheme="invisispec",
         scheme_params=InvisiSpecParams(future=bool(future)),
-    ).validate()
-
-
-def scheme_config(name: str, **params) -> SimConfig:
-    """A configuration for any registered scheme, by registry name.
-
-    ``params`` override fields of the scheme's parameter dataclass::
-
-        scheme_config("fence-on-branch", fence_loads=False)
-
-    Legacy scheme spellings ("ooo", "invisispec-future", ...) are
-    accepted.
-    """
-    from repro.schemes.registry import scheme_info
-
-    scheme, overrides = _LEGACY_SCHEMES.get(name, (name, None))
-    merged = dict(overrides or {})
-    merged.update(params)
-    info = scheme_info(scheme)
-    return SimConfig(
-        scheme=scheme, scheme_params=info.params(**merged)
     ).validate()
 
 

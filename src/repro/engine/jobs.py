@@ -17,6 +17,7 @@ when each ``run_jobs`` starts) keeps the reuse inside one sweep.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -149,9 +150,11 @@ class JobResult:
     from_cache: bool = False
     retried: bool = False
     # Execution span on time.perf_counter()'s clock — CLOCK_MONOTONIC on
-    # Linux, so comparable across forked workers.  Zero for cache hits.
+    # Linux, so comparable across forked workers — and the pid of the
+    # process that ran it.  Zero for cache hits.
     t_start: float = 0.0
     t_end: float = 0.0
+    worker: int = 0
 
 
 def execute_job(job) -> JobResult:
@@ -167,5 +170,5 @@ def execute_job(job) -> JobResult:
     end = time.perf_counter()
     return JobResult(
         job=job, window=window, elapsed=end - start,
-        t_start=start, t_end=end,
+        t_start=start, t_end=end, worker=os.getpid(),
     )

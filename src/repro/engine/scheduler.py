@@ -125,22 +125,19 @@ def run_jobs(
     forget_program()
     stats = EngineStats(jobs=len(jobs_list))
     stores_before = cache.stats.stores if cache is not None else 0
-    # Span tracing (no-op when detached): one engine.run span for
-    # the whole call, retroactive per-job queue/execute/cache-hit spans
-    # from each job's submit, start and end times.  perf_counter times
-    # convert to unix through one offset captured here.
+    # Span tracing (no-op when detached): one engine.run span for the
+    # whole call, and one engine.execute or engine.cache.hit span per
+    # job, recorded from the times its result carries on the lane of
+    # the process that ran it.
     tracer = maybe_tracer()
     run_span = None
-    unix_offset = 0.0
     if tracer is not None:
-        unix_offset = time.time() - time.perf_counter()
         run_span = tracer.start_span(
             "engine.run", attrs={"jobs": len(jobs_list)},
         )
     slots: List[Optional[JobResult]] = [None] * len(jobs_list)
     failures: List[JobFailure] = []
     done_count = 0
-    submit_times: Dict[int, float] = {}
     lock = threading.RLock()
     accounted: set = set()
 
@@ -155,29 +152,16 @@ def run_jobs(
             stats.sim_seconds += result.elapsed
             stats.job_seconds[result.job.coordinates] = result.elapsed
             if tracer is not None:
-                now = time.perf_counter()
-                submit = submit_times.get(index, start_wall) + unix_offset
-                t_start = (result.t_start or 0) + unix_offset \
-                    if result.t_start else submit
-                t_end = (result.t_end or 0) + unix_offset \
-                    if result.t_end else now + unix_offset
                 attrs = {"job": result.job.describe()}
                 if result.from_cache:
-                    tracer.record(
-                        "engine.cache.hit", t_end, t_end,
-                        parent=run_span, attrs=attrs,
-                    )
+                    now = time.perf_counter()
+                    tracer.record("engine.cache.hit", now, now, attrs=attrs)
                 else:
                     if result.retried:
                         attrs["retried"] = True
-                    if t_start > submit:
-                        tracer.record(
-                            "engine.queue", submit, t_start,
-                            parent=run_span, attrs=attrs,
-                        )
                     tracer.record(
-                        "engine.execute", t_start, t_end,
-                        parent=run_span, attrs=attrs,
+                        "engine.execute", result.t_start, result.t_end,
+                        lane=result.worker, attrs=attrs,
                     )
             if not result.from_cache:
                 stats.executed += 1
@@ -186,7 +170,8 @@ def run_jobs(
             if progress is not None:
                 progress(done_count, len(jobs_list), result)
 
-    def fail(job: SimJob, index: int, error: BaseException) -> None:
+    def fail(job: SimJob, index: int, error: BaseException,
+             start: float) -> None:
         nonlocal done_count
         with lock:
             if index in accounted:
@@ -196,83 +181,90 @@ def run_jobs(
             failures.append(JobFailure(job=job, error=repr(error)))
             stats.failures += 1
             if tracer is not None:
-                now_unix = time.time()
-                submit = submit_times.get(index, start_wall) + unix_offset
                 tracer.record(
-                    "engine.execute", min(submit, now_unix), now_unix,
-                    parent=run_span, status="error",
+                    "engine.execute", start, time.perf_counter(),
+                    status="error",
                     attrs={"job": job.describe(), "error": repr(error)},
                 )
             if progress is not None:
                 progress(done_count, len(jobs_list), None)
 
-    def mark_submitted(index: int) -> None:
-        with lock:
-            submit_times[index] = time.perf_counter()
-
     def run_serially(index: int, job: SimJob, retried: bool) -> None:
         if retried:
             with lock:
                 stats.retries += 1
-        mark_submitted(index)
+        start = time.perf_counter()
         try:
             result = execute_job(job)
         except BaseException as error:  # deterministic job failure
-            fail(job, index, error)
+            fail(job, index, error, start)
             return
         result.retried = retried
         finish(index, result)
 
-    # Phase 1: serve whatever the result store already has.
-    pending: List[Tuple[int, SimJob]] = []
-    for index, job in enumerate(jobs_list):
-        window = cache.load(job) if cache is not None else None
-        if window is not None:
-            stats.cache_hits += 1
-            finish(index, JobResult(job=job, window=window, from_cache=True))
-        else:
-            pending.append((index, job))
+    try:
+        # Phase 1: serve whatever the result store already has.
+        pending: List[Tuple[int, SimJob]] = []
+        for index, job in enumerate(jobs_list):
+            window = cache.load(job) if cache is not None else None
+            if window is not None:
+                stats.cache_hits += 1
+                finish(index, JobResult(
+                    job=job, window=window, from_cache=True,
+                ))
+            else:
+                pending.append((index, job))
 
-    # Phase 2: run the misses in this process, or on a fork pool.
-    workers = 1 if backend == "serial" else \
-        resolve_workers(jobs, len(pending))
-    stats.workers = workers
-    if workers == 1:
-        for index, job in pending:
-            run_serially(index, job, False)
-    else:
-        remaining = list(pending)
-        try:
-            factory = executor_factory or ProcessPoolExecutor
-            context = multiprocessing.get_context("fork")
-            with factory(max_workers=workers, mp_context=context) as pool:
-                future_to_job = {}
-                for index, job in pending:
-                    mark_submitted(index)
-                    future_to_job[pool.submit(execute_job, job)] = (
-                        index, job
-                    )
-                not_done = set(future_to_job)
-                while not_done:
-                    finished, not_done = wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for future in finished:
-                        index, job = future_to_job[future]
-                        remaining.remove((index, job))
-                        if future.exception() is not None:
-                            # Worker died or the job raised: one serial
-                            # retry in this process, then give up on it.
-                            run_serially(index, job, True)
-                        else:
-                            finish(index, future.result())
-        except BaseException:
-            # The pool itself broke (fork refused, transport error,
-            # keyboard interrupt inside shutdown...): degrade to serial
-            # for everything still unaccounted for.
-            stats.degraded = True
-            for index, job in remaining:
-                run_serially(index, job, True)
+        # Phase 2: run the misses in this process, or on a fork pool.
+        workers = 1 if backend == "serial" else \
+            resolve_workers(jobs, len(pending))
+        stats.workers = workers
+        if workers == 1:
+            for index, job in pending:
+                run_serially(index, job, False)
+        else:
+            remaining = list(pending)
+            try:
+                factory = executor_factory or ProcessPoolExecutor
+                context = multiprocessing.get_context("fork")
+                with factory(
+                    max_workers=workers, mp_context=context,
+                ) as pool:
+                    future_to_job = {}
+                    for index, job in pending:
+                        future_to_job[pool.submit(execute_job, job)] = (
+                            index, job
+                        )
+                    not_done = set(future_to_job)
+                    while not_done:
+                        finished, not_done = wait(
+                            not_done, return_when=FIRST_COMPLETED
+                        )
+                        for future in finished:
+                            index, job = future_to_job[future]
+                            remaining.remove((index, job))
+                            if future.exception() is not None:
+                                # Worker died or the job raised: one
+                                # serial retry in this process, then
+                                # give up on it.
+                                run_serially(index, job, True)
+                            else:
+                                finish(index, future.result())
+            except BaseException:
+                # The pool itself broke (fork refused, transport
+                # error, keyboard interrupt inside shutdown...):
+                # degrade to serial for everything still unaccounted
+                # for.
+                stats.degraded = True
+                for index, job in remaining:
+                    run_serially(index, job, True)
+    except BaseException:
+        # Not a job failure (those are accounted above): the store, the
+        # progress callback or an interrupt raised.  The run span still
+        # ends, so a trace it roots is still written.
+        if run_span is not None:
+            run_span.end("error")
+        raise
 
     if cache is not None:
         stats.stores = cache.stats.stores - stores_before

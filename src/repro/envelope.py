@@ -10,17 +10,9 @@ and ``fuzz-witness`` (corpus files).  :func:`make_envelope` is the one
 serializer for all three.  The body is flat: kind-specific fields sit
 next to ``schema``/``kind`` rather than under a nested wrapper, which
 keeps corpus files human-diffable.
-
-Readers open a file through :func:`load_json_object`, which rejects
-anything but a readable JSON object with one ``ValueError`` naming the
-file, then check ``schema`` (reject unknown majors), then ``kind``.
-Its one caller is :func:`repro.fuzz.corpus.load_witness_file`, which
-keeps the schema check for corpus files.
 """
 
 from __future__ import annotations
-
-import json
 
 #: The one version string every result document opens with.  Bump the
 #: ``/v1`` suffix (and keep a reader for the old one) on incompatible
@@ -45,24 +37,6 @@ def make_envelope(kind: str, **body) -> dict:
     envelope = {"schema": RESULT_SCHEMA, "kind": kind}
     envelope.update(body)
     return envelope
-
-
-def load_json_object(path, what: str) -> dict:
-    """The JSON object in the file at *path*, a *what* (for messages).
-
-    Raises ``ValueError`` naming the file when it cannot be read, is not
-    JSON, or holds a JSON value other than an object — the one clean
-    rejection every loader of a file on disk gives.
-    """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, RecursionError, ValueError) as error:
-        raise ValueError("cannot read %s %s: %s" % (what, path, error)) \
-            from None
-    if not isinstance(payload, dict):
-        raise ValueError("%s %s is not a JSON object" % (what, path))
-    return payload
 
 
 # ---------------------------------------------------------------------- #

@@ -43,7 +43,7 @@ import json
 from pathlib import Path
 from typing import Dict, Tuple
 
-from repro.envelope import RESULT_SCHEMA, load_json_object, make_envelope
+from repro.envelope import RESULT_SCHEMA, make_envelope
 from repro.errors import AssemblyError
 from repro.isa.instruction import Instr, Opcode
 from repro.isa.program import Program
@@ -200,7 +200,14 @@ def load_witness_file(path) -> dict:
     ``ValueError`` naming *path* when the file is not readable JSON, not
     a corpus entry, or misses or mistypes a field.
     """
-    payload = load_json_object(path, "corpus file")
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, RecursionError, ValueError) as error:
+        raise ValueError("cannot read corpus file %s: %s" % (path, error)) \
+            from None
+    if not isinstance(payload, dict):
+        raise ValueError("corpus file %s is not a JSON object" % path)
     schema = payload.get("schema")
     if schema == RESULT_SCHEMA:
         if payload.get("kind") != "fuzz-witness":

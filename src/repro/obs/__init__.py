@@ -14,16 +14,16 @@ so a process loads only the modules it uses):
   :class:`~repro.obs.sampler.MetricsSampler`, a periodic in-simulation
   sampler producing occupancy/MLP/deferred-broadcast time series.
 * :mod:`repro.obs.perfetto` — Chrome trace-event (Perfetto) JSON export
-  of per-instruction lifecycle spans, sampler counter tracks and merged
-  span spools.
-* :mod:`repro.obs.spans` — trace spans for local runs: a traced CLI
-  command's root span, the engine's run and per-job spans below it,
-  spooled per process and merged into one Perfetto trace.
+  of per-instruction lifecycle spans, sampler counter tracks and trace
+  spans.
+* :mod:`repro.obs.spans` — trace spans for one process: a traced CLI
+  command's root span, the engine's run and per-job spans inside it,
+  written as one Perfetto trace when the root span ends.
 
 ``repro.obs.manifest`` holds only ``git_revision()``, which the
 end-to-end benchmark stamps on its history rows.
 
 See DESIGN.md §3.5 ("Observability") for the event taxonomy and the
-overhead contract; §3.9 covers the span taxonomy and the spool/merger
-formats.
+overhead contract; §3.9 covers the span taxonomy, the lanes and the
+trace file.
 """

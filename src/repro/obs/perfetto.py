@@ -11,11 +11,10 @@ loadable at https://ui.perfetto.dev or ``chrome://tracing``:
   slice to its InvisiSpec validate/expose point.
 * :func:`counter_trace_events` — Perfetto counter tracks from a
   :class:`~repro.obs.sampler.MetricsSampler` time series.
-* :func:`merge_span_spools` — stitches the per-process span spools
-  written by :mod:`repro.obs.spans` into one trace: each process becomes
-  a Perfetto process group, and parent→child span links become flow
-  arrows, so a traced CLI command renders causally connected to the
-  engine run and the per-job spans below it.
+* :func:`span_trace_events` — one process's finished trace spans from
+  :mod:`repro.obs.spans`: a lane for the process itself and one per
+  pool worker that ran a job, so a traced CLI command renders with its
+  engine run nested below it and each job on its worker's lane.
 
 The convention throughout: **1 simulated cycle = 1 µs** of trace time
 (the format's ``ts``/``dur`` unit), so cycle counts read directly off
@@ -28,12 +27,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.spans import SPAN_SPOOL_SUFFIX
-
 #: pid used for simulated-pipeline tracks.
 PIPELINE_PID = 1
-#: first pid used for trace-span process groups.
-SPAN_PID_BASE = 10
 
 _STAGES = (
     # (slice name, start attr, end attr)
@@ -195,184 +190,45 @@ def counter_trace_events(sampler, pid: int = PIPELINE_PID) -> List[dict]:
     return events
 
 
-def read_span_spools(directory: str) -> List[dict]:
-    """Load every ``*.spans.jsonl`` spool under *directory*.
+def span_trace_events(spans: Iterable) -> List[dict]:
+    """Trace events for one process's finished spans
+    (:class:`repro.obs.spans.Span`).
 
-    Tolerant by design: unreadable files, blank lines, and malformed or
-    truncated rows (a worker killed mid-write) are skipped, never
-    raised.  Rows come back sorted by start time.
+    Every span becomes one ``X`` slice of this process, on the lane of
+    the process that ran it: the tracing process's own lane, or a pool
+    worker's for the jobs that worker executed.  A slice inside another
+    on the same lane is its child.  A span whose status is not ``ok``
+    reads ``[status] name``.  Times are microseconds from the earliest
+    start.
     """
-    rows: List[dict] = []
-    if not os.path.isdir(directory):
-        return rows
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(SPAN_SPOOL_SUFFIX):
-            continue
-        try:
-            with open(os.path.join(directory, name)) as handle:
-                text = handle.read()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue
-            if (
-                isinstance(row, dict)
-                and isinstance(row.get("name"), str)
-                and isinstance(row.get("start_unix"), (int, float))
-                and isinstance(row.get("end_unix"), (int, float))
-            ):
-                rows.append(row)
-    rows.sort(key=lambda row: (
-        row["start_unix"], row["end_unix"], str(row.get("span_id") or ""),
-    ))
-    return rows
-
-
-def span_trace_events(
-    spans: Iterable[dict],
-    base_pid: int = SPAN_PID_BASE,
-    max_lanes: int = 64,
-) -> List[dict]:
-    """Trace events for spooled spans (:mod:`repro.obs.spans`).
-
-    Each emitting process ``(service, pid)`` becomes a Perfetto process
-    group; within a group, spans pack greedily into lanes like the
-    pipeline view.  Every span whose parent is present in the batch gets
-    a flow arrow from the parent slice to its own start, so the
-    command → engine.run → engine.execute chain reads as connected
-    arrows, across process groups when a run spans several.
-    """
-    rows = sorted(
-        (
-            row for row in spans
-            if isinstance(row.get("name"), str)
-            and isinstance(row.get("start_unix"), (int, float))
-            and isinstance(row.get("end_unix"), (int, float))
-        ),
-        key=lambda row: (
-            row["start_unix"], row["end_unix"],
-            str(row.get("span_id") or ""),
-        ),
-    )
-    if not rows:
+    spans = sorted(spans, key=lambda span: (span.start, -span.finish))
+    if not spans:
         return []
-    origin = min(row["start_unix"] for row in rows)
+    pid = os.getpid()
+    origin = spans[0].start
 
-    def usec(unix: float) -> int:
-        return int(round((unix - origin) * 1e6))
+    def usec(seconds: float) -> int:
+        return int(round((seconds - origin) * 1e6))
 
-    process_pids: Dict[tuple, int] = {}
-    lane_free_at: Dict[int, List[int]] = {}
-    placed: Dict[str, tuple] = {}
     events: List[dict] = []
-    for row in rows:
-        proc = (str(row.get("service") or "?"), row.get("pid") or 0)
-        pid = process_pids.setdefault(proc, base_pid + len(process_pids))
-        lanes = lane_free_at.setdefault(pid, [])
-        start = usec(row["start_unix"])
-        dur = max(usec(row["end_unix"]) - start, 1)
-        tid = None
-        for lane, free_at in enumerate(lanes):
-            if free_at <= start:
-                tid = lane
-                break
-        if tid is None:
-            if len(lanes) < max_lanes:
-                lanes.append(0)
-                tid = len(lanes) - 1
-            else:
-                tid = min(range(len(lanes)), key=lanes.__getitem__)
-        lanes[tid] = start + dur + 1
-
-        status = str(row.get("status") or "ok")
-        args = {
-            "trace_id": row.get("trace_id"),
-            "span_id": row.get("span_id"),
-            "status": status,
-        }
-        if row.get("parent_id"):
-            args["parent_id"] = row["parent_id"]
-        attrs = row.get("attrs")
-        if isinstance(attrs, dict):
-            args.update(attrs)
-        name = row["name"]
-        if status != "ok":
-            name = "[%s] %s" % (status, name)
+    for span in spans:
+        name = span.name
+        if span.status != "ok":
+            name = "[%s] %s" % (span.status, name)
+        start = usec(span.start)
         events.append({
-            "ph": "X", "pid": pid, "tid": tid, "name": name,
-            "cat": "spans," + row["name"], "ts": start, "dur": dur,
-            "args": args,
+            "ph": "X", "pid": pid, "tid": span.lane, "name": name,
+            "cat": "spans," + span.name, "ts": start,
+            "dur": usec(span.finish) - start,
+            "args": dict(span.attrs, status=span.status),
         })
-        span_id = row.get("span_id")
-        if isinstance(span_id, str) and span_id:
-            placed[span_id] = (pid, tid, start, dur)
-
-    flow_id = 0
-    for row in rows:
-        parent_id = row.get("parent_id")
-        span_id = row.get("span_id")
-        if not parent_id or parent_id not in placed or span_id not in placed:
-            continue
-        p_pid, p_tid, p_ts, p_dur = placed[parent_id]
-        c_pid, c_tid, c_ts, _ = placed[span_id]
-        flow_id += 1
-        anchor = min(max(c_ts, p_ts), p_ts + p_dur)
+    events.extend(_process_meta(pid, "repro (pid %d)" % pid))
+    for lane in sorted({span.lane for span in spans}):
         events.append({
-            "ph": "s", "pid": p_pid, "tid": p_tid, "id": flow_id,
-            "name": row["name"], "cat": "spans,flow", "ts": anchor,
+            "ph": "M", "pid": pid, "tid": lane, "name": "thread_name",
+            "args": {"name": "main" if lane == pid else "worker %d" % lane},
         })
-        events.append({
-            "ph": "f", "pid": c_pid, "tid": c_tid, "bp": "e",
-            "id": flow_id, "name": row["name"], "cat": "spans,flow",
-            "ts": c_ts,
-        })
-
-    for (service, pid), perfetto_pid in process_pids.items():
-        events.extend(_process_meta(
-            perfetto_pid, "%s (pid %s)" % (service, pid),
-        ))
     return events
-
-
-def merge_span_spools(
-    directory: str,
-    output: str,
-    metadata: Optional[Dict] = None,
-    base_pid: int = SPAN_PID_BASE,
-) -> dict:
-    """Merge every per-process span spool under *directory* into one
-    validated Chrome trace at *output*.
-
-    Returns a summary dict (``path``, ``spans``, ``traces``,
-    ``processes``) — what ``nda-repro obs trace merge`` prints.
-    """
-    rows = read_span_spools(directory)
-    events = span_trace_events(rows, base_pid=base_pid)
-    processes = sorted({
-        "%s:%s" % (row.get("service") or "?", row.get("pid") or 0)
-        for row in rows
-    })
-    summary = {
-        "path": output,
-        "spans": len(rows),
-        "traces": len({row.get("trace_id") for row in rows}),
-        "processes": processes,
-    }
-    meta = {
-        "span_spool_dir": os.path.abspath(directory),
-        "spans": len(rows),
-        "processes": processes,
-    }
-    if metadata:
-        meta.update(metadata)
-    write_chrome_trace(output, events, metadata=meta)
-    return summary
 
 
 def _process_meta(pid: int, name: str) -> List[dict]:

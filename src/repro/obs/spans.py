@@ -1,216 +1,125 @@
-"""Trace spans for local runs, spooled per process.
+"""Trace spans for one process, written as one Perfetto trace.
 
-A traced CLI command opens a root **span** (``cli.<command>``) — a
-named interval with a 128-bit ``trace_id`` shared by everything the
-command caused, a 64-bit ``span_id``, an optional parent link, and
-free-form attributes.  Inside a process a thread-local stack parents
-spans: :meth:`Tracer.span` pushes the new span, so the ``engine.run``
-span that :func:`repro.engine.scheduler.run_jobs` opens, and the
-``fuzz.campaign`` or ``simulate`` spans below it, land on the command's
-trace without any argument passing.  The engine records its per-job
-``engine.queue``/``engine.execute``/``engine.cache.hit`` spans in the
-driver, after the fact, from the timestamps each job result carries.
+A traced CLI command opens a root **span** (``cli.<command>``): a named
+interval on :func:`time.perf_counter`'s clock with free-form
+attributes.  The ``engine.run`` span that
+:func:`repro.engine.scheduler.run_jobs` opens, and the ``fuzz.campaign``
+or ``simulate`` spans, start and end inside it, so on the trace they
+nest under it on the same lane.  The engine records one
+``engine.execute`` (or ``engine.cache.hit``) span per job after the
+fact, from the times and the worker pid each job result carries: a job
+a pool worker ran goes on that worker's lane.  ``perf_counter`` is
+CLOCK_MONOTONIC on Linux, so times taken in forked workers compare
+directly with the parent's.
 
-Each process owns at most one :class:`Tracer`.  Finished spans land in
-a **JSONL spool** — one append-only file per process under the trace
-directory (``<service>-<pid>.spans.jsonl``), which
-:func:`repro.obs.perfetto.read_span_spools` reads back and
-:func:`repro.obs.perfetto.merge_span_spools` stitches into a single
-Perfetto trace after the run.
+Each process owns at most one :class:`Tracer`.  It keeps the finished
+spans in memory; when the **root** (the span opened while no other was
+open) ends, it writes them as one validated Chrome trace,
+``<directory>/<root name>-<pid>.json``, and starts over.  The root of a
+CLI command ends in a ``finally``, so a command that raises still
+writes its trace, with the root marked ``error``.
 
 Tracing follows the telemetry layer's no-op-when-detached contract
 (:mod:`repro.obs.bus`): with no tracer installed and ``REPRO_TRACE_DIR``
 unset, :func:`maybe_tracer` returns ``None`` and every instrumentation
-site reduces to one ``is None`` test — detached runs are bit-identical
-to the golden files, and the attached overhead is CI-gated next to the
-sampler's (``measure_obs_overhead`` grows a ``tracing`` variant).
-Activation is environment-driven so every process a run starts (a CLI
-driver and its pool workers) inherits it.
+site reduces to one ``is None`` test; detached runs are bit-identical
+to the golden files, and ``benchmarks/obs_overhead.py`` gates the
+attached overhead.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-#: Schema version stamped on every spooled span row.
-SPAN_SCHEMA = 1
-
-#: Environment variable holding the spool directory; set = tracing on.
+#: Environment variable naming the trace directory; set = tracing on.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-
-#: Filename suffix of per-process span spools (see ``Tracer.spool_path``).
-SPAN_SPOOL_SUFFIX = ".spans.jsonl"
-
-
-def new_trace_id() -> str:
-    return os.urandom(16).hex()
-
-
-def new_span_id() -> str:
-    return os.urandom(8).hex()
 
 
 class Span:
-    """One in-flight named interval; finalized through its tracer."""
+    """One named interval on a lane (the pid of the process that ran
+    it); finished through its tracer."""
 
-    __slots__ = (
-        "name", "trace_id", "span_id", "parent_id",
-        "start_unix", "attrs", "_tracer", "_finished",
-    )
+    __slots__ = ("name", "start", "finish", "lane", "attrs", "status",
+                 "_tracer")
 
-    def __init__(
-        self,
-        name: str,
-        trace_id: str,
-        span_id: str,
-        parent_id: Optional[str],
-        start_unix: float,
-        tracer: "Tracer",
-        attrs: Optional[Dict] = None,
-    ) -> None:
-        self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start_unix = start_unix
-        self.attrs = attrs if attrs is not None else {}
+    def __init__(self, tracer: "Tracer", name: str, start: float,
+                 lane: Optional[int] = None,
+                 attrs: Optional[Dict] = None) -> None:
+        self.name = str(name)
+        self.start = float(start)
+        self.finish: Optional[float] = None
+        self.lane = tracer.pid if lane is None else int(lane)
+        self.attrs = dict(attrs) if attrs else {}
+        self.status = "ok"
         self._tracer = tracer
-        self._finished = False
 
-    def end(self, end: Optional[float] = None, status: str = "ok") -> None:
-        """Finalize once: append the span to the spool."""
-        if self._finished:
-            return
-        self._finished = True
-        self._tracer._finish(self, end=end, status=status)
+    def end(self, status: str = "ok") -> None:
+        """Finish once, now; ending the root writes the trace."""
+        if self.finish is None:
+            self._tracer._finish(self, time.perf_counter(), status)
 
 
 class Tracer:
-    """Per-process span factory and JSONL spool.
+    """Per-process span factory: finished spans in :attr:`spans`, one
+    trace file under *directory* each time a root span ends."""
 
-    Every finished span is appended to this process's spool file under
-    *spool_dir*, which the Perfetto merger consumes.
-    """
-
-    def __init__(self, service: str, spool_dir: str) -> None:
-        self.service = str(service)
+    def __init__(self, directory: str) -> None:
+        self.directory = str(directory)
         self.pid = os.getpid()
-        self.spool_dir = str(spool_dir)
-        os.makedirs(self.spool_dir, exist_ok=True)
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-_." else "-"
-            for ch in self.service
-        ) or "repro"
-        self.spool_path = os.path.join(
-            self.spool_dir, "%s-%d%s" % (safe, self.pid, SPAN_SPOOL_SUFFIX),
-        )
-        self._lock = threading.Lock()
-        self._tls = threading.local()
-        self.spool_errors = 0
+        self.spans: List[Span] = []
+        self._root: Optional[Span] = None
 
-    # ------------------------------------------------------------------ #
-    # Span creation.
-    # ------------------------------------------------------------------ #
-
-    def current(self) -> Optional[Span]:
-        """This thread's innermost active span, if any."""
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
-
-    def start_span(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        attrs: Optional[Dict] = None,
-        start: Optional[float] = None,
-    ) -> Span:
-        """An unfinished span under *parent*, a Span, or under this
-        thread's current span when *parent* is None."""
-        if parent is None:
-            parent = self.current()
-        return Span(
-            name=str(name),
-            trace_id=parent.trace_id if parent is not None
-            else new_trace_id(),
-            span_id=new_span_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            start_unix=time.time() if start is None else float(start),
-            tracer=self,
-            attrs=dict(attrs) if attrs else {},
-        )
+    def start_span(self, name: str, attrs: Optional[Dict] = None) -> Span:
+        """An unfinished span on this process's lane, starting now."""
+        span = Span(self, name, time.perf_counter(), attrs=attrs)
+        if self._root is None:
+            self._root = span
+        return span
 
     @contextmanager
-    def span(self, name: str, parent: Optional[Span] = None,
-             attrs: Optional[Dict] = None):
-        """Scoped span that becomes this thread's current span, so
-        nested instrumentation (the engine inside a CLI command, runs
-        inside a campaign) parents itself automatically."""
-        sp = self.start_span(name, parent=parent, attrs=attrs)
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        stack.append(sp)
+    def span(self, name: str, attrs: Optional[Dict] = None):
+        """Scoped span, ended with status ``error`` if the block raises."""
+        span = self.start_span(name, attrs)
+        status = "error"
         try:
-            yield sp
-        except BaseException:
-            stack.pop()
-            sp.end(status="error")
-            raise
-        stack.pop()
-        sp.end()
+            yield span
+            status = "ok"
+        finally:
+            span.end(status)
 
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        parent: Optional[Span] = None,
-        attrs: Optional[Dict] = None,
-        status: str = "ok",
-    ) -> dict:
-        """A retroactive finished span with explicit unix timestamps —
-        how the engine reconstructs its per-job intervals after the
-        fact."""
-        sp = self.start_span(name, parent=parent, attrs=attrs, start=start)
-        sp._finished = True
-        return self._finish(sp, end=end, status=status)
+    def record(self, name: str, start: float, end: float,
+               lane: Optional[int] = None, attrs: Optional[Dict] = None,
+               status: str = "ok") -> Span:
+        """A finished span with explicit ``perf_counter`` times, on
+        *lane* (default: this process's) — how the engine records its
+        per-job intervals after the fact."""
+        span = Span(self, name, start, lane=lane, attrs=attrs)
+        self._finish(span, float(end), status)
+        return span
 
-    # ------------------------------------------------------------------ #
-    # Finalization.
-    # ------------------------------------------------------------------ #
+    def _finish(self, span: Span, end: float, status: str) -> None:
+        span.finish = max(end, span.start)
+        span.status = status
+        self.spans.append(span)
+        if span is self._root:
+            self._root = None
+            self.write(span)
 
-    def _finish(self, span: Span, end: Optional[float], status: str) -> dict:
-        end_unix = time.time() if end is None else float(end)
-        if end_unix < span.start_unix:
-            end_unix = span.start_unix
-        row = {
-            "schema": SPAN_SCHEMA,
-            "name": span.name,
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "service": self.service,
-            "pid": self.pid,
-            "start_unix": span.start_unix,
-            "end_unix": end_unix,
-            "status": status,
-        }
-        if span.attrs:
-            row["attrs"] = span.attrs
-        try:
-            line = json.dumps(row, sort_keys=True)
-            with open(self.spool_path, "a") as handle:
-                handle.write(line + "\n")
-        except (OSError, TypeError, ValueError):
-            with self._lock:
-                self.spool_errors += 1
-        return row
+    def write(self, root: Span) -> str:
+        """Write the finished spans as ``<root name>-<pid>.json`` under
+        this tracer's directory, then forget them; returns the path."""
+        from repro.obs.perfetto import span_trace_events, write_chrome_trace
+
+        path = os.path.join(
+            self.directory, "%s-%d.json" % (root.name, self.pid),
+        )
+        spans, self.spans = self.spans, []
+        write_chrome_trace(path, span_trace_events(spans))
+        return path
 
 
 # ---------------------------------------------------------------------- #
@@ -222,14 +131,13 @@ _ENV_CHECKED = False
 _GLOBAL_LOCK = threading.Lock()
 
 
-def maybe_tracer(service: Optional[str] = None) -> Optional[Tracer]:
+def maybe_tracer() -> Optional[Tracer]:
     """The process tracer, or ``None`` when tracing is detached.
 
     Detached is the default: without an installed tracer or a
     ``REPRO_TRACE_DIR`` environment variable this returns ``None`` and
     callers skip all span work (the no-op-when-detached contract).  The
-    first call with the env var set creates the spooling tracer;
-    *service* only names it at that creation (later hints are ignored).
+    first call with the variable set creates the tracer.
     """
     global _PROCESS_TRACER, _ENV_CHECKED
     if _PROCESS_TRACER is not None:
@@ -240,9 +148,7 @@ def maybe_tracer(service: Optional[str] = None) -> Optional[Tracer]:
         if _PROCESS_TRACER is None and not _ENV_CHECKED:
             directory = os.environ.get(TRACE_DIR_ENV)
             if directory:
-                _PROCESS_TRACER = Tracer(
-                    service=service or "repro", spool_dir=directory,
-                )
+                _PROCESS_TRACER = Tracer(directory)
             _ENV_CHECKED = True
     return _PROCESS_TRACER
 

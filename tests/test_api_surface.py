@@ -173,7 +173,13 @@ class TestConsolidatedFacade:
             # command's output or the result store.
             r"|build_[m]anifest|write_[m]anifest|load_[m]anifest"
             r"|validate_[m]anifest|list_[m]anifests|latest_[m]anifest"
-            r"|render_[m]etrics)\s*[(=]"
+            r"|render_[m]etrics"
+            # The span spool and its merger, retired for one trace file
+            # per process; the corpus loader's wrapper; the legacy
+            # scheme spellings and their factory.
+            r"|read_span_[s]pools|merge_span_[s]pools|SPAN_SPOOL_[S]UFFIX"
+            r"|new_trace_[i]d|load_json_[o]bject|scheme_[c]onfig"
+            r"|_LEGACY_[S]CHEMES)\s*[(=]"
         )
         offenders = []
         for tree in ("src", "benchmarks", "examples"):
@@ -264,6 +270,35 @@ def test_benchmark_process_loads_only_bus_and_spans():
         capture_output=True, text=True, check=True,
     ).stdout.split()
     assert out == ["repro.obs.bus", "repro.obs.spans"]
+
+
+def _doc_tree(path, heading):
+    """The top-level names of the ``src/repro/`` tree in the first fenced
+    block after *heading* in the document at *path*."""
+    import re
+
+    text = path.read_text()
+    block = text[text.index(heading):].split("```")[1]
+    return sorted(re.findall(r"^  (\S+)", block, re.M))
+
+
+def test_docs_module_trees_match_src():
+    """README's architecture tree and DESIGN.md §3's inventory name every
+    top-level package and module of ``src/repro/``, and nothing else."""
+    from pathlib import Path
+
+    package = Path(repro.__file__).resolve().parent
+    root = package.parent.parent
+    entries = sorted(
+        path.name + "/" if path.is_dir() else path.name
+        for path in package.iterdir()
+        if (path / "__init__.py").is_file()
+        or (path.suffix == ".py" and path.name != "__init__.py")
+    )
+    assert _doc_tree(root / "README.md", "## Architecture overview") \
+        == entries
+    assert _doc_tree(root / "DESIGN.md", "## 3. Module inventory") \
+        == entries
 
 
 def test_quickstart_docstring_example_runs():

@@ -72,12 +72,14 @@ def test_no_command_rejected():
     ["attack", "cross_btb", "--contexts", "2"],
     ["obs", "metrics"],
     ["obs", "manifest", "list"],
+    ["obs", "trace", "merge", "--dir", "D"],
 ])
 def test_retired_flag_rejected(argv, capsys):
     # Independent runs go through the engine on one host only; no
     # subcommand, flag or backend name picks another path.  A run's
     # numbers live in the command's output or the result store, so no
-    # command reads or writes run manifests.
+    # command reads or writes run manifests, and a traced command
+    # writes its own trace, so there is nothing to merge.
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

@@ -1,8 +1,9 @@
-"""Tests for repro.obs.spans: the span stack, the span spool, the
-process tracer, the Perfetto span merger, the engine's spans, and the
-telemetry-overhead gate (``benchmarks/obs_overhead.py``)."""
+"""Tests for repro.obs.spans: the tracer's finished spans, the one
+Perfetto trace a root span writes, the process tracer, the engine's
+spans, and the telemetry-overhead gate (``benchmarks/obs_overhead.py``)."""
 
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -10,22 +11,20 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import main
 from repro.config import ConfigSpec, baseline_ooo
 from repro.engine import expand_jobs, run_jobs
 from repro.engine.store import ShardedDiskStore
-from repro.obs.perfetto import (
-    merge_span_spools,
-    read_span_spools,
-    span_trace_events,
-    validate_chrome_trace,
-)
+from repro.obs.perfetto import validate_chrome_trace
 from repro.obs.spans import (
     Tracer,
     install_tracer,
     maybe_tracer,
     uninstall_tracer,
 )
+
+DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
 
 
 @pytest.fixture(autouse=True)
@@ -36,166 +35,114 @@ def _detached_tracer():
     uninstall_tracer()
 
 
-def spooled(tracer, name=None):
-    """The spans *tracer* has spooled, optionally only those named
-    *name*."""
-    rows = read_span_spools(tracer.spool_dir)
-    return [row for row in rows if name is None or row["name"] == name]
+def written(directory, name=None):
+    """The ``X`` slices of the one valid trace file under *directory*,
+    optionally only those named *name*."""
+    files = list(Path(directory).iterdir())
+    assert len(files) == 1, files
+    payload = json.loads(files[0].read_text())
+    assert validate_chrome_trace(payload) == []
+    return [event for event in payload["traceEvents"]
+            if event["ph"] == "X" and name in (None, event["name"])]
+
+
+def inside(child, parent):
+    """*child*'s slice lies within *parent*'s, on the same lane."""
+    return (child["tid"] == parent["tid"]
+            and parent["ts"] <= child["ts"]
+            and child["ts"] + child["dur"] <= parent["ts"] + parent["dur"])
 
 
 class TestTracer:
     def test_span_lands_in_spool(self, tmp_path):
-        tracer = Tracer("t", spool_dir=str(tmp_path))
-        with tracer.span("work", attrs={"k": 1}) as sp:
-            assert tracer.current() is sp
-        rows = spooled(tracer, "work")
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["status"] == "ok"
-        assert row["attrs"] == {"k": 1}
-        assert row["end_unix"] >= row["start_unix"]
-        assert tracer.current() is None
+        tracer = Tracer(str(tmp_path))
+        with tracer.span("root"):
+            with tracer.span("work", attrs={"k": 1}) as span:
+                pass
+            assert tracer.spans == [span]
+        assert span.status == "ok"
+        assert span.attrs == {"k": 1}
+        assert span.finish >= span.start
+        assert span.lane == os.getpid()
 
     def test_nested_spans_parent_automatically(self, tmp_path):
-        tracer = Tracer("t", spool_dir=str(tmp_path))
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
+        tracer = Tracer(str(tmp_path))
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        rows = {r["name"]: r for r in spooled(tracer)}
-        assert rows["inner"]["parent_id"] == outer.span_id
-        assert rows["inner"]["trace_id"] == outer.trace_id
-        assert rows["outer"]["parent_id"] is None
-        assert inner.trace_id == outer.trace_id
+        inner, = written(tmp_path, "inner")
+        outer, = written(tmp_path, "outer")
+        assert inside(inner, outer)
 
     def test_exception_marks_error_and_propagates(self, tmp_path):
-        tracer = Tracer("t", spool_dir=str(tmp_path))
+        tracer = Tracer(str(tmp_path))
         with pytest.raises(ValueError):
             with tracer.span("boom"):
                 raise ValueError("x")
-        assert spooled(tracer, "boom")[0]["status"] == "error"
-        assert tracer.current() is None
+        boom, = written(tmp_path)
+        assert boom["name"] == "[error] boom"
+        assert boom["args"]["status"] == "error"
+
+    def test_outermost_span_writes_one_valid_trace(self, tmp_path):
+        directory = tmp_path / "traces"
+        tracer = Tracer(str(directory))
+        with tracer.span("cli.bench"):
+            with tracer.span("engine.run"):
+                tracer.record("engine.execute", 1.0, 2.0)
+            assert len(tracer.spans) == 2
+            assert not directory.exists()  # nothing before the root ends
+        assert [path.name for path in directory.iterdir()] == [
+            "cli.bench-%d.json" % os.getpid()
+        ]
+        assert len(written(directory)) == 3
+        assert tracer.spans == []
 
     def test_record_is_retroactive(self, tmp_path):
-        tracer = Tracer("t", spool_dir=str(tmp_path))
-        parent = tracer.start_span("engine.run")
-        row = tracer.record("engine.queue", 100.0, 100.25, parent=parent)
-        assert row["start_unix"] == 100.0
-        assert row["end_unix"] == 100.25
-        assert row["trace_id"] == parent.trace_id
-        assert row["parent_id"] == parent.span_id
+        tracer = Tracer(str(tmp_path))
+        span = tracer.record("engine.execute", 100.0, 100.25, lane=7)
+        assert (span.start, span.finish, span.lane) == (100.0, 100.25, 7)
+        assert tracer.spans == [span]
+        assert list(tmp_path.iterdir()) == []  # no root span has ended
 
     def test_end_clamps_backwards_clock(self, tmp_path):
-        tracer = Tracer("t", spool_dir=str(tmp_path))
-        row = tracer.record("x", 200.0, 150.0)
-        assert row["end_unix"] == row["start_unix"] == 200.0
-
-    def test_spool_file_per_process(self, tmp_path):
-        tracer = Tracer("my service!", spool_dir=str(tmp_path))
-        tracer.record("x", 1.0, 2.0)
-        assert os.path.basename(tracer.spool_path) == (
-            "my-service--%d.spans.jsonl" % os.getpid()
-        )
-        lines = [json.loads(line) for line in
-                 open(tracer.spool_path).read().splitlines()]
-        assert lines[0]["name"] == "x"
-        assert lines[0]["service"] == "my service!"
-        assert tracer.spool_errors == 0
+        tracer = Tracer(str(tmp_path))
+        span = tracer.record("x", 200.0, 150.0)
+        assert span.finish == span.start == 200.0
 
 
 class TestProcessTracer:
     def test_detached_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         assert maybe_tracer() is None
-        assert maybe_tracer("hint") is None  # cached negative
+        assert maybe_tracer() is None  # cached negative
 
     def test_env_var_activates_spooling(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         uninstall_tracer()  # force a fresh env check
-        tracer = maybe_tracer("worker")
+        tracer = maybe_tracer()
         assert tracer is not None
-        assert tracer.service == "worker"
-        assert tracer.spool_path.startswith(str(tmp_path))
-        assert maybe_tracer("other-hint") is tracer
+        assert tracer.directory == str(tmp_path)
+        assert maybe_tracer() is tracer
 
     def test_install_uninstall(self, tmp_path):
-        tracer = install_tracer(Tracer("explicit", spool_dir=str(tmp_path)))
+        tracer = install_tracer(Tracer(str(tmp_path)))
         assert maybe_tracer() is tracer
         uninstall_tracer()
         assert maybe_tracer() is None
 
+    def test_raising_command_still_writes_its_trace(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
 
-class TestSpanMerger:
-    def _spool(self, directory, service, pid, rows):
-        path = os.path.join(
-            directory, "%s-%d.spans.jsonl" % (service, pid)
-        )
-        with open(path, "w") as handle:
-            for row in rows:
-                handle.write(json.dumps(row) + "\n")
+        def crash(args):
+            raise RuntimeError("boom")
 
-    def _row(self, name, start, end, pid, service, span_id,
-             parent_id=None, trace_id="ab" * 16, status="ok"):
-        return {
-            "schema": 1, "name": name, "trace_id": trace_id,
-            "span_id": span_id, "parent_id": parent_id,
-            "service": service, "pid": pid,
-            "start_unix": start, "end_unix": end, "status": status,
-        }
-
-    def test_merge_stitches_processes_into_one_valid_trace(self, tmp_path):
-        spool_dir = tmp_path / "spans"
-        spool_dir.mkdir()
-        self._spool(str(spool_dir), "cli", 100, [
-            self._row("cli.fuzz", 10.0, 11.1, 100, "cli", "aa" * 8),
-            self._row("engine.run", 10.1, 11.0, 100, "cli", "bb" * 8,
-                      parent_id="aa" * 8),
-        ])
-        self._spool(str(spool_dir), "repro", 200, [
-            self._row("simulate", 10.4, 11.0, 200, "repro",
-                      "cc" * 8, parent_id="aa" * 8),
-        ])
-        # Junk in the directory must not break the merge.
-        (spool_dir / "garbage.spans.jsonl").write_text("{not json\n")
-        out = tmp_path / "merged.json"
-        summary = merge_span_spools(str(spool_dir), str(out))
-        assert summary["spans"] == 3
-        assert summary["traces"] == 1
-        assert summary["processes"] == ["cli:100", "repro:200"]
-        payload = json.loads(out.read_text())
-        assert validate_chrome_trace(payload) == []
-        events = payload["traceEvents"]
-        slices = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in slices} == {
-            "cli.fuzz", "engine.run", "simulate",
-        }
-        # One Perfetto pid per (service, pid) process.
-        assert len({e["pid"] for e in slices}) == 2
-        # Parent->child links become flow events across processes.
-        flows = [e for e in events if e["ph"] in ("s", "f")]
-        assert len(flows) == 4  # two parent->child edges
-
-    def test_read_span_spools_tolerates_bad_rows(self, tmp_path):
-        self._spool(str(tmp_path), "s", 1, [
-            self._row("good", 1.0, 2.0, 1, "s", "aa" * 8),
-        ])
-        with open(os.path.join(tmp_path, "s-2.spans.jsonl"), "w") as f:
-            f.write("not json\n")
-            f.write(json.dumps({"name": "no-times"}) + "\n")
-            f.write(json.dumps([1, 2]) + "\n")
-        rows = read_span_spools(str(tmp_path))
-        assert [r["name"] for r in rows] == ["good"]
-
-    def test_error_status_prefixes_slice_name(self, tmp_path):
-        rows = [self._row("lease", 1.0, 2.0, 1, "coord", "aa" * 8,
-                          status="lost")]
-        events = span_trace_events(rows)
-        names = [e["name"] for e in events if e["ph"] == "X"]
-        assert names == ["[lost] lease"]
-
-    def test_empty_directory_merges_to_zero(self, tmp_path):
-        out = tmp_path / "merged.json"
-        summary = merge_span_spools(str(tmp_path), str(out))
-        assert summary["spans"] == 0
+        monkeypatch.setattr(repro.cli, "_run_command", crash)
+        with pytest.raises(RuntimeError):
+            main(["matrix"])
+        root, = written(tmp_path)
+        assert root["name"] == "[error] cli.matrix"
+        assert root["args"]["argv"] == "matrix"
 
 
 class TestEngineSpans:
@@ -206,25 +153,54 @@ class TestEngineSpans:
         )
 
     def test_run_jobs_emits_engine_spans_when_attached(self, tmp_path):
-        tracer = install_tracer(
-            Tracer("engine-test", spool_dir=str(tmp_path))
-        )
+        install_tracer(Tracer(str(tmp_path)))
         results, failures, stats = run_jobs(
             self._jobs(), jobs=1, cache=None,
         )
         assert not failures
-        names = [r["name"] for r in spooled(tracer)]
-        assert names.count("engine.run") == 1
-        assert names.count("engine.execute") == len(results)
-        run_row = spooled(tracer, "engine.run")[0]
-        execute_row = spooled(tracer, "engine.execute")[0]
-        assert execute_row["trace_id"] == run_row["trace_id"]
-        assert execute_row["parent_id"] == run_row["span_id"]
-        assert run_row["attrs"]["executed"] == len(results)
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "engine.run-%d.json" % os.getpid()
+        ]
+        run, = written(tmp_path, "engine.run")
+        executes = written(tmp_path, "engine.execute")
+        assert len(executes) == len(results)
+        assert all(inside(execute, run) for execute in executes)
+        assert run["args"]["executed"] == len(results)
+
+    def test_run_that_raises_still_ends_its_span(self, tmp_path):
+        install_tracer(Tracer(str(tmp_path)))
+
+        def broken_progress(done, total, result):
+            raise RuntimeError("progress callback")
+
+        with pytest.raises(RuntimeError):
+            run_jobs(self._jobs(), jobs=1, progress=broken_progress)
+        assert [event["name"] for event in written(tmp_path)
+                if "engine.run" in event["name"]] == ["[error] engine.run"]
+        # The next run is a root again and writes its own trace.
+        run_jobs(self._jobs(), jobs=1)
+        assert len(written(tmp_path, "engine.run")) == 1
+
+    def test_pool_jobs_land_on_worker_lanes(self, tmp_path):
+        install_tracer(Tracer(str(tmp_path)))
+        results, failures, stats = run_jobs(
+            self._jobs(samples=2), jobs=2, cache=None,
+        )
+        assert not failures and stats.workers == 2
+        run, = written(tmp_path, "engine.run")
+        executes = written(tmp_path, "engine.execute")
+        assert len(executes) == len(results) == 2
+        main_lane = run["tid"]
+        assert main_lane == os.getpid()
+        for execute in executes:
+            assert execute["tid"] != main_lane
+            assert run["ts"] <= execute["ts"]
+            assert (execute["ts"] + execute["dur"]
+                    <= run["ts"] + run["dur"])
 
     def test_detached_run_identical_to_attached(self, tmp_path):
         detached, _, _ = run_jobs(self._jobs(), jobs=1, cache=None)
-        install_tracer(Tracer("engine-test", spool_dir=str(tmp_path)))
+        install_tracer(Tracer(str(tmp_path)))
         attached, _, _ = run_jobs(self._jobs(), jobs=1, cache=None)
         uninstall_tracer()
         for before, after in zip(detached, attached):
@@ -233,24 +209,21 @@ class TestEngineSpans:
     def test_warm_rerun_spools_one_cache_hit_per_job(self, tmp_path):
         cache = ShardedDiskStore(tmp_path / "cache")
         run_jobs(self._jobs(samples=2), jobs=1, cache=cache)
-        tracer = install_tracer(
-            Tracer("engine-test", spool_dir=str(tmp_path / "spans"))
-        )
+        traces = tmp_path / "traces"
+        install_tracer(Tracer(str(traces)))
         results, _, stats = run_jobs(
             self._jobs(samples=2), jobs=1, cache=cache,
         )
         assert stats.cache_hits == len(results) == 2
-        run_row = spooled(tracer, "engine.run")[0]
-        hits = spooled(tracer, "engine.cache.hit")
+        run, = written(traces, "engine.run")
+        hits = written(traces, "engine.cache.hit")
         assert len(hits) == len(results)
-        assert all(row["parent_id"] == run_row["span_id"] for row in hits)
-        assert spooled(tracer, "engine.execute") == []
-        assert spooled(tracer, "engine.queue") == []
+        assert all(inside(hit, run) for hit in hits)
+        assert written(traces, "engine.execute") == []
 
     def test_merged_traced_bench_is_a_valid_trace(self, tmp_path,
                                                   monkeypatch, capsys):
-        spool_dir = tmp_path / "spans"
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(spool_dir))
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         uninstall_tracer()  # force a fresh env check
         assert main([
             "bench", "--benchmarks", "exchange2", "--samples", "1",
@@ -259,18 +232,21 @@ class TestEngineSpans:
         ]) == 0
         executed = int(re.search(
             r"(\d+) executed", capsys.readouterr().out).group(1))
-        out = tmp_path / "merged.json"
-        assert main([
-            "obs", "trace", "merge", "--dir", str(spool_dir),
-            "--output", str(out),
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert validate_chrome_trace(payload) == []
-        slices = [e["name"] for e in payload["traceEvents"]
-                  if e["ph"] == "X"]
-        assert slices.count("cli.bench") == 1
-        assert slices.count("engine.run") == 1
-        assert slices.count("engine.execute") == executed > 0
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "cli.bench-%d.json" % os.getpid()
+        ]
+        root, = written(tmp_path, "cli.bench")
+        run, = written(tmp_path, "engine.run")
+        executes = written(tmp_path, "engine.execute")
+        assert root["args"]["exit_code"] == 0
+        assert inside(run, root)
+        assert len(executes) == executed > 0
+        # --jobs 1 runs every job on the main lane.
+        assert all(inside(execute, run) for execute in executes)
+
+
+NUMBERS = ("zero", "one", "two", "three", "four", "five", "six")
+ORDINALS = ("first", "second", "third", "fourth", "fifth", "sixth")
 
 
 def _obs_overhead_gate():
@@ -301,3 +277,33 @@ class TestObsOverheadTracing:
         }
         # The tracing variant's install is scoped to its run.
         assert maybe_tracer() is None
+
+    def test_design_states_the_gate_parameters(self):
+        """DESIGN.md §3.5's gate parameters and §3.9's tracing variant
+        are the script's own."""
+        gate = _obs_overhead_gate()
+        defaults = inspect.signature(gate.measure).parameters
+        design = DESIGN.read_text()
+        claim = re.search(
+            r"`benchmarks/obs_overhead\.py` \((\w+) under (\w+), ([\d,]+)"
+            r"\s+instructions; (\w+) variants: (.*?), interleaved over"
+            r"\s+(\d+)\s+rounds.*?hard <(\d+)% ceiling", design, re.S)
+        assert claim, "DESIGN.md §3.5 no longer states the gate"
+        (workload, config, instructions, count, variants, rounds,
+         ceiling) = claim.groups()
+        assert workload == defaults["workload"].default
+        assert config.lower() == gate.CONFIG
+        assert (int(instructions.replace(",", ""))
+                == defaults["instructions"].default)
+        assert NUMBERS.index(count) == len(gate.VARIANTS)
+        assert tuple(re.findall(r"`([\w-]+)`", variants)) == gate.VARIANTS
+        assert int(rounds) == gate.ROUNDS == defaults["rounds"].default
+        assert int(ceiling) / 100 == gate.BUDGET
+
+        tracing = re.search(
+            r"gates a (\w+) interleaved variant\s+\(`([\w-]+)`:.*?"
+            r"`([\w.-]+)` span", design, re.S)
+        assert tracing, "DESIGN.md §3.9 no longer describes the variant"
+        ordinal, variant, span_name = tracing.groups()
+        assert ORDINALS.index(ordinal) == gate.VARIANTS.index(variant)
+        assert '"%s"' % span_name in Path(gate.__file__).read_text()

@@ -18,12 +18,13 @@ from repro.config import (
     baseline_ooo,
     config_registry,
     nda_config,
-    scheme_config,
 )
 from repro.engine.store import job_cache_key
 from repro.engine.jobs import SimJob
 from repro.errors import ConfigError
 from repro.schemes import (
+    FenceOnBranchParams,
+    NDAParams,
     NoParams,
     ProtectionModel,
     describe_schemes,
@@ -148,33 +149,32 @@ def test_make_protection_defaults_params():
 
 
 # --------------------------------------------------------------------- #
-# scheme_config factory and legacy coercion.
+# Scheme selection is data: a registry name plus its parameter block.
 # --------------------------------------------------------------------- #
 
 def test_scheme_config_factory():
-    config = scheme_config("nda", policy=NDAPolicyName.STRICT)
+    config = SimConfig(
+        scheme="nda", scheme_params=NDAParams(policy=NDAPolicyName.STRICT),
+    ).validate()
     assert config.scheme == "nda"
     assert config.nda_policy is NDAPolicyName.STRICT
 
-    fence = scheme_config("fence-on-branch")
+    fence = SimConfig(scheme="fence-on-branch").validate()
     assert fence.scheme == "fence-on-branch"
     assert fence.scheme_params.fence_loads is True
-    relaxed = scheme_config("fence-on-branch", fence_loads=False)
+    relaxed = SimConfig(
+        scheme="fence-on-branch",
+        scheme_params=FenceOnBranchParams(fence_loads=False),
+    ).validate()
     assert relaxed.scheme_params.fence_loads is False
-
-
-def test_scheme_config_legacy_aliases():
-    assert scheme_config("ooo").scheme == "none"
-    spectre = scheme_config("invisispec-spectre")
-    future = scheme_config("invisispec-future")
-    assert spectre.scheme == future.scheme == "invisispec"
-    assert spectre.scheme_params.future is False
-    assert future.scheme_params.future is True
+    # The registry's config names are not scheme names.
+    for name in ("ooo", "invisispec-spectre", "invisispec-future"):
+        assert name in config_registry()
+        with pytest.raises(ConfigError):
+            SimConfig(scheme=name).validate()
 
 
 def test_scheme_params_type_checked_by_validate():
-    from repro.schemes import NDAParams
-
     config = SimConfig(scheme="invisispec", scheme_params=NDAParams())
     with pytest.raises(ConfigError):
         config.validate()
@@ -201,8 +201,11 @@ def test_cache_key_covers_scheme_params():
     strict = nda_config(NDAPolicyName.STRICT)
     permissive = nda_config(NDAPolicyName.PERMISSIVE)
     assert strict.cache_key() != permissive.cache_key()
-    fence = scheme_config("fence-on-branch")
-    relaxed = scheme_config("fence-on-branch", fence_loads=False)
+    fence = SimConfig(scheme="fence-on-branch")
+    relaxed = SimConfig(
+        scheme="fence-on-branch",
+        scheme_params=FenceOnBranchParams(fence_loads=False),
+    )
     assert fence.cache_key() != relaxed.cache_key()
 
 
@@ -269,6 +272,6 @@ def test_protection_model_is_in_public_api():
     import repro
 
     for name in ("ProtectionModel", "SchemeParams", "register_scheme",
-                 "registered_schemes", "scheme_config"):
+                 "registered_schemes"):
         assert name in repro.__all__
         assert hasattr(repro, name)
